@@ -26,7 +26,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "deepmd/descriptor_variants.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
@@ -94,7 +93,7 @@ namespace dp = fekf::dispatch;
 
 struct VariantRow {
   dp::Variant v;
-  bool eligible = false;   ///< compiled and supported by this CPU
+  bool eligible = false;   ///< supported by this CPU
   bool selected = false;   ///< what the current policy resolves to
   f64 s_per_call = 0.0;    ///< best-of-3 averaged wall time (eligible only)
   f64 speedup = 0.0;       ///< scalar s_per_call / this s_per_call
@@ -123,7 +122,6 @@ template <typename Call>
 DispatchSection time_family(const std::string& kernel, std::string shape,
                             Call&& call) {
   auto& reg = dp::Registry::instance();
-  const dp::CpuFeatures cpu = reg.cpu_features();
   const dp::Variant selected = reg.selected(kernel);
   DispatchSection section{kernel, std::move(shape), {}};
 
@@ -153,8 +151,7 @@ DispatchSection time_family(const std::string& kernel, std::string shape,
   for (const dp::Variant& v : reg.variants(kernel)) {
     VariantRow row;
     row.v = v;
-    row.eligible =
-        v.compiled && (v.isa != "avx2+fma" || (cpu.avx2 && cpu.fma));
+    row.eligible = reg.supported(v);
     row.selected = v.name == selected.name;
     if (row.eligible) {
       row.s_per_call = v.name == "scalar" ? scalar_s : measure(v);
@@ -167,10 +164,8 @@ DispatchSection time_family(const std::string& kernel, std::string shape,
 
 std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
   dp::register_gemm_variants();
-  dp::register_tanh_variants();
   dp::register_ekf_variants();
   dp::register_matnt_variants();
-  dp::register_desc_variants();
   Rng rng(seed);
   std::vector<DispatchSection> sections;
 
@@ -186,52 +181,18 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
               x.data(), w.data(), b.data(), out.data(), 0, m, k, n);
         }));
   }
-  {  // tanh: one activation sweep.
-    const i64 count = 1 << 16;
-    const Tensor x = Tensor::randn(1, count, rng);
-    Tensor y(1, count);
-    sections.push_back(time_family(
-        "tanh_f32", "count=65536", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::TanhChunkFn>(v.fn)(x.data(), y.data(), count);
-        }));
-  }
-  const i64 n = 1024;  // EKF block size (paper blocksize regime)
-  std::vector<f64> p(static_cast<std::size_t>(n * n));
-  std::vector<f64> g(static_cast<std::size_t>(n));
-  std::vector<f64> y(static_cast<std::size_t>(n));
-  {
+  {  // EKF rank-1 P update at the paper blocksize regime.
+    const i64 n = 1024;
     const Tensor t = Tensor::randn(1, n * n, rng);
-    for (i64 i = 0; i < n * n; ++i) p[static_cast<std::size_t>(i)] = t.data()[i];
+    std::vector<f64> p(t.data(), t.data() + n * n);
     const Tensor tg = Tensor::randn(1, n, rng);
-    for (i64 i = 0; i < n; ++i) g[static_cast<std::size_t>(i)] = tg.data()[i];
-  }
-  sections.push_back(time_family(
-      "ekf_symv_f64", "n=1024", [&](const dp::Variant& v) {
-        reinterpret_cast<dp::SymvPanelFn>(v.fn)(p.data(), g.data(), y.data(),
-                                                0, n, n);
-      }));
-  {  // dot: one reduce chunk (kReduceChunk elements).
-    const i64 len = 1 << 15;
-    std::vector<f64> a(static_cast<std::size_t>(len)),
-        b(static_cast<std::size_t>(len));
-    const Tensor ta = Tensor::randn(2, len, rng);
-    for (i64 i = 0; i < len; ++i) {
-      a[static_cast<std::size_t>(i)] = ta.data()[i];
-      b[static_cast<std::size_t>(i)] = ta.data()[len + i];
-    }
-    volatile f64 sink = 0.0;
+    const std::vector<f64> g(tg.data(), tg.data() + n);
     sections.push_back(time_family(
-        "ekf_dot_f64", "len=32768", [&](const dp::Variant& v) {
-          sink = reinterpret_cast<dp::DotChunkFn>(v.fn)(a.data(), b.data(), 0,
-                                                        len);
+        "ekf_rank1_f64", "n=1024", [&](const dp::Variant& v) {
+          reinterpret_cast<dp::Rank1PanelFn>(v.fn)(p.data(), g.data(), 0.37,
+                                                   1.0 / 0.9987, 0, n, n);
         }));
-    (void)sink;
   }
-  sections.push_back(time_family(
-      "ekf_rank1_f64", "n=1024", [&](const dp::Variant& v) {
-        reinterpret_cast<dp::Rank1PanelFn>(v.fn)(p.data(), g.data(), 0.37,
-                                                 1.0 / 0.9987, 0, n, n);
-      }));
   {  // NT contraction: the linear-backward gx shape (d = 50 layers).
     const i64 rows = 256, nt_n = 50, nt_q = 50;
     const Tensor a = Tensor::randn(rows, nt_q, rng);
@@ -242,16 +203,6 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
           reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(),
                                                    out.data(), 0, rows, nt_n,
                                                    nt_q);
-        }));
-  }
-  {  // descriptor tail: paper M=25, M^<=16 block.
-    const i64 m = 25, m_axis = 16, q = 256;
-    const Tensor a = Tensor::randn(m, q, rng);
-    Tensor out(m, m_axis);
-    sections.push_back(time_family(
-        "desc_contract_f32", "m=25 maxis=16 q=256", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::DescContractFn>(v.fn)(a.data(), out.data(), m,
-                                                     m_axis, q);
         }));
   }
   return sections;
@@ -568,20 +519,16 @@ int main(int argc, char** argv) {
   const auto dispatch_sections =
       run_dispatch_micro(static_cast<u64>(cli.get_int("seed")));
   const dp::CpuFeatures cpu = dp::Registry::instance().cpu_features();
-  const auto requested = dp::Registry::instance().requested();
+  const char* backend =
+      dp::backend_name(dp::Registry::instance().backend());
   std::printf("\nKernel-dispatch variants (backend=%s, cpu: avx2=%d fma=%d); "
               "single-thread body timings, best of 3:\n",
-              requested ? dp::level_name(*requested) : "auto", cpu.avx2,
-              cpu.fma);
-  Table td({"kernel", "shape", "variant", "level", "isa", "exactness",
-            "s/call", "speedup", "selected"});
+              backend, cpu.avx2, cpu.fma);
+  Table td({"kernel", "shape", "variant", "isa", "s/call", "speedup",
+            "selected"});
   for (const DispatchSection& sec : dispatch_sections) {
     for (const VariantRow& row : sec.rows) {
-      td.add_row({sec.kernel, sec.shape, row.v.name,
-                  dp::level_name(row.v.level), row.v.isa,
-                  row.v.exactness == dp::Exactness::kBitExact
-                      ? "bit_exact"
-                      : fmt("tolerance(%.0e)", row.v.tolerance),
+      td.add_row({sec.kernel, sec.shape, row.v.name, row.v.isa,
                   row.eligible ? fmt("%.3e", row.s_per_call) : "-",
                   row.eligible ? fmt("%.2fx", row.speedup) : "-",
                   row.selected ? "<=" : ""});
@@ -629,9 +576,7 @@ int main(int argc, char** argv) {
           ", \"traced_over_untraced\": " + fmt("%.4f", traced_over_untraced) +
           "},\n";
   json += "  \"dispatch\": {\n";
-  json += "    \"backend\": \"" +
-          std::string(requested ? dp::level_name(*requested) : "auto") +
-          "\",\n";
+  json += "    \"backend\": \"" + std::string(backend) + "\",\n";
   json += "    \"cpu_avx2\": " + std::string(cpu.avx2 ? "true" : "false") +
           ",\n";
   json += "    \"cpu_fma\": " + std::string(cpu.fma ? "true" : "false") +
@@ -643,11 +588,8 @@ int main(int argc, char** argv) {
             fmt("%.3f", sec.best_speedup()) + ", \"variants\": [\n";
     for (std::size_t r = 0; r < sec.rows.size(); ++r) {
       const VariantRow& row = sec.rows[r];
-      json += "        {\"name\": \"" + row.v.name + "\", \"level\": \"" +
-              dp::level_name(row.v.level) + "\", \"isa\": \"" + row.v.isa +
-              "\", \"exactness\": \"" + dp::exactness_name(row.v.exactness) +
-              "\", \"tolerance\": " + fmt("%.3e", row.v.tolerance) +
-              ", \"eligible\": " + (row.eligible ? "true" : "false") +
+      json += "        {\"name\": \"" + row.v.name + "\", \"isa\": \"" +
+              row.v.isa + "\", \"eligible\": " + (row.eligible ? "true" : "false") +
               ", \"selected\": " + (row.selected ? "true" : "false") +
               ", \"s_per_call\": " + fmt("%.6e", row.s_per_call) +
               ", \"speedup_vs_scalar\": " + fmt("%.3f", row.speedup) + "}";

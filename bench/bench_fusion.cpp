@@ -188,20 +188,18 @@ int main(int argc, char** argv) {
   }
 
   // ---- fused EKF step per kernel backend ------------------------------
-  // Same comparison as above, once per forced FEKF_KERNEL_BACKEND level
+  // Same comparison as above under FEKF_KERNEL_BACKEND=scalar and auto
   // (DESIGN.md §13). The fused and legacy paths share the dispatched
-  // symv/dot/rank1 bodies, so the bit-identity assertion must hold under
-  // EVERY backend — tolerance-class variants included — and the per-level
-  // rows show what each ladder rung buys on the EKF update.
+  // rank-1 body, so the bit-identity assertion must hold under both, and
+  // the two rows show what the auto-selected rung buys on the EKF update.
   std::vector<std::pair<std::string, Result>> ekf_backends;
   {
     const i64 n = cli.get_int("ekf-n");
     auto& reg = dispatch::Registry::instance();
-    const auto prior = reg.requested();
-    for (dispatch::Level level :
-         {dispatch::Level::kScalar, dispatch::Level::kSimd,
-          dispatch::Level::kAvx2}) {
-      reg.set_backend(level);
+    const dispatch::Backend prior = reg.backend();
+    for (dispatch::Backend backend :
+         {dispatch::Backend::kScalar, dispatch::Backend::kAuto}) {
+      reg.set_backend(backend);
       std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
       optim::KalmanConfig fused_cfg;
       optim::KalmanConfig legacy_cfg;
@@ -218,7 +216,7 @@ int main(int argc, char** argv) {
               &r.fused_launches);
       measure([&] { legacy_opt.update(g, 0.1, wl); }, reps, &r.unfused_s,
               &r.unfused_launches);
-      const char* name = dispatch::level_name(level);
+      const char* name = dispatch::backend_name(backend);
       FEKF_CHECK(wf == wl, std::string("fused EKF weights diverged from "
                                        "legacy under backend ") +
                                name);

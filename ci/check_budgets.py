@@ -48,8 +48,8 @@ when any metric regresses beyond the thresholds in ci/budgets.json:
 
 --kernels-doc FILE cross-checks docs/KERNELS.md against the artifact's
 dispatch section: every registered variant must appear in the doc's
-reference table with the same exactness class and budget key, and the doc
-must not list variants the registry no longer has.
+reference table with its budget key, and the doc must not list variants
+the registry no longer has.
 
 --obs-doc FILE cross-checks docs/OBSERVABILITY.md the same way against
 the serving artifact's "obs" inventory (span names seen by a traced
@@ -188,7 +188,7 @@ def check_dispatch(doc, budgets, failures):
         min_speedup = limits.get("min_best_speedup")
         if min_speedup is not None:
             eligible_nonscalar = any(
-                v.get("eligible") and v.get("level") != "scalar"
+                v.get("eligible") and v["name"] != "scalar"
                 for v in actual.get("variants", []))
             if not eligible_nonscalar:
                 print(f"  dispatch[{kernel}].best_speedup skipped "
@@ -321,54 +321,38 @@ def gate_min(failures, what, actual, floor):
         failures.append(f"{what}: {actual} is below the required {floor}")
 
 
-def variant_exactness(v):
-    if v.get("exactness") == "bit_exact":
-        return "bit_exact"
-    return f"tolerance({v.get('tolerance', 0.0):g})"
-
-
 def check_kernels_doc(doc, doc_path, failures):
     """Cross-check docs/KERNELS.md against the artifact's dispatch section.
 
     The doc's reference table is machine-diffable by construction: each row
-    is `| `kernel` | `variant` | level | isa | exactness | `budget key` |
-    speedup |`. Every registered variant must have a row with the matching
-    exactness class and the canonical budget key, and the doc must not
-    list variants the registry no longer has.
+    is `| `kernel` | `variant` | isa | `budget key` | speedup |`. Every
+    registered variant must have a row with the canonical budget key, and
+    the doc must not list variants the registry no longer has.
     """
     dispatch = doc.get("dispatch")
     if dispatch is None:
         failures.append(f"kernels-doc: artifact has no 'dispatch' section "
                         f"to diff {doc_path} against")
         return
-    registered = {}   # (kernel, variant) -> exactness string
-    for k in dispatch.get("kernels", []):
-        for v in k.get("variants", []):
-            registered[(k["kernel"], v["name"])] = variant_exactness(v)
+    registered = {(k["kernel"], v["name"])
+                  for k in dispatch.get("kernels", [])
+                  for v in k.get("variants", [])}
 
-    documented = {}   # (kernel, variant) -> (exactness, budget_key)
+    documented = {}   # (kernel, variant) -> budget_key
     for line in pathlib.Path(doc_path).read_text().splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) < 6 or not cells[0].startswith("`"):
+        if len(cells) < 4 or not cells[0].startswith("`"):
             continue   # not a data row of the reference table
-        kernel = cells[0].strip("`")
-        variant = cells[1].strip("`")
-        exactness = cells[4].replace("`", "")
-        budget_key = cells[5].strip("`")
-        documented[(kernel, variant)] = (exactness, budget_key)
+        documented[(cells[0].strip("`"), cells[1].strip("`"))] = (
+            cells[3].strip("`"))
 
-    for key, exactness in sorted(registered.items()):
+    for key in sorted(registered):
         kernel, variant = key
-        row = documented.get(key)
-        if row is None:
+        doc_budget_key = documented.get(key)
+        if doc_budget_key is None:
             failures.append(f"kernels-doc: registered variant "
                             f"{kernel}.{variant} has no row in {doc_path}")
             continue
-        doc_exact, doc_budget_key = row
-        if doc_exact != exactness:
-            failures.append(
-                f"kernels-doc: {kernel}.{variant} documented as "
-                f"'{doc_exact}' but registered as '{exactness}'")
         want_key = f"dispatch.{kernel}.{variant}"
         if doc_budget_key not in (want_key, "-"):
             failures.append(
@@ -377,7 +361,7 @@ def check_kernels_doc(doc, doc_path, failures):
     for key in sorted(set(documented) - set(registered)):
         failures.append(f"kernels-doc: {doc_path} lists {key[0]}.{key[1]} "
                         f"but it is not registered (stale row)")
-    n_ok = len(set(registered) & set(documented))
+    n_ok = len(registered & set(documented))
     print(f"kernels-doc: {n_ok}/{len(registered)} registered variants "
           f"documented in {doc_path}")
 

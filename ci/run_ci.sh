@@ -97,9 +97,10 @@ for ty in $BUILD_TYPES; do
   done
 
   # Forced-scalar leg: the whole suite must pass with every dispatched
-  # kernel pinned to its scalar reference (DESIGN.md §13). This keeps the
-  # fallback path — the one a CPU without AVX2 actually runs — exercised
-  # by more than the dedicated *_scalar_backend re-runs.
+  # kernel pinned to its scalar reference (DESIGN.md §13). This exercises
+  # the reference bodies beyond the dedicated *_scalar_backend re-runs.
+  # (A CPU without AVX2 runs the simd/lanes rungs, not scalar; test_dispatch
+  # covers that path by masking AVX2 in-process.)
   echo "==== [3/4] ctest ($ty, FEKF_KERNEL_BACKEND=scalar)"
   FEKF_KERNEL_BACKEND=scalar \
     ctest --test-dir "$dir" --output-on-failure -j"$JOBS"

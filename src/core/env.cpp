@@ -24,8 +24,8 @@ constexpr Knob kKnobs[] = {
      "Thread-pool width for all parallel_for/reduce regions "
      "(default: hardware concurrency)"},
     {"FEKF_KERNEL_BACKEND",
-     "Force a dispatch backend: scalar|simd|avx2|auto (default auto = "
-     "fastest bit-exact variant)"},
+     "Dispatch backend: scalar|auto (default auto = fastest variant this "
+     "CPU supports; every variant is bit-exact vs scalar)"},
     {"FEKF_ARENA",
      "Per-thread arena allocator for steady-state steps; 0|off|false "
      "disables (default on)"},
@@ -42,10 +42,12 @@ constexpr Knob kKnobs[] = {
      "counters/histograms (default off)"},
     {"FEKF_FLIGHT",
      "Arm the flight recorder: <path>[,events=<n>] — bounded per-thread "
-     "ring dumped as a Chrome trace on faults/crashes (default off)"},
+     "ring (n <= 1048576) dumped as a Chrome trace on faults/crashes "
+     "(default off)"},
     {"FEKF_TELEMETRY",
      "Live metrics sampler: <path>[,interval=<ms>] appends one JSONL "
-     "snapshot per interval (default off; interval 250ms)"},
+     "snapshot per interval (default off; interval 250ms, at most "
+     "86400000ms)"},
     {"FEKF_FAULT_SPEC",
      "Fault-injection DSL, e.g. 'nan_grad@step=40 rank_fail@step=60' "
      "(default: no faults)"},

@@ -4,7 +4,6 @@
 
 #include "autograd/ops.hpp"
 #include "deepmd/bmm.hpp"
-#include "deepmd/descriptor_variants.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
 #include "tensor/kernel_counter.hpp"
@@ -96,16 +95,18 @@ Tensor desc_d_kernel(const Tensor& a, i64 m, i64 m_axis) {
   Tensor out(nb * m, m_axis);
   const f32* __restrict__ pa = a.data();
   f32* __restrict__ po = out.data();
-  // Per-block body (bmm_nt's f64 inner products) via the dispatch registry;
-  // resolved before the parallel region, block partition unchanged.
-  static dispatch::Dispatched<dispatch::DescContractFn> dispatched(
-      "desc_contract_f32", &dispatch::register_desc_variants);
-  const dispatch::DescContractFn fn = dispatched.get();
+  // Each block is one matnt_f32 panel with a = b = the block of A: the
+  // first m_axis rows of A are A^<, so out_b = A_b · (A_b^<)ᵀ with bmm_nt's
+  // per-output f64 chain. Resolved before the parallel region.
+  static dispatch::Dispatched<dispatch::MatNtPanelFn> matnt(
+      "matnt_f32", &dispatch::register_matnt_variants);
+  const dispatch::MatNtPanelFn fn = matnt.get();
   parallel_for_blocks(
       0, nb,
       [&](i64 blo, i64 bhi) {
         for (i64 b = blo; b < bhi; ++b) {
-          fn(pa + b * m * q, po + b * m * m_axis, m, m_axis, q);
+          const f32* ab = pa + b * m * q;
+          fn(ab, ab, po + b * m * m_axis, 0, m, m_axis, q);
         }
       },
       grain_items(m * m_axis * q));

@@ -102,6 +102,12 @@ void terminate_with_dump() {
   std::abort();
 }
 
+std::string events_range_error(const std::string& got) {
+  return "FEKF_FLIGHT: events= wants an integer in [1, " +
+         std::to_string(FlightRecorder::kMaxCapacity) + "], got '" + got +
+         "'";
+}
+
 }  // namespace
 
 FlightRecorder::FlightRecorder() : impl_(new Impl) {}
@@ -132,9 +138,9 @@ void FlightRecorder::arm(const std::string& spec) {
       if (key == "events") {
         char* end = nullptr;
         const long long parsed = std::strtoll(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' || parsed < 1) {
-          throw Error("FEKF_FLIGHT: events= wants a positive integer, got '" +
-                      value + "'");
+        if (end == value.c_str() || *end != '\0' || parsed < 1 ||
+            parsed > kMaxCapacity) {
+          throw Error(events_range_error(value));
         }
         capacity = static_cast<i64>(parsed);
       } else {
@@ -151,7 +157,9 @@ void FlightRecorder::arm(const std::string& spec) {
 
 void FlightRecorder::arm_path(const std::string& path, i64 capacity) {
   FEKF_CHECK(!path.empty(), "flight recorder needs a dump path");
-  FEKF_CHECK(capacity >= 1, "flight ring capacity must be >= 1");
+  if (capacity < 1 || capacity > kMaxCapacity) {
+    throw Error(events_range_error(std::to_string(capacity)));
+  }
   {
     std::lock_guard<std::mutex> lock(impl_->registry_mutex);
     impl_->path = path;

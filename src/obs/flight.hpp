@@ -41,14 +41,19 @@ namespace fekf::obs {
 class FlightRecorder {
  public:
   static constexpr i64 kDefaultCapacity = 8192;  ///< events per thread
+  /// Largest accepted ring (events per thread, ~88 MiB of TraceEvent).
+  /// The ring is allocated on a thread's first append, inside span
+  /// destructors, so an oversized one must be refused at arm time.
+  static constexpr i64 kMaxCapacity = i64{1} << 20;
 
   /// Process-wide recorder (leaked: rings outlive static destruction).
   static FlightRecorder& instance();
 
   /// Arm from an FEKF_FLIGHT spec: "<path>[,events=<n>]". Throws Error on
-  /// a malformed spec.
+  /// a malformed spec or events outside [1, kMaxCapacity].
   void arm(const std::string& spec);
-  /// Arm with an explicit dump path and per-thread ring capacity.
+  /// Arm with an explicit dump path and per-thread ring capacity. Throws
+  /// Error for a capacity outside [1, kMaxCapacity].
   void arm_path(const std::string& path, i64 capacity = kDefaultCapacity);
   /// Stop capturing and unregister the fault/failure hooks. Signal and
   /// terminate handlers stay installed (they no-op while disarmed).

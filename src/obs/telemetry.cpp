@@ -43,6 +43,17 @@ struct TelemetrySampler::Impl {
   }
 };
 
+namespace {
+
+std::string interval_range_error(const std::string& got) {
+  return "FEKF_TELEMETRY: interval= wants milliseconds in (0, " +
+         std::to_string(static_cast<i64>(TelemetrySampler::kMaxIntervalS *
+                                         1e3)) +
+         "], got '" + got + "'";
+}
+
+}  // namespace
+
 TelemetrySampler::TelemetrySampler() : impl_(new Impl) {}
 
 TelemetrySampler& TelemetrySampler::instance() {
@@ -51,7 +62,10 @@ TelemetrySampler& TelemetrySampler::instance() {
 }
 
 void TelemetrySampler::start(const std::string& path, f64 interval_s) {
-  FEKF_CHECK(interval_s > 0.0, "telemetry interval must be > 0");
+  // Negated so NaN fails too.
+  if (!(interval_s > 0.0 && interval_s <= kMaxIntervalS)) {
+    throw Error(interval_range_error(std::to_string(interval_s * 1e3)));
+  }
   std::lock_guard<std::mutex> lock(impl_->mutex);
   FEKF_CHECK(!impl_->running, "telemetry sampler already running");
   impl_->file = std::fopen(path.c_str(), "w");
@@ -86,11 +100,9 @@ void TelemetrySampler::start_from_spec(const std::string& spec) {
       if (key == "interval") {
         char* end = nullptr;
         const f64 ms = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0' || !(ms > 0.0)) {
-          throw Error(
-              "FEKF_TELEMETRY: interval= wants positive milliseconds, "
-              "got '" +
-              value + "'");
+        if (end == value.c_str() || *end != '\0' ||
+            !(ms > 0.0 && ms <= kMaxIntervalS * 1e3)) {
+          throw Error(interval_range_error(value));
         }
         interval_s = ms * 1e-3;
       } else {

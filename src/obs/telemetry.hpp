@@ -31,16 +31,22 @@ namespace fekf::obs {
 class TelemetrySampler {
  public:
   static constexpr f64 kDefaultIntervalS = 0.25;
+  /// Longest accepted interval (one day). The sampler waits with
+  /// cv.wait_for, whose conversion to the clock's integer ticks overflows
+  /// for non-finite or huge values.
+  static constexpr f64 kMaxIntervalS = 86400.0;
 
   /// Process-wide sampler (leaked state; the thread is joined by stop()).
   static TelemetrySampler& instance();
 
   /// Start sampling to `path` every `interval_s` seconds. Enables metrics
-  /// recording. Throws if already running or the file cannot be opened.
+  /// recording. Throws if interval_s is outside (0, kMaxIntervalS], the
+  /// sampler is already running, or the file cannot be opened.
   void start(const std::string& path, f64 interval_s = kDefaultIntervalS);
 
   /// Parse "<path>[,interval=<ms>]" (the FEKF_TELEMETRY grammar) and
-  /// start. Throws Error on a malformed spec.
+  /// start. Throws Error on a malformed spec or an interval outside
+  /// (0, kMaxIntervalS].
   void start_from_spec(const std::string& spec);
 
   /// Append one final sample, join the sampler thread. Idempotent; no-op

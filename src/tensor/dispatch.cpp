@@ -7,19 +7,13 @@
 
 namespace fekf::dispatch {
 
-const char* level_name(Level level) {
-  switch (level) {
-    case Level::kScalar: return "scalar";
-    case Level::kSimd: return "simd";
-    case Level::kAvx2: return "avx2";
-  }
-  return "?";
+const char* backend_name(Backend backend) {
+  return backend == Backend::kScalar ? "scalar" : "auto";
 }
 
-const char* exactness_name(Exactness e) {
-  return e == Exactness::kBitExact ? "bit_exact" : "tolerance";
-}
+namespace {
 
+/// Detected features of the executing CPU (cached).
 const CpuFeatures& detected_cpu_features() {
   static const CpuFeatures features = [] {
     CpuFeatures f;
@@ -33,29 +27,31 @@ const CpuFeatures& detected_cpu_features() {
   return features;
 }
 
-bool Registry::parse_backend(std::string_view text,
-                             std::optional<Level>* out) {
+bool isa_supported(const Variant& v, CpuFeatures features) {
+  return v.isa != "avx2+fma" || (features.avx2 && features.fma);
+}
+
+}  // namespace
+
+bool Registry::parse_backend(std::string_view text, Backend* out) {
   if (text.empty() || text == "auto") {
-    *out = std::nullopt;
+    *out = Backend::kAuto;
     return true;
   }
-  for (Level level : {Level::kScalar, Level::kSimd, Level::kAvx2}) {
-    if (text == level_name(level)) {
-      *out = level;
-      return true;
-    }
+  if (text == "scalar") {
+    *out = Backend::kScalar;
+    return true;
   }
   return false;
 }
 
 Registry::Registry() : detected_(detected_cpu_features()) {
   if (const char* env = env::get("FEKF_KERNEL_BACKEND")) {
-    if (!parse_backend(env, &requested_)) {
+    if (!parse_backend(env, &backend_)) {
       // Unknown names degrade to auto — an env typo must not abort
-      // training, and auto is the always-safe bit-exact policy.
+      // training, and every variant auto can pick is bit-exact.
       FEKF_WARN << "FEKF_KERNEL_BACKEND='" << env
-                << "' is not scalar|simd|avx2|auto; using auto";
-      requested_ = std::nullopt;
+                << "' is not scalar|auto; using auto";
     }
   }
 }
@@ -75,9 +71,6 @@ Registry& Registry::instance() {
 void Registry::add(Variant v) {
   FEKF_CHECK(!v.kernel.empty() && !v.name.empty() && v.fn != nullptr,
              "dispatch variant registration needs kernel, name and fn");
-  FEKF_CHECK((v.exactness == Exactness::kBitExact) == (v.tolerance == 0.0),
-             "dispatch variant " + v.kernel + "/" + v.name +
-                 ": tolerance must be 0 iff bit_exact");
   std::lock_guard<std::mutex> lock(mutex_);
   for (Variant& existing : variants_) {
     if (existing.kernel == v.kernel && existing.name == v.name) {
@@ -90,16 +83,8 @@ void Registry::add(Variant v) {
   generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-bool Registry::eligible(const Variant& v, CpuFeatures features,
-                        std::optional<Level> requested) const {
-  if (!v.compiled) return false;
-  if (v.isa == "avx2+fma" && !(features.avx2 && features.fma)) return false;
-  if (requested.has_value()) {
-    // Forced ladder level: anything at or below, tolerance included.
-    return v.level <= *requested;
-  }
-  // Auto: fastest BIT-EXACT variant — the default never moves numerics.
-  return v.exactness == Exactness::kBitExact;
+bool Registry::supported(const Variant& v) const {
+  return isa_supported(v, cpu_features());
 }
 
 Variant Registry::selected(const std::string& kernel) const {
@@ -108,10 +93,10 @@ Variant Registry::selected(const std::string& kernel) const {
   const Variant* best = nullptr;
   for (const Variant& v : variants_) {
     if (v.kernel != kernel) continue;
-    if (!eligible(v, features, requested_)) continue;
-    if (best == nullptr || v.priority > best->priority ||
-        (v.priority == best->priority &&
-         static_cast<int>(v.level) > static_cast<int>(best->level))) {
+    const bool eligible = backend_ == Backend::kScalar
+                              ? v.name == "scalar"
+                              : isa_supported(v, features);
+    if (eligible && (best == nullptr || v.priority > best->priority)) {
       best = &v;
     }
   }
@@ -130,18 +115,6 @@ const std::optional<Variant> Registry::find(const std::string& kernel,
   return std::nullopt;
 }
 
-std::vector<std::string> Registry::kernels() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  for (const Variant& v : variants_) {
-    if (std::find(names.begin(), names.end(), v.kernel) == names.end()) {
-      names.push_back(v.kernel);
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 std::vector<Variant> Registry::variants(const std::string& kernel) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Variant> out;
@@ -154,14 +127,14 @@ std::vector<Variant> Registry::variants(const std::string& kernel) const {
   return out;
 }
 
-std::optional<Level> Registry::requested() const {
+Backend Registry::backend() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return requested_;
+  return backend_;
 }
 
-void Registry::set_backend(std::optional<Level> forced) {
+void Registry::set_backend(Backend backend) {
   std::lock_guard<std::mutex> lock(mutex_);
-  requested_ = forced;
+  backend_ = backend;
   generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 

@@ -2,36 +2,28 @@
 //
 // Each hot kernel registers named VARIANTS of its inner body — the scalar
 // reference, `#pragma omp simd`-style vectorized bodies, AVX2/FMA
-// intrinsics, fixed-shape template specializations — and the registry picks
-// one per kernel at startup from CPU feature detection, overridable with
-// FEKF_KERNEL_BACKEND (scalar | simd | avx2 | auto) or programmatically via
-// set_backend(). In the spirit of MFEM's kernel_dispatch.hpp, except that
-// every registration also DECLARES its exactness class against the scalar
-// reference:
+// intrinsics — and the registry picks one per kernel at startup from CPU
+// feature detection, overridable with FEKF_KERNEL_BACKEND (scalar | auto)
+// or programmatically via set_backend(). In the spirit of MFEM's
+// kernel_dispatch.hpp.
 //
-//   bit_exact       the variant reproduces the scalar path bit for bit
-//                   (same per-element operation sequence, same accumulation
-//                   order, same FMA-contraction shape) — asserted with
-//                   memcmp in tests/test_dispatch.cpp
-//   tolerance(eps)  the variant reorders a floating-point reduction (multi-
-//                   accumulator SIMD dot products, pragma-simd reductions);
-//                   every element stays within relative eps of the scalar
-//                   result — the bound is asserted, not assumed
+// The contract (DESIGN.md §13): every registered variant reproduces its
+// family's scalar reference bit for bit — same per-element operation
+// sequence, same accumulation order, same FMA-contraction shape — asserted
+// with memcmp in tests/test_dispatch.cpp. Kernel choice changes speed,
+// never numerics. A variant is registered only if `auto` selects it on
+// some supported ISA, or if it is the scalar reference.
 //
-// Selection policy (the exactness CONTRACT, DESIGN.md §13):
-//   * auto (default): the fastest registered variant that is compiled in,
-//     supported by this CPU, and bit_exact. The default backend NEVER
-//     changes a training trajectory.
-//   * forced level L: the fastest variant at level <= L that is compiled
-//     in and CPU-supported, tolerance-class variants included. Requesting
-//     a level the CPU (or the build) cannot honor falls back gracefully to
-//     the best eligible variant below it — never an error.
+// Selection policy:
+//   * auto (default): the highest-priority variant whose ISA this CPU
+//     supports.
+//   * scalar: the reference body everywhere.
 // The scalar variant is always registered and always eligible, so
 // resolution cannot fail.
 //
-// Variants are width-agnostic: each is a per-panel / per-chunk body invoked
-// from the same parallel_for partitions as before, so the §9 determinism
-// model (bit-identical results at any thread width) holds PER VARIANT.
+// Variants are width-agnostic: each is a per-panel body invoked from the
+// same parallel_for partitions as before, so the §9 determinism model
+// (bit-identical results at any thread width) holds PER VARIANT.
 #pragma once
 
 #include <atomic>
@@ -45,15 +37,10 @@
 
 namespace fekf::dispatch {
 
-/// Backend ladder for FEKF_KERNEL_BACKEND. Ordered: a forced level L makes
-/// every variant at level <= L eligible (subject to ISA support).
-enum class Level : int { kScalar = 0, kSimd = 1, kAvx2 = 2 };
+/// Values of FEKF_KERNEL_BACKEND.
+enum class Backend { kAuto, kScalar };
 
-const char* level_name(Level level);
-
-enum class Exactness { kBitExact, kTolerance };
-
-const char* exactness_name(Exactness e);
+const char* backend_name(Backend backend);
 
 /// CPU features relevant to the registered variants, detected once at
 /// startup (x86 cpuid via compiler builtins; all-false elsewhere).
@@ -68,11 +55,7 @@ struct CpuFeatures {
 struct Variant {
   std::string kernel;     ///< family name, e.g. "gemm_f32"
   std::string name;       ///< variant name, e.g. "avx2"
-  Level level;            ///< ladder position for FEKF_KERNEL_BACKEND
   std::string isa;        ///< "generic" or the ISA requirement ("avx2+fma")
-  bool compiled = true;   ///< false when the build lacked the ISA flags
-  Exactness exactness = Exactness::kBitExact;
-  f64 tolerance = 0.0;    ///< max per-element relative error vs scalar
   int priority = 0;       ///< among eligible variants, highest wins
   void* fn = nullptr;
   std::string note;       ///< one-line contract rationale (docs/KERNELS.md)
@@ -80,8 +63,8 @@ struct Variant {
 
 class Registry {
  public:
-  /// The process-wide registry. First call registers the built-in tensor
-  /// variant families and reads FEKF_KERNEL_BACKEND.
+  /// The process-wide registry. Reads FEKF_KERNEL_BACKEND on first use;
+  /// families register through their hooks (see instance() in the .cpp).
   static Registry& instance();
 
   /// Registers a variant. Later registrations of the same (kernel, name)
@@ -95,14 +78,15 @@ class Registry {
   /// Introspection for tests, benches and the docs drift check.
   const std::optional<Variant> find(const std::string& kernel,
                                     const std::string& name) const;
-  std::vector<std::string> kernels() const;
   std::vector<Variant> variants(const std::string& kernel) const;
 
-  /// Current backend request: nullopt = auto (bit-exact-only policy).
-  std::optional<Level> requested() const;
-  /// Forces the backend level (nullopt restores auto). Bumps the
-  /// generation so cached Dispatched handles re-resolve.
-  void set_backend(std::optional<Level> forced);
+  /// True when this CPU (or the injected test features) supports `v.isa`.
+  bool supported(const Variant& v) const;
+
+  Backend backend() const;
+  /// Sets the backend. Bumps the generation so cached Dispatched handles
+  /// re-resolve.
+  void set_backend(Backend backend);
 
   /// Features used for eligibility. Tests inject a feature set (e.g. a
   /// CPU without AVX2) to exercise the graceful-fallback path; nullopt
@@ -113,25 +97,20 @@ class Registry {
   /// Monotonic counter bumped by any selection-relevant change.
   u64 generation() const { return generation_.load(std::memory_order_acquire); }
 
-  /// Parses a FEKF_KERNEL_BACKEND value. "auto"/"" parse to nullopt
-  /// (auto); returns false for an unrecognized name.
-  static bool parse_backend(std::string_view text, std::optional<Level>* out);
+  /// Parses a FEKF_KERNEL_BACKEND value: "scalar", or "auto"/"" for
+  /// auto; returns false for anything else.
+  static bool parse_backend(std::string_view text, Backend* out);
 
  private:
   Registry();
-  bool eligible(const Variant& v, CpuFeatures features,
-                std::optional<Level> requested) const;
 
   mutable std::mutex mutex_;
   std::vector<Variant> variants_;
-  std::optional<Level> requested_;
+  Backend backend_ = Backend::kAuto;
   CpuFeatures detected_;
   std::optional<CpuFeatures> features_override_;
   std::atomic<u64> generation_{1};
 };
-
-/// Detected features of the executing CPU (cached).
-const CpuFeatures& detected_cpu_features();
 
 /// Typed, cached resolution handle. Constructing one runs the family's
 /// registration hook (idempotent); get() re-resolves only when the

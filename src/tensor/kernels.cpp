@@ -32,27 +32,9 @@ dispatch::Dispatched<dispatch::GemmPanelFn>& gemm_dispatch() {
   return d;
 }
 
-dispatch::Dispatched<dispatch::TanhChunkFn>& tanh_dispatch() {
-  static dispatch::Dispatched<dispatch::TanhChunkFn> d(
-      "tanh_f32", &dispatch::register_tanh_variants);
-  return d;
-}
-
 dispatch::Dispatched<dispatch::MatNtPanelFn>& matnt_dispatch() {
   static dispatch::Dispatched<dispatch::MatNtPanelFn> d(
       "matnt_f32", &dispatch::register_matnt_variants);
-  return d;
-}
-
-dispatch::Dispatched<dispatch::SymvPanelFn>& symv_dispatch() {
-  static dispatch::Dispatched<dispatch::SymvPanelFn> d(
-      "ekf_symv_f64", &dispatch::register_ekf_variants);
-  return d;
-}
-
-dispatch::Dispatched<dispatch::DotChunkFn>& dot_dispatch() {
-  static dispatch::Dispatched<dispatch::DotChunkFn> d(
-      "ekf_dot_f64", &dispatch::register_ekf_variants);
   return d;
 }
 
@@ -60,6 +42,34 @@ dispatch::Dispatched<dispatch::Rank1PanelFn>& rank1_dispatch() {
   static dispatch::Dispatched<dispatch::Rank1PanelFn> d(
       "ekf_rank1_f64", &dispatch::register_ekf_variants);
   return d;
+}
+
+// Bodies with no vector rung that could be bit-exact (a libm call per
+// element; serial f64 reductions), so they are not dispatched.
+
+/// y[i] = tanh(x[i]) over one flat chunk; in place allowed (y == x).
+void tanh_chunk(const f32* x, f32* y, i64 count) {
+  for (i64 i = 0; i < count; ++i) y[i] = std::tanh(x[i]);
+}
+
+/// Rows [rlo, rhi) of y = P·g: one ascending-j inner product per row.
+/// Shared by symv and ekf_gain_fused.
+void symv_rows(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi,
+               i64 n) {
+  for (i64 i = rlo; i < rhi; ++i) {
+    const f64* __restrict__ row = p + i * n;
+    f64 acc = 0.0;
+    for (i64 j = 0; j < n; ++j) acc += row[j] * g[j];
+    y[i] = acc;
+  }
+}
+
+/// Partial <a,b> over one parallel_reduce_f64 chunk. Shared by dot and
+/// ekf_gain_fused.
+f64 dot_chunk(const f64* a, const f64* b, i64 lo, i64 hi) {
+  f64 acc = 0.0;
+  for (i64 l = lo; l < hi; ++l) acc += a[l] * b[l];
+  return acc;
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
@@ -128,13 +138,13 @@ Tensor add_scalar(const Tensor& a, f32 alpha) {
 
 Tensor tanh(const Tensor& a) {
   KernelLaunch launch("tanh");
-  const dispatch::TanhChunkFn fn = tanh_dispatch().get();
   Tensor out(a.rows(), a.cols());
   const f32* pa = a.data();
   f32* po = out.data();
   parallel_for_blocks(
       0, a.numel(),
-      [&](i64 lo, i64 hi) { fn(pa + lo, po + lo, hi - lo); }, kGrainWork);
+      [&](i64 lo, i64 hi) { tanh_chunk(pa + lo, po + lo, hi - lo); },
+      kGrainWork);
   return out;
 }
 
@@ -307,7 +317,6 @@ Tensor linear_tanh(const Tensor& x, const Tensor& w, const Tensor& bias) {
                  bias.shape_str());
   KernelLaunch launch("linear_tanh");
   const dispatch::GemmPanelFn gemm_fn = gemm_dispatch().get();
-  const dispatch::TanhChunkFn tanh_fn = tanh_dispatch().get();
   const i64 m = x.rows(), k = x.cols(), n = w.cols();
   Tensor out(m, n);
   const f32* __restrict__ px = x.data();
@@ -321,7 +330,7 @@ Tensor linear_tanh(const Tensor& x, const Tensor& w, const Tensor& bias) {
         // tanh in place over the panel: per variant, bit-identical to
         // tanh(linear_fused(...)).
         gemm_fn(px, pw, pb, po, rlo, rhi, k, n);
-        tanh_fn(po + rlo * n, po + rlo * n, (rhi - rlo) * n);
+        tanh_chunk(po + rlo * n, po + rlo * n, (rhi - rlo) * n);
       },
       grain_items(k * n));
   return out;
@@ -553,24 +562,22 @@ void symv(std::span<const f64> p, std::span<const f64> g, std::span<f64> y,
                  static_cast<i64>(y.size()) == n,
              "symv size mismatch");
   KernelLaunch launch("ekf_symv");
-  const dispatch::SymvPanelFn fn = symv_dispatch().get();
   const f64* __restrict__ pp = p.data();
   const f64* __restrict__ pg = g.data();
   f64* __restrict__ py = y.data();
   parallel_for_blocks(
-      0, n, [&](i64 rlo, i64 rhi) { fn(pp, pg, py, rlo, rhi, n); },
+      0, n, [&](i64 rlo, i64 rhi) { symv_rows(pp, pg, py, rlo, rhi, n); },
       grain_items(n));
 }
 
 f64 dot(std::span<const f64> a, std::span<const f64> b) {
   FEKF_CHECK(a.size() == b.size(), "dot size mismatch");
   KernelLaunch launch("ekf_dot");
-  const dispatch::DotChunkFn fn = dot_dispatch().get();
   const f64* pa = a.data();
   const f64* pb = b.data();
   return parallel_reduce_f64(
       0, static_cast<i64>(a.size()), kReduceChunk,
-      [pa, pb, fn](i64 lo, i64 hi) { return fn(pa, pb, lo, hi); });
+      [pa, pb](i64 lo, i64 hi) { return dot_chunk(pa, pb, lo, hi); });
 }
 
 void axpy(f64 alpha, std::span<const f64> x, std::span<f64> y) {
@@ -675,22 +682,20 @@ f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
                  static_cast<i64>(y.size()) == n,
              "ekf_gain_fused size mismatch");
   KernelLaunch launch("ekf_gain_fused");
-  const dispatch::SymvPanelFn symv_fn = symv_dispatch().get();
-  const dispatch::DotChunkFn dot_fn = dot_dispatch().get();
   const f64* __restrict__ pp = p.data();
   const f64* __restrict__ pg = g.data();
   f64* __restrict__ py = y.data();
-  // Pass 1: y = P g, row-partitioned exactly like symv — same dispatched
-  // panel body, so the fused path matches symv() under any backend.
+  // Pass 1: y = P g, row-partitioned exactly like symv with the same row
+  // body, so the fused path matches symv().
   parallel_for_blocks(
-      0, n, [&](i64 rlo, i64 rhi) { symv_fn(pp, pg, py, rlo, rhi, n); },
+      0, n, [&](i64 rlo, i64 rhi) { symv_rows(pp, pg, py, rlo, rhi, n); },
       grain_items(n));
   // Pass 2 (same launch): g^T (P g) with dot()'s fixed-chunk reduction and
-  // dot()'s dispatched chunk body, so the scalar is bit-identical to the
-  // unfused symv-then-dot sequence per backend.
+  // chunk body, so the scalar is bit-identical to the unfused
+  // symv-then-dot sequence.
   return parallel_reduce_f64(
       0, n, kReduceChunk,
-      [pg, py, dot_fn](i64 lo, i64 hi) { return dot_fn(pg, py, lo, hi); });
+      [pg, py](i64 lo, i64 hi) { return dot_chunk(pg, py, lo, hi); });
 }
 
 f64 ekf_apply_fused(std::span<f64> p, std::span<const f64> k, f64 a,

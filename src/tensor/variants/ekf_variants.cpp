@@ -1,137 +1,16 @@
-// EKF f64 kernel families (DESIGN.md §13):
+// "ekf_rank1_f64" variants: row panel of the pair-averaged symmetric
+// rank-1 P update behind p_update_fused and ekf_apply_fused
+// (DESIGN.md §13).
 //
-//   "ekf_symv_f64"   row panel of y = P·g        (symv, ekf_gain_fused)
-//   "ekf_dot_f64"    one reduce chunk of <a,b>   (dot, ekf_gain_fused)
-//   "ekf_rank1_f64"  row panel of the pair-averaged symmetric rank-1
-//                    P update                    (p_update_fused,
-//                                                 ekf_apply_fused)
-//
-// symv and dot are LONG SERIAL f64 REDUCTIONS: the scalar chain is bound
-// by FP-add latency and the compiler may not reorder it without fast-math,
-// so the simd/avx2 variants split the sum across accumulators. That
-// reorders the reduction => TOLERANCE class. The bound is relative to the
-// reduction mass Σ|aᵢ·bᵢ| (the standard forward-error yardstick — a
-// result near zero from cancellation has no meaningful relative bound of
-// its own): max |variant - scalar| <= tolerance · Σ|terms|, asserted in
-// tests/test_dispatch.cpp.
-//
-// rank1 is ELEMENTWISE over the row panel (no reduction), so its
-// vectorized variants keep the exact per-element expression shape GCC
-// emits for the scalar body — t = (coeff·k[i])·k[j] rounded separately,
-// fms(Pij+Pji, 0.5, t), ·inv_lambda — and are declared bit_exact,
-// memcmp-asserted against the scalar body.
-#include <cmath>
-
+// The update is ELEMENTWISE over the row panel (no reduction), so the
+// vectorized body keeps the exact per-element expression of the scalar
+// body and is bit-exact, memcmp-asserted in tests/test_dispatch.cpp.
 #include "tensor/dispatch.hpp"
 #include "tensor/variants/variants.hpp"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
 
 namespace fekf::dispatch {
 
 namespace {
-
-// Reduction-mass-relative bound for reordered f64 sums: ~2·len·u with
-// len <= kReduceChunk = 2^15 gives ~7e-12; 1e-11 leaves headroom without
-// masking real bugs (a wrong element shows up at ~1e0 · mass).
-constexpr f64 kReduceTol = 1e-11;
-
-// ---- ekf_symv_f64 ---------------------------------------------------------
-
-/// Reference body — the row inner-product loop symv always ran.
-void symv_scalar(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi,
-                 i64 n) {
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64* __restrict__ row = p + i * n;
-    f64 acc = 0.0;
-    for (i64 j = 0; j < n; ++j) acc += row[j] * g[j];
-    y[i] = acc;
-  }
-}
-
-/// omp-simd reduction: the compiler splits acc across lanes => tolerance.
-void symv_simd(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi, i64 n) {
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64* __restrict__ row = p + i * n;
-    f64 acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (i64 j = 0; j < n; ++j) acc += row[j] * g[j];
-    y[i] = acc;
-  }
-}
-
-#if defined(__AVX2__) && defined(__FMA__)
-/// Four 4-lane FMA accumulators (16-way) to break the add-latency chain;
-/// fixed horizontal combine order keeps the variant deterministic.
-void symv_avx2(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi, i64 n) {
-  const i64 n16 = n - (n % 16);
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64* __restrict__ row = p + i * n;
-    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
-    for (i64 j = 0; j < n16; j += 16) {
-      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(row + j),
-                           _mm256_loadu_pd(g + j), a0);
-      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(row + j + 4),
-                           _mm256_loadu_pd(g + j + 4), a1);
-      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(row + j + 8),
-                           _mm256_loadu_pd(g + j + 8), a2);
-      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(row + j + 12),
-                           _mm256_loadu_pd(g + j + 12), a3);
-    }
-    __m256d s = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-    alignas(32) f64 lane[4];
-    _mm256_store_pd(lane, s);
-    f64 acc = ((lane[0] + lane[1]) + (lane[2] + lane[3]));
-    for (i64 j = n16; j < n; ++j) acc += row[j] * g[j];
-    y[i] = acc;
-  }
-}
-#endif
-
-// ---- ekf_dot_f64 ----------------------------------------------------------
-
-/// Reference body — one parallel_reduce_f64 chunk of dot().
-f64 dot_scalar(const f64* a, const f64* b, i64 lo, i64 hi) {
-  f64 acc = 0.0;
-  for (i64 l = lo; l < hi; ++l) acc += a[l] * b[l];
-  return acc;
-}
-
-f64 dot_simd(const f64* a, const f64* b, i64 lo, i64 hi) {
-  f64 acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-  for (i64 l = lo; l < hi; ++l) acc += a[l] * b[l];
-  return acc;
-}
-
-#if defined(__AVX2__) && defined(__FMA__)
-f64 dot_avx2(const f64* a, const f64* b, i64 lo, i64 hi) {
-  const i64 len = hi - lo;
-  const i64 l16 = lo + (len - len % 16);
-  __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
-  for (i64 l = lo; l < l16; l += 16) {
-    a0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + l), _mm256_loadu_pd(b + l), a0);
-    a1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + l + 4),
-                         _mm256_loadu_pd(b + l + 4), a1);
-    a2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + l + 8),
-                         _mm256_loadu_pd(b + l + 8), a2);
-    a3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + l + 12),
-                         _mm256_loadu_pd(b + l + 12), a3);
-  }
-  __m256d s = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-  alignas(32) f64 lane[4];
-  _mm256_store_pd(lane, s);
-  f64 acc = ((lane[0] + lane[1]) + (lane[2] + lane[3]));
-  for (i64 l = l16; l < hi; ++l) acc += a[l] * b[l];
-  return acc;
-}
-#endif
-
-// ---- ekf_rank1_f64 --------------------------------------------------------
 
 /// Reference body — the upper-triangle row loop p_update_fused /
 /// ekf_apply_fused always ran. Row i owns pairs {(i,j),(j,i) : j >= i}.
@@ -150,7 +29,7 @@ void rank1_scalar(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
 }
 
 /// omp-simd over the (independent) j elements; same per-element expression
-/// and contraction shape as scalar => bit_exact.
+/// and contraction shape as scalar => bit-exact.
 void rank1_simd(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
                 i64 rhi, i64 n) {
   for (i64 i = rlo; i < rhi; ++i) {
@@ -166,100 +45,17 @@ void rank1_simd(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
   }
 }
 
-#if defined(__AVX2__) && defined(__FMA__)
-/// 4-lane mirror of the CONTRACTED scalar expression. GCC compiles the
-/// scalar body (checked against the generated vfmsub132pd/sd sequence) as
-///   t = ki_scaled * k[j]            (separate, rounded multiply)
-///   v = fms(prow[j] + col, 0.5, t)  (the 0.5-scale fused with the sub)
-///   v *= inv_lambda
-/// i.e. it contracts the half-scaling, NOT the k-product. Mirroring that
-/// exact shape is what makes this variant bit_exact => memcmp-asserted.
-/// Column values load/store through a lane buffer (stride-n access).
-void rank1_avx2(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
-                i64 rhi, i64 n) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d lam = _mm256_set1_pd(inv_lambda);
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64 ki_scaled = coeff * k[i];
-    const __m256d ks = _mm256_set1_pd(ki_scaled);
-    f64* __restrict__ prow = p + i * n;
-    const i64 lo = i;
-    const i64 j4 = lo + ((n - lo) - (n - lo) % 4);
-    for (i64 j = lo; j < j4; j += 4) {
-      alignas(32) f64 col[4] = {p[j * n + i], p[(j + 1) * n + i],
-                                p[(j + 2) * n + i], p[(j + 3) * n + i]};
-      const __m256d t = _mm256_mul_pd(ks, _mm256_loadu_pd(k + j));
-      const __m256d s =
-          _mm256_add_pd(_mm256_loadu_pd(prow + j), _mm256_load_pd(col));
-      const __m256d v = _mm256_mul_pd(_mm256_fmsub_pd(s, half, t), lam);
-      _mm256_storeu_pd(prow + j, v);
-      alignas(32) f64 out[4];
-      _mm256_store_pd(out, v);
-      p[j * n + i] = out[0];
-      p[(j + 1) * n + i] = out[1];
-      p[(j + 2) * n + i] = out[2];
-      p[(j + 3) * n + i] = out[3];
-    }
-    for (i64 j = j4; j < n; ++j) {
-      const f64 pij = 0.5 * (prow[j] + p[j * n + i]);
-      const f64 v = (pij - ki_scaled * k[j]) * inv_lambda;
-      prow[j] = v;
-      p[j * n + i] = v;
-    }
-  }
-}
-#endif
-
 }  // namespace
 
 void register_ekf_variants() {
   static const bool once = [] {
     Registry& r = Registry::instance();
-
-    r.add({"ekf_symv_f64", "scalar", Level::kScalar, "generic", true,
-           Exactness::kBitExact, 0.0, 0,
-           reinterpret_cast<void*>(&symv_scalar),
-           "reference row inner-product loop"});
-    r.add({"ekf_symv_f64", "simd", Level::kSimd, "generic", true,
-           Exactness::kTolerance, kReduceTol, 10,
-           reinterpret_cast<void*>(&symv_simd),
-           "omp-simd reduction; bound relative to row mass Σ|P[i,j]·g[j]|"});
-#if defined(__AVX2__) && defined(__FMA__)
-    r.add({"ekf_symv_f64", "avx2", Level::kAvx2, "avx2+fma", true,
-           Exactness::kTolerance, kReduceTol, 20,
-           reinterpret_cast<void*>(&symv_avx2),
-           "16-way FMA accumulators; bound relative to row mass"});
-#endif
-
-    r.add({"ekf_dot_f64", "scalar", Level::kScalar, "generic", true,
-           Exactness::kBitExact, 0.0, 0, reinterpret_cast<void*>(&dot_scalar),
-           "reference chunk sum (chunk partials combined ascending)"});
-    r.add({"ekf_dot_f64", "simd", Level::kSimd, "generic", true,
-           Exactness::kTolerance, kReduceTol, 10,
-           reinterpret_cast<void*>(&dot_simd),
-           "omp-simd reduction; bound relative to chunk mass Σ|aᵢ·bᵢ|"});
-#if defined(__AVX2__) && defined(__FMA__)
-    r.add({"ekf_dot_f64", "avx2", Level::kAvx2, "avx2+fma", true,
-           Exactness::kTolerance, kReduceTol, 20,
-           reinterpret_cast<void*>(&dot_avx2),
-           "16-way FMA accumulators; bound relative to chunk mass"});
-#endif
-
-    r.add({"ekf_rank1_f64", "scalar", Level::kScalar, "generic", true,
-           Exactness::kBitExact, 0.0, 0,
+    r.add({"ekf_rank1_f64", "scalar", "generic", 0,
            reinterpret_cast<void*>(&rank1_scalar),
            "reference upper-triangle pair-averaged update"});
-    r.add({"ekf_rank1_f64", "simd", Level::kSimd, "generic", true,
-           Exactness::kBitExact, 0.0, 10,
+    r.add({"ekf_rank1_f64", "simd", "generic", 10,
            reinterpret_cast<void*>(&rank1_simd),
            "omp-simd over independent j elements; expression unchanged"});
-#if defined(__AVX2__) && defined(__FMA__)
-    r.add({"ekf_rank1_f64", "avx2", Level::kAvx2, "avx2+fma", true,
-           Exactness::kBitExact, 0.0, 20,
-           reinterpret_cast<void*>(&rank1_avx2),
-           "4-lane mirror of the contracted scalar expression "
-           "(mul, add, fmsub-by-0.5, mul)"});
-#endif
     return true;
   }();
   (void)once;

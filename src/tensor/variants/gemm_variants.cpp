@@ -5,13 +5,10 @@
 // row (bias or zeros), then accumulate xv * wrow over ASCENDING l — so
 // each output element's floating-point chain has the same term order
 // across variants. simd and avx2 additionally preserve the CONTRACTION
-// (one fused multiply-add per l, as GCC emits for the scalar body) and
-// are declared bit_exact, memcmp-asserted in tests/test_dispatch.cpp.
-// The fixed-width template is the exception: with the row
-// register-resident GCC unfuses the multiply-add for some widths, so it
-// declares a tolerance bound instead (see kGemmFixedTol). The assertion
-// is the contract — a compiler that contracts differently fails the
-// suite loudly rather than drifting silently.
+// (one fused multiply-add per l, as GCC emits for the scalar body), so
+// they are bit-exact, memcmp-asserted in tests/test_dispatch.cpp. A
+// compiler that contracts differently fails the suite loudly rather than
+// drifting silently.
 #include <cstring>
 
 #include "tensor/dispatch.hpp"
@@ -24,12 +21,6 @@
 namespace fekf::dispatch {
 
 namespace {
-
-// Element-mass-relative bound for the fixed-width template: per output
-// element, |fixed - scalar| <= tol · Σ_l |x[i,l]·w[l,j]|. Each of the k
-// terms differs by at most one extra f32 rounding (unfused mul+add vs the
-// scalar body's fmadd), so k·2⁻²⁴ ≈ 3e-6 at k=50; 1e-5 leaves headroom.
-constexpr f64 kGemmFixedTol = 1e-5;
 
 inline void seed_row(f32* __restrict__ orow, const f32* __restrict__ bias,
                      i64 n) {
@@ -57,7 +48,7 @@ void gemm_scalar(const f32* x, const f32* w, const f32* bias, f32* out,
 
 /// Same loop with an explicit vectorization grant on the j loop. Each
 /// orow[j] keeps its own ascending-l chain, so lane width cannot change
-/// any element's value: bit_exact.
+/// any element's value: bit-exact.
 void gemm_simd(const f32* x, const f32* w, const f32* bias, f32* out,
                i64 rlo, i64 rhi, i64 k, i64 n) {
   for (i64 i = rlo; i < rhi; ++i) {
@@ -73,53 +64,10 @@ void gemm_simd(const f32* x, const f32* w, const f32* bias, f32* out,
   }
 }
 
-/// Compile-time column count for the paper-architecture widths: the j loop
-/// fully unrolls and the l loop keeps whole output rows in registers.
-/// The per-element chain shape matches the scalar body, but with the row
-/// register-resident GCC chooses unfused vmul+vadd for some widths where
-/// the memory-accumulate scalar body gets vfmadd (observed: N=16, N=1) —
-/// one extra rounding per term. Hence TOLERANCE class, bound relative to
-/// the element mass Σ_l |x[i,l]·w[l,j]| (k extra roundings at f32 ulp).
-template <int N>
-void gemm_fixed_n(const f32* __restrict__ x, const f32* __restrict__ w,
-                  const f32* bias, f32* __restrict__ out, i64 rlo, i64 rhi,
-                  i64 k) {
-  for (i64 i = rlo; i < rhi; ++i) {
-    f32 acc[N];
-    if (bias != nullptr) {
-      for (int j = 0; j < N; ++j) acc[j] = bias[j];
-    } else {
-      for (int j = 0; j < N; ++j) acc[j] = 0.0f;
-    }
-    const f32* __restrict__ xrow = x + i * k;
-    for (i64 l = 0; l < k; ++l) {
-      const f32 xv = xrow[l];
-      const f32* __restrict__ wrow = w + l * N;
-      for (int j = 0; j < N; ++j) acc[j] += xv * wrow[j];
-    }
-    f32* __restrict__ orow = out + i * N;
-    for (int j = 0; j < N; ++j) orow[j] = acc[j];
-  }
-}
-
-/// Shape-keyed specializations for the paper architecture (M=25, M^<=16,
-/// d=50, scalar head). Off-catalog shapes delegate to the scalar body —
-/// same numerics, no speedup, documented in docs/KERNELS.md.
-void gemm_fixed(const f32* x, const f32* w, const f32* bias, f32* out,
-                i64 rlo, i64 rhi, i64 k, i64 n) {
-  switch (n) {
-    case 25: gemm_fixed_n<25>(x, w, bias, out, rlo, rhi, k); return;
-    case 16: gemm_fixed_n<16>(x, w, bias, out, rlo, rhi, k); return;
-    case 50: gemm_fixed_n<50>(x, w, bias, out, rlo, rhi, k); return;
-    case 1: gemm_fixed_n<1>(x, w, bias, out, rlo, rhi, k); return;
-    default: gemm_scalar(x, w, bias, out, rlo, rhi, k, n); return;
-  }
-}
-
 #if defined(__AVX2__) && defined(__FMA__)
 /// Explicit 8-lane FMA over the j loop; ascending-l chain per element and
 /// one fused multiply-add per step, matching the contracted scalar body:
-/// bit_exact. The tail (n % 8) runs the scalar expression.
+/// bit-exact. The tail (n % 8) runs the scalar expression.
 void gemm_avx2(const f32* x, const f32* w, const f32* bias, f32* out,
                i64 rlo, i64 rhi, i64 k, i64 n) {
   const i64 n8 = n - (n % 8);
@@ -147,22 +95,14 @@ void gemm_avx2(const f32* x, const f32* w, const f32* bias, f32* out,
 void register_gemm_variants() {
   static const bool once = [] {
     Registry& r = Registry::instance();
-    r.add({"gemm_f32", "scalar", Level::kScalar, "generic", true,
-           Exactness::kBitExact, 0.0, 0, reinterpret_cast<void*>(&gemm_scalar),
+    r.add({"gemm_f32", "scalar", "generic", 0,
+           reinterpret_cast<void*>(&gemm_scalar),
            "reference row-panel body (seed, then ascending-l accumulate)"});
-    r.add({"gemm_f32", "simd", Level::kSimd, "generic", true,
-           Exactness::kBitExact, 0.0, 10,
+    r.add({"gemm_f32", "simd", "generic", 10,
            reinterpret_cast<void*>(&gemm_simd),
            "omp-simd j loop; per-element chain unchanged"});
-    r.add({"gemm_f32", "fixed", Level::kSimd, "generic", true,
-           Exactness::kTolerance, kGemmFixedTol, 15,
-           reinterpret_cast<void*>(&gemm_fixed),
-           "compile-time n for paper widths {25,16,50,1}; off-catalog "
-           "shapes delegate to scalar; GCC unfuses some widths => "
-           "tolerance relative to element mass Σ|x·w|"});
 #if defined(__AVX2__) && defined(__FMA__)
-    r.add({"gemm_f32", "avx2", Level::kAvx2, "avx2+fma", true,
-           Exactness::kBitExact, 0.0, 20,
+    r.add({"gemm_f32", "avx2", "avx2+fma", 20,
            reinterpret_cast<void*>(&gemm_avx2),
            "8-lane FMA j loop; one fused multiply-add per l, as the "
            "contracted scalar body"});

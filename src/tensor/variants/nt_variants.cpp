@@ -1,6 +1,6 @@
 // "matnt_f32" variants: the row-panel inner body behind matmul_nt, the
 // gx phase of linear_tanh_backward, and the per-block descriptor
-// contraction bmm_nt (DESIGN.md §13).
+// contractions bmm_nt and desc_d (DESIGN.md §13).
 //
 // The family contract is one f64 accumulator per output element over
 // ASCENDING l:
@@ -12,7 +12,7 @@
 // so a fused multiply-add and an unfused multiply-then-add round
 // identically at every step, and the only rounding that matters is the
 // add chain itself. Any variant that keeps each output's chain in
-// ascending l is therefore bit_exact by construction, no matter how many
+// ascending l is therefore bit-exact by construction, no matter how many
 // outputs it carries per vector register — which is why this family
 // vectorizes ACROSS outputs (j lanes) instead of along the reduction.
 // Both wide variants first transpose the small b operand into a local
@@ -30,8 +30,8 @@ namespace fekf::dispatch {
 namespace {
 
 /// Stack budget for the transposed b panel (16 KiB of f32). The repo's
-/// callers stay far below it: bmm_nt blocks are s*q <= a few hundred,
-/// matmul_nt/gx panels are at most (network width)^2.
+/// callers stay far below it: bmm_nt and desc_d blocks are s*q <= a few
+/// hundred, matmul_nt/gx panels are at most (network width)^2.
 constexpr i64 kTransposeCap = 4096;
 
 /// Reference body — the exact loop matmul_nt/bmm_nt always ran.
@@ -61,7 +61,7 @@ inline void transpose_b(const f32* __restrict__ b, f32* __restrict__ bt,
 /// Four independent f64 accumulators per j block, contiguous lane loads
 /// from the transposed b. Each acc[t] is its own ascending-l chain and
 /// every product is exact, so lane width cannot change any element:
-/// bit_exact (GCC turns the acc array into one packed-f64 FMA chain).
+/// bit-exact (GCC turns the acc array into one packed-f64 FMA chain).
 void matnt_lanes(const f32* a, const f32* b, f32* out, i64 rlo, i64 rhi,
                  i64 n, i64 q) {
   if (n < 4 || n * q > kTransposeCap) {
@@ -151,19 +151,15 @@ void matnt_avx2(const f32* a, const f32* b, f32* out, i64 rlo, i64 rhi,
 void register_matnt_variants() {
   static const bool once = [] {
     Registry& r = Registry::instance();
-    r.add({"matnt_f32", "scalar", Level::kScalar, "generic", true,
-           Exactness::kBitExact, 0.0, 0,
+    r.add({"matnt_f32", "scalar", "generic", 0,
            reinterpret_cast<void*>(&matnt_scalar),
            "reference per-output ascending-l f64 chain"});
-    r.add({"matnt_f32", "lanes", Level::kSimd, "generic", true,
-           Exactness::kBitExact, 0.0, 10,
+    r.add({"matnt_f32", "lanes", "generic", 10,
            reinterpret_cast<void*>(&matnt_lanes),
            "4 outputs per step from a transposed b panel; exact f64 "
-           "products make the chain order the only rounding, so lanes "
-           "stay bit_exact"});
+           "products make the chain order the only rounding"});
 #if defined(__AVX2__) && defined(__FMA__)
-    r.add({"matnt_f32", "avx2", Level::kAvx2, "avx2+fma", true,
-           Exactness::kBitExact, 0.0, 20,
+    r.add({"matnt_f32", "avx2", "avx2+fma", 20,
            reinterpret_cast<void*>(&matnt_avx2),
            "8-lane packed-f64 FMA across outputs; same exact-product "
            "argument as lanes"});

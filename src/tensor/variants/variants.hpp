@@ -7,16 +7,11 @@
 // The name passed to dispatch::Registry keys the function-pointer type by
 // convention:
 //
-//   "gemm_f32"          GemmPanelFn      row panel of out = seed + x·W
-//   "tanh_f32"          TanhChunkFn      elementwise tanh over a flat chunk
-//   "ekf_symv_f64"      SymvPanelFn      row panel of y = P·g
-//   "ekf_dot_f64"       DotChunkFn       partial <a,b> over one reduce chunk
-//   "ekf_rank1_f64"     Rank1PanelFn     row panel of the pair-averaged
-//                                        symmetric rank-1 P update
-//   "matnt_f32"         MatNtPanelFn     row panel of out = a·bᵀ with a
-//                                        per-output f64 accumulator
-//   "desc_contract_f32" DescContractFn   one block of D = A·(A^<)ᵀ
-//                                        (registered by src/deepmd)
+//   "gemm_f32"       GemmPanelFn    row panel of out = seed + x·W
+//   "ekf_rank1_f64"  Rank1PanelFn   row panel of the pair-averaged
+//                                   symmetric rank-1 P update
+//   "matnt_f32"      MatNtPanelFn   row panel of out = a·bᵀ with a
+//                                   per-output f64 accumulator
 #pragma once
 
 #include "core/common.hpp"
@@ -32,18 +27,6 @@ namespace fekf::dispatch {
 using GemmPanelFn = void (*)(const f32* x, const f32* w, const f32* bias,
                              f32* out, i64 rlo, i64 rhi, i64 k, i64 n);
 
-/// y[i] = tanh(x[i]) for i in [0, count). In-place allowed (y == x).
-using TanhChunkFn = void (*)(const f32* x, f32* y, i64 count);
-
-/// Rows [rlo, rhi) of y = P·g for symmetric P(n, n): one ascending-j inner
-/// product per row.
-using SymvPanelFn = void (*)(const f64* p, const f64* g, f64* y, i64 rlo,
-                             i64 rhi, i64 n);
-
-/// Partial sum of a[i]*b[i] over [lo, hi) — one parallel_reduce_f64 chunk.
-/// Chunk partials are combined by the caller in fixed ascending order.
-using DotChunkFn = f64 (*)(const f64* a, const f64* b, i64 lo, i64 hi);
-
 /// Rows [rlo, rhi) of the symmetric rank-1 covariance update: for j >= i,
 ///   v = (0.5*(P[i,j] + P[j,i]) - (coeff*k[i])*k[j]) * inv_lambda
 /// written to both (i,j) and (j,i). The task owning row i touches exactly
@@ -54,25 +37,19 @@ using Rank1PanelFn = void (*)(f64* p, const f64* k, f64 coeff, f64 inv_lambda,
 /// Rows [rlo, rhi) of out(:, n) = a(:, q) · b(n, q)ᵀ with one f64
 /// accumulator per output element over ascending l:
 ///   out[i*n + j] = f32( Σ_{l<q} f64(a[i*q + l]) · f64(b[j*q + l]) )
-/// — the matmul_nt / bmm_nt / linear_tanh_backward-gx reference order.
+/// — the matmul_nt / bmm_nt / desc_d / linear_tanh_backward-gx reference
+/// order.
 /// The f64 product of two f32 values is exact, so fused and unfused
 /// multiply-adds round identically and any variant keeping each output's
-/// ascending-l chain is bit_exact (see nt_variants.cpp).
+/// ascending-l chain is bit-exact (see nt_variants.cpp).
 using MatNtPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
                               i64 rhi, i64 n, i64 q);
 
-/// One atom block of the descriptor tail D = A·(A^<)ᵀ: for i < m,
-/// j < m_axis, ob[i, j] = sum_l ab[i, l] * ab[j, l] with an f64
-/// accumulator (the bmm_nt reference order).
-using DescContractFn = void (*)(const f32* ab, f32* ob, i64 m, i64 m_axis,
-                                i64 q);
-
 // ---- registration hooks ---------------------------------------------------
 // Idempotent; invoked by the Dispatched<> handles guarding each call site
-// (and by Registry::instance() for the tensor-local families).
+// and by tests/benches that enumerate the registry.
 
 void register_gemm_variants();
-void register_tanh_variants();
 void register_ekf_variants();
 void register_matnt_variants();
 

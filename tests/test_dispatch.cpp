@@ -1,25 +1,20 @@
-// Kernel-dispatch registry and the per-variant exactness contract
+// Kernel-dispatch registry and the bit-exactness contract
 // (DESIGN.md §13, docs/KERNELS.md).
 //
-// The contract these tests enforce: every registered variant DECLARES its
-// exactness class, and the declaration is asserted, not assumed —
-//   * bit_exact variants must match the scalar reference byte for byte
-//     (memcmp), at thread widths 1 and 4;
-//   * tolerance variants must stay within their declared bound of the
-//     scalar result, measured against the family's error yardstick
-//     (absolute for tanh, whose outputs live in [-1, 1]; relative to the
-//     reduction mass Σ|terms| for the f64/f32 reductions);
-// plus the selection policy: auto picks only bit_exact variants, a forced
-// level picks within the ladder, and an unsupported ISA (injected via
-// set_cpu_features_for_test) falls back gracefully instead of failing.
+// The contract these tests enforce: every registered variant matches its
+// family's scalar reference byte for byte (memcmp), both as a bare body
+// and through the public kernels at thread widths 1 and 4; plus the
+// selection policy: auto picks the highest-priority variant the CPU
+// supports, scalar pins the reference, and an unsupported ISA (injected
+// via set_cpu_features_for_test) falls back gracefully instead of failing.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "deepmd/descriptor_variants.hpp"
+#include "deepmd/fused_descriptor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
 #include "tensor/kernels.hpp"
@@ -30,25 +25,42 @@ namespace {
 
 namespace dp = dispatch;
 
-/// All seven families; registration hooks are idempotent.
+/// All three families; registration hooks are idempotent.
 const std::vector<std::string>& all_families() {
   dp::register_gemm_variants();
-  dp::register_tanh_variants();
   dp::register_ekf_variants();
   dp::register_matnt_variants();
-  dp::register_desc_variants();
   static const std::vector<std::string> families = {
-      "gemm_f32",     "tanh_f32",      "ekf_symv_f64",    "ekf_dot_f64",
-      "ekf_rank1_f64", "matnt_f32",    "desc_contract_f32"};
+      "gemm_f32", "ekf_rank1_f64", "matnt_f32"};
   return families;
 }
 
 struct BackendGuard {
   ~BackendGuard() {
-    dp::Registry::instance().set_backend(std::nullopt);
+    dp::Registry::instance().set_backend(dp::Backend::kAuto);
     dp::Registry::instance().set_cpu_features_for_test(std::nullopt);
   }
 };
+
+/// The selections the public-kernel tests sweep: the scalar reference,
+/// auto on this CPU, and auto on a CPU without AVX2/FMA — the path such a
+/// host actually runs.
+struct Mode {
+  const char* name;
+  dp::Backend backend;
+  bool mask_avx2;
+};
+constexpr Mode kModes[] = {{"scalar", dp::Backend::kScalar, false},
+                           {"auto", dp::Backend::kAuto, false},
+                           {"auto-no-avx2", dp::Backend::kAuto, true}};
+
+void apply_mode(const Mode& mode) {
+  auto& reg = dp::Registry::instance();
+  reg.set_backend(mode.backend);
+  reg.set_cpu_features_for_test(
+      mode.mask_avx2 ? std::optional(dp::CpuFeatures{false, false})
+                     : std::nullopt);
+}
 
 struct WidthGuard {
   ~WidthGuard() { set_num_threads(0); }
@@ -83,65 +95,49 @@ TEST(DispatchRegistry, EveryFamilyHasABitExactScalarFallback) {
   for (const std::string& family : all_families()) {
     const auto scalar = reg.find(family, "scalar");
     ASSERT_TRUE(scalar.has_value()) << family;
-    EXPECT_EQ(scalar->level, dp::Level::kScalar) << family;
-    EXPECT_EQ(scalar->exactness, dp::Exactness::kBitExact) << family;
-    EXPECT_EQ(scalar->tolerance, 0.0) << family;
     EXPECT_EQ(scalar->isa, "generic") << family;
-    EXPECT_TRUE(scalar->compiled) << family;
     EXPECT_GE(reg.variants(family).size(), 2u)
         << family << ": expected at least one non-scalar variant";
   }
 }
 
-TEST(DispatchRegistry, AutoSelectsOnlyBitExactVariants) {
+TEST(DispatchRegistry, AutoSelectsTheHighestPrioritySupportedVariant) {
   BackendGuard guard;
   auto& reg = dp::Registry::instance();
-  reg.set_backend(std::nullopt);
+  reg.set_backend(dp::Backend::kAuto);
   for (const std::string& family : all_families()) {
     const dp::Variant v = reg.selected(family);
-    EXPECT_EQ(v.exactness, dp::Exactness::kBitExact)
-        << family << " selected tolerance-class '" << v.name
-        << "' under auto; the default must never move numerics";
+    EXPECT_TRUE(reg.supported(v)) << family;
+    for (const dp::Variant& other : reg.variants(family)) {
+      if (reg.supported(other)) {
+        EXPECT_LE(other.priority, v.priority) << family << "/" << other.name;
+      }
+    }
   }
 }
 
 TEST(DispatchRegistry, ForcedScalarSelectsTheReferenceEverywhere) {
   BackendGuard guard;
   auto& reg = dp::Registry::instance();
-  reg.set_backend(dp::Level::kScalar);
+  reg.set_backend(dp::Backend::kScalar);
   for (const std::string& family : all_families()) {
     EXPECT_EQ(reg.selected(family).name, "scalar") << family;
-  }
-}
-
-TEST(DispatchRegistry, ForcedLevelNeverSelectsAboveTheLadder) {
-  BackendGuard guard;
-  auto& reg = dp::Registry::instance();
-  for (dp::Level level : {dp::Level::kScalar, dp::Level::kSimd,
-                          dp::Level::kAvx2}) {
-    reg.set_backend(level);
-    for (const std::string& family : all_families()) {
-      EXPECT_LE(static_cast<int>(reg.selected(family).level),
-                static_cast<int>(level))
-          << family << " at forced " << dp::level_name(level);
-    }
   }
 }
 
 TEST(DispatchRegistry, UnsupportedIsaFallsBackGracefully) {
   BackendGuard guard;
   auto& reg = dp::Registry::instance();
-  // A CPU with neither AVX2 nor FMA: every avx2+fma variant is ineligible,
-  // and a forced avx2 request degrades to the best remaining variant
-  // instead of failing.
+  // A CPU with neither AVX2 nor FMA: every avx2+fma variant is ineligible
+  // and auto degrades to the best generic variant instead of failing.
   reg.set_cpu_features_for_test(dp::CpuFeatures{false, false});
-  reg.set_backend(dp::Level::kAvx2);
+  reg.set_backend(dp::Backend::kAuto);
   for (const std::string& family : all_families()) {
-    const dp::Variant v = reg.selected(family);
-    EXPECT_NE(v.isa, "avx2+fma") << family;
+    EXPECT_NE(reg.selected(family).isa, "avx2+fma") << family;
   }
-  EXPECT_EQ(reg.selected("tanh_f32").name, "scalar");
-  EXPECT_EQ(reg.selected("ekf_symv_f64").name, "simd");
+  EXPECT_EQ(reg.selected("gemm_f32").name, "simd");
+  EXPECT_EQ(reg.selected("ekf_rank1_f64").name, "simd");
+  EXPECT_EQ(reg.selected("matnt_f32").name, "lanes");
 }
 
 TEST(DispatchRegistry, ReRegistrationReplacesAndBumpsGeneration) {
@@ -165,19 +161,17 @@ TEST(DispatchRegistry, ReRegistrationReplacesAndBumpsGeneration) {
 }
 
 TEST(DispatchRegistry, BackendParsing) {
-  std::optional<dp::Level> level;
-  EXPECT_TRUE(dp::Registry::parse_backend("auto", &level));
-  EXPECT_FALSE(level.has_value());
-  EXPECT_TRUE(dp::Registry::parse_backend("", &level));
-  EXPECT_FALSE(level.has_value());
-  EXPECT_TRUE(dp::Registry::parse_backend("scalar", &level));
-  EXPECT_EQ(level, dp::Level::kScalar);
-  EXPECT_TRUE(dp::Registry::parse_backend("simd", &level));
-  EXPECT_EQ(level, dp::Level::kSimd);
-  EXPECT_TRUE(dp::Registry::parse_backend("avx2", &level));
-  EXPECT_EQ(level, dp::Level::kAvx2);
-  EXPECT_FALSE(dp::Registry::parse_backend("sse9", &level));
-  EXPECT_FALSE(dp::Registry::parse_backend("AVX2", &level));
+  dp::Backend backend = dp::Backend::kScalar;
+  EXPECT_TRUE(dp::Registry::parse_backend("auto", &backend));
+  EXPECT_EQ(backend, dp::Backend::kAuto);
+  EXPECT_TRUE(dp::Registry::parse_backend("scalar", &backend));
+  EXPECT_EQ(backend, dp::Backend::kScalar);
+  EXPECT_TRUE(dp::Registry::parse_backend("", &backend));
+  EXPECT_EQ(backend, dp::Backend::kAuto);
+  // The forced-level names of the old ladder, and junk, are rejected.
+  for (const char* bad : {"simd", "avx2", "sse9", "AVX2", "Scalar", "auto "}) {
+    EXPECT_FALSE(dp::Registry::parse_backend(bad, &backend)) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,15 +179,13 @@ TEST(DispatchRegistry, BackendParsing) {
 // ---------------------------------------------------------------------------
 
 /// Runs `check(variant)` for every registered non-scalar variant of
-/// `family` that is compiled in and supported by the real CPU.
+/// `family` that the real CPU supports.
 template <typename Fn>
 void for_each_checked_variant(const std::string& family, Fn&& check) {
   auto& reg = dp::Registry::instance();
-  const dp::CpuFeatures features = dp::detected_cpu_features();
   int checked = 0;
   for (const dp::Variant& v : reg.variants(family)) {
-    if (v.name == "scalar" || !v.compiled) continue;
-    if (v.isa == "avx2+fma" && !(features.avx2 && features.fma)) continue;
+    if (v.name == "scalar" || !reg.supported(v)) continue;
     SCOPED_TRACE(family + "/" + v.name);
     check(v);
     ++checked;
@@ -201,13 +193,13 @@ void for_each_checked_variant(const std::string& family, Fn&& check) {
   EXPECT_GE(checked, 1) << family << ": no non-scalar variant was checkable";
 }
 
-TEST(DispatchExactness, GemmVariantsHoldTheirDeclaredClass) {
+TEST(DispatchExactness, GemmVariantsAreBitExact) {
   dp::register_gemm_variants();
   const auto scalar =
       reinterpret_cast<dp::GemmPanelFn>(
           dp::Registry::instance().find("gemm_f32", "scalar")->fn);
-  // Paper shapes (n = 25/16/50/1 hits the fixed catalog) plus an
-  // off-catalog n = 23 (fixed delegates to scalar) and a bias-less run.
+  // Paper widths n = 25/16/50/1, an odd n = 23 (8-lane tail) and a
+  // bias-less run.
   struct Shape { i64 m, k, n; bool bias; };
   const std::vector<Shape> shapes = {
       {9, 13, 25, true}, {7, 25, 16, true},  {5, 16, 50, true},
@@ -225,114 +217,9 @@ TEST(DispatchExactness, GemmVariantsHoldTheirDeclaredClass) {
       std::vector<f32> out(static_cast<std::size_t>(s.m * s.n), -7.0f);
       reinterpret_cast<dp::GemmPanelFn>(v.fn)(x.data(), w.data(), bias,
                                               out.data(), 0, s.m, s.k, s.n);
-      if (v.exactness == dp::Exactness::kBitExact) {
-        EXPECT_TRUE(bytes_equal(ref, out));
-        return;
-      }
-      // Tolerance class (the fixed template): per element, relative to
-      // the mass of the k accumulated |x·w| terms (+ |bias|).
-      ASSERT_GT(v.tolerance, 0.0);
-      for (i64 i = 0; i < s.m; ++i) {
-        for (i64 j = 0; j < s.n; ++j) {
-          f64 mass = bias ? std::abs(static_cast<f64>(bias[j])) : 0.0;
-          for (i64 l = 0; l < s.k; ++l) {
-            mass += std::abs(static_cast<f64>(x[i * s.k + l]) *
-                             w[l * s.n + j]);
-          }
-          const f64 diff =
-              std::abs(static_cast<f64>(out[i * s.n + j]) - ref[i * s.n + j]);
-          EXPECT_LE(diff, v.tolerance * mass)
-              << "element (" << i << "," << j << ")";
-        }
-      }
+      EXPECT_TRUE(bytes_equal(ref, out));
     });
   }
-}
-
-TEST(DispatchExactness, TanhVariantsHoldTheirDeclaredBound) {
-  dp::register_tanh_variants();
-  const auto scalar = reinterpret_cast<dp::TanhChunkFn>(
-      dp::Registry::instance().find("tanh_f32", "scalar")->fn);
-  // Dense random values plus the regimes a polynomial tanh gets wrong:
-  // exact zero, denormal-adjacent, the linear region, and saturation.
-  std::vector<f32> x = randn_f32(4096, 21);
-  const f32 edges[] = {0.0f,   1e-20f, -1e-20f, 1e-6f, -1e-6f, 0.1f,
-                       -0.1f,  1.0f,   -1.0f,   5.0f,  -5.0f,  9.5f,
-                       -9.5f,  30.0f,  -30.0f,  88.0f, -88.0f};
-  x.insert(x.end(), std::begin(edges), std::end(edges));
-  const i64 count = static_cast<i64>(x.size());
-  std::vector<f32> ref(x.size());
-  scalar(x.data(), ref.data(), count);
-  for_each_checked_variant("tanh_f32", [&](const dp::Variant& v) {
-    std::vector<f32> out(x.size());
-    reinterpret_cast<dp::TanhChunkFn>(v.fn)(x.data(), out.data(), count);
-    if (v.exactness == dp::Exactness::kBitExact) {
-      EXPECT_TRUE(bytes_equal(ref, out));
-      return;
-    }
-    ASSERT_GT(v.tolerance, 0.0);
-    f64 worst = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      worst = std::max(worst, std::abs(static_cast<f64>(out[i]) - ref[i]));
-    }
-    EXPECT_LE(worst, v.tolerance) << "absolute bound (|tanh| <= 1)";
-    // In-place operation is part of the family signature.
-    std::vector<f32> inplace = x;
-    reinterpret_cast<dp::TanhChunkFn>(v.fn)(inplace.data(), inplace.data(),
-                                            count);
-    EXPECT_TRUE(bytes_equal(out, inplace));
-  });
-}
-
-TEST(DispatchExactness, SymvVariantsHoldTheMassRelativeBound) {
-  dp::register_ekf_variants();
-  const auto scalar = reinterpret_cast<dp::SymvPanelFn>(
-      dp::Registry::instance().find("ekf_symv_f64", "scalar")->fn);
-  const i64 n = 301;  // odd: exercises every vector tail
-  const std::vector<f64> p = randn_f64(n * n, 31);
-  const std::vector<f64> g = randn_f64(n, 32);
-  std::vector<f64> ref(static_cast<std::size_t>(n));
-  scalar(p.data(), g.data(), ref.data(), 0, n, n);
-  std::vector<f64> mass(static_cast<std::size_t>(n), 0.0);
-  for (i64 i = 0; i < n; ++i) {
-    for (i64 j = 0; j < n; ++j) {
-      mass[static_cast<std::size_t>(i)] += std::abs(p[i * n + j] * g[j]);
-    }
-  }
-  for_each_checked_variant("ekf_symv_f64", [&](const dp::Variant& v) {
-    ASSERT_EQ(v.exactness, dp::Exactness::kTolerance);
-    std::vector<f64> out(static_cast<std::size_t>(n));
-    reinterpret_cast<dp::SymvPanelFn>(v.fn)(p.data(), g.data(), out.data(), 0,
-                                            n, n);
-    for (i64 i = 0; i < n; ++i) {
-      EXPECT_LE(std::abs(out[i] - ref[i]),
-                v.tolerance * mass[static_cast<std::size_t>(i)])
-          << "row " << i;
-    }
-  });
-}
-
-TEST(DispatchExactness, DotVariantsHoldTheMassRelativeBound) {
-  dp::register_ekf_variants();
-  const auto scalar = reinterpret_cast<dp::DotChunkFn>(
-      dp::Registry::instance().find("ekf_dot_f64", "scalar")->fn);
-  const i64 count = 10007;  // prime: exercises every vector tail
-  const std::vector<f64> a = randn_f64(count, 41);
-  const std::vector<f64> b = randn_f64(count, 42);
-  const f64 ref = scalar(a.data(), b.data(), 0, count);
-  f64 mass = 0.0;
-  for (i64 i = 0; i < count; ++i) mass += std::abs(a[i] * b[i]);
-  for_each_checked_variant("ekf_dot_f64", [&](const dp::Variant& v) {
-    ASSERT_EQ(v.exactness, dp::Exactness::kTolerance);
-    const f64 out =
-        reinterpret_cast<dp::DotChunkFn>(v.fn)(a.data(), b.data(), 0, count);
-    EXPECT_LE(std::abs(out - ref), v.tolerance * mass);
-    // Sub-range offsets must agree with the same chunk of the reference.
-    const f64 sub = reinterpret_cast<dp::DotChunkFn>(v.fn)(a.data(), b.data(),
-                                                           17, 1000);
-    EXPECT_LE(std::abs(sub - scalar(a.data(), b.data(), 17, 1000)),
-              v.tolerance * mass);
-  });
 }
 
 TEST(DispatchExactness, Rank1VariantsAreBitExact) {
@@ -346,7 +233,6 @@ TEST(DispatchExactness, Rank1VariantsAreBitExact) {
   std::vector<f64> ref = p0;
   scalar(ref.data(), k.data(), coeff, inv_lambda, 0, n, n);
   for_each_checked_variant("ekf_rank1_f64", [&](const dp::Variant& v) {
-    ASSERT_EQ(v.exactness, dp::Exactness::kBitExact);
     std::vector<f64> out = p0;
     reinterpret_cast<dp::Rank1PanelFn>(v.fn)(out.data(), k.data(), coeff,
                                              inv_lambda, 0, n, n);
@@ -368,19 +254,20 @@ TEST(DispatchExactness, MatNtVariantsAreBitExact) {
   // The shapes the family actually serves: the bmm_nt descriptor block
   // (n=6, q=4: 4-lane main + 2-wide tail), the gx backward panel
   // (n=q=50: 8-lane + 4-lane + 2 tail), a sub-4 n (delegates to scalar),
-  // an odd everything, and one past the transpose cap (delegate path).
-  struct Shape { i64 m, n, q; };
-  const std::vector<Shape> shapes = {
-      {12, 6, 4}, {9, 50, 50}, {7, 3, 11}, {5, 13, 7}, {3, 70, 64}};
+  // an odd everything, one past the transpose cap (delegate path), and
+  // the desc_d block, where b aliases the first m_axis rows of a.
+  struct Shape { i64 m, n, q; bool alias; };
+  const std::vector<Shape> shapes = {{12, 6, 4, false},  {9, 50, 50, false},
+                                     {7, 3, 11, false},  {5, 13, 7, false},
+                                     {3, 70, 64, false}, {25, 16, 4, true}};
   for (const Shape& s : shapes) {
     SCOPED_TRACE("m=" + std::to_string(s.m) + " n=" + std::to_string(s.n) +
-                 " q=" + std::to_string(s.q));
+                 " q=" + std::to_string(s.q) + (s.alias ? " aliased" : ""));
     const std::vector<f32> a = randn_f32(s.m * s.q, 71);
-    const std::vector<f32> b = randn_f32(s.n * s.q, 72);
+    const std::vector<f32> b = s.alias ? a : randn_f32(s.n * s.q, 72);
     std::vector<f32> ref(static_cast<std::size_t>(s.m * s.n));
     scalar(a.data(), b.data(), ref.data(), 0, s.m, s.n, s.q);
     for_each_checked_variant("matnt_f32", [&](const dp::Variant& v) {
-      ASSERT_EQ(v.exactness, dp::Exactness::kBitExact);
       std::vector<f32> out(static_cast<std::size_t>(s.m * s.n), -7.0f);
       reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(), out.data(),
                                                0, s.m, s.n, s.q);
@@ -395,34 +282,6 @@ TEST(DispatchExactness, MatNtVariantsAreBitExact) {
       EXPECT_TRUE(bytes_equal(ref, split));
     });
   }
-}
-
-TEST(DispatchExactness, DescContractVariantsHoldTheMassRelativeBound) {
-  dp::register_desc_variants();
-  const auto scalar = reinterpret_cast<dp::DescContractFn>(
-      dp::Registry::instance().find("desc_contract_f32", "scalar")->fn);
-  const i64 m = 25, m_axis = 16, q = 83;  // paper M/M^< shapes, odd q
-  const std::vector<f32> ab = randn_f32(m * q, 61);
-  std::vector<f32> ref(static_cast<std::size_t>(m * m_axis));
-  scalar(ab.data(), ref.data(), m, m_axis, q);
-  for_each_checked_variant("desc_contract_f32", [&](const dp::Variant& v) {
-    ASSERT_EQ(v.exactness, dp::Exactness::kTolerance);
-    std::vector<f32> out(static_cast<std::size_t>(m * m_axis));
-    reinterpret_cast<dp::DescContractFn>(v.fn)(ab.data(), out.data(), m,
-                                               m_axis, q);
-    for (i64 i = 0; i < m; ++i) {
-      for (i64 j = 0; j < m_axis; ++j) {
-        f64 mass = 0.0;
-        for (i64 l = 0; l < q; ++l) {
-          mass += std::abs(static_cast<f64>(ab[i * q + l]) * ab[j * q + l]);
-        }
-        EXPECT_LE(std::abs(static_cast<f64>(out[i * m_axis + j]) -
-                           ref[i * m_axis + j]),
-                  v.tolerance * mass)
-            << "element (" << i << "," << j << ")";
-      }
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -476,12 +335,11 @@ EkfRun run_ekf(bool fused, i64 n) {
 TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
   BackendGuard backend_guard;
   WidthGuard width_guard;
-  auto& reg = dp::Registry::instance();
   const i64 n = 193;
-  for (dp::Level level : {dp::Level::kScalar, dp::Level::kSimd,
-                          dp::Level::kAvx2}) {
-    SCOPED_TRACE(std::string("backend=") + dp::level_name(level));
-    reg.set_backend(level);
+  std::optional<EkfRun> reference;
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE(std::string("backend=") + mode.name);
+    apply_mode(mode);
     set_num_threads(1);
     const EkfRun fused1 = run_ekf(true, n);
     const EkfRun legacy1 = run_ekf(false, n);
@@ -491,42 +349,54 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
     // Width determinism per backend (§9 holds per variant)...
     EXPECT_TRUE(fused1 == fused4);
     EXPECT_TRUE(legacy1 == legacy4);
-    // ...and fused vs legacy share the same dispatched bodies, so the
-    // cross-path identity holds under every backend, tolerance-class
-    // variants included. (health is computed differently: fused returns
-    // max diag AFTER noise either way — compare the shared outputs.)
+    // ...fused vs legacy share the same bodies, so the cross-path
+    // identity holds under every backend (health is computed differently:
+    // fused returns max diag AFTER noise either way — compare the shared
+    // outputs)...
     EXPECT_TRUE(std::memcmp(fused1.p.data(), legacy1.p.data(),
                             fused1.p.size() * sizeof(f64)) == 0);
     EXPECT_TRUE(std::memcmp(fused1.w.data(), legacy1.w.data(),
                             fused1.w.size() * sizeof(f64)) == 0);
     EXPECT_TRUE(std::memcmp(&fused1.gain, &legacy1.gain, sizeof(f64)) == 0);
+    // ...and every backend reproduces the scalar reference.
+    if (!reference) reference = fused1;
+    EXPECT_TRUE(fused1 == *reference);
   }
 }
 
 TEST(DispatchKernels, ForwardPathMatchesScalarUnderAuto) {
-  // The auto policy only ever selects bit_exact variants, so the public
-  // f32 forward kernels must agree with forced-scalar byte for byte.
+  // Every variant is bit-exact, so the public f32 kernels that dispatch
+  // (and the desc_d contraction on top of matnt_f32) must agree with
+  // forced-scalar byte for byte, on this CPU and with AVX2 masked.
   BackendGuard guard;
-  auto& reg = dp::Registry::instance();
   Rng rng(81);
   const Tensor x = Tensor::randn(33, 50, rng);
   const Tensor w = Tensor::randn(50, 25, rng);
   const Tensor b = Tensor::randn(1, 25, rng);
-  reg.set_backend(dp::Level::kScalar);
-  const Tensor mm_s = kernels::matmul(x, w);
-  const Tensor lt_s = kernels::linear_tanh(x, w, b);
-  const Tensor th_s = kernels::tanh(x);
-  reg.set_backend(std::nullopt);
-  const Tensor mm_a = kernels::matmul(x, w);
-  const Tensor lt_a = kernels::linear_tanh(x, w, b);
-  const Tensor th_a = kernels::tanh(x);
+  const Tensor wt = Tensor::randn(25, 50, rng);
+  const i64 m = 25, m_axis = 16;
+  const Tensor desc_a = Tensor::randn(7 * m, 4, rng);
+  auto run = [&] {
+    return std::vector<Tensor>{
+        kernels::matmul(x, w), kernels::linear_tanh(x, w, b),
+        kernels::matmul_nt(x, wt),
+        deepmd::desc_d(ag::Variable(desc_a), m, m_axis).value()};
+  };
   auto same = [](const Tensor& p, const Tensor& q) {
-    return std::memcmp(p.data(), q.data(),
+    return p.same_shape(q) &&
+           std::memcmp(p.data(), q.data(),
                        static_cast<std::size_t>(p.numel()) * sizeof(f32)) == 0;
   };
-  EXPECT_TRUE(same(mm_s, mm_a));
-  EXPECT_TRUE(same(lt_s, lt_a));
-  EXPECT_TRUE(same(th_s, th_a));
+  std::vector<Tensor> reference;
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE(std::string("backend=") + mode.name);
+    apply_mode(mode);
+    const std::vector<Tensor> out = run();
+    if (reference.empty()) reference = out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_TRUE(same(reference[i], out[i])) << "kernel #" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -362,6 +362,57 @@ TEST(Flight, ArmedSteadyStateDoesNotAllocate) {
       << "armed flight recording must overwrite in place, not allocate";
 }
 
+/// Runs `arm(spec)` and expects a single-line fekf::Error naming `knob`.
+template <typename Arm>
+void expect_spec_rejected(const std::string& spec, const char* knob,
+                          Arm&& arm) {
+  SCOPED_TRACE(spec);
+  try {
+    arm(spec);
+    ADD_FAILURE() << "accepted a hostile spec";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(knob), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
+TEST(Flight, SpecParserRejectsHostileInput) {
+  auto& recorder = obs::FlightRecorder::instance();
+  const std::string path = ::testing::TempDir() + "/flight_spec.json";
+  const std::vector<std::string> specs = {
+      path + ",events",                    // missing '='
+      path + ",depth=16",                  // unknown qualifier
+      ",events=16",                        // empty path
+      "",                                  // empty spec
+      path + ",events=0",
+      path + ",events=-3",
+      path + ",events=12k",
+      path + ",events=1048577",            // one past the per-thread cap
+      path + ",events=1000000000000",
+      path + ",events=99999999999999999999999",  // strtoll overflow
+  };
+  for (const std::string& spec : specs) {
+    expect_spec_rejected(spec, "FEKF_FLIGHT",
+                         [&](const std::string& s) { recorder.arm(s); });
+    EXPECT_FALSE(recorder.armed()) << spec;
+  }
+  for (const i64 capacity : {i64{0}, obs::FlightRecorder::kMaxCapacity + 1,
+                             i64{1000000000000}}) {
+    expect_spec_rejected(std::to_string(capacity), "FEKF_FLIGHT",
+                         [&](const std::string&) {
+                           recorder.arm_path(path, capacity);
+                         });
+    EXPECT_FALSE(recorder.armed());
+  }
+  // The cap itself is accepted (the ring is only sized on first append).
+  recorder.arm(path + ",events=" +
+               std::to_string(obs::FlightRecorder::kMaxCapacity));
+  EXPECT_TRUE(recorder.armed());
+  recorder.disarm();
+  recorder.clear();
+}
+
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------
@@ -513,6 +564,41 @@ TEST(Telemetry, SamplerWritesValidJsonlWithPercentiles) {
   EXPECT_NE(last.find("test.telemetry_hist"), std::string::npos);
   EXPECT_NE(last.find("\"p99\":"), std::string::npos);
   registry.histogram("test.telemetry_hist").reset();
+}
+
+TEST(Telemetry, SpecParserRejectsHostileInput) {
+  auto& sampler = obs::TelemetrySampler::instance();
+  const std::string path = ::testing::TempDir() + "/telemetry_spec.jsonl";
+  const std::vector<std::string> specs = {
+      path + ",interval",                  // missing '='
+      path + ",period=5",                  // unknown qualifier
+      ",interval=5",                       // empty path
+      "",                                  // empty spec
+      path + ",interval=0",
+      path + ",interval=-5",
+      path + ",interval=5ms",
+      path + ",interval=inf",
+      path + ",interval=nan",
+      path + ",interval=86400001",         // one past the one-day cap
+      path + ",interval=1e13",             // past the wait_for tick range
+  };
+  for (const std::string& spec : specs) {
+    expect_spec_rejected(spec, "FEKF_TELEMETRY", [&](const std::string& s) {
+      sampler.start_from_spec(s);
+    });
+    EXPECT_FALSE(sampler.running()) << spec;
+    sampler.stop();  // no-op unless a case was wrongly accepted
+  }
+  for (const f64 interval_s : {0.0, std::numeric_limits<f64>::infinity(),
+                               std::numeric_limits<f64>::quiet_NaN(),
+                               obs::TelemetrySampler::kMaxIntervalS * 2}) {
+    expect_spec_rejected(std::to_string(interval_s), "FEKF_TELEMETRY",
+                         [&](const std::string&) {
+                           sampler.start(path, interval_s);
+                         });
+    EXPECT_FALSE(sampler.running());
+    sampler.stop();
+  }
 }
 
 // ---------------------------------------------------------------------------
