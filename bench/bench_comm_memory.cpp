@@ -52,11 +52,10 @@ int main(int argc, char** argv) {
     total_params += b.size;
   }
   tp.print();
-  optim::KalmanConfig fused_cfg;  // defaults: fused kernel, cached Pg
+  optim::KalmanConfig fused_cfg;  // default level: fused step, no scratch
   optim::KalmanOptimizer fused(blocks, fused_cfg);
   optim::KalmanConfig unfused_cfg;
-  unfused_cfg.fused_p_update = false;
-  unfused_cfg.cache_pg = false;
+  unfused_cfg.level = optim::EkfLevel::kFramework;
   optim::KalmanOptimizer unfused(blocks, unfused_cfg);
   std::printf(
       "\ntotal P: %.1f MiB; peak with fused P kernel: %.1f MiB; peak with "

@@ -37,7 +37,7 @@ Timing summarize(const train::TrainResult& r, f64 target) {
 
 train::TrainResult run_fekf(const std::string& system, const Cli& cli,
                             i64 batch, deepmd::FusionLevel fusion,
-                            bool opt3, i64 epochs, f64 target) {
+                            optim::EkfLevel ekf, i64 epochs, f64 target) {
   Fixture f = make_fixture(system, cli);
   f.model->set_fusion(fusion);
   train::TrainOptions opts;
@@ -48,8 +48,7 @@ train::TrainResult run_fekf(const std::string& system, const Cli& cli,
   opts.seed = static_cast<u64>(cli.get_int("seed"));
   optim::KalmanConfig kcfg = optim::KalmanConfig::for_batch_size(batch);
   kcfg.blocksize = cli.get_int("blocksize");
-  kcfg.fused_p_update = opt3;
-  kcfg.cache_pg = opt3;
+  kcfg.level = ekf;
   train::KalmanTrainer trainer(*f.model, kcfg, opts);
   return trainer.train(f.train_envs, {});
 }
@@ -99,21 +98,24 @@ int main(int argc, char** argv) {
 
   std::printf("Figure 7a reproduction: wall time to matched accuracy\n");
   for (const std::string& system : split_list(cli.get("systems"))) {
-    // Anchor: optimized FEKF defines the common accuracy target.
+    // Anchor: optimized FEKF (kOpt2 model, fused EKF step) defines the
+    // common accuracy target.
     train::TrainResult anchor =
         run_fekf(system, cli, batch, deepmd::FusionLevel::kOpt2,
-                 /*opt3=*/true, cli.get_int("fekf-epochs"), -1.0);
+                 optim::EkfLevel::kFused, cli.get_int("fekf-epochs"), -1.0);
     Timing anchor_t = summarize(anchor, -1.0);
     const f64 target = cli.get_double("slack") * anchor_t.best_total;
 
     Timing opt = summarize(anchor, target);
     Timing fekf = summarize(
         run_fekf(system, cli, batch, deepmd::FusionLevel::kBaseline,
-                 /*opt3=*/false, cli.get_int("fekf-epochs"), target),
+                 optim::EkfLevel::kFramework, cli.get_int("fekf-epochs"),
+                 target),
         target);
     Timing rlekf = summarize(
         run_fekf(system, cli, 1, deepmd::FusionLevel::kBaseline,
-                 /*opt3=*/false, cli.get_int("rlekf-epochs"), target),
+                 optim::EkfLevel::kFramework, cli.get_int("rlekf-epochs"),
+                 target),
         target);
     Timing adam =
         summarize(run_adam(system, cli, cli.get_int("adam-epochs"), target),

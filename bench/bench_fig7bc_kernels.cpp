@@ -9,12 +9,14 @@
 //   opt3      + custom P-update kernel and Pg reuse in the optimizer
 //   fused     + whole-layer linear+tanh, whole-descriptor desc_a/desc_d and
 //             whole-step EKF composite launches (DESIGN.md §12)
+// Each row is one (deepmd::FusionLevel, optim::EkfLevel) pair.
 //
 // For each configuration the harness reports (b) the number of primitive-
 // kernel launches for one ENERGY update and one FORCE update (the paper's
 // two bar groups: 397->174 and 846->281 on the A100), and (c) the
-// iteration time split into forward / gradient / KF-update phases, plus the
-// arena (Workspace) allocator counters for the measured iterations.
+// iteration time split into forward / gradient / KF-update phases, read
+// from the trainer's phase spans (obs::SpanClock), plus the arena
+// (Workspace) allocator counters for the measured iterations.
 //
 // The harness doubles as the CI launch/allocation budget gate: it FAILS
 // (FEKF_CHECK) if fusion stops halving the per-step launch count or the
@@ -41,16 +43,13 @@ namespace {
 struct Config {
   const char* name;
   deepmd::FusionLevel fusion;
-  bool opt3;
-  bool fused_step;
+  optim::EkfLevel ekf;
 };
 
 struct Sample {
   i64 energy_kernels = 0;
   i64 force_kernels = 0;
   f64 forward_s = 0.0, gradient_s = 0.0, optimizer_s = 0.0;
-  // Same split re-derived from trace spans (cross-check, seconds/iter).
-  f64 span_forward_s = 0.0, span_gradient_s = 0.0, span_optimizer_s = 0.0;
   // Arena counters over the measured iterations (zeros when FEKF_ARENA=0).
   i64 arena_peak_scope_bytes = 0;
   i64 arena_allocs_per_iter = 0;
@@ -61,29 +60,6 @@ struct Sample {
 
   i64 step_kernels() const { return energy_kernels + 4 * force_kernels; }
 };
-
-f64 span_delta(const std::map<std::string, f64>& before,
-               const std::map<std::string, f64>& after, const char* name) {
-  const auto hit = after.find(name);
-  const f64 end = hit == after.end() ? 0.0 : hit->second;
-  const auto base = before.find(name);
-  return end - (base == before.end() ? 0.0 : base->second);
-}
-
-/// The span wraps the AccumTimer scope, so the two attributions must agree
-/// (spans carry a few extra clock reads). Phases shorter than 5 ms/iter are
-/// exempt: there the absolute gap is scheduling noise, not attribution.
-void check_split_agreement(const char* config, const char* phase, f64 timer_s,
-                           f64 span_s) {
-  if (timer_s < 5e-3) return;
-  const f64 rel = std::abs(span_s - timer_s) / timer_s;
-  FEKF_CHECK(rel <= 0.05,
-             std::string("span-derived fig7c split disagrees with the "
-                         "AccumTimer split: config ") +
-                 config + " phase " + phase + " timer=" +
-                 std::to_string(timer_s) + "s span=" + std::to_string(span_s) +
-                 "s (" + std::to_string(100.0 * rel) + "% off)");
-}
 
 // ---------------------------------------------------------------------------
 // Per-variant kernel-dispatch micro table (DESIGN.md §13, docs/KERNELS.md)
@@ -222,11 +198,11 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const Config configs[] = {
-      {"baseline", deepmd::FusionLevel::kBaseline, false, false},
-      {"opt1", deepmd::FusionLevel::kOpt1, false, false},
-      {"opt2", deepmd::FusionLevel::kOpt2, false, false},
-      {"opt3", deepmd::FusionLevel::kOpt2, true, false},
-      {"fused", deepmd::FusionLevel::kFused, true, true},
+      {"baseline", deepmd::FusionLevel::kBaseline, optim::EkfLevel::kFramework},
+      {"opt1", deepmd::FusionLevel::kOpt1, optim::EkfLevel::kFramework},
+      {"opt2", deepmd::FusionLevel::kOpt2, optim::EkfLevel::kFramework},
+      {"opt3", deepmd::FusionLevel::kOpt2, optim::EkfLevel::kOpt3},
+      {"fused", deepmd::FusionLevel::kFused, optim::EkfLevel::kFused},
   };
   const i64 batch = cli.get_int("batch");
   const i64 iters = cli.get_int("iters");
@@ -243,9 +219,7 @@ int main(int argc, char** argv) {
     opts.seed = static_cast<u64>(cli.get_int("seed"));
     optim::KalmanConfig kcfg;
     kcfg.blocksize = cli.get_int("blocksize");
-    kcfg.fused_p_update = config.opt3;
-    kcfg.cache_pg = config.opt3;
-    kcfg.fused_step = config.fused_step;
+    kcfg.level = config.ekf;
     train::KalmanTrainer trainer(*f.model, kcfg, opts);
 
     std::span<const train::EnvPtr> all(f.train_envs);
@@ -283,22 +257,15 @@ int main(int argc, char** argv) {
                      std::to_string(count_1t) + " vs " +
                      std::to_string(count_nt));
     }
-    trainer.forward_timer().reset();
-    trainer.gradient_timer().reset();
-    trainer.optimizer_timer().reset();
-
-    // The measured loop runs with tracing on, so the same iterations are
-    // attributed twice: by the AccumTimers and by the phase spans the
-    // trainer opens around the identical scopes. The two must agree.
-    auto& recorder = obs::TraceRecorder::instance();
-    const bool trace_was_enabled = obs::TraceRecorder::enabled();
-    recorder.set_enabled(true);
-    const auto spans_before = recorder.span_seconds_by_name();
     KernelCounter::reset();
     const auto launches_before = KernelCounter::breakdown();
     Workspace::reset_stats();
     const WorkspaceStats arena_before = Workspace::stats();
 
+    // The phase split is the trainer's forward / gradient / kf_update
+    // spans over exactly the measured iterations. The clock also restores
+    // the recorder state the tracing A/B below toggles.
+    const obs::SpanClock clock;
     Sample sample;
     for (i64 it = 0; it < iters; ++it) {
       {
@@ -313,8 +280,10 @@ int main(int argc, char** argv) {
         sample.force_kernels += scope.count();
       }
     }
-    const auto spans_after = recorder.span_seconds_by_name();
-    recorder.set_enabled(trace_was_enabled);
+    const f64 n = static_cast<f64>(iters);
+    sample.forward_s = clock.seconds("forward") / n;
+    sample.gradient_s = clock.seconds("gradient") / n;
+    sample.optimizer_s = clock.seconds("kf_update") / n;
     const WorkspaceStats arena_after = Workspace::stats();
     sample.arena_peak_scope_bytes = arena_after.peak_scope_bytes;
     sample.arena_allocs_per_iter =
@@ -341,21 +310,6 @@ int main(int argc, char** argv) {
     }
     sample.energy_kernels /= iters;
     sample.force_kernels /= iters;
-    sample.forward_s = trainer.forward_timer().total_seconds() / iters;
-    sample.gradient_s = trainer.gradient_timer().total_seconds() / iters;
-    sample.optimizer_s = trainer.optimizer_timer().total_seconds() / iters;
-    const f64 n = static_cast<f64>(iters);
-    sample.span_forward_s = span_delta(spans_before, spans_after, "forward") / n;
-    sample.span_gradient_s =
-        span_delta(spans_before, spans_after, "gradient") / n;
-    sample.span_optimizer_s =
-        span_delta(spans_before, spans_after, "kf_update") / n;
-    check_split_agreement(config.name, "forward", sample.forward_s,
-                          sample.span_forward_s);
-    check_split_agreement(config.name, "gradient", sample.gradient_s,
-                          sample.span_gradient_s);
-    check_split_agreement(config.name, "kf_update", sample.optimizer_s,
-                          sample.span_optimizer_s);
 
     // Per-op launch attribution for this config's measured iterations.
     auto launches_after = KernelCounter::breakdown();
@@ -377,7 +331,8 @@ int main(int argc, char** argv) {
     // section of ci/budgets.json holds it to 1.05x. Min-of-5 per arm: on
     // a loaded 1-core CI host single passes wobble several percent, and
     // the min is the robust estimator of the noise-free pass.
-    if (config.fused_step) {
+    if (config.ekf == optim::EkfLevel::kFused) {
+      auto& recorder = obs::TraceRecorder::instance();
       constexpr int kReps = 5;
       obs_untraced_s = 1e300;
       obs_traced_s = 1e300;
@@ -395,7 +350,6 @@ int main(int argc, char** argv) {
               std::min(traced ? obs_traced_s : obs_untraced_s, pass_s);
         }
       }
-      recorder.set_enabled(trace_was_enabled);
     }
     samples.push_back(sample);
     std::printf("  %-8s measured\n", config.name);
@@ -458,7 +412,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nFigure 7c reproduction: iteration time split "
-              "(forward / gradient / KF update), seconds per iteration\n");
+              "(forward / gradient / KF update spans), seconds per "
+              "iteration\n");
   Table tc({"config", "forward", "gradient", "KF update", "total",
             "speedup vs baseline"});
   const f64 base_total = samples.front().forward_s +
@@ -472,17 +427,6 @@ int main(int argc, char** argv) {
                 fmt("%.3f", total), fmt("%.2fx", base_total / total)});
   }
   tc.print();
-
-  std::printf("\nSpan-derived split cross-check (trace spans over the same "
-              "iterations; verified within 5%% of the timers above):\n");
-  Table ts({"config", "forward (span)", "gradient (span)", "KF update (span)"});
-  for (std::size_t c = 0; c < samples.size(); ++c) {
-    const Sample& s = samples[c];
-    ts.add_row({configs[c].name, fmt("%.3f", s.span_forward_s),
-                fmt("%.3f", s.span_gradient_s),
-                fmt("%.3f", s.span_optimizer_s)});
-  }
-  ts.print();
 
   if (Workspace::enabled()) {
     std::printf("\nArena (workspace) allocator, measured iterations "

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
     std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
     optim::KalmanConfig fused_cfg;
     optim::KalmanConfig legacy_cfg;
-    legacy_cfg.fused_step = false;
+    legacy_cfg.level = optim::EkfLevel::kOpt3;
     optim::KalmanOptimizer fused_opt(blocks, fused_cfg);
     optim::KalmanOptimizer legacy_opt(blocks, legacy_cfg);
     Rng rng(13);
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
       std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
       optim::KalmanConfig fused_cfg;
       optim::KalmanConfig legacy_cfg;
-      legacy_cfg.fused_step = false;
+      legacy_cfg.level = optim::EkfLevel::kOpt3;
       optim::KalmanOptimizer fused_opt(blocks, fused_cfg);
       optim::KalmanOptimizer legacy_opt(blocks, legacy_cfg);
       Rng rng(13);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernel_counter.hpp"
 
@@ -91,12 +92,10 @@ int main(int argc, char** argv) {
     // Warm-up iteration (excluded from timing and counting).
     trainer.energy_update(batch_span);
     trainer.force_update(batch_span, groups[0]);
-    trainer.forward_timer().reset();
-    trainer.gradient_timer().reset();
-    trainer.optimizer_timer().reset();
 
     Entry e;
     e.threads = width;
+    const obs::SpanClock clock;  // phase split from the trainer's spans
     Stopwatch watch;
     i64 kernels = 0;
     for (i64 it = 0; it < iters; ++it) {
@@ -107,9 +106,9 @@ int main(int argc, char** argv) {
     }
     e.seconds_per_iter = watch.seconds() / static_cast<f64>(iters);
     e.kernels_per_iter = kernels / iters;
-    e.forward_s = trainer.forward_timer().total_seconds() / iters;
-    e.gradient_s = trainer.gradient_timer().total_seconds() / iters;
-    e.optimizer_s = trainer.optimizer_timer().total_seconds() / iters;
+    e.forward_s = clock.seconds("forward") / static_cast<f64>(iters);
+    e.gradient_s = clock.seconds("gradient") / static_cast<f64>(iters);
+    e.optimizer_s = clock.seconds("kf_update") / static_cast<f64>(iters);
     e.weight_checksum = weight_checksum(model);
     entries.push_back(e);
     std::printf("  %2lld thread(s): %.3f s/iter, %lld kernels/iter\n",

@@ -9,6 +9,7 @@
 #include "core/log.hpp"
 #include "core/table.hpp"
 #include "data/dataset.hpp"
+#include "obs/trace.hpp"
 #include "train/lcurve.hpp"
 #include "train/trainer.hpp"
 
@@ -69,6 +70,7 @@ int main(int argc, char** argv) {
 
   std::printf("== training with FEKF (batch %lld) ==\n",
               static_cast<long long>(opts.batch_size));
+  const obs::SpanClock clock;  // the Figure 7(c) phase split
   train::TrainResult result = trainer.train(train_envs, test_envs);
 
   Table table({"epoch", "train E-RMSE (eV)", "train F-RMSE (eV/A)",
@@ -83,8 +85,8 @@ int main(int argc, char** argv) {
   table.print();
   std::printf(
       "phase split: forward %.2fs, gradient %.2fs, KF update %.2fs\n",
-      result.forward_seconds, result.gradient_seconds,
-      result.optimizer_seconds);
+      clock.seconds("forward"), clock.seconds("gradient"),
+      clock.seconds("kf_update"));
   if (!cli.get("lcurve").empty()) {
     train::write_lcurve(result, cli.get("lcurve"));
     std::printf("learning curve written to %s\n", cli.get("lcurve").c_str());

@@ -56,7 +56,7 @@ constexpr Knob kKnobs[] = {
      "(default 16)"},
     {"FEKF_SERVE_MAX_WAIT_US",
      "BatchingEvaluator: max microseconds a request waits for batch-mates "
-     "(default 200)"},
+     "(default 200; finite, at most one day)"},
     {"FEKF_SERVE_WORKERS",
      "BatchingEvaluator: number of batch-forming worker threads "
      "(default 1)"},

@@ -1,4 +1,5 @@
 // Wall-clock stopwatch used by the training loops and benchmark harnesses.
+// Per-phase time is read from trace spans instead (obs/trace.hpp).
 #pragma once
 
 #include <chrono>
@@ -23,55 +24,6 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulating timer: sums durations over many start/stop windows.
-/// Used to split iteration time into forward / gradient / KF-update parts
-/// (Figure 7c).
-class AccumTimer {
- public:
-  // ScopedTimer holds a reference to its AccumTimer; copying a timer with
-  // an open window would fork the running flag, so copies are disallowed.
-  AccumTimer() = default;
-  AccumTimer(const AccumTimer&) = delete;
-  AccumTimer& operator=(const AccumTimer&) = delete;
-
-  void start() { watch_.reset(); running_ = true; }
-
-  /// Closes the current window. A stop() without a matching start() (or a
-  /// second stop() on the same window) is a no-op: it must not inflate
-  /// total or count.
-  void stop() {
-    if (running_) {
-      total_ += watch_.seconds();
-      ++count_;
-      running_ = false;
-    }
-  }
-
-  void reset() { total_ = 0.0; count_ = 0; running_ = false; }
-
-  f64 total_seconds() const { return total_; }
-  i64 count() const { return count_; }
-  f64 mean_seconds() const { return count_ > 0 ? total_ / static_cast<f64>(count_) : 0.0; }
-
- private:
-  Stopwatch watch_;
-  f64 total_ = 0.0;
-  i64 count_ = 0;
-  bool running_ = false;
-};
-
-/// RAII window on an AccumTimer.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(AccumTimer& t) : timer_(t) { timer_.start(); }
-  ~ScopedTimer() { timer_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  AccumTimer& timer_;
 };
 
 }  // namespace fekf

@@ -19,9 +19,8 @@ namespace fekf::deepmd {
 ///              (gx, gw, gb) kernel backward, and the symmetry-preserving
 ///              descriptor runs as two composite kernels (desc_a, desc_d)
 ///              with a fused backward (DESIGN.md §12).
-/// kOpt3 (optimizer P-update kernel + Pg caching) lives in src/optim and is
-/// orthogonal to the model; the analogous fused FEKF step is
-/// KalmanConfig::fused_step.
+/// The optimizer-side rungs (opt3's P-update kernel + Pg caching, and the
+/// fused FEKF step) are orthogonal to the model: optim::EkfLevel.
 enum class FusionLevel { kBaseline = 0, kOpt1 = 1, kOpt2 = 2, kFused = 3 };
 
 struct ModelConfig {

@@ -95,7 +95,30 @@ DeepmdModel read_model_text(TextReader& r) {
   cfg.axis_neurons = r.read_i64();
   cfg.fitting_width = r.read_i64();
   const i64 fusion = r.read_i64();
+  if (fusion < static_cast<i64>(FusionLevel::kBaseline) ||
+      fusion > static_cast<i64>(FusionLevel::kFused)) {
+    r.malformed("fusion level " + std::to_string(fusion) + " outside [" +
+                std::to_string(static_cast<i64>(FusionLevel::kBaseline)) +
+                ", " + std::to_string(static_cast<i64>(FusionLevel::kFused)) +
+                "]");
+  }
   cfg.fusion = static_cast<FusionLevel>(fusion);
+  if (!std::isfinite(cfg.rcut) || cfg.rcut <= 0.0) {
+    r.malformed("rcut must be positive and finite, got " +
+                std::to_string(cfg.rcut));
+  }
+  if (!(cfg.rcut_smth >= 0.0 && cfg.rcut_smth < cfg.rcut)) {
+    r.malformed("rcut_smth must be in [0, rcut), got " +
+                std::to_string(cfg.rcut_smth));
+  }
+  if (cfg.embed_width < 1 || cfg.axis_neurons < 1 || cfg.fitting_width < 1 ||
+      cfg.axis_neurons > cfg.embed_width) {
+    r.malformed("network widths must be >= 1 with axis_neurons <= "
+                "embed_width, got embed_width " +
+                std::to_string(cfg.embed_width) + ", axis_neurons " +
+                std::to_string(cfg.axis_neurons) + ", fitting_width " +
+                std::to_string(cfg.fitting_width));
+  }
 
   EnvStats env;
   std::vector<i64> sel = read_ivector(r, "sel");

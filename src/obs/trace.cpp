@@ -322,6 +322,17 @@ std::map<std::string, f64> TraceRecorder::span_seconds_by_name() const {
   return totals;
 }
 
+SpanClock::SpanClock() {
+  TraceRecorder::instance().set_enabled(true);
+  before_ = TraceRecorder::instance().span_seconds_by_name();
+}
+
+f64 SpanClock::seconds(const char* name) const {
+  const auto base = before_.find(name);
+  return TraceRecorder::instance().span_seconds_by_name()[name] -
+         (base == before_.end() ? 0.0 : base->second);
+}
+
 std::string TraceRecorder::chrome_trace_json() const {
   return obs::chrome_trace_json(snapshot());
 }

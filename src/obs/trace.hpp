@@ -138,8 +138,8 @@ class TraceRecorder {
   /// Drop all trace-sink events (thread ids are kept).
   void clear();
 
-  /// Total seconds of complete spans, grouped by event name — the
-  /// span-derived Figure 7(c) phase split used by bench_fig7bc_kernels.
+  /// Total seconds of complete spans, grouped by event name (SpanClock
+  /// reads the Figure 7(c) phase split from deltas of this map).
   std::map<std::string, f64> span_seconds_by_name() const;
 
   /// Chrome trace_event JSON ({"traceEvents": [...]}).
@@ -159,6 +159,25 @@ class TraceRecorder {
 
   struct Impl;
   Impl* impl_;  // never freed: outlives static destruction races
+};
+
+/// The phase clock: Figure 7(c) time is read from the spans the trainers
+/// open around each phase, never from a second timer. Turns the trace sink
+/// on for its lifetime (restoring the prior state on destruction) and
+/// reports the seconds each span name accumulated since construction.
+class SpanClock {
+ public:
+  SpanClock();
+  ~SpanClock() { TraceRecorder::instance().set_enabled(was_enabled_); }
+  SpanClock(const SpanClock&) = delete;
+  SpanClock& operator=(const SpanClock&) = delete;
+
+  /// Seconds of complete `name` spans recorded since construction.
+  f64 seconds(const char* name) const;
+
+ private:
+  bool was_enabled_ = TraceRecorder::enabled();
+  std::map<std::string, f64> before_;
 };
 
 /// RAII span. Passing a null name constructs an inert span (used by

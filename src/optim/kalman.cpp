@@ -51,8 +51,7 @@ KalmanOptimizer::KalmanOptimizer(std::vector<BlockSpec> blocks,
   p_.resize(blocks_.size());
   reset();
   pg_.resize(static_cast<std::size_t>(max_block_));
-  pg2_.resize(static_cast<std::size_t>(max_block_));
-  if (!config_.fused_p_update) {
+  if (config_.level == EkfLevel::kFramework) {
     scratch_.resize(static_cast<std::size_t>(max_block_ * max_block_));
   }
 }
@@ -131,14 +130,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
   FEKF_CHECK(static_cast<i64>(g.size()) == total_ &&
                  static_cast<i64>(w.size()) == total_,
              "gradient/weight size mismatch");
-  if (!config_.fused_p_update &&
-      scratch_.size() < static_cast<std::size_t>(max_block_ * max_block_)) {
-    scratch_.resize(static_cast<std::size_t>(max_block_ * max_block_));
-  }
-  // Whole-step fusion needs the cached gain and the single-pass P kernel;
-  // the ablation toggles fall back to the legacy four-launch decomposition.
-  const bool fused_step =
-      config_.fused_step && config_.fused_p_update && config_.cache_pg;
+  const EkfLevel level = config_.level;
   f64 update_max_diag = 0.0;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const i64 n = blocks_[b].size;
@@ -149,7 +141,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     std::span<f64> q(pg_.data(), static_cast<std::size_t>(n));
 
     f64 gpg;
-    if (fused_step) {
+    if (level == EkfLevel::kFused) {
       gpg = kernels::ekf_gain_fused(pb, gb, q, n);  // q = P g, one launch
     } else {
       kernels::symv(pb, gb, q, n);  // q = P g
@@ -157,25 +149,20 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     }
     const f64 a = 1.0 / (lambda_ + gpg);
 
-    // K = a q; the uncached ("framework") path recomputes P g for K the
-    // way a naive graph would, costing a second symv (opt3 removes it).
-    std::span<f64> k_vec = q;
-    if (!config_.cache_pg) {
-      std::span<f64> q2(pg2_.data(), static_cast<std::size_t>(n));
-      kernels::symv(pb, gb, q2, n);
-      k_vec = q2;
-    }
+    // K = a q; kFramework recomputes P g for K the way a naive graph
+    // would, costing a second symv (opt3 removes it).
+    if (level == EkfLevel::kFramework) kernels::symv(pb, gb, q, n);
 
     // Step scale for w_b += kscale * K = kscale * a * q, clamped to full
     // Newton closure and clipped to the trust region. Depends only on
-    // (q, gpg), so it is resolved before the P update either path takes.
+    // (q, gpg), so it is resolved before the P update any level takes.
     f64 step_scale = kscale * a;
     if (abe >= 0.0 && gpg > 1e-30) {
       step_scale = std::min(step_scale, abe / gpg);
     }
     if (cap > 0.0) {
       f64 k_norm2 = 0.0;
-      for (const f64 v : k_vec) k_norm2 += v * v;
+      for (const f64 v : q) k_norm2 += v * v;
       const f64 step_norm = std::abs(step_scale) * std::sqrt(k_norm2);
       if (step_norm > cap) {
         step_scale *= cap / step_norm;
@@ -183,24 +170,24 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     }
 
     f64 max_diag = 0.0;
-    if (fused_step) {
+    if (level == EkfLevel::kFused) {
       // P update + process noise + weight step + NaN-latching health scan
       // in one launch; bit-exact with the sequence below.
       max_diag = kernels::ekf_apply_fused(
-          pb, k_vec, a, lambda_, step_scale,
+          pb, q, a, lambda_, step_scale,
           w.subspan(static_cast<std::size_t>(off), std::size_t(n)),
-          config_.process_noise > 0.0 ? config_.process_noise : 0.0, n);
+          config_.process_noise, n);
     } else {
       // P <- (P - a q q^T) / lambda, symmetrized. Note (1/a) K K^T with
       // K = a P g equals a (P g)(P g)^T, so the kernels take q and a.
-      if (config_.fused_p_update) {
-        kernels::p_update_fused(pb, k_vec, a, lambda_, n);
+      if (level == EkfLevel::kOpt3) {
+        kernels::p_update_fused(pb, q, a, lambda_, n);
       } else {
-        kernels::p_update_unfused(pb, k_vec, a, lambda_,
+        kernels::p_update_unfused(pb, q, a, lambda_,
                                   std::span<f64>(scratch_), n);
       }
 
-      kernels::axpy(step_scale, k_vec,
+      kernels::axpy(step_scale, q,
                     w.subspan(static_cast<std::size_t>(off),
                               std::size_t(n)));
 
@@ -254,8 +241,7 @@ i64 KalmanOptimizer::p_bytes() const {
 }
 
 i64 KalmanOptimizer::scratch_bytes() const {
-  if (config_.fused_p_update) return 0;
-  return max_block_ * max_block_ * static_cast<i64>(sizeof(f64));
+  return static_cast<i64>(scratch_.size() * sizeof(f64));
 }
 
 }  // namespace fekf::optim

@@ -12,8 +12,7 @@
 //
 // Both RLEKF (batch 1, instance-by-instance) and FEKF (reduced gradient /
 // error) drive this same state; they differ only in how the trainer builds
-// (g, ABE). The opt3 system optimizations are toggles here: the fused
-// P-update kernel and the cached-Pg reuse between the `a` and `K` steps.
+// (g, ABE). The optimizer rungs of the Figure 7 ladder are one EkfLevel.
 #pragma once
 
 #include <optional>
@@ -24,21 +23,22 @@
 
 namespace fekf::optim {
 
+/// Optimizer-side rungs of the Figure 7 ladder (the model side is
+/// deepmd::FusionLevel); each is one path through KalmanOptimizer::update.
+///  kFramework — P g recomputed for K by a second symv, and a three-launch
+///               P update that materializes K K^T in n^2 scratch: 7
+///               launches per block; agrees with the others to rounding.
+///  kOpt3      — paper opt3: cached P g and the single-pass P kernel
+///               (symv, dot, p_update_fused, axpy): 4 launches per block.
+///  kFused     — whole-step fusion (DESIGN.md §12): ekf_gain_fused +
+///               ekf_apply_fused, 2 launches per block, bit-exact with kOpt3.
+enum class EkfLevel { kFramework, kOpt3, kFused };
+
 struct KalmanConfig {
   i64 blocksize = 10240;
   f64 lambda0 = 0.98;  ///< paper defaults; use 0.90/0.996 for batch > 1024
   f64 nu = 0.9987;
-  bool fused_p_update = true;  ///< opt3: hand-written single-pass kernel
-  bool cache_pg = true;        ///< opt3: reuse P g between a and K
-
-  /// Whole-step fusion (DESIGN.md §12): run each block's update as TWO
-  /// launches — ekf_gain_fused (P g and g^T P g together) and
-  /// ekf_apply_fused (rank-1 P update + process noise + weight step +
-  /// health scan in one pass) — instead of the four-launch
-  /// symv/dot/p_update/axpy sequence. Bit-exact with that sequence.
-  /// Effective only when fused_p_update and cache_pg are also set (the
-  /// ablation toggles force the legacy decomposition for Fig. 7 rows).
-  bool fused_step = true;
+  EkfLevel level = EkfLevel::kFused;
 
   /// Initial covariance diagonal: P starts as p_init * I, and the
   /// divergence-recovery path (recondition()) rescales an unhealthy P back
@@ -116,7 +116,6 @@ class KalmanOptimizer {
               f64 abe = -1.0);
 
   f64 lambda() const { return lambda_; }
-  void set_lambda(f64 lambda) { lambda_ = lambda; }
   const std::vector<BlockSpec>& blocks() const { return blocks_; }
   i64 total_size() const { return total_; }
 
@@ -139,16 +138,14 @@ class KalmanOptimizer {
 
   /// Persistent P storage in bytes (the paper's Section 5.3 accounting).
   i64 p_bytes() const;
-  /// Scratch bytes the current configuration needs per update (the
-  /// unfused path materializes K K^T for the largest block).
+  /// Scratch bytes the configured level needs per update (kFramework
+  /// materializes K K^T for the largest block).
   i64 scratch_bytes() const;
   /// p_bytes + scratch: the peak resident footprint model of §5.3.
   i64 peak_bytes() const { return p_bytes() + scratch_bytes(); }
 
   /// Reset P to identity and lambda to lambda0.
   void reset();
-
-  KalmanConfig& config() { return config_; }
 
  private:
   std::vector<BlockSpec> blocks_;
@@ -158,9 +155,8 @@ class KalmanOptimizer {
   i64 total_ = 0;
   i64 max_block_ = 0;
   std::vector<std::vector<f64>> p_;  ///< per-block dense covariance
-  std::vector<f64> pg_;              ///< cached P g (max block size)
-  std::vector<f64> pg2_;             ///< second P g for the uncached path
-  std::vector<f64> scratch_;         ///< unfused K K^T materialization
+  std::vector<f64> pg_;              ///< P g (max block size)
+  std::vector<f64> scratch_;         ///< kFramework: K K^T materialization
 };
 
 }  // namespace fekf::optim

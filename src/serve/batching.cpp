@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 
 #include "core/env.hpp"
 #include "obs/metrics.hpp"
@@ -33,7 +34,12 @@ BatchingEvaluator::BatchingEvaluator(const ModelRegistry& registry,
                                      BatchingConfig config)
     : registry_(registry), config_(config) {
   FEKF_CHECK(config_.max_batch >= 1, "max_batch must be >= 1");
-  FEKF_CHECK(config_.max_wait_s >= 0.0, "max_wait_s must be >= 0");
+  // Bounded to one day: a larger (or non-finite) wait overflows the
+  // condition-variable deadline and spins the worker forever.
+  FEKF_CHECK(std::isfinite(config_.max_wait_s) && config_.max_wait_s >= 0.0 &&
+                 config_.max_wait_s <= 86400.0,
+             "max_wait_s must be finite and in [0, 86400] s, got " +
+                 std::to_string(config_.max_wait_s));
   FEKF_CHECK(config_.workers >= 1, "workers must be >= 1");
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (i64 w = 0; w < config_.workers; ++w) {

@@ -115,14 +115,14 @@ void p_update_fused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
 /// P = (P + P^T) / 2 (explicit symmetrization used by the unfused path).
 void symmetrize(std::span<f64> p, i64 n);
 
-/// Fused FEKF gain precomputation (KalmanConfig::fused_step): y = P g AND
+/// Fused FEKF gain precomputation (EkfLevel::kFused): y = P g AND
 /// the scalar g^T P g in ONE launch, replacing the ekf_symv + ekf_dot pair.
 /// Bit-exact with that pair: rows accumulate in symv's ascending order and
 /// the scalar uses the same fixed-chunk reduction as dot().
 f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
                    std::span<f64> y, i64 n);
 
-/// Fused FEKF apply (KalmanConfig::fused_step): in ONE launch,
+/// Fused FEKF apply (EkfLevel::kFused): in ONE launch,
 ///   P <- sym((P - a k k^T) / lambda) + process_noise * I
 ///   w <- w + step_scale * k
 /// and returns the covariance max-diagonal with the same NaN-latching

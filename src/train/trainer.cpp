@@ -463,7 +463,6 @@ void KalmanTrainer::apply_fekf(const Measurement& measurement,
   auto params = flat_.params();
   {
     obs::ScopedSpan span("gradient", "train");
-    ScopedTimer timer(t_gradient_);
     auto g = ag::grad(measurement.m, params);
     flat_.gather_grads(g, grad_flat_);
   }
@@ -472,7 +471,6 @@ void KalmanTrainer::apply_fekf(const Measurement& measurement,
   }
   {
     obs::ScopedSpan span("kf_update", "train");
-    ScopedTimer timer(t_optimizer_);
     step_loss_ += std::abs(measurement.abe);
     step_grad_norm2_ += squared_norm(grad_flat_);
     const f64 factor = options_.qlr_factor >= 0.0
@@ -489,7 +487,6 @@ void KalmanTrainer::apply_naive_sample(i64 slot,
   auto params = flat_.params();
   {
     obs::ScopedSpan span("gradient", "train");
-    ScopedTimer timer(t_gradient_);
     auto g = ag::grad(measurement.m, params);
     flat_.gather_grads(g, grad_flat_);
   }
@@ -498,7 +495,6 @@ void KalmanTrainer::apply_naive_sample(i64 slot,
   }
   {
     obs::ScopedSpan span("kf_update", "train");
-    ScopedTimer timer(t_optimizer_);
     step_loss_ += std::abs(measurement.abe);
     step_grad_norm2_ += squared_norm(grad_flat_);
     naive_->accumulate(slot, grad_flat_, measurement.abe);
@@ -513,7 +509,6 @@ void KalmanTrainer::energy_update(std::span<const EnvPtr> batch) {
     Measurement m;
     {
       obs::ScopedSpan span("forward", "train");
-      ScopedTimer timer(t_forward_);
       m = energy_measurement(model_, batch);
     }
     // Energy updates are well-posed scalar Newton steps — run uncapped so
@@ -525,13 +520,11 @@ void KalmanTrainer::energy_update(std::span<const EnvPtr> batch) {
     Measurement m;
     {
       obs::ScopedSpan span("forward", "train");
-      ScopedTimer timer(t_forward_);
       m = energy_measurement(model_, batch.subspan(s, 1));
     }
     apply_naive_sample(static_cast<i64>(s), m);
   }
   obs::ScopedSpan span("kf_update", "train");
-  ScopedTimer timer(t_optimizer_);
   naive_->commit(weights_);
   flat_.scatter(weights_);
 }
@@ -543,7 +536,6 @@ void KalmanTrainer::force_update(std::span<const EnvPtr> batch,
     Measurement m;
     {
       obs::ScopedSpan span("forward", "train");
-      ScopedTimer timer(t_forward_);
       m = force_measurement(model_, batch, group, options_.force_prefactor);
     }
     apply_fekf(m, static_cast<i64>(batch.size()),
@@ -554,14 +546,12 @@ void KalmanTrainer::force_update(std::span<const EnvPtr> batch,
     Measurement m;
     {
       obs::ScopedSpan span("forward", "train");
-      ScopedTimer timer(t_forward_);
       m = force_measurement(model_, batch.subspan(s, 1), group,
                             options_.force_prefactor);
     }
     apply_naive_sample(static_cast<i64>(s), m);
   }
   obs::ScopedSpan span("kf_update", "train");
-  ScopedTimer timer(t_optimizer_);
   naive_->commit(weights_);
   flat_.scatter(weights_);
 }
@@ -644,12 +634,8 @@ TrainResult KalmanTrainer::train(std::span<const EnvPtr> train_envs,
   };
   hooks.capture = [&](TrainingCheckpoint& ckpt) { capture(ckpt); };
   hooks.restore = [&](const TrainingCheckpoint& ckpt) { restore(ckpt); };
-  TrainResult result = run_resilient_epochs(model_, train_envs, test_envs,
-                                            options_, flat_, weights_, hooks);
-  result.forward_seconds = t_forward_.total_seconds();
-  result.gradient_seconds = t_gradient_.total_seconds();
-  result.optimizer_seconds = t_optimizer_.total_seconds();
-  return result;
+  return run_resilient_epochs(model_, train_envs, test_envs, options_, flat_,
+                              weights_, hooks);
 }
 
 }  // namespace fekf::train

@@ -11,9 +11,10 @@
 //      EkfMode::kNaive — fusiform dataflow: full per-sample Kalman updates
 //                        against per-sample P replicas, increments averaged.
 //
-// Iteration time is split into the three Figure 7(c) phases: forward
-// (prediction + measurement assembly), gradient (backward pass), and
-// optimizer (KF algebra / Adam update).
+// Iteration time is split into the three Figure 7(c) phases by the "train"
+// spans around them: forward (prediction + measurement assembly),
+// gradient (backward pass), and kf_update / adam_update (optimizer
+// algebra). Read the split with obs::SpanClock.
 //
 // Both trainers share one resilient step loop (DESIGN.md §10): every
 // optimizer step is guarded by divergence sentinels (non-finite loss /
@@ -105,9 +106,6 @@ struct TrainResult {
   f64 seconds_to_converge = -1.0;
   f64 total_seconds = 0.0;
   i64 steps = 0;
-  f64 forward_seconds = 0.0;
-  f64 gradient_seconds = 0.0;
-  f64 optimizer_seconds = 0.0;
   Metrics final_train;
   Metrics final_test;
   /// Every sentinel trip / injected fault the run recovered from.
@@ -166,10 +164,6 @@ class KalmanTrainer {
   const optim::KalmanOptimizer* kalman() const { return kalman_.get(); }
   const optim::NaiveEkf* naive() const { return naive_.get(); }
 
-  AccumTimer& forward_timer() { return t_forward_; }
-  AccumTimer& gradient_timer() { return t_gradient_; }
-  AccumTimer& optimizer_timer() { return t_optimizer_; }
-
  private:
   void apply_fekf(const Measurement& measurement, i64 batch_size,
                   std::optional<f64> step_norm_cap);
@@ -197,7 +191,6 @@ class KalmanTrainer {
   std::vector<f64> snap_weights_;
   optim::KalmanState snap_kalman_;
   std::vector<optim::KalmanState> snap_replicas_;
-  AccumTimer t_forward_, t_gradient_, t_optimizer_;
 };
 
 }  // namespace fekf::train

@@ -1,11 +1,10 @@
 // Core utility tests: RNG statistics and determinism, CLI parsing, table
-// rendering, timers, and error checking.
+// rendering, the stopwatch, and error checking.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <thread>
-#include <type_traits>
 
 #include "core/cli.hpp"
 #include "core/common.hpp"
@@ -146,43 +145,6 @@ TEST(Timer, MeasuresElapsed) {
   Stopwatch w;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GE(w.milliseconds(), 15.0);
-}
-
-TEST(Timer, AccumulatesWindows) {
-  AccumTimer t;
-  for (int i = 0; i < 3; ++i) {
-    ScopedTimer scope(t);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(t.count(), 3);
-  EXPECT_GE(t.total_seconds(), 0.010);
-  EXPECT_NEAR(t.mean_seconds(), t.total_seconds() / 3.0, 1e-12);
-}
-
-TEST(Timer, StopWithoutStartIsNoop) {
-  AccumTimer t;
-  t.stop();  // never started: must not count or accumulate
-  EXPECT_EQ(t.count(), 0);
-  EXPECT_EQ(t.total_seconds(), 0.0);
-
-  t.start();
-  t.stop();
-  t.stop();  // second stop on a closed window: still one sample
-  EXPECT_EQ(t.count(), 1);
-}
-
-TEST(Timer, ResetClearsOpenWindow) {
-  AccumTimer t;
-  t.start();
-  t.reset();
-  t.stop();  // the window was discarded by reset
-  EXPECT_EQ(t.count(), 0);
-  EXPECT_EQ(t.total_seconds(), 0.0);
-}
-
-TEST(Timer, AccumTimerIsNotCopyable) {
-  static_assert(!std::is_copy_constructible_v<AccumTimer>);
-  static_assert(!std::is_copy_assignable_v<AccumTimer>);
 }
 
 TEST(Check, MacroThrowsWithMessage) {

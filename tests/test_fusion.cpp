@@ -363,9 +363,9 @@ TEST(Fusion, FekfStepKernelsBitExact) {
 TEST(Fusion, FekfOptimizerFusedMatchesLegacy) {
   const i64 n = 40;
   std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
-  optim::KalmanConfig fused_cfg;  // fused_step defaults on
+  optim::KalmanConfig fused_cfg;  // default: kFused
   optim::KalmanConfig legacy_cfg;
-  legacy_cfg.fused_step = false;
+  legacy_cfg.level = optim::EkfLevel::kOpt3;
   optim::KalmanOptimizer fused(blocks, fused_cfg);
   optim::KalmanOptimizer legacy(blocks, legacy_cfg);
 
@@ -386,14 +386,24 @@ TEST(Fusion, FekfOptimizerFusedMatchesLegacy) {
 }
 
 TEST(Fusion, FekfOptimizerLaunchBudget) {
+  // Launches per block for each rung of the optimizer ladder.
+  const std::pair<optim::EkfLevel, i64> rows[] = {
+      // symv, dot, second symv, three-launch p_update_unfused, axpy
+      {optim::EkfLevel::kFramework, 7},
+      {optim::EkfLevel::kOpt3, 4},  // symv, dot, p_update_fused, axpy
+      {optim::EkfLevel::kFused, 2},  // ekf_gain_fused + ekf_apply_fused
+  };
   const i64 n = 32;
-  std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
-  optim::KalmanOptimizer opt(blocks, optim::KalmanConfig{});
-  std::vector<f64> w(static_cast<std::size_t>(n), 0.0);
-  std::vector<f64> g(static_cast<std::size_t>(n), 0.01);
-  KernelCountScope scope;
-  opt.update(g, 0.1, w);
-  EXPECT_EQ(scope.count(), 2);  // ekf_gain_fused + ekf_apply_fused
+  for (const auto& [level, launches] : rows) {
+    optim::KalmanConfig cfg;
+    cfg.level = level;
+    optim::KalmanOptimizer opt({{0, n, "blk"}, {n, n, "blk2"}}, cfg);
+    std::vector<f64> w(static_cast<std::size_t>(2 * n), 0.0);
+    std::vector<f64> g(static_cast<std::size_t>(2 * n), 0.01);
+    KernelCountScope scope;
+    opt.update(g, 0.1, w);
+    EXPECT_EQ(scope.count(), 2 * launches) << static_cast<int>(level);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -279,6 +279,24 @@ TEST(Trace, SpanSecondsByNameSumsCompleteSpans) {
   EXPECT_FALSE(by_name.count("not_a_span"));
 }
 
+TEST(Trace, SpanClockCountsOnlyItsWindowAndRestoresState) {
+  TraceScope scope(/*enabled=*/true);
+  { ScopedSpan span("phase_b", "test"); }  // before the window
+  TraceRecorder::instance().set_enabled(false);
+  {
+    const obs::SpanClock clock;
+    EXPECT_TRUE(TraceRecorder::enabled());
+    EXPECT_EQ(clock.seconds("phase_b"), 0.0);
+    {
+      ScopedSpan span("phase_b", "test");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(clock.seconds("phase_b"), 0.0);
+    EXPECT_EQ(clock.seconds("never_opened"), 0.0);
+  }
+  EXPECT_FALSE(TraceRecorder::enabled());
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
@@ -694,6 +712,15 @@ TEST(Observer, TraceCoversTrainingPhases) {
   }
   const std::string json = TraceRecorder::instance().chrome_trace_json();
   EXPECT_TRUE(JsonValidator(json).valid());
+
+  // Adam's split comes from the same clock: its forward, gradient and
+  // adam_update spans carry the epoch's time.
+  const obs::SpanClock clock;
+  train::AdamTrainer adam(model, optim::AdamConfig{}, {}, opts);
+  adam.train(train_envs, std::span<const train::EnvPtr>(test_envs));
+  for (const char* phase : {"forward", "gradient", "adam_update"}) {
+    EXPECT_GT(clock.seconds(phase), 0.0) << "no Adam time in: " << phase;
+  }
 }
 
 }  // namespace

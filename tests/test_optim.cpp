@@ -180,11 +180,9 @@ TEST(Kalman, CachedAndUncachedPgAgree) {
   const i64 n = 20;
   Rng rng(10);
   auto blocks = split_blocks(Layout{{"w", n}}, 64);
-  KalmanConfig cached_cfg;
-  cached_cfg.cache_pg = true;
+  KalmanConfig cached_cfg;  // default: kFused
   KalmanConfig uncached_cfg;
-  uncached_cfg.cache_pg = false;
-  uncached_cfg.fused_p_update = false;  // full framework path
+  uncached_cfg.level = EkfLevel::kFramework;
   KalmanOptimizer a(blocks, cached_cfg), b(blocks, uncached_cfg);
   std::vector<f64> wa(static_cast<std::size_t>(n), 0.0), wb = wa,
                    g(static_cast<std::size_t>(n));
@@ -207,7 +205,7 @@ TEST(Kalman, MemoryAccounting) {
   EXPECT_EQ(kal.scratch_bytes(), 0);  // fused kernel needs no scratch
 
   KalmanConfig unfused;
-  unfused.fused_p_update = false;
+  unfused.level = EkfLevel::kFramework;
   KalmanOptimizer kal2(blocks, unfused);
   i64 max_block = 0;
   for (const auto& b : kal2.blocks()) max_block = std::max(max_block, b.size);

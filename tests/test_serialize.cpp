@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <unistd.h>
 
+#include "core/textio.hpp"
 #include "data/dataset.hpp"
 #include "deepmd/serialize.hpp"
 #include "md/langevin.hpp"
@@ -28,6 +29,12 @@ data::Dataset small_dataset(const char* system = "NaCl") {
   dcfg.train_per_temperature = 3;
   dcfg.test_per_temperature = 1;
   return data::build_dataset(data::get_system(system), dcfg);
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
 }
 
 ModelConfig small_config() {
@@ -78,9 +85,7 @@ TEST(Serialize, RoundTripReproducesPredictions) {
 
 TEST(Serialize, RejectsGarbage) {
   TempFile file("fekf_garbage.model");
-  std::FILE* f = std::fopen(file.path.c_str(), "w");
-  std::fputs("not a model\n", f);
-  std::fclose(f);
+  write_text(file.path, "not a model\n");
   EXPECT_THROW(load_model(file.path), Error);
 }
 
@@ -107,11 +112,7 @@ TEST(Serialize, MalformedDiagnosticNamesFileAndLine) {
   // A malformed model file must fail with ONE line naming the file, the
   // 1-based line number, and what was expected (DESIGN.md §10).
   TempFile file("fekf_diag.model");
-  {
-    std::FILE* f = std::fopen(file.path.c_str(), "w");
-    std::fputs("definitely not a model\n", f);
-    std::fclose(f);
-  }
+  write_text(file.path, "definitely not a model\n");
   try {
     load_model(file.path);
     FAIL() << "load_model accepted garbage";
@@ -128,16 +129,7 @@ TEST(Serialize, MalformedDiagnosticNamesFileAndLine) {
   DeepmdModel model(small_config(), 2);
   model.fit_stats(ds.train);
   save_model(model, file.path);
-  std::string text;
-  {
-    std::FILE* f = std::fopen(file.path.c_str(), "r");
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, got);
-    }
-    std::fclose(f);
-  }
+  std::string text = read_file(file.path);
   const std::size_t pos = text.find("residual_std");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 12, "resADual_std");
@@ -145,11 +137,7 @@ TEST(Serialize, MalformedDiagnosticNamesFileAndLine) {
       1 + static_cast<i64>(std::count(text.begin(), text.begin() +
                                           static_cast<std::ptrdiff_t>(pos),
                                       '\n'));
-  {
-    std::FILE* f = std::fopen(file.path.c_str(), "w");
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
+  write_text(file.path, text);
   try {
     load_model(file.path);
     FAIL() << "load_model accepted a tampered token";
@@ -160,6 +148,61 @@ TEST(Serialize, MalformedDiagnosticNamesFileAndLine) {
         << what;
     EXPECT_NE(what.find("residual_std"), std::string::npos) << what;
     EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
+TEST(Serialize, InvalidConfigLineNamesFileAndLine) {
+  // Every out-of-range architecture field on the `config` line fails at
+  // load with one line naming the file and that line, never later at the
+  // first prepare() or predict().
+  data::Dataset ds = small_dataset();
+  DeepmdModel model(small_config(), 2);
+  model.fit_stats(ds.train);
+  TempFile file("fekf_config.model");
+  save_model(model, file.path);
+  const std::string text = read_file(file.path);
+  const std::size_t begin = text.find("\nconfig ") + 1;
+  const std::size_t end = text.find('\n', begin);
+  ASSERT_NE(end, std::string::npos);
+  const i64 line = 1 + static_cast<i64>(std::count(
+                           text.begin(), text.begin() + begin, '\n'));
+
+  // {config line, field the diagnostic names}; nullptr marks the valid
+  // line every other row tampers one token of.
+  const std::pair<const char*, const char*> rows[] = {
+      // config num_types rcut rcut_smth embed axis fit fusion
+      {"config 2 5 2.5 8 4 12 2", nullptr},
+      {"config 2 5 2.5 8 4 12 9", "fusion"},
+      {"config 2 5 2.5 8 4 12 -7", "fusion"},
+      {"config 2 nan 2.5 8 4 12 2", "rcut"},
+      {"config 2 inf 2.5 8 4 12 2", "rcut"},
+      {"config 2 -5 2.5 8 4 12 2", "rcut"},
+      {"config 2 0 2.5 8 4 12 2", "rcut"},
+      {"config 2 5 -1 8 4 12 2", "rcut_smth"},
+      {"config 2 5 5 8 4 12 2", "rcut_smth"},
+      {"config 2 5 nan 8 4 12 2", "rcut_smth"},
+      {"config 2 5 2.5 0 4 12 2", "embed_width"},
+      {"config 2 5 2.5 8 0 12 2", "axis_neurons"},
+      {"config 2 5 2.5 8 9 12 2", "axis_neurons"},
+      {"config 2 5 2.5 8 4 -3 2", "fitting_width"},
+  };
+  for (const auto& [config, field] : rows) {
+    write_text(file.path, text.substr(0, begin) + config + text.substr(end));
+    if (field == nullptr) {
+      EXPECT_NO_THROW(load_model(file.path)) << config;
+      continue;
+    }
+    try {
+      load_model(file.path);
+      ADD_FAILURE() << "loaded " << config;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file.path + ":" + std::to_string(line) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
   }
 }
 

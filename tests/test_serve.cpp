@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <limits>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -364,6 +366,42 @@ TEST(Batching, SubmitValidation) {
   EXPECT_THROW(evaluator.evaluate(unknown), Error);
   evaluator.shutdown();
   EXPECT_THROW(evaluator.evaluate(req), Error);  // after shutdown
+}
+
+TEST(Batching, MaxWaitMustBeFiniteAndAtMostOneDay) {
+  // A non-finite or huge wait overflows the worker's condition-variable
+  // deadline (the lone request never completes and the worker spins), so
+  // the constructor rejects it with one line naming the field.
+  ModelRegistry registry;
+  const std::pair<f64, bool> rows[] = {  // {max_wait_s, accepted}
+      {0.0, true},           {200e-6, true},
+      {86400.0, true},       {86400.5, false},
+      {1e300 * 1e-6, false},  // FEKF_SERVE_MAX_WAIT_US=1e300
+      {std::numeric_limits<f64>::infinity(), false},
+      {std::numeric_limits<f64>::quiet_NaN(), false},
+      {-1.0, false},
+  };
+  for (const auto& [max_wait_s, accepted] : rows) {
+    BatchingConfig cfg;
+    cfg.max_wait_s = max_wait_s;
+    if (accepted) {
+      EXPECT_NO_THROW((BatchingEvaluator{registry, cfg})) << max_wait_s;
+      continue;
+    }
+    try {
+      BatchingEvaluator evaluator(registry, cfg);
+      ADD_FAILURE() << "accepted max_wait_s " << max_wait_s;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("max_wait_s"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+  // The env knob reaches the same check.
+  ::setenv("FEKF_SERVE_MAX_WAIT_US", "inf", 1);
+  const BatchingConfig from_env = BatchingConfig::from_env();
+  ::unsetenv("FEKF_SERVE_MAX_WAIT_US");
+  EXPECT_THROW((BatchingEvaluator{registry, from_env}), Error);
 }
 
 // ---------------------------------------------------------------------------

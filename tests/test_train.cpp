@@ -147,9 +147,6 @@ TEST(Trainer, FekfReducesErrors) {
   EXPECT_EQ(result.history.size(), 4u);
   EXPECT_LT(result.final_train.force_rmse, before.force_rmse);
   EXPECT_GT(result.steps, 0);
-  EXPECT_GT(result.forward_seconds, 0.0);
-  EXPECT_GT(result.gradient_seconds, 0.0);
-  EXPECT_GT(result.optimizer_seconds, 0.0);
 }
 
 TEST(Trainer, RlekfModeIsBatchSizeOne) {
