@@ -50,8 +50,9 @@ void TextWriter::bytes(std::string_view s) {
 
 void TextWriter::end_line() { out_.push_back('\n'); }
 
-TextReader::TextReader(std::string_view text, std::string name)
-    : text_(text), name_(std::move(name)) {}
+TextReader::TextReader(std::string_view text, std::string name,
+                       i64 first_line)
+    : text_(text), name_(std::move(name)), line_(first_line) {}
 
 void TextReader::malformed(const std::string& what) const {
   fail(name_ + ":" + std::to_string(line_) + ": " + what);

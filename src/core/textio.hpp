@@ -49,8 +49,9 @@ class TextWriter {
 class TextReader {
  public:
   /// `name` labels diagnostics (usually the file path); `text` must outlive
-  /// the reader.
-  TextReader(std::string_view text, std::string name);
+  /// the reader. `first_line` is the file line `text` starts on (2 for the
+  /// body of a checksummed file).
+  TextReader(std::string_view text, std::string name, i64 first_line = 1);
 
   /// Next whitespace-delimited token; Error at end of input.
   std::string_view token();

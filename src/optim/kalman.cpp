@@ -40,7 +40,7 @@ void KalmanConfig::validate() const {
 
 KalmanOptimizer::KalmanOptimizer(std::vector<BlockSpec> blocks,
                                  KalmanConfig config)
-    : blocks_(std::move(blocks)), config_(config), lambda_(config.lambda0) {
+    : blocks_(std::move(blocks)), config_(config) {
   config_.validate();
   FEKF_CHECK(!blocks_.empty(), "no parameter blocks");
   for (const BlockSpec& b : blocks_) {
@@ -48,7 +48,7 @@ KalmanOptimizer::KalmanOptimizer(std::vector<BlockSpec> blocks,
     total_ += b.size;
     max_block_ = std::max(max_block_, b.size);
   }
-  p_.resize(blocks_.size());
+  state_.p.resize(blocks_.size());
   reset();
   pg_.resize(static_cast<std::size_t>(max_block_));
   if (config_.level == EkfLevel::kFramework) {
@@ -57,39 +57,37 @@ KalmanOptimizer::KalmanOptimizer(std::vector<BlockSpec> blocks,
 }
 
 void KalmanOptimizer::reset() {
-  lambda_ = config_.lambda0;
+  state_.lambda = config_.lambda0;
   last_max_diag_ = config_.p_init;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const i64 n = blocks_[b].size;
-    p_[b].assign(static_cast<std::size_t>(n * n), 0.0);
+    state_.p[b].assign(static_cast<std::size_t>(n * n), 0.0);
     for (i64 i = 0; i < n; ++i) {
-      p_[b][static_cast<std::size_t>(i * n + i)] = config_.p_init;
+      state_.p[b][static_cast<std::size_t>(i * n + i)] = config_.p_init;
     }
   }
 }
 
-KalmanState KalmanOptimizer::state() const { return {lambda_, p_}; }
-
 void KalmanOptimizer::set_state(const KalmanState& state) {
-  FEKF_CHECK(state.p.size() == p_.size(),
+  FEKF_CHECK(state.p.size() == state_.p.size(),
              "KalmanState has " + std::to_string(state.p.size()) +
-                 " blocks, optimizer has " + std::to_string(p_.size()));
-  for (std::size_t b = 0; b < p_.size(); ++b) {
-    FEKF_CHECK(state.p[b].size() == p_[b].size(),
+                 " blocks, optimizer has " + std::to_string(state_.p.size()));
+  for (std::size_t b = 0; b < state_.p.size(); ++b) {
+    FEKF_CHECK(state.p[b].size() == state_.p[b].size(),
                "KalmanState block " + std::to_string(b) + " has " +
                    std::to_string(state.p[b].size()) + " entries, expected " +
-                   std::to_string(p_[b].size()));
+                   std::to_string(state_.p[b].size()));
   }
-  lambda_ = state.lambda;
-  p_ = state.p;
+  state_ = state;
 }
 
 void KalmanOptimizer::recondition() {
-  if (!std::isfinite(lambda_) || lambda_ <= 0.0) lambda_ = config_.lambda0;
+  f64& lambda = state_.lambda;
+  if (!std::isfinite(lambda) || lambda <= 0.0) lambda = config_.lambda0;
   f64 max_diag_after = 0.0;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const i64 n = blocks_[b].size;
-    std::vector<f64>& pb = p_[b];
+    std::vector<f64>& pb = state_.p[b];
     bool healthy = true;
     for (const f64 v : pb) {
       if (!std::isfinite(v)) {
@@ -137,7 +135,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     const i64 off = blocks_[b].offset;
     std::span<const f64> gb = g.subspan(static_cast<std::size_t>(off),
                                         static_cast<std::size_t>(n));
-    std::span<f64> pb(p_[b]);
+    std::span<f64> pb(state_.p[b]);
     std::span<f64> q(pg_.data(), static_cast<std::size_t>(n));
 
     f64 gpg;
@@ -147,7 +145,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
       kernels::symv(pb, gb, q, n);  // q = P g
       gpg = kernels::dot(gb, q);
     }
-    const f64 a = 1.0 / (lambda_ + gpg);
+    const f64 a = 1.0 / (state_.lambda + gpg);
 
     // K = a q; kFramework recomputes P g for K the way a naive graph
     // would, costing a second symv (opt3 removes it).
@@ -174,16 +172,16 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
       // P update + process noise + weight step + NaN-latching health scan
       // in one launch; bit-exact with the sequence below.
       max_diag = kernels::ekf_apply_fused(
-          pb, q, a, lambda_, step_scale,
+          pb, q, a, state_.lambda, step_scale,
           w.subspan(static_cast<std::size_t>(off), std::size_t(n)),
           config_.process_noise, n);
     } else {
       // P <- (P - a q q^T) / lambda, symmetrized. Note (1/a) K K^T with
       // K = a P g equals a (P g)(P g)^T, so the kernels take q and a.
       if (level == EkfLevel::kOpt3) {
-        kernels::p_update_fused(pb, q, a, lambda_, n);
+        kernels::p_update_fused(pb, q, a, state_.lambda, n);
       } else {
-        kernels::p_update_unfused(pb, q, a, lambda_,
+        kernels::p_update_unfused(pb, q, a, state_.lambda,
                                   std::span<f64>(scratch_), n);
       }
 
@@ -219,7 +217,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     if (config_.p_max > 0.0 && std::isfinite(max_diag) &&
         max_diag > config_.p_max) {
       const f64 scale = config_.p_max / max_diag;
-      f64* pd = p_[b].data();
+      f64* pd = pb.data();
       parallel_for_blocks(
           0, n * n,
           [&](i64 lo, i64 hi) {
@@ -229,7 +227,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     }
   }
   last_max_diag_ = update_max_diag;
-  lambda_ = lambda_ * config_.nu + 1.0 - config_.nu;
+  state_.lambda = state_.lambda * config_.nu + 1.0 - config_.nu;
 }
 
 i64 KalmanOptimizer::p_bytes() const {

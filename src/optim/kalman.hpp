@@ -85,10 +85,11 @@ struct KalmanConfig {
   void validate() const;
 };
 
-/// Deep copy of the stability-critical optimizer state (RLEKF: "the EKF
-/// covariance P is the stability-critical state"). Used both for the
-/// in-memory rollback snapshots of the divergence sentinels and for
-/// on-disk training checkpoints.
+/// The stability-critical optimizer state (RLEKF: "the EKF covariance P is
+/// the stability-critical state"). KalmanOptimizer keeps its live filter in
+/// one; copies of it are the in-memory rollback snapshots of the divergence
+/// sentinels and the on-disk training checkpoints. Copy-assigning into a
+/// state of the same layout reuses its block storage (no allocation).
 struct KalmanState {
   f64 lambda = 0.0;
   std::vector<std::vector<f64>> p;  ///< per-block dense covariance
@@ -115,13 +116,15 @@ class KalmanOptimizer {
               std::optional<f64> step_norm_cap = std::nullopt,
               f64 abe = -1.0);
 
-  f64 lambda() const { return lambda_; }
+  f64 lambda() const { return state_.lambda; }
   const std::vector<BlockSpec>& blocks() const { return blocks_; }
   i64 total_size() const { return total_; }
 
-  /// Deep-copy / restore the full filter state (lambda + every P block).
-  /// set_state validates block shapes against this optimizer's layout.
-  KalmanState state() const;
+  /// The live filter state (lambda + every P block); the next update()
+  /// changes it, so callers that keep it copy it. set_state validates
+  /// block shapes against this optimizer's layout and copies into the
+  /// existing storage.
+  const KalmanState& state() const { return state_; }
   void set_state(const KalmanState& state);
 
   /// Largest covariance diagonal seen during the most recent update() —
@@ -150,13 +153,12 @@ class KalmanOptimizer {
  private:
   std::vector<BlockSpec> blocks_;
   KalmanConfig config_;
-  f64 lambda_;
+  KalmanState state_;
   f64 last_max_diag_ = 0.0;
   i64 total_ = 0;
   i64 max_block_ = 0;
-  std::vector<std::vector<f64>> p_;  ///< per-block dense covariance
-  std::vector<f64> pg_;              ///< P g (max block size)
-  std::vector<f64> scratch_;         ///< kFramework: K K^T materialization
+  std::vector<f64> pg_;       ///< P g (max block size)
+  std::vector<f64> scratch_;  ///< kFramework: K K^T materialization
 };
 
 }  // namespace fekf::optim

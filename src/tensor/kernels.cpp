@@ -44,6 +44,12 @@ dispatch::Dispatched<dispatch::Rank1PanelFn>& rank1_dispatch() {
   return d;
 }
 
+/// Row-panel grain of the rank-1 P update: at least one sub-panel of the
+/// tiled body, and serial below kGrainWork like every other kernel.
+i64 rank1_grain(i64 n) {
+  return std::max(dispatch::kRank1PanelRows, grain_items(n));
+}
+
 // Bodies with no vector rung that could be bit-exact (a libm call per
 // element; serial f64 reductions), so they are not dispatched.
 
@@ -652,7 +658,7 @@ void p_update_fused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
   // ekf_apply_fused so fused and legacy EKF agree under any backend.
   parallel_for_blocks(
       0, n, [&](i64 rlo, i64 rhi) { fn(pp, pk, inv_a, inv_lambda, rlo, rhi, n); },
-      grain_items(n));  // ~n/2 ops per row on average; panels rebalance
+      rank1_grain(n));
 }
 
 void symmetrize(std::span<f64> p, i64 n) {
@@ -729,7 +735,7 @@ f64 ekf_apply_fused(std::span<f64> p, std::span<const f64> k, f64 a,
           pw[i] += step_scale * pk[i];
         }
       },
-      grain_items(n));
+      rank1_grain(n));
   // Serial health scan after the pool join (still this launch), identical
   // to the optimizer's NaN-latching loop: first non-finite diagonal wins.
   f64 max_diag = 0.0;

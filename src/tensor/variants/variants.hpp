@@ -34,6 +34,10 @@ using GemmPanelFn = void (*)(const f32* x, const f32* w, const f32* bias,
 using Rank1PanelFn = void (*)(f64* p, const f64* k, f64 coeff, f64 inv_lambda,
                               i64 rlo, i64 rhi, i64 n);
 
+/// Row sub-panel height of the tiled ekf_rank1_f64 body; p_update_fused
+/// and ekf_apply_fused hand the body panels at least this tall.
+inline constexpr i64 kRank1PanelRows = 64;
+
 /// Rows [rlo, rhi) of out(:, n) = a(:, q) · b(n, q)ᵀ with one f64
 /// accumulator per output element over ascending l:
 ///   out[i*n + j] = f32( Σ_{l<q} f64(a[i*q + l]) · f64(b[j*q + l]) )

@@ -1,5 +1,8 @@
 #include "train/checkpoint.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "obs/trace.hpp"
 
 namespace fekf::train {
@@ -49,15 +52,31 @@ void write_kalman(TextWriter& w, const optim::KalmanState& k) {
   }
 }
 
+/// A filter state the optimizer could not run from is malformed, not
+/// merely unusual: lambda must lie in (0, 1] (KalmanConfig::lambda0's
+/// range, which lambda <- lambda*nu + 1 - nu preserves) and every P entry
+/// must be finite.
 optim::KalmanState read_kalman(TextReader& r) {
   optim::KalmanState k;
   r.expect("lambda");
   k.lambda = r.read_f64();
+  if (!(std::isfinite(k.lambda) && k.lambda > 0.0 && k.lambda <= 1.0)) {
+    r.malformed("kalman lambda must be in (0, 1], got " +
+                std::to_string(k.lambda));
+  }
   r.expect("blocks");
   const u64 nblocks = r.read_u64();
   k.p.reserve(static_cast<std::size_t>(nblocks));
   for (u64 b = 0; b < nblocks; ++b) {
     k.p.push_back(read_f64s(r, "block"));
+    const std::vector<f64>& block = k.p.back();
+    const auto bad = std::find_if_not(
+        block.begin(), block.end(), [](f64 v) { return std::isfinite(v); });
+    if (bad != block.end()) {
+      r.malformed("kalman P block " + std::to_string(b) + " entry " +
+                  std::to_string(bad - block.begin()) + " is " +
+                  std::to_string(*bad) + ", must be finite");
+    }
   }
   return k;
 }
@@ -224,7 +243,7 @@ void save_checkpoint(const TrainingCheckpoint& ckpt,
 LoadedCheckpoint load_checkpoint(const std::string& path) {
   obs::ScopedSpan span("checkpoint.load", "checkpoint");
   const std::string body = read_checksummed_file(path, kMagic);
-  TextReader r(body, path);
+  TextReader r(body, path, /*first_line=*/2);  // after the header line
   TrainingCheckpoint ckpt;
 
   r.expect("section");

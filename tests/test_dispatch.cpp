@@ -226,25 +226,36 @@ TEST(DispatchExactness, Rank1VariantsAreBitExact) {
   dp::register_ekf_variants();
   const auto scalar = reinterpret_cast<dp::Rank1PanelFn>(
       dp::Registry::instance().find("ekf_rank1_f64", "scalar")->fn);
-  const i64 n = 67;  // odd: exercises the per-row vector tails
-  const std::vector<f64> p0 = randn_f64(n * n, 51);
-  const std::vector<f64> k = randn_f64(n, 52);
-  const f64 coeff = 0.37, inv_lambda = 1.0 / 0.9987;
-  std::vector<f64> ref = p0;
-  scalar(ref.data(), k.data(), coeff, inv_lambda, 0, n, n);
-  for_each_checked_variant("ekf_rank1_f64", [&](const dp::Variant& v) {
-    std::vector<f64> out = p0;
-    reinterpret_cast<dp::Rank1PanelFn>(v.fn)(out.data(), k.data(), coeff,
-                                             inv_lambda, 0, n, n);
-    EXPECT_TRUE(bytes_equal(ref, out));
-    // Panel split at an arbitrary row must compose to the same matrix.
-    std::vector<f64> split = p0;
-    reinterpret_cast<dp::Rank1PanelFn>(v.fn)(split.data(), k.data(), coeff,
-                                             inv_lambda, 0, 19, n);
-    reinterpret_cast<dp::Rank1PanelFn>(v.fn)(split.data(), k.data(), coeff,
-                                             inv_lambda, 19, n, n);
-    EXPECT_TRUE(bytes_equal(ref, split));
-  });
+  // n = 67 is odd (per-row vector tails) and fits one row sub-panel;
+  // 2*kRank1PanelRows + 13 spans three sub-panels and several column tiles
+  // with ragged edges.
+  for (const i64 n : {i64{67}, 2 * dp::kRank1PanelRows + 13}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<f64> p0 = randn_f64(n * n, 51);
+    const std::vector<f64> k = randn_f64(n, 52);
+    const f64 coeff = 0.37, inv_lambda = 1.0 / 0.9987;
+    std::vector<f64> ref = p0;
+    scalar(ref.data(), k.data(), coeff, inv_lambda, 0, n, n);
+    // Panel splits at rows that are not tile-aligned must compose to the
+    // same matrix.
+    std::vector<i64> cuts = {0};
+    for (const i64 c : {i64{19}, i64{83}}) {
+      if (c < n) cuts.push_back(c);
+    }
+    cuts.push_back(n);
+    for_each_checked_variant("ekf_rank1_f64", [&](const dp::Variant& v) {
+      const auto fn = reinterpret_cast<dp::Rank1PanelFn>(v.fn);
+      std::vector<f64> out = p0;
+      fn(out.data(), k.data(), coeff, inv_lambda, 0, n, n);
+      EXPECT_TRUE(bytes_equal(ref, out));
+      std::vector<f64> split = p0;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        fn(split.data(), k.data(), coeff, inv_lambda, cuts[c], cuts[c + 1],
+           n);
+      }
+      EXPECT_TRUE(bytes_equal(ref, split));
+    });
+  }
 }
 
 TEST(DispatchExactness, MatNtVariantsAreBitExact) {
@@ -343,10 +354,14 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
     set_num_threads(1);
     const EkfRun fused1 = run_ekf(true, n);
     const EkfRun legacy1 = run_ekf(false, n);
+    set_num_threads(2);
+    const EkfRun fused2 = run_ekf(true, n);
     set_num_threads(4);
     const EkfRun fused4 = run_ekf(true, n);
     const EkfRun legacy4 = run_ekf(false, n);
-    // Width determinism per backend (§9 holds per variant)...
+    // Width determinism per backend (§9 holds per variant; n = 193 splits
+    // into row panels that are not tile-aligned)...
+    EXPECT_TRUE(fused1 == fused2);
     EXPECT_TRUE(fused1 == fused4);
     EXPECT_TRUE(legacy1 == legacy4);
     // ...fused vs legacy share the same bodies, so the cross-path

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "core/rng.hpp"
@@ -464,6 +465,47 @@ TEST(Kalman, StateRoundTripRestoresTrajectory) {
   KalmanState wrong = saved;
   wrong.p.pop_back();
   EXPECT_THROW(kal.set_state(wrong), Error);
+}
+
+TEST(Kalman, StateCopyReusesStorageAndRestoresExactly) {
+  // The sentinel snapshot is `snap = kal.state()` into a KalmanState that
+  // already has the optimizer's layout: the copy must land in the existing
+  // block buffers (no allocation, no fresh pages), and set_state after
+  // further updates must bring lambda and P back bit for bit.
+  auto blocks = split_blocks(Layout{{"w", 40}, {"b", 9}}, 16);
+  KalmanOptimizer kal(blocks, KalmanConfig{});
+  Rng rng(23);
+  std::vector<f64> w(49, 0.0), g(49);
+  auto step = [&] {
+    for (auto& v : g) v = rng.gaussian();
+    kal.update(g, 0.1, w);
+  };
+  step();
+  KalmanState snap = kal.state();
+  ASSERT_GE(snap.p.size(), 2u);
+  std::vector<const f64*> storage;
+  for (const auto& block : snap.p) storage.push_back(block.data());
+
+  step();
+  snap = kal.state();
+  for (std::size_t b = 0; b < snap.p.size(); ++b) {
+    EXPECT_EQ(snap.p[b].data(), storage[b]) << "block " << b;
+  }
+  const f64 lambda = snap.lambda;
+  const std::vector<std::vector<f64>> p = snap.p;
+
+  step();
+  step();
+  ASSERT_NE(kal.lambda(), lambda);
+  kal.set_state(snap);
+  EXPECT_EQ(std::memcmp(&kal.state().lambda, &lambda, sizeof(f64)), 0);
+  ASSERT_EQ(kal.state().p.size(), p.size());
+  for (std::size_t b = 0; b < p.size(); ++b) {
+    EXPECT_EQ(std::memcmp(kal.state().p[b].data(), p[b].data(),
+                          p[b].size() * sizeof(f64)),
+              0)
+        << "block " << b;
+  }
 }
 
 TEST(Kalman, ReconditionRepairsDivergedCovariance) {

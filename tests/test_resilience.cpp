@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -206,6 +207,70 @@ TEST(Checkpoint, RejectsWrongOptimizerKind) {
   resume.resume_from = file.path;
   AdamTrainer adam(*g.model, {}, {}, resume);
   EXPECT_THROW(adam.train(g.train_envs, {}), Error);
+}
+
+TEST(Checkpoint, RejectsNonFiniteOrOutOfRangeKalmanState) {
+  // A checkpoint whose checksum is valid but whose filter state the
+  // optimizer could not run from (lambda outside (0, 1] or non-finite, a
+  // non-finite P entry) must fail at load with one line naming the file
+  // and the line of the offending token.
+  InjectorGuard guard;
+  Fixture f = make_fixture();
+  TempFile file("fekf_ckpt_hostile.ckpt");
+  TrainOptions opts = base_options(2, 1);
+  opts.max_steps = 2;
+  opts.checkpoint_every = 2;
+  opts.checkpoint_path = file.path;
+  KalmanTrainer trainer(*f.model, base_kalman(), opts);
+  trainer.train(f.train_envs, {});
+  const LoadedCheckpoint good = load_checkpoint(file.path);
+  ASSERT_EQ(good.state.optimizer.kind, OptimizerCheckpoint::Kind::kKalman);
+
+  TempFile tampered("fekf_ckpt_hostile_tampered.ckpt");
+  auto line_of = [](const std::string& text, const std::string& key) {
+    const std::size_t pos = text.find("\n" + key + " ");
+    EXPECT_NE(pos, std::string::npos) << key;
+    return 2 + static_cast<i64>(std::count(
+                   text.begin(),
+                   text.begin() + static_cast<std::ptrdiff_t>(pos), '\n'));
+  };
+  auto expect_rejected = [&](const TrainingCheckpoint& state,
+                             const std::string& key, const char* label) {
+    SCOPED_TRACE(label);
+    save_checkpoint(state, good.model, tampered.path);
+    const i64 line = line_of(slurp(tampered.path), key);
+    try {
+      load_checkpoint(tampered.path);
+      ADD_FAILURE() << "load_checkpoint accepted " << label;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(tampered.path + ":" + std::to_string(line) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("kalman"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  };
+
+  // The untampered state re-saved under the new name still loads.
+  save_checkpoint(good.state, good.model, tampered.path);
+  EXPECT_NO_THROW(load_checkpoint(tampered.path));
+
+  for (const f64 lambda : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -0.5,
+                           1.5}) {
+    TrainingCheckpoint state = good.state;
+    state.optimizer.kalman.lambda = lambda;
+    expect_rejected(state, "lambda",
+                    ("lambda " + std::to_string(lambda)).c_str());
+  }
+  for (const f64 entry : {std::nan(""), HUGE_VAL}) {
+    TrainingCheckpoint state = good.state;
+    ASSERT_FALSE(state.optimizer.kalman.p.empty());
+    ASSERT_GT(state.optimizer.kalman.p[0].size(), 3u);
+    state.optimizer.kalman.p[0][3] = entry;
+    expect_rejected(state, "block",
+                    ("P entry " + std::to_string(entry)).c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
