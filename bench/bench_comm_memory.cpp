@@ -3,18 +3,21 @@
 // Reproduces three quantitative claims:
 //  1. P-block layout and sizes for the paper's 26 551-parameter network
 //     with blocksize 10240: blocks {1350, 10240, 9760, 5201} consuming
-//     {13.9, 800, 727, 206} MiB in f64 (paper: 13.90 / 800 / 726.76 /
-//     214.39 MB with ~100 extra bookkeeping parameters in the last block).
+//     {13.9, 800, 727, 206} MiB as dense f64 blocks (paper: 13.90 / 800 /
+//     726.76 / 214.39 MB with ~100 extra bookkeeping parameters in the last
+//     block), and about half that as the packed upper triangles this tree
+//     stores.
 //  2. The fused P-update kernel removes the K K^T materialization: peak
 //     optimizer memory drops from P + max-block^2 scratch (the paper's
 //     3405 MB model) to P alone (1805 MB model) — the "twice the footprint
-//     of max P_i" bound.
+//     of max P_i" bound. Packed, P alone is about 0.9 GB.
 //  3. Per-step communication: FEKF allreduces only the reduced gradient
 //     (Mem(g) = 0.2 MB for the paper network) and one scalar error; the
 //     fusiform Naive-EKF would need its per-sample P replicas synchronized
 //     (batch x 1.75 GB) — the §3.3 scaling blocker.
 #include "bench_common.hpp"
 #include "dist/cluster.hpp"
+#include "tensor/kernels.hpp"
 
 using namespace fekf;
 using namespace fekf::bench;
@@ -44,11 +47,14 @@ int main(int argc, char** argv) {
   auto blocks = optim::split_blocks(layout, 10240);
   std::printf("P block layout for the paper network (26551 params, "
               "blocksize 10240):\n");
-  Table tp({"block", "size", "P_i memory (MiB, f64)"});
+  Table tp({"block", "size", "P_i dense (MiB, f64)",
+             "P_i packed (MiB, f64)"});
   i64 total_params = 0;
   for (const auto& b : blocks) {
     tp.add_row({b.name, std::to_string(b.size),
-                fmt("%.2f", static_cast<f64>(b.size) * b.size * 8 / kMiB)});
+                fmt("%.2f", static_cast<f64>(b.size) * b.size * 8 / kMiB),
+                fmt("%.2f", static_cast<f64>(kernels::packed_size(b.size)) *
+                                8 / kMiB)});
     total_params += b.size;
   }
   tp.print();
@@ -58,9 +64,9 @@ int main(int argc, char** argv) {
   unfused_cfg.level = optim::EkfLevel::kFramework;
   optim::KalmanOptimizer unfused(blocks, unfused_cfg);
   std::printf(
-      "\ntotal P: %.1f MiB; peak with fused P kernel: %.1f MiB; peak with "
-      "framework-style K K^T materialization: %.1f MiB (paper: 1805 MB vs "
-      "3405 MB)\n",
+      "\ntotal packed P: %.1f MiB; peak with fused P kernel: %.1f MiB; peak "
+      "with framework-style K K^T materialization: %.1f MiB (paper, dense "
+      "P: 1805 MB vs 3405 MB)\n",
       static_cast<f64>(fused.p_bytes()) / kMiB,
       static_cast<f64>(fused.peak_bytes()) / kMiB,
       static_cast<f64>(unfused.peak_bytes()) / kMiB);
@@ -71,10 +77,11 @@ int main(int argc, char** argv) {
   std::printf("\nPer-step communication payloads (paper network):\n");
   std::printf("  Mem(g) = %.2f MB (paper: 0.2 MB)\n",
               static_cast<f64>(grad_bytes) / 1e6);
-  // Computed analytically: batch x sum_i n_i^2 x 8 bytes. Instantiating
-  // the replicas at paper scale would need ~56 GiB (that is the point).
+  // Computed analytically: batch x sum_i n_i(n_i+1)/2 x 8 bytes (packed
+  // replicas). Instantiating them at paper scale would need ~28 GiB (that
+  // is the point).
   i64 p_block_bytes = 0;
-  for (const auto& b : blocks) p_block_bytes += b.size * b.size * 8;
+  for (const auto& b : blocks) p_block_bytes += kernels::packed_size(b.size) * 8;
   const i64 naive_p_bytes = batch * p_block_bytes;
   std::printf("  Naive-EKF P replicas (batch %lld): %.1f GiB resident, "
               "all of it rank-divergent state\n",

@@ -32,6 +32,7 @@
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
 #include "tensor/kernel_counter.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/variants/variants.hpp"
 #include "tensor/workspace.hpp"
 
@@ -157,16 +158,18 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
               x.data(), w.data(), b.data(), out.data(), 0, m, k, n);
         }));
   }
-  {  // EKF rank-1 P update at the paper blocksize regime.
+  {  // EKF gain y = P g over a packed P block at the paper blocksize regime.
     const i64 n = 1024;
-    const Tensor t = Tensor::randn(1, n * n, rng);
-    std::vector<f64> p(t.data(), t.data() + n * n);
+    const i64 entries = kernels::packed_size(n);
+    const Tensor t = Tensor::randn(1, entries, rng);
+    const std::vector<f64> p(t.data(), t.data() + entries);
     const Tensor tg = Tensor::randn(1, n, rng);
     const std::vector<f64> g(tg.data(), tg.data() + n);
+    std::vector<f64> y(static_cast<std::size_t>(n));
     sections.push_back(time_family(
-        "ekf_rank1_f64", "n=1024", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::Rank1PanelFn>(v.fn)(p.data(), g.data(), 0.37,
-                                                   1.0 / 0.9987, 0, n, n);
+        "ekf_gain_f64", "n=1024 packed", [&](const dp::Variant& v) {
+          reinterpret_cast<dp::GainPanelFn>(v.fn)(p.data(), g.data(),
+                                                  y.data(), 0, n, n);
         }));
   }
   {  // NT contraction: the linear-backward gx shape (d = 50 layers).

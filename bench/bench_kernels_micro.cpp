@@ -26,8 +26,7 @@ std::vector<f64> random_vec(i64 n, u64 seed) {
 
 void BM_PUpdateFused(benchmark::State& state) {
   const i64 n = state.range(0);
-  auto p = random_vec(n * n, 1);
-  kernels::symmetrize(p, n);
+  auto p = random_vec(kernels::packed_size(n), 1);
   auto k = random_vec(n, 2);
   for (auto _ : state) {
     kernels::p_update_fused(p, k, 0.37, 0.98, n);
@@ -39,8 +38,7 @@ BENCHMARK(BM_PUpdateFused)->Arg(512)->Arg(2048);
 
 void BM_PUpdateUnfused(benchmark::State& state) {
   const i64 n = state.range(0);
-  auto p = random_vec(n * n, 3);
-  kernels::symmetrize(p, n);
+  auto p = random_vec(kernels::packed_size(n), 3);
   auto k = random_vec(n, 4);
   std::vector<f64> scratch(static_cast<std::size_t>(n * n));
   for (auto _ : state) {
@@ -54,7 +52,7 @@ BENCHMARK(BM_PUpdateUnfused)->Arg(512)->Arg(2048);
 void BM_SymvPg(benchmark::State& state) {
   // The P g product that opt3 caches: one of these is saved per update.
   const i64 n = state.range(0);
-  auto p = random_vec(n * n, 5);
+  auto p = random_vec(kernels::packed_size(n), 5);
   auto g = random_vec(n, 6);
   std::vector<f64> y(static_cast<std::size_t>(n));
   for (auto _ : state) {

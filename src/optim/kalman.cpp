@@ -61,9 +61,12 @@ void KalmanOptimizer::reset() {
   last_max_diag_ = config_.p_init;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const i64 n = blocks_[b].size;
-    state_.p[b].assign(static_cast<std::size_t>(n * n), 0.0);
+    unshare(b, /*keep=*/false);
+    state_.p[b].assign(static_cast<std::size_t>(kernels::packed_size(n)),
+                       0.0);
     for (i64 i = 0; i < n; ++i) {
-      state_.p[b][static_cast<std::size_t>(i * n + i)] = config_.p_init;
+      state_.p[b][static_cast<std::size_t>(kernels::packed_row(i, n))] =
+          config_.p_init;
     }
   }
 }
@@ -78,7 +81,41 @@ void KalmanOptimizer::set_state(const KalmanState& state) {
                    std::to_string(state.p[b].size()) + " entries, expected " +
                    std::to_string(state_.p[b].size()));
   }
-  state_ = state;
+  state_.lambda = state.lambda;
+  for (std::size_t b = 0; b < state_.p.size(); ++b) {
+    unshare(b, /*keep=*/false);
+    state_.p[b] = state.p[b];
+  }
+}
+
+void KalmanOptimizer::unshare(std::size_t b, bool keep) {
+  if (!shared(b)) return;
+  std::swap(spare_[b], state_.p[b]);
+  if (keep) state_.p[b] = spare_[b];  // same size: no allocation
+  shared_[b] = false;
+}
+
+void KalmanOptimizer::snapshot() {
+  if (spare_.empty()) {
+    spare_.resize(state_.p.size());
+    for (std::size_t b = 0; b < state_.p.size(); ++b) {
+      spare_[b].resize(state_.p[b].size());
+    }
+  }
+  shared_.assign(state_.p.size(), true);
+  snap_lambda_ = state_.lambda;
+}
+
+void KalmanOptimizer::rollback() {
+  FEKF_CHECK(!shared_.empty(),
+             "KalmanOptimizer::rollback without a snapshot");
+  for (std::size_t b = 0; b < state_.p.size(); ++b) {
+    if (!shared_[b]) {
+      std::swap(spare_[b], state_.p[b]);
+      shared_[b] = true;
+    }
+  }
+  state_.lambda = snap_lambda_;
 }
 
 void KalmanOptimizer::recondition() {
@@ -87,7 +124,7 @@ void KalmanOptimizer::recondition() {
   f64 max_diag_after = 0.0;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const i64 n = blocks_[b].size;
-    std::vector<f64>& pb = state_.p[b];
+    const std::vector<f64>& pb = state_.p[b];
     bool healthy = true;
     for (const f64 v : pb) {
       if (!std::isfinite(v)) {
@@ -97,20 +134,25 @@ void KalmanOptimizer::recondition() {
     }
     if (!healthy) {
       // The block's covariance is meaningless: restart it at p_init * I.
-      pb.assign(static_cast<std::size_t>(n * n), 0.0);
+      unshare(b, /*keep=*/false);
+      std::vector<f64>& out = state_.p[b];
+      std::fill(out.begin(), out.end(), 0.0);
       for (i64 i = 0; i < n; ++i) {
-        pb[static_cast<std::size_t>(i * n + i)] = config_.p_init;
+        out[static_cast<std::size_t>(kernels::packed_row(i, n))] =
+            config_.p_init;
       }
       max_diag_after = std::max(max_diag_after, config_.p_init);
       continue;
     }
     f64 max_diag = 0.0;
     for (i64 i = 0; i < n; ++i) {
-      max_diag = std::max(max_diag, pb[static_cast<std::size_t>(i * n + i)]);
+      max_diag = std::max(
+          max_diag, pb[static_cast<std::size_t>(kernels::packed_row(i, n))]);
     }
     if (max_diag > config_.p_init) {
       const f64 scale = config_.p_init / max_diag;
-      for (f64& v : pb) v *= scale;
+      unshare(b, /*keep=*/true);
+      for (f64& v : state_.p[b]) v *= scale;
       max_diag = config_.p_init;
     }
     max_diag_after = std::max(max_diag_after, max_diag);
@@ -135,7 +177,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     const i64 off = blocks_[b].offset;
     std::span<const f64> gb = g.subspan(static_cast<std::size_t>(off),
                                         static_cast<std::size_t>(n));
-    std::span<f64> pb(state_.p[b]);
+    std::span<const f64> pb(state_.p[b]);
     std::span<f64> q(pg_.data(), static_cast<std::size_t>(n));
 
     f64 gpg;
@@ -170,18 +212,25 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     f64 max_diag = 0.0;
     if (level == EkfLevel::kFused) {
       // P update + process noise + weight step + NaN-latching health scan
-      // in one launch; bit-exact with the sequence below.
+      // in one launch; bit-exact with the sequence below. While the block
+      // still is the snapshot, the update reads it and writes the spare
+      // buffer, which then swaps in: the snapshot is never copied.
+      const bool out_of_place = shared(b);
       max_diag = kernels::ekf_apply_fused(
-          pb, q, a, state_.lambda, step_scale,
+          pb, out_of_place ? std::span<f64>(spare_[b]) : state_.p[b], q, a,
+          state_.lambda, step_scale,
           w.subspan(static_cast<std::size_t>(off), std::size_t(n)),
           config_.process_noise, n);
+      if (out_of_place) unshare(b, /*keep=*/false);
     } else {
+      unshare(b, /*keep=*/true);
+      std::span<f64> pw(state_.p[b]);
       // P <- (P - a q q^T) / lambda, symmetrized. Note (1/a) K K^T with
       // K = a P g equals a (P g)(P g)^T, so the kernels take q and a.
       if (level == EkfLevel::kOpt3) {
-        kernels::p_update_fused(pb, q, a, state_.lambda, n);
+        kernels::p_update_fused(pw, q, a, state_.lambda, n);
       } else {
-        kernels::p_update_unfused(pb, q, a, state_.lambda,
+        kernels::p_update_unfused(pw, q, a, state_.lambda,
                                   std::span<f64>(scratch_), n);
       }
 
@@ -192,7 +241,8 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
       // Process-noise floor (see KalmanConfig::process_noise).
       if (config_.process_noise > 0.0) {
         for (i64 i = 0; i < n; ++i) {
-          pb[static_cast<std::size_t>(i * n + i)] += config_.process_noise;
+          pw[static_cast<std::size_t>(kernels::packed_row(i, n))] +=
+              config_.process_noise;
         }
       }
 
@@ -201,7 +251,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
       // must latch into max_diag explicitly (std::max would silently drop
       // a NaN).
       for (i64 i = 0; i < n; ++i) {
-        const f64 d = pb[static_cast<std::size_t>(i * n + i)];
+        const f64 d = pw[static_cast<std::size_t>(kernels::packed_row(i, n))];
         if (!std::isfinite(d)) {
           max_diag = d;
           break;
@@ -217,9 +267,9 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
     if (config_.p_max > 0.0 && std::isfinite(max_diag) &&
         max_diag > config_.p_max) {
       const f64 scale = config_.p_max / max_diag;
-      f64* pd = pb.data();
+      f64* pd = state_.p[b].data();
       parallel_for_blocks(
-          0, n * n,
+          0, kernels::packed_size(n),
           [&](i64 lo, i64 hi) {
             for (i64 i = lo; i < hi; ++i) pd[i] *= scale;
           },
@@ -233,7 +283,7 @@ void KalmanOptimizer::update(std::span<const f64> g, f64 kscale,
 i64 KalmanOptimizer::p_bytes() const {
   i64 bytes = 0;
   for (const BlockSpec& b : blocks_) {
-    bytes += b.size * b.size * static_cast<i64>(sizeof(f64));
+    bytes += kernels::packed_size(b.size) * static_cast<i64>(sizeof(f64));
   }
   return bytes;
 }

@@ -10,6 +10,10 @@
 //   lambda <- lambda nu + 1 - nu                      (line 12)
 //   w  <- w + kscale * K,  kscale = sqrt(bs) * ABE    (line 13)
 //
+// P stays exactly symmetric through every path (reset, the update, the
+// diagonal noise, the p_max rescale, recondition), so each block is stored
+// as its packed upper triangle, half the bytes of the dense block.
+//
 // Both RLEKF (batch 1, instance-by-instance) and FEKF (reduced gradient /
 // error) drive this same state; they differ only in how the trainer builds
 // (g, ABE). The optimizer rungs of the Figure 7 ladder are one EkfLevel.
@@ -87,12 +91,13 @@ struct KalmanConfig {
 
 /// The stability-critical optimizer state (RLEKF: "the EKF covariance P is
 /// the stability-critical state"). KalmanOptimizer keeps its live filter in
-/// one; copies of it are the in-memory rollback snapshots of the divergence
-/// sentinels and the on-disk training checkpoints. Copy-assigning into a
-/// state of the same layout reuses its block storage (no allocation).
+/// one; copies of it are the on-disk training checkpoints (the in-memory
+/// sentinel snapshot is KalmanOptimizer::snapshot(), which copies nothing).
 struct KalmanState {
   f64 lambda = 0.0;
-  std::vector<std::vector<f64>> p;  ///< per-block dense covariance
+  /// Per-block covariance, each block its packed upper triangle
+  /// (kernels::packed_row): n(n+1)/2 entries for an n-parameter block.
+  std::vector<std::vector<f64>> p;
 };
 
 class KalmanOptimizer {
@@ -127,6 +132,21 @@ class KalmanOptimizer {
   const KalmanState& state() const { return state_; }
   void set_state(const KalmanState& state);
 
+  /// Sentinel snapshot by ping-pong, with no copy. snapshot() marks the
+  /// live buffers (and lambda) as the snapshot. The first ekf_apply_fused
+  /// of each block after it reads the live buffer and writes a spare one
+  /// (allocated at the first snapshot), then the two swap, so the snapshot
+  /// is left untouched and later updates run in place. Paths that write in
+  /// place while a block still is the snapshot — set_state, recondition,
+  /// reset and the kOpt3/kFramework P updates — swap first and copy the
+  /// snapshot into the new live buffer if they read it (copy-on-write).
+  /// Either way the snapshot stays in the buffer it was taken in.
+  /// rollback() swaps every diverged block back and restores lambda; the
+  /// snapshot stays valid, so a second rollback restores the same state.
+  /// P memory is two packed copies at most.
+  void snapshot();
+  void rollback();
+
   /// Largest covariance diagonal seen during the most recent update() —
   /// the sentinel's P-health signal. NaN/Inf here means the filter has
   /// diverged. Costs one diagonal scan per block, which update() performs
@@ -139,7 +159,9 @@ class KalmanOptimizer {
   /// as the p_max limiter). A non-finite lambda resets to lambda0.
   void recondition();
 
-  /// Persistent P storage in bytes (the paper's Section 5.3 accounting).
+  /// Persistent P storage in bytes (the paper's Section 5.3 accounting):
+  /// the packed upper triangles, n(n+1)/2 entries of 8 bytes per block.
+  /// The snapshot's spare buffers are not counted.
   i64 p_bytes() const;
   /// Scratch bytes the configured level needs per update (kFramework
   /// materializes K K^T for the largest block).
@@ -151,9 +173,22 @@ class KalmanOptimizer {
   void reset();
 
  private:
+  /// Copy-on-write for an in-place writer of block b: if the live buffer
+  /// still is the snapshot, swap it out to the spare slot, and copy it
+  /// into the new live buffer when the writer reads the live contents
+  /// (`keep`) rather than overwriting them all.
+  void unshare(std::size_t b, bool keep);
+  /// True while block b's live buffer is the snapshot.
+  bool shared(std::size_t b) const { return !shared_.empty() && shared_[b]; }
+
   std::vector<BlockSpec> blocks_;
   KalmanConfig config_;
   KalmanState state_;
+  std::vector<std::vector<f64>> spare_;  ///< ping-pong partner per block
+  /// Per block: the live buffer is the snapshot. Empty until the first
+  /// snapshot().
+  std::vector<bool> shared_;
+  f64 snap_lambda_ = 0.0;
   f64 last_max_diag_ = 0.0;
   i64 total_ = 0;
   i64 max_block_ = 0;

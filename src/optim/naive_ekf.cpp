@@ -67,6 +67,15 @@ void NaiveEkf::set_state(const std::vector<KalmanState>& replicas) {
   abort_accumulation();
 }
 
+void NaiveEkf::snapshot() {
+  for (const auto& r : replicas_) r->snapshot();
+}
+
+void NaiveEkf::rollback() {
+  for (const auto& r : replicas_) r->rollback();
+  abort_accumulation();
+}
+
 f64 NaiveEkf::last_max_diag() const {
   f64 max_diag = 0.0;
   for (const auto& r : replicas_) {

@@ -33,14 +33,21 @@ class NaiveEkf {
   /// Discard a partially accumulated batch (exception recovery): clears
   /// the pending increment so the next accumulate/commit cycle starts
   /// clean. Replica covariances keep whatever updates already ran; restore
-  /// them via set_state for full-step rollback.
+  /// them via rollback (or set_state) for full-step rollback.
   void abort_accumulation();
 
-  /// Deep copy / restore of every replica's covariance state. Only
-  /// meaningful at commit boundaries; set_state also clears any pending
-  /// accumulation (a restored step starts from a clean accumulator).
+  /// Deep copy / restore of every replica's covariance state (the
+  /// checkpoint path). Only meaningful at commit boundaries; set_state
+  /// also clears any pending accumulation (a restored step starts from a
+  /// clean accumulator).
   std::vector<KalmanState> state() const;
   void set_state(const std::vector<KalmanState>& replicas);
+
+  /// Sentinel snapshot / rollback of every replica, by ping-pong
+  /// (KalmanOptimizer::snapshot): no copy. rollback also clears any
+  /// pending accumulation.
+  void snapshot();
+  void rollback();
 
   /// Largest covariance diagonal across replicas after the most recent
   /// accumulate() — the sentinels' P-health signal.

@@ -38,16 +38,19 @@ dispatch::Dispatched<dispatch::MatNtPanelFn>& matnt_dispatch() {
   return d;
 }
 
-dispatch::Dispatched<dispatch::Rank1PanelFn>& rank1_dispatch() {
-  static dispatch::Dispatched<dispatch::Rank1PanelFn> d(
-      "ekf_rank1_f64", &dispatch::register_ekf_variants);
+dispatch::Dispatched<dispatch::GainPanelFn>& gain_dispatch() {
+  static dispatch::Dispatched<dispatch::GainPanelFn> d(
+      "ekf_gain_f64", &dispatch::register_ekf_variants);
   return d;
 }
 
-/// Row-panel grain of the rank-1 P update: at least one sub-panel of the
-/// tiled body, and serial below kGrainWork like every other kernel.
-i64 rank1_grain(i64 n) {
-  return std::max(dispatch::kRank1PanelRows, grain_items(n));
+/// y = P·g over packed P with the dispatched row body, one kGainPanelRows
+/// panel per task. Shared by symv and ekf_gain_fused.
+void gain_rows(const f64* p, const f64* g, f64* y, i64 n) {
+  const dispatch::GainPanelFn fn = gain_dispatch().get();
+  parallel_for_blocks(
+      0, n, [&](i64 rlo, i64 rhi) { fn(p, g, y, rlo, rhi, n); },
+      std::max(dispatch::kGainPanelRows, grain_items(n)));
 }
 
 // Bodies with no vector rung that could be bit-exact (a libm call per
@@ -56,18 +59,6 @@ i64 rank1_grain(i64 n) {
 /// y[i] = tanh(x[i]) over one flat chunk; in place allowed (y == x).
 void tanh_chunk(const f32* x, f32* y, i64 count) {
   for (i64 i = 0; i < count; ++i) y[i] = std::tanh(x[i]);
-}
-
-/// Rows [rlo, rhi) of y = P·g: one ascending-j inner product per row.
-/// Shared by symv and ekf_gain_fused.
-void symv_rows(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi,
-               i64 n) {
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64* __restrict__ row = p + i * n;
-    f64 acc = 0.0;
-    for (i64 j = 0; j < n; ++j) acc += row[j] * g[j];
-    y[i] = acc;
-  }
 }
 
 /// Partial <a,b> over one parallel_reduce_f64 chunk. Shared by dot and
@@ -563,17 +554,12 @@ f64 dot_all(const Tensor& a, const Tensor& b) {
 
 void symv(std::span<const f64> p, std::span<const f64> g, std::span<f64> y,
           i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == n * n &&
+  FEKF_CHECK(static_cast<i64>(p.size()) == packed_size(n) &&
                  static_cast<i64>(g.size()) == n &&
                  static_cast<i64>(y.size()) == n,
              "symv size mismatch");
   KernelLaunch launch("ekf_symv");
-  const f64* __restrict__ pp = p.data();
-  const f64* __restrict__ pg = g.data();
-  f64* __restrict__ py = y.data();
-  parallel_for_blocks(
-      0, n, [&](i64 rlo, i64 rhi) { symv_rows(pp, pg, py, rlo, rhi, n); },
-      grain_items(n));
+  gain_rows(p.data(), g.data(), y.data(), n);
 }
 
 f64 dot(std::span<const f64> a, std::span<const f64> b) {
@@ -601,7 +587,7 @@ void axpy(f64 alpha, std::span<const f64> x, std::span<f64> y) {
 
 void p_update_unfused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
                       f64 lambda, std::span<f64> scratch, i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == n * n &&
+  FEKF_CHECK(static_cast<i64>(p.size()) == packed_size(n) &&
                  static_cast<i64>(k.size()) == n &&
                  static_cast<i64>(scratch.size()) >= n * n,
              "p_update_unfused size mismatch");
@@ -621,60 +607,69 @@ void p_update_unfused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
         },
         grain_items(n));
   }
-  // Launch 2: P = (P - tmp * inv_a) / lambda.
-  f64* __restrict__ pp = p.data();
+  // Launch 2: tmp = (P - tmp * inv_a) / lambda over the full n x n, P read
+  // from the packed triangle. Row i owns the pairs {(i,j), (j,i) : j >= i}
+  // of tmp, so panels are disjoint (§9).
+  const f64* __restrict__ pp = p.data();
   const f64 inv_lambda = 1.0 / lambda;
   {
     KernelLaunch launch("ekf_sub_scale");
     parallel_for_blocks(
-        0, n * n,
-        [&](i64 lo, i64 hi) {
-          for (i64 i = lo; i < hi; ++i) {
-            pp[i] = (pp[i] - inv_a * tmp[i]) * inv_lambda;
+        0, n,
+        [&](i64 rlo, i64 rhi) {
+          for (i64 i = rlo; i < rhi; ++i) {
+            const f64* __restrict__ prow = pp + packed_row(i, n) - i;
+            for (i64 j = i; j < n; ++j) {
+              f64& upper = tmp[i * n + j];
+              f64& lower = tmp[j * n + i];
+              upper = (prow[j] - inv_a * upper) * inv_lambda;
+              if (j != i) lower = (prow[j] - inv_a * lower) * inv_lambda;
+            }
           }
         },
-        kGrainWork);
+        grain_items(n));
   }
-  // Launch 3: symmetrize (Algorithm 1, line 11).
-  symmetrize(p, n);
+  // Launch 3: symmetrize back into packed P (Algorithm 1, line 11).
+  symmetrize(scratch.first(static_cast<std::size_t>(n * n)), p, n);
 }
 
 void p_update_fused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
                     f64 lambda, i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == n * n &&
+  FEKF_CHECK(static_cast<i64>(p.size()) == packed_size(n) &&
                  static_cast<i64>(k.size()) == n,
              "p_update_fused size mismatch");
   KernelLaunch launch("ekf_p_update_fused");
-  const dispatch::Rank1PanelFn fn = rank1_dispatch().get();
-  f64* __restrict__ pp = p.data();
+  f64* pp = p.data();
   const f64* __restrict__ pk = k.data();
   const f64 inv_lambda = 1.0 / lambda;
-  // Row panels over the upper triangle. The task owning row i touches
-  // exactly the element pairs {(i,j), (j,i)} for j >= i, and no other task
-  // reads or writes them, so the panels are disjoint and the result is
-  // independent of the panel-to-thread assignment. The panel body —
-  // (P - (1/a) k k^T)/lambda with symmetrization folded in by averaging the
-  // (i,j)/(j,i) pair — is the dispatched ekf_rank1_f64 variant, shared with
-  // ekf_apply_fused so fused and legacy EKF agree under any backend.
+  // Row panels of the packed triangle: (P - (1/a) k k^T)/lambda, one
+  // streaming pass. The row body is shared with ekf_apply_fused, so fused
+  // and legacy EKF agree under any backend.
   parallel_for_blocks(
-      0, n, [&](i64 rlo, i64 rhi) { fn(pp, pk, inv_a, inv_lambda, rlo, rhi, n); },
-      rank1_grain(n));
+      0, n,
+      [&](i64 rlo, i64 rhi) {
+        dispatch::rank1_rows(pp, pp, pk, inv_a, inv_lambda, rlo, rhi, n);
+      },
+      grain_items(n));
 }
 
-void symmetrize(std::span<f64> p, i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == n * n, "symmetrize size mismatch");
+void symmetrize(std::span<const f64> full, std::span<f64> p, i64 n) {
+  FEKF_CHECK(static_cast<i64>(full.size()) == n * n &&
+                 static_cast<i64>(p.size()) == packed_size(n),
+             "symmetrize size mismatch");
   KernelLaunch launch("ekf_symmetrize");
+  const f64* __restrict__ pf = full.data();
   f64* __restrict__ pp = p.data();
-  // Same pair-ownership argument as p_update_fused: row i owns {(i,j),
-  // (j,i)} for j > i.
+  // Row i of the packed triangle reads the pairs {(i,j), (j,i) : j > i};
+  // the diagonal is copied as is.
   parallel_for_blocks(
       0, n,
       [&](i64 rlo, i64 rhi) {
         for (i64 i = rlo; i < rhi; ++i) {
+          f64* __restrict__ prow = pp + packed_row(i, n) - i;
+          prow[i] = pf[i * n + i];
           for (i64 j = i + 1; j < n; ++j) {
-            const f64 v = 0.5 * (pp[i * n + j] + pp[j * n + i]);
-            pp[i * n + j] = v;
-            pp[j * n + i] = v;
+            prow[j] = 0.5 * (pf[i * n + j] + pf[j * n + i]);
           }
         }
       },
@@ -683,19 +678,15 @@ void symmetrize(std::span<f64> p, i64 n) {
 
 f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
                    std::span<f64> y, i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == n * n &&
+  FEKF_CHECK(static_cast<i64>(p.size()) == packed_size(n) &&
                  static_cast<i64>(g.size()) == n &&
                  static_cast<i64>(y.size()) == n,
              "ekf_gain_fused size mismatch");
   KernelLaunch launch("ekf_gain_fused");
-  const f64* __restrict__ pp = p.data();
-  const f64* __restrict__ pg = g.data();
-  f64* __restrict__ py = y.data();
-  // Pass 1: y = P g, row-partitioned exactly like symv with the same row
-  // body, so the fused path matches symv().
-  parallel_for_blocks(
-      0, n, [&](i64 rlo, i64 rhi) { symv_rows(pp, pg, py, rlo, rhi, n); },
-      grain_items(n));
+  const f64* pg = g.data();
+  const f64* py = y.data();
+  // Pass 1: y = P g with symv's partition and body.
+  gain_rows(p.data(), pg, y.data(), n);
   // Pass 2 (same launch): g^T (P g) with dot()'s fixed-chunk reduction and
   // chunk body, so the scalar is bit-identical to the unfused
   // symv-then-dot sequence.
@@ -704,43 +695,42 @@ f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
       [pg, py](i64 lo, i64 hi) { return dot_chunk(pg, py, lo, hi); });
 }
 
-f64 ekf_apply_fused(std::span<f64> p, std::span<const f64> k, f64 a,
-                    f64 lambda, f64 step_scale, std::span<f64> w,
-                    f64 process_noise, i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == n * n &&
+f64 ekf_apply_fused(std::span<const f64> p_in, std::span<f64> p_out,
+                    std::span<const f64> k, f64 a, f64 lambda,
+                    f64 step_scale, std::span<f64> w, f64 process_noise,
+                    i64 n) {
+  FEKF_CHECK(static_cast<i64>(p_in.size()) == packed_size(n) &&
+                 p_out.size() == p_in.size() &&
                  static_cast<i64>(k.size()) == n &&
                  static_cast<i64>(w.size()) == n,
              "ekf_apply_fused size mismatch");
   KernelLaunch launch("ekf_apply_fused");
-  const dispatch::Rank1PanelFn fn = rank1_dispatch().get();
-  f64* __restrict__ pp = p.data();
+  const f64* src = p_in.data();
+  f64* dst = p_out.data();
   const f64* __restrict__ pk = k.data();
   f64* __restrict__ pw = w.data();
   const f64 inv_lambda = 1.0 / lambda;
-  // Same pair-ownership partition as p_update_fused: the task owning row i
-  // touches exactly {(i,j), (j,i) : j >= i}, the diagonal (i,i), and w[i],
-  // so panels are disjoint and results are width-independent. Per element
-  // the arithmetic replays the unfused sequence verbatim: pair-averaged
-  // rank-1 update (the dispatched ekf_rank1_f64 body shared with
-  // p_update_fused — running it for the whole panel before the diagonal
-  // pass below is legal because no rank-1 element the panel touches is a
-  // diagonal of another row), then the additive noise on the diagonal,
-  // then the axpy-style weight step.
+  // Row panels of the packed triangle: the task owning row i writes
+  // exactly row i's run, the diagonal (i,i) at its head, and w[i], so
+  // panels are disjoint and results are width-independent. Per element the
+  // arithmetic replays the unfused sequence verbatim: the rank-1 update
+  // (the row body shared with p_update_fused), then the additive noise on
+  // the diagonal, then the axpy-style weight step.
   parallel_for_blocks(
       0, n,
       [&](i64 rlo, i64 rhi) {
-        fn(pp, pk, a, inv_lambda, rlo, rhi, n);
+        dispatch::rank1_rows(src, dst, pk, a, inv_lambda, rlo, rhi, n);
         for (i64 i = rlo; i < rhi; ++i) {
-          pp[i * n + i] += process_noise;
+          dst[packed_row(i, n)] += process_noise;
           pw[i] += step_scale * pk[i];
         }
       },
-      rank1_grain(n));
+      grain_items(n));
   // Serial health scan after the pool join (still this launch), identical
   // to the optimizer's NaN-latching loop: first non-finite diagonal wins.
   f64 max_diag = 0.0;
   for (i64 i = 0; i < n; ++i) {
-    const f64 d = pp[i * n + i];
+    const f64 d = dst[packed_row(i, n)];
     if (!std::isfinite(d)) return d;
     max_diag = std::max(max_diag, d);
   }

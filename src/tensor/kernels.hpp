@@ -9,7 +9,8 @@
 // f32 kernels operate on Tensor (network values); f64 kernels at the bottom
 // operate on raw buffers (EKF covariance state, which the paper keeps in
 // 64-bit: its reported P-block sizes, e.g. 10240^2 -> 800 MB, imply 8-byte
-// elements).
+// elements; this tree stores each block's packed upper triangle, so that
+// block takes 400 MB).
 #pragma once
 
 #include <span>
@@ -84,10 +85,19 @@ f64 dot_all(const Tensor& a, const Tensor& b);
 
 // ============================================================================
 // f64 optimizer kernels (EKF covariance algebra). P is a dense symmetric
-// n x n block stored fully; g, k are length-n vectors.
+// n x n block stored as its packed upper triangle: row i holds
+// (i, i..n-1) at packed_row(i, n), packed_size(n) entries in all. g, k are
+// length-n vectors.
 // ============================================================================
 
-/// y = P * g (symmetric matrix-vector product).
+/// Entries of one packed n x n block: n(n+1)/2.
+constexpr i64 packed_size(i64 n) { return n * (n + 1) / 2; }
+
+/// Offset of row i's run (i, i..n-1) in a packed block; entry (i, j) for
+/// j >= i sits at packed_row(i, n) + (j - i).
+constexpr i64 packed_row(i64 i, i64 n) { return i * n - i * (i - 1) / 2; }
+
+/// y = P * g (symmetric matrix-vector product, packed P).
 void symv(std::span<const f64> p, std::span<const f64> g, std::span<f64> y,
           i64 n);
 
@@ -99,39 +109,43 @@ void axpy(f64 alpha, std::span<const f64> x, std::span<f64> y);
 
 /// Unfused ("framework") P update, as a GEMM-backed graph would do it:
 ///   tmp = k * k^T            (materializes n^2 scratch — the memory cost
-///   P   = (P - tmp / a) / lambda            the paper's opt3 eliminates)
+///   tmp = (P - tmp / a) / lambda            the paper's opt3 eliminates)
+///   P   = (tmp + tmp^T) / 2  (symmetrize, folded back into packed P)
 /// `scratch` must have n*n capacity; three kernel launches are recorded.
 void p_update_unfused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
                       f64 lambda, std::span<f64> scratch, i64 n);
 
 /// Fused hand-written P update (paper §3.4 "optimizer optimization"):
-///   P = (P - (1/a) k k^T) / lambda, then symmetrize,
-/// computed in one pass over the upper triangle and mirrored — one launch,
-/// no scratch. Because k k^T is exactly symmetric, folding the symmetrize
-/// step into the same pass is lossless.
+///   P = (P - (1/a) k k^T) / lambda,
+/// one streaming pass over the packed triangle — one launch, no scratch.
+/// k k^T is exactly symmetric, so the result is the symmetrized update.
 void p_update_fused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
                     f64 lambda, i64 n);
 
-/// P = (P + P^T) / 2 (explicit symmetrization used by the unfused path).
-void symmetrize(std::span<f64> p, i64 n);
+/// Packed P = (full + full^T) / 2 over an n x n row-major `full` (the
+/// unfused path's explicit symmetrization, Algorithm 1 line 11).
+void symmetrize(std::span<const f64> full, std::span<f64> p, i64 n);
 
 /// Fused FEKF gain precomputation (EkfLevel::kFused): y = P g AND
 /// the scalar g^T P g in ONE launch, replacing the ekf_symv + ekf_dot pair.
-/// Bit-exact with that pair: rows accumulate in symv's ascending order and
-/// the scalar uses the same fixed-chunk reduction as dot().
+/// Bit-exact with that pair: rows run symv's dispatched body and the
+/// scalar uses the same fixed-chunk reduction as dot().
 f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
                    std::span<f64> y, i64 n);
 
 /// Fused FEKF apply (EkfLevel::kFused): in ONE launch,
-///   P <- sym((P - a k k^T) / lambda) + process_noise * I
-///   w <- w + step_scale * k
+///   p_out <- (p_in - a k k^T) / lambda + process_noise * I
+///   w     <- w + step_scale * k
 /// and returns the covariance max-diagonal with the same NaN-latching
 /// semantics as the serial health scan (first non-finite entry wins).
-/// Replaces ekf_p_update_fused + ekf_axpy plus the optimizer's uncounted
+/// p_in and p_out are either the same buffer (in place) or disjoint (the
+/// optimizer's ping-pong snapshot writes the spare buffer). Replaces
+/// ekf_p_update_fused + ekf_axpy plus the optimizer's uncounted
 /// process-noise and diagonal-scan loops; per-element arithmetic is
 /// identical to that sequence, so the results are bit-exact.
-f64 ekf_apply_fused(std::span<f64> p, std::span<const f64> k, f64 a,
-                    f64 lambda, f64 step_scale, std::span<f64> w,
-                    f64 process_noise, i64 n);
+f64 ekf_apply_fused(std::span<const f64> p_in, std::span<f64> p_out,
+                    std::span<const f64> k, f64 a, f64 lambda,
+                    f64 step_scale, std::span<f64> w, f64 process_noise,
+                    i64 n);
 
 }  // namespace fekf::kernels

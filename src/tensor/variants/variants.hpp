@@ -8,8 +8,8 @@
 // convention:
 //
 //   "gemm_f32"       GemmPanelFn    row panel of out = seed + x·W
-//   "ekf_rank1_f64"  Rank1PanelFn   row panel of the pair-averaged
-//                                   symmetric rank-1 P update
+//   "ekf_gain_f64"   GainPanelFn    row panel of y = P·g over a packed
+//                                   upper-triangle P
 //   "matnt_f32"      MatNtPanelFn   row panel of out = a·bᵀ with a
 //                                   per-output f64 accumulator
 #pragma once
@@ -27,16 +27,20 @@ namespace fekf::dispatch {
 using GemmPanelFn = void (*)(const f32* x, const f32* w, const f32* bias,
                              f32* out, i64 rlo, i64 rhi, i64 k, i64 n);
 
-/// Rows [rlo, rhi) of the symmetric rank-1 covariance update: for j >= i,
-///   v = (0.5*(P[i,j] + P[j,i]) - (coeff*k[i])*k[j]) * inv_lambda
-/// written to both (i,j) and (j,i). The task owning row i touches exactly
-/// the pairs {(i,j), (j,i) : j >= i}, so panels stay disjoint (§9).
-using Rank1PanelFn = void (*)(f64* p, const f64* k, f64 coeff, f64 inv_lambda,
-                              i64 rlo, i64 rhi, i64 n);
+/// Rows [rlo, rhi) of y = P·g, P one symmetric n x n block stored as its
+/// packed upper triangle (kernels::packed_row). Each y[i] is one
+/// ascending-j chain over the full row, P[i,j] for j < i read as P[j,i]:
+/// a rounded product added in order, except that the last n % 4 terms are
+/// fused multiply-adds. That is the arithmetic the full-P row loop this
+/// family replaced compiled to (a vectorized product with an ordered add,
+/// and a contracted scalar epilogue), so packed and full P agree bit for
+/// bit (DESIGN.md §13).
+using GainPanelFn = void (*)(const f64* p, const f64* g, f64* y, i64 rlo,
+                             i64 rhi, i64 n);
 
-/// Row sub-panel height of the tiled ekf_rank1_f64 body; p_update_fused
-/// and ekf_apply_fused hand the body panels at least this tall.
-inline constexpr i64 kRank1PanelRows = 64;
+/// Row panel height of the blocked ekf_gain_f64 body; symv and
+/// ekf_gain_fused hand the body panels this tall.
+inline constexpr i64 kGainPanelRows = 128;
 
 /// Rows [rlo, rhi) of out(:, n) = a(:, q) · b(n, q)ᵀ with one f64
 /// accumulator per output element over ascending l:
@@ -56,5 +60,18 @@ using MatNtPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
 void register_gemm_variants();
 void register_ekf_variants();
 void register_matnt_variants();
+
+// ---- undispatched EKF body ------------------------------------------------
+
+/// Rows [rlo, rhi) of the packed rank-1 covariance update, for j >= i:
+///   dst[i,j] = (src[i,j] - (coeff*k[i])*k[j]) * inv_lambda
+/// with the product rounded before the subtraction. P is exactly
+/// symmetric, so this is the value the full-P pair-averaged update
+/// 0.5*(P[i,j] + P[j,i]) computed. src == dst updates in place; rows are
+/// disjoint, so panels need no coordination (§9). Shared by p_update_fused
+/// and ekf_apply_fused; lives with the gain bodies in the translation unit
+/// built with -ffp-contract=off.
+void rank1_rows(const f64* src, f64* dst, const f64* k, f64 coeff,
+                f64 inv_lambda, i64 rlo, i64 rhi, i64 n);
 
 }  // namespace fekf::dispatch

@@ -1,9 +1,11 @@
 #include "train/checkpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/trace.hpp"
+#include "tensor/kernels.hpp"
 
 namespace fekf::train {
 
@@ -42,20 +44,51 @@ std::vector<f64> read_f64s(TextReader& r, const char* name) {
   return v;
 }
 
+/// The largest n with n * n <= m.
+i64 isqrt(i64 m) {
+  auto n = static_cast<i64>(std::sqrt(static_cast<f64>(m)));
+  while (n * n > m) --n;
+  while ((n + 1) * (n + 1) <= m) ++n;
+  return n;
+}
+
+/// The n of a packed block of `entries` = n(n+1)/2 entries.
+i64 packed_side(std::size_t entries) {
+  const auto m = static_cast<i64>(entries);
+  const i64 n = (isqrt(8 * m + 1) - 1) / 2;
+  FEKF_CHECK(kernels::packed_size(n) == m,
+             "KalmanState block of " + std::to_string(m) +
+                 " entries is not a packed triangle");
+  return n;
+}
+
+/// P blocks are written in full, n x n row-major, so the file format does
+/// not depend on the in-memory packed layout.
 void write_kalman(TextWriter& w, const optim::KalmanState& k) {
   w.key("lambda");
   w.f64v(k.lambda);
   w.key("blocks");
   w.size(k.p.size());
   for (const std::vector<f64>& block : k.p) {
-    write_f64s(w, "block", block);
+    const i64 n = packed_side(block.size());
+    w.key("block");
+    w.size(static_cast<std::size_t>(n * n));
+    for (i64 i = 0; i < n; ++i) {
+      for (i64 j = 0; j < n; ++j) {
+        const i64 lo = std::min(i, j), hi = std::max(i, j);
+        w.f64v(block[static_cast<std::size_t>(kernels::packed_row(lo, n) +
+                                              (hi - lo))]);
+      }
+    }
   }
 }
 
 /// A filter state the optimizer could not run from is malformed, not
 /// merely unusual: lambda must lie in (0, 1] (KalmanConfig::lambda0's
-/// range, which lambda <- lambda*nu + 1 - nu preserves) and every P entry
-/// must be finite.
+/// range, which lambda <- lambda*nu + 1 - nu preserves), and every P block
+/// must be square, finite and exactly symmetric (P[i,j] and P[j,i] the
+/// same bits: the optimizer keeps only the upper triangle). Blocks are
+/// folded into the packed layout.
 optim::KalmanState read_kalman(TextReader& r) {
   optim::KalmanState k;
   r.expect("lambda");
@@ -68,8 +101,7 @@ optim::KalmanState read_kalman(TextReader& r) {
   const u64 nblocks = r.read_u64();
   k.p.reserve(static_cast<std::size_t>(nblocks));
   for (u64 b = 0; b < nblocks; ++b) {
-    k.p.push_back(read_f64s(r, "block"));
-    const std::vector<f64>& block = k.p.back();
+    const std::vector<f64> block = read_f64s(r, "block");
     const auto bad = std::find_if_not(
         block.begin(), block.end(), [](f64 v) { return std::isfinite(v); });
     if (bad != block.end()) {
@@ -77,6 +109,29 @@ optim::KalmanState read_kalman(TextReader& r) {
                   std::to_string(bad - block.begin()) + " is " +
                   std::to_string(*bad) + ", must be finite");
     }
+    const i64 n = isqrt(static_cast<i64>(block.size()));
+    if (n * n != static_cast<i64>(block.size())) {
+      r.malformed("kalman P block " + std::to_string(b) + " has " +
+                  std::to_string(block.size()) +
+                  " entries, not a square n x n block");
+    }
+    std::vector<f64> packed(static_cast<std::size_t>(kernels::packed_size(n)));
+    for (i64 i = 0; i < n; ++i) {
+      for (i64 j = i; j < n; ++j) {
+        const f64 upper = block[static_cast<std::size_t>(i * n + j)];
+        const f64 lower = block[static_cast<std::size_t>(j * n + i)];
+        if (std::bit_cast<u64>(upper) != std::bit_cast<u64>(lower)) {
+          r.malformed("kalman P block " + std::to_string(b) +
+                      " is not symmetric: P(" + std::to_string(i) + "," +
+                      std::to_string(j) + ") = " + std::to_string(upper) +
+                      " but P(" + std::to_string(j) + "," +
+                      std::to_string(i) + ") = " + std::to_string(lower));
+        }
+        packed[static_cast<std::size_t>(kernels::packed_row(i, n) +
+                                        (j - i))] = upper;
+      }
+    }
+    k.p.push_back(std::move(packed));
   }
   return k;
 }
@@ -117,11 +172,12 @@ void save_checkpoint(const TrainingCheckpoint& ckpt,
   obs::ScopedSpan span("checkpoint.save", "checkpoint");
   span.arg("step", static_cast<f64>(ckpt.steps));
   TextWriter w;
-  // P blocks dominate; reserve roughly one 22-char hex float per entry.
+  // P blocks dominate; reserve roughly one 22-char hex float per entry
+  // (blocks are written in full, about twice their packed entries).
   std::size_t p_entries = ckpt.optimizer.kalman.p.size();
-  for (const auto& b : ckpt.optimizer.kalman.p) p_entries += b.size();
+  for (const auto& b : ckpt.optimizer.kalman.p) p_entries += 2 * b.size();
   for (const auto& rep : ckpt.optimizer.replicas) {
-    for (const auto& b : rep.p) p_entries += b.size();
+    for (const auto& b : rep.p) p_entries += 2 * b.size();
   }
   w.reserve((p_entries + ckpt.weights.size()) * 24 + (1u << 16));
 

@@ -557,21 +557,23 @@ void KalmanTrainer::force_update(std::span<const EnvPtr> batch,
 }
 
 void KalmanTrainer::snapshot_state() {
+  obs::ScopedSpan span("train.snapshot", "train");
   snap_weights_ = weights_;
   if (mode_ == EkfMode::kFekf) {
-    snap_kalman_ = kalman_->state();
+    kalman_->snapshot();
   } else {
-    snap_replicas_ = naive_->state();
+    naive_->snapshot();
   }
 }
 
 void KalmanTrainer::rollback_state() {
+  obs::ScopedSpan span("train.rollback", "train");
   weights_ = snap_weights_;
   if (mode_ == EkfMode::kFekf) {
-    kalman_->set_state(snap_kalman_);
+    kalman_->rollback();
     kalman_->recondition();
   } else {
-    naive_->set_state(snap_replicas_);
+    naive_->rollback();
     naive_->recondition();
   }
   flat_.scatter(weights_);

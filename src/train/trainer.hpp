@@ -187,10 +187,9 @@ class KalmanTrainer {
   // updates of one step.
   f64 step_loss_ = 0.0;
   f64 step_grad_norm2_ = 0.0;
-  // Last good state for sentinel rollback.
+  // Last good weights for sentinel rollback; the optimizers keep their
+  // own snapshot (KalmanOptimizer::snapshot).
   std::vector<f64> snap_weights_;
-  optim::KalmanState snap_kalman_;
-  std::vector<optim::KalmanState> snap_replicas_;
 };
 
 }  // namespace fekf::train

@@ -9,11 +9,13 @@
 // via set_cpu_features_for_test) falls back gracefully instead of failing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "deepmd/fused_descriptor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
@@ -31,7 +33,7 @@ const std::vector<std::string>& all_families() {
   dp::register_ekf_variants();
   dp::register_matnt_variants();
   static const std::vector<std::string> families = {
-      "gemm_f32", "ekf_rank1_f64", "matnt_f32"};
+      "gemm_f32", "ekf_gain_f64", "matnt_f32"};
   return families;
 }
 
@@ -136,7 +138,7 @@ TEST(DispatchRegistry, UnsupportedIsaFallsBackGracefully) {
     EXPECT_NE(reg.selected(family).isa, "avx2+fma") << family;
   }
   EXPECT_EQ(reg.selected("gemm_f32").name, "simd");
-  EXPECT_EQ(reg.selected("ekf_rank1_f64").name, "simd");
+  EXPECT_EQ(reg.selected("ekf_gain_f64").name, "blocked");
   EXPECT_EQ(reg.selected("matnt_f32").name, "lanes");
 }
 
@@ -222,36 +224,33 @@ TEST(DispatchExactness, GemmVariantsAreBitExact) {
   }
 }
 
-TEST(DispatchExactness, Rank1VariantsAreBitExact) {
+TEST(DispatchExactness, GainVariantsAreBitExact) {
   dp::register_ekf_variants();
-  const auto scalar = reinterpret_cast<dp::Rank1PanelFn>(
-      dp::Registry::instance().find("ekf_rank1_f64", "scalar")->fn);
-  // n = 67 is odd (per-row vector tails) and fits one row sub-panel;
-  // 2*kRank1PanelRows + 13 spans three sub-panels and several column tiles
-  // with ragged edges.
-  for (const i64 n : {i64{67}, 2 * dp::kRank1PanelRows + 13}) {
+  const auto scalar = reinterpret_cast<dp::GainPanelFn>(
+      dp::Registry::instance().find("ekf_gain_f64", "scalar")->fn);
+  // n = 67 is odd (a fused n % 4 tail, a ragged 4-row group) and fits one
+  // panel; 2*kGainPanelRows + 13 spans three panels.
+  for (const i64 n : {i64{67}, 2 * dp::kGainPanelRows + 13}) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    const std::vector<f64> p0 = randn_f64(n * n, 51);
-    const std::vector<f64> k = randn_f64(n, 52);
-    const f64 coeff = 0.37, inv_lambda = 1.0 / 0.9987;
-    std::vector<f64> ref = p0;
-    scalar(ref.data(), k.data(), coeff, inv_lambda, 0, n, n);
-    // Panel splits at rows that are not tile-aligned must compose to the
-    // same matrix.
+    const std::vector<f64> p = randn_f64(kernels::packed_size(n), 51);
+    const std::vector<f64> g = randn_f64(n, 52);
+    std::vector<f64> ref(static_cast<std::size_t>(n));
+    scalar(p.data(), g.data(), ref.data(), 0, n, n);
+    // Panel splits at rows that are not aligned to the panel height (or
+    // to the 4-row groups) must compose to the same vector.
     std::vector<i64> cuts = {0};
-    for (const i64 c : {i64{19}, i64{83}}) {
+    for (const i64 c : {i64{19}, i64{83}, dp::kGainPanelRows + 50}) {
       if (c < n) cuts.push_back(c);
     }
     cuts.push_back(n);
-    for_each_checked_variant("ekf_rank1_f64", [&](const dp::Variant& v) {
-      const auto fn = reinterpret_cast<dp::Rank1PanelFn>(v.fn);
-      std::vector<f64> out = p0;
-      fn(out.data(), k.data(), coeff, inv_lambda, 0, n, n);
+    for_each_checked_variant("ekf_gain_f64", [&](const dp::Variant& v) {
+      const auto fn = reinterpret_cast<dp::GainPanelFn>(v.fn);
+      std::vector<f64> out(static_cast<std::size_t>(n), -7.0);
+      fn(p.data(), g.data(), out.data(), 0, n, n);
       EXPECT_TRUE(bytes_equal(ref, out));
-      std::vector<f64> split = p0;
+      std::vector<f64> split(static_cast<std::size_t>(n), -7.0);
       for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
-        fn(split.data(), k.data(), coeff, inv_lambda, cuts[c], cuts[c + 1],
-           n);
+        fn(p.data(), g.data(), split.data(), cuts[c], cuts[c + 1], n);
       }
       EXPECT_TRUE(bytes_equal(ref, split));
     });
@@ -318,7 +317,7 @@ struct EkfRun {
 };
 
 EkfRun run_ekf(bool fused, i64 n) {
-  const std::vector<f64> p0 = randn_f64(n * n, 71);
+  const std::vector<f64> p0 = randn_f64(kernels::packed_size(n), 71);
   const std::vector<f64> g = randn_f64(n, 72);
   EkfRun r;
   r.p = p0;
@@ -327,17 +326,18 @@ EkfRun run_ekf(bool fused, i64 n) {
   const f64 lambda = 0.9987, step = 0.01, noise = 1e-8;
   if (fused) {
     r.gain = kernels::ekf_gain_fused(r.p, g, r.y, n);
-    r.health = kernels::ekf_apply_fused(r.p, r.y, 1.0 / (lambda + r.gain),
-                                        lambda, step, r.w, noise, n);
+    r.health = kernels::ekf_apply_fused(r.p, r.p, r.y,
+                                        1.0 / (lambda + r.gain), lambda, step,
+                                        r.w, noise, n);
   } else {
     kernels::symv(r.p, g, r.y, n);
     r.gain = kernels::dot(g, r.y);
     kernels::p_update_fused(r.p, r.y, 1.0 / (lambda + r.gain), lambda, n);
-    for (i64 i = 0; i < n; ++i) r.p[i * n + i] += noise;
+    for (i64 i = 0; i < n; ++i) r.p[kernels::packed_row(i, n)] += noise;
     kernels::axpy(step, r.y, r.w);
     r.health = 0.0;
     for (i64 i = 0; i < n; ++i) {
-      r.health = std::max(r.health, r.p[i * n + i]);
+      r.health = std::max(r.health, r.p[kernels::packed_row(i, n)]);
     }
   }
   return r;
@@ -360,7 +360,7 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
     const EkfRun fused4 = run_ekf(true, n);
     const EkfRun legacy4 = run_ekf(false, n);
     // Width determinism per backend (§9 holds per variant; n = 193 splits
-    // into row panels that are not tile-aligned)...
+    // into a full and a ragged gain panel)...
     EXPECT_TRUE(fused1 == fused2);
     EXPECT_TRUE(fused1 == fused4);
     EXPECT_TRUE(legacy1 == legacy4);
@@ -376,6 +376,110 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
     // ...and every backend reproduces the scalar reference.
     if (!reference) reference = fused1;
     EXPECT_TRUE(fused1 == *reference);
+  }
+}
+
+// Frozen copies of the full-P row bodies the EKF ran before P was stored
+// packed: kernels.cpp's symv_rows and the ekf_rank1_f64 scalar reference,
+// verbatim, so they compile here under the tree's flags as they did there.
+void frozen_symv_rows(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi,
+                      i64 n) {
+  for (i64 i = rlo; i < rhi; ++i) {
+    const f64* __restrict__ row = p + i * n;
+    f64 acc = 0.0;
+    for (i64 j = 0; j < n; ++j) acc += row[j] * g[j];
+    y[i] = acc;
+  }
+}
+
+void frozen_rank1(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
+                  i64 rhi, i64 n) {
+  for (i64 i = rlo; i < rhi; ++i) {
+    const f64 ki_scaled = coeff * k[i];
+    f64* __restrict__ prow = p + i * n;
+    for (i64 j = i; j < n; ++j) {
+      const f64 pij = 0.5 * (prow[j] + p[j * n + i]);
+      const f64 v = (pij - ki_scaled * k[j]) * inv_lambda;
+      prow[j] = v;
+      p[j * n + i] = v;
+    }
+  }
+}
+
+TEST(DispatchExactness, PackedEkfMatchesTheFullPReference) {
+  // Several ekf_gain_fused + ekf_apply_fused updates on packed P, in place
+  // and out of place (the ping-pong snapshot's first write), must give the
+  // y, w and expanded P of the full-P bodies bit for bit, under every
+  // backend and at pool widths 1, 2 and 4. The n's cover every n % 4 of the
+  // fused gain tail and multi-panel splits.
+  BackendGuard backend_guard;
+  WidthGuard width_guard;
+  const f64 lambda = 0.98, step = 0.37, noise = 1e-2;
+  for (const i64 n : {i64{67}, i64{130}, 2 * dp::kGainPanelRows + 13,
+                      i64{260}}) {
+    const auto nn = static_cast<std::size_t>(n * n);
+    std::vector<f64> full0(nn);
+    Rng rng(static_cast<u64>(n));
+    for (i64 i = 0; i < n; ++i) {
+      for (i64 j = i; j < n; ++j) {
+        const f64 v = rng.gaussian() * 0.1 + (i == j ? 1.0 : 0.0);
+        full0[static_cast<std::size_t>(i * n + j)] = v;
+        full0[static_cast<std::size_t>(j * n + i)] = v;
+      }
+    }
+    std::vector<f64> packed0(static_cast<std::size_t>(kernels::packed_size(n)));
+    for (i64 i = 0; i < n; ++i) {
+      for (i64 j = i; j < n; ++j) {
+        packed0[static_cast<std::size_t>(kernels::packed_row(i, n) + j - i)] =
+            full0[static_cast<std::size_t>(i * n + j)];
+      }
+    }
+    const std::vector<f64> w0 = randn_f64(n, 91);
+    for (const Mode& mode : kModes) {
+      apply_mode(mode);
+      for (const i64 width : {1, 2, 4}) {
+        set_num_threads(width);
+        for (const bool out_of_place : {false, true}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " backend=" + mode.name +
+                       " width=" + std::to_string(width) +
+                       (out_of_place ? " out of place" : " in place"));
+          std::vector<f64> full = full0, ref_w = w0;
+          std::vector<f64> ref_y(static_cast<std::size_t>(n));
+          std::vector<f64> packed = packed0, spare(packed0.size(), -7.0);
+          std::vector<f64> w = w0, y(static_cast<std::size_t>(n));
+          for (int update = 0; update < 4; ++update) {
+            const std::vector<f64> g = randn_f64(n, 100 + update);
+            frozen_symv_rows(full.data(), g.data(), ref_y.data(), 0, n, n);
+            const f64 ref_gain = kernels::dot(g, ref_y);
+            const f64 a = 1.0 / (lambda + ref_gain);
+            frozen_rank1(full.data(), ref_y.data(), a, 1.0 / lambda, 0, n, n);
+            for (i64 i = 0; i < n; ++i) {
+              full[static_cast<std::size_t>(i * n + i)] += noise;
+            }
+            kernels::axpy(step, ref_y, ref_w);
+
+            const f64 gain = kernels::ekf_gain_fused(packed, g, y, n);
+            ASSERT_EQ(std::memcmp(&gain, &ref_gain, sizeof(f64)), 0);
+            kernels::ekf_apply_fused(packed, out_of_place ? spare : packed, y,
+                                     1.0 / (lambda + gain), lambda, step, w,
+                                     noise, n);
+            if (out_of_place) std::swap(packed, spare);
+            ASSERT_TRUE(bytes_equal(y, ref_y)) << "update " << update;
+            ASSERT_TRUE(bytes_equal(w, ref_w)) << "update " << update;
+            std::vector<f64> expanded(nn);
+            for (i64 i = 0; i < n; ++i) {
+              for (i64 j = 0; j < n; ++j) {
+                const i64 lo = std::min(i, j), hi = std::max(i, j);
+                expanded[static_cast<std::size_t>(i * n + j)] =
+                    packed[static_cast<std::size_t>(
+                        kernels::packed_row(lo, n) + hi - lo)];
+              }
+            }
+            ASSERT_TRUE(bytes_equal(expanded, full)) << "update " << update;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -300,12 +300,11 @@ TEST(Fusion, FekfStepKernelsBitExact) {
   WidthGuard guard;
   const i64 n = 24;
   Rng rng(301);
-  std::vector<f64> p0(static_cast<std::size_t>(n * n));
+  std::vector<f64> p0(static_cast<std::size_t>(kernels::packed_size(n)));
   for (i64 i = 0; i < n; ++i) {
-    for (i64 j = 0; j <= i; ++j) {
-      const f64 v = rng.gaussian() * 0.1 + (i == j ? 1.0 : 0.0);
-      p0[static_cast<std::size_t>(i * n + j)] = v;
-      p0[static_cast<std::size_t>(j * n + i)] = v;
+    for (i64 j = i; j < n; ++j) {
+      p0[static_cast<std::size_t>(kernels::packed_row(i, n) + j - i)] =
+          rng.gaussian() * 0.1 + (i == j ? 1.0 : 0.0);
     }
   }
   std::vector<f64> g(static_cast<std::size_t>(n));
@@ -329,7 +328,7 @@ TEST(Fusion, FekfStepKernelsBitExact) {
     kernels::axpy(step_scale, q_ref, w_ref);
     f64 max_diag_ref = 0.0;
     for (i64 i = 0; i < n; ++i) {
-      f64& d = p_ref[static_cast<std::size_t>(i * n + i)];
+      f64& d = p_ref[static_cast<std::size_t>(kernels::packed_row(i, n))];
       d += noise;
       max_diag_ref = std::max(max_diag_ref, d);
     }
@@ -346,8 +345,8 @@ TEST(Fusion, FekfStepKernelsBitExact) {
     }
     {
       KernelCountScope scope;
-      max_diag_f = kernels::ekf_apply_fused(p_f, q_f, a, lambda, step_scale,
-                                            w_f, noise, n);
+      max_diag_f = kernels::ekf_apply_fused(p_f, p_f, q_f, a, lambda,
+                                            step_scale, w_f, noise, n);
       apply_launches = scope.count();
     }
     EXPECT_EQ(gain_launches, 1);

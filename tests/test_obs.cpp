@@ -17,6 +17,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/fault.hpp"
 #include "data/dataset.hpp"
 #include "json_validator.hpp"
 #include "obs/flight.hpp"
@@ -721,6 +722,42 @@ TEST(Observer, TraceCoversTrainingPhases) {
   for (const char* phase : {"forward", "gradient", "adam_update"}) {
     EXPECT_GT(clock.seconds(phase), 0.0) << "no Adam time in: " << phase;
   }
+}
+
+TEST(Observer, TraceTimesSnapshotAndRollback) {
+  // The sentinel snapshot and rollback each run under their own span, so a
+  // traced run puts their cost on the one clock: a snapshot at the start
+  // and after every healthy step, a rollback for the poisoned one.
+  TraceScope scope(/*enabled=*/true);
+  struct InjectorGuard {
+    InjectorGuard() { FaultInjector::instance().configure("nan_grad@step=1"); }
+    ~InjectorGuard() { FaultInjector::instance().configure_from_env(); }
+  } injector;
+  data::DatasetConfig dcfg;
+  dcfg.train_per_temperature = 2;
+  dcfg.test_per_temperature = 1;
+  const data::SystemSpec& spec = data::get_system("Cu");
+  data::Dataset dataset = data::build_dataset(spec, dcfg);
+  deepmd::DeepmdModel model(tiny_model(), spec.num_types());
+  model.fit_stats(dataset.train);
+  auto train_envs = train::prepare_all(model, dataset.train);
+
+  train::TrainOptions opts;
+  opts.batch_size = 2;
+  opts.max_epochs = 1;
+  train::KalmanTrainer trainer(model, optim::KalmanConfig{}, opts);
+  const train::TrainResult result = trainer.train(train_envs, {});
+  ASSERT_EQ(result.faults.count("nonfinite_signal"), 1);
+
+  i64 snapshots = 0, rollbacks = 0;
+  for (const TraceEvent& e : TraceRecorder::instance().snapshot()) {
+    const std::string name = e.name;
+    if (name == "train.snapshot") ++snapshots;
+    if (name == "train.rollback") ++rollbacks;
+  }
+  EXPECT_EQ(rollbacks, 1);
+  // One at the start, one per healthy step; the poisoned step is skipped.
+  EXPECT_EQ(snapshots, result.steps);
 }
 
 }  // namespace

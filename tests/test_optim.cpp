@@ -5,6 +5,7 @@
 // the Naive-EKF memory/commit accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -143,10 +144,11 @@ TEST(Kalman, BlockSplitStillConverges) {
 TEST(Kalman, FusedAndUnfusedPUpdatesAgree) {
   const i64 n = 16;
   Rng rng(9);
-  std::vector<f64> p1(static_cast<std::size_t>(n * n));
+  std::vector<f64> p1(static_cast<std::size_t>(kernels::packed_size(n)));
   for (auto& v : p1) v = rng.gaussian() * 0.1;
-  kernels::symmetrize(p1, n);
-  for (i64 i = 0; i < n; ++i) p1[static_cast<std::size_t>(i * n + i)] += 2.0;
+  for (i64 i = 0; i < n; ++i) {
+    p1[static_cast<std::size_t>(kernels::packed_row(i, n))] += 2.0;
+  }
   std::vector<f64> p2 = p1;
   std::vector<f64> k(static_cast<std::size_t>(n));
   for (auto& v : k) v = rng.gaussian();
@@ -161,8 +163,10 @@ TEST(Kalman, FusedAndUnfusedPUpdatesAgree) {
 
 TEST(Kalman, FusedPUpdateIsOneKernelUnfusedThree) {
   const i64 n = 8;
-  std::vector<f64> p(static_cast<std::size_t>(n * n), 0.0);
-  for (i64 i = 0; i < n; ++i) p[static_cast<std::size_t>(i * n + i)] = 1.0;
+  std::vector<f64> p(static_cast<std::size_t>(kernels::packed_size(n)), 0.0);
+  for (i64 i = 0; i < n; ++i) {
+    p[static_cast<std::size_t>(kernels::packed_row(i, n))] = 1.0;
+  }
   std::vector<f64> k(static_cast<std::size_t>(n), 0.5);
   std::vector<f64> scratch(static_cast<std::size_t>(n * n));
   {
@@ -201,7 +205,8 @@ TEST(Kalman, MemoryAccounting) {
   KalmanConfig fused;
   KalmanOptimizer kal(blocks, fused);
   i64 expected = 0;
-  for (const auto& b : kal.blocks()) expected += b.size * b.size * 8;
+  // Packed upper triangles: n(n+1)/2 entries of 8 bytes per block.
+  for (const auto& b : kal.blocks()) expected += b.size * (b.size + 1) / 2 * 8;
   EXPECT_EQ(kal.p_bytes(), expected);
   EXPECT_EQ(kal.scratch_bytes(), 0);  // fused kernel needs no scratch
 
@@ -326,6 +331,8 @@ TEST(NaiveEkf, MemoryIsSlotsTimesP) {
   KalmanConfig cfg;
   NaiveEkf naive(blocks, cfg, /*slots=*/8);
   KalmanOptimizer single(blocks, cfg);
+  // Two packed 32-parameter blocks per replica: 2 * 528 entries * 8 B.
+  EXPECT_EQ(single.p_bytes(), 8448);
   EXPECT_EQ(naive.p_bytes(), 8 * single.p_bytes());
   EXPECT_EQ(naive.comm_bytes_per_step(), naive.p_bytes());
 }
@@ -467,45 +474,151 @@ TEST(Kalman, StateRoundTripRestoresTrajectory) {
   EXPECT_THROW(kal.set_state(wrong), Error);
 }
 
-TEST(Kalman, StateCopyReusesStorageAndRestoresExactly) {
-  // The sentinel snapshot is `snap = kal.state()` into a KalmanState that
-  // already has the optimizer's layout: the copy must land in the existing
-  // block buffers (no allocation, no fresh pages), and set_state after
-  // further updates must bring lambda and P back bit for bit.
-  auto blocks = split_blocks(Layout{{"w", 40}, {"b", 9}}, 16);
-  KalmanOptimizer kal(blocks, KalmanConfig{});
-  Rng rng(23);
-  std::vector<f64> w(49, 0.0), g(49);
-  auto step = [&] {
-    for (auto& v : g) v = rng.gaussian();
-    kal.update(g, 0.1, w);
+bool same_state(const KalmanState& a, const KalmanState& b) {
+  if (std::memcmp(&a.lambda, &b.lambda, sizeof(f64)) != 0) return false;
+  if (a.p.size() != b.p.size()) return false;
+  for (std::size_t blk = 0; blk < a.p.size(); ++blk) {
+    if (a.p[blk].size() != b.p[blk].size() ||
+        std::memcmp(a.p[blk].data(), b.p[blk].data(),
+                    a.p[blk].size() * sizeof(f64)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Kalman, SnapshotIsAFlipAndRollbackIsASwap) {
+  // The sentinel snapshot copies nothing: snapshot() marks the live
+  // buffers, the next update writes the spare ones and swaps, rollback()
+  // swaps back. So only two buffers per block ever appear, updates never
+  // touch the snapshot's bytes, rollback restores lambda and P bit for bit
+  // (again after recondition or set_state wrote in place), and taking
+  // snapshots does not change what any level computes.
+  for (const EkfLevel level :
+       {EkfLevel::kFused, EkfLevel::kOpt3, EkfLevel::kFramework}) {
+    SCOPED_TRACE("level " + std::to_string(static_cast<int>(level)));
+    auto blocks = split_blocks(Layout{{"w", 40}, {"b", 9}}, 16);
+    KalmanConfig cfg;
+    cfg.level = level;
+    KalmanOptimizer kal(blocks, cfg), plain(blocks, cfg);
+    const std::size_t nblocks = kal.state().p.size();
+    ASSERT_GE(nblocks, 2u);
+    Rng rng(23);
+    std::vector<f64> w(49, 0.0), w_plain(49, 0.0), g(49);
+    std::vector<std::vector<const f64*>> seen(nblocks);
+    auto record = [&] {
+      for (std::size_t b = 0; b < nblocks; ++b) {
+        const f64* ptr = kal.state().p[b].data();
+        if (std::find(seen[b].begin(), seen[b].end(), ptr) == seen[b].end()) {
+          seen[b].push_back(ptr);
+        }
+      }
+    };
+    auto step = [&](bool also_plain) {
+      for (auto& v : g) v = rng.gaussian();
+      kal.update(g, 0.1, w);
+      if (also_plain) plain.update(g, 0.1, w_plain);
+      record();
+    };
+    record();
+
+    // A snapshot before every update, as the trainer takes them: the
+    // same trajectory as no snapshot at all.
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      kal.snapshot();
+      step(true);
+    }
+    EXPECT_TRUE(same_state(kal.state(), plain.state()));
+    EXPECT_EQ(w, w_plain);
+
+    kal.snapshot();
+    const KalmanState snap = kal.state();
+    std::vector<const f64*> snap_storage;
+    for (const auto& block : kal.state().p) snap_storage.push_back(block.data());
+    step(false);
+    step(false);
+    ASSERT_NE(kal.lambda(), snap.lambda);
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      EXPECT_NE(kal.state().p[b].data(), snap_storage[b]) << "block " << b;
+      EXPECT_EQ(std::memcmp(snap_storage[b], snap.p[b].data(),
+                            snap.p[b].size() * sizeof(f64)),
+                0)
+          << "updates wrote the snapshot of block " << b;
+    }
+
+    kal.rollback();
+    EXPECT_TRUE(same_state(kal.state(), snap));
+    // recondition rescales the blocks lambda inflated past p_init, in
+    // place; a second rollback still finds the untouched snapshot.
+    kal.recondition();
+    EXPECT_FALSE(same_state(kal.state(), snap));
+    kal.rollback();
+    EXPECT_TRUE(same_state(kal.state(), snap));
+    // So does set_state while the snapshot is live.
+    kal.set_state(plain.state());
+    EXPECT_TRUE(same_state(kal.state(), plain.state()));
+    kal.rollback();
+    EXPECT_TRUE(same_state(kal.state(), snap));
+    step(false);
+    kal.rollback();
+    EXPECT_TRUE(same_state(kal.state(), snap));
+
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      EXPECT_EQ(seen[b].size(), 2u) << "block " << b;
+    }
+  }
+}
+
+TEST(NaiveEkf, SnapshotIsAFlipAndRollbackIsASwap) {
+  auto blocks = split_blocks(Layout{{"w", 20}, {"b", 7}}, 16);
+  KalmanConfig cfg;
+  NaiveEkf naive(blocks, cfg, /*slots=*/2), plain(blocks, cfg, 2);
+  Rng rng(29);
+  std::vector<f64> w(27, 0.0), w_plain(27, 0.0), g(27);
+  auto step = [&](bool also_plain) {
+    for (i64 slot = 0; slot < 2; ++slot) {
+      for (auto& v : g) v = rng.gaussian();
+      naive.accumulate(slot, g, 0.1);
+      if (also_plain) plain.accumulate(slot, g, 0.1);
+    }
+    naive.commit(w);
+    if (also_plain) plain.commit(w_plain);
   };
-  step();
-  KalmanState snap = kal.state();
-  ASSERT_GE(snap.p.size(), 2u);
-  std::vector<const f64*> storage;
-  for (const auto& block : snap.p) storage.push_back(block.data());
-
-  step();
-  snap = kal.state();
-  for (std::size_t b = 0; b < snap.p.size(); ++b) {
-    EXPECT_EQ(snap.p[b].data(), storage[b]) << "block " << b;
+  auto same = [](const std::vector<KalmanState>& a,
+                 const std::vector<KalmanState>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t s = 0; s < a.size(); ++s) {
+      if (!same_state(a[s], b[s])) return false;
+    }
+    return true;
+  };
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    naive.snapshot();
+    step(true);
   }
-  const f64 lambda = snap.lambda;
-  const std::vector<std::vector<f64>> p = snap.p;
+  EXPECT_TRUE(same(naive.state(), plain.state()));
+  EXPECT_EQ(w, w_plain);
 
-  step();
-  step();
-  ASSERT_NE(kal.lambda(), lambda);
-  kal.set_state(snap);
-  EXPECT_EQ(std::memcmp(&kal.state().lambda, &lambda, sizeof(f64)), 0);
-  ASSERT_EQ(kal.state().p.size(), p.size());
-  for (std::size_t b = 0; b < p.size(); ++b) {
-    EXPECT_EQ(std::memcmp(kal.state().p[b].data(), p[b].data(),
-                          p[b].size() * sizeof(f64)),
-              0)
-        << "block " << b;
-  }
+  naive.snapshot();
+  const std::vector<KalmanState> snap = naive.state();
+  step(false);
+  step(false);
+  EXPECT_FALSE(same(naive.state(), snap));
+  naive.rollback();
+  EXPECT_TRUE(same(naive.state(), snap));
+  naive.recondition();
+  EXPECT_FALSE(same(naive.state(), snap));
+  naive.rollback();
+  EXPECT_TRUE(same(naive.state(), snap));
+  naive.set_state(plain.state());
+  naive.rollback();
+  EXPECT_TRUE(same(naive.state(), snap));
+  // rollback clears a half-accumulated batch.
+  for (auto& v : g) v = rng.gaussian();
+  naive.accumulate(0, g, 0.1);
+  naive.rollback();
+  EXPECT_TRUE(same(naive.state(), snap));
+  EXPECT_THROW(naive.commit(w), Error);
 }
 
 TEST(Kalman, ReconditionRepairsDivergedCovariance) {

@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 
 #include "core/fault.hpp"
+#include "core/textio.hpp"
 #include "data/dataset.hpp"
 #include "dist/cluster.hpp"
 #include "json_validator.hpp"
@@ -271,6 +273,84 @@ TEST(Checkpoint, RejectsNonFiniteOrOutOfRangeKalmanState) {
     expect_rejected(state, "block",
                     ("P entry " + std::to_string(entry)).c_str());
   }
+}
+
+TEST(Checkpoint, RejectsAsymmetricOrNonSquareKalmanP) {
+  // The optimizer keeps only P's upper triangle, so a checkpoint block must
+  // be a square, exactly symmetric n x n matrix. Tampered under a valid
+  // checksum, an asymmetric pair or a non-square entry count fails at load
+  // with one line naming the file, the line and the block.
+  InjectorGuard guard;
+  Fixture f = make_fixture();
+  TempFile file("fekf_ckpt_asym.ckpt");
+  TrainOptions opts = base_options(2, 1);
+  opts.max_steps = 2;
+  opts.checkpoint_every = 2;
+  opts.checkpoint_path = file.path;
+  KalmanTrainer trainer(*f.model, base_kalman(), opts);
+  trainer.train(f.train_envs, {});
+
+  const std::string text = slurp(file.path);
+  const std::string body = text.substr(text.find('\n') + 1);
+  const std::size_t begin = body.find("\nblock ") + 1;
+  const std::size_t end = body.find('\n', begin);
+  ASSERT_NE(end, std::string::npos);
+  std::vector<std::string> tokens;
+  {
+    std::istringstream line(body.substr(begin, end - begin));
+    for (std::string t; line >> t;) tokens.push_back(t);
+  }
+  ASSERT_EQ(tokens[0], "block");
+  const auto count = static_cast<i64>(tokens.size()) - 2;
+  const auto n = static_cast<i64>(std::lround(std::sqrt(count)));
+  ASSERT_EQ(n * n, count);
+  ASSERT_GE(n, 2);
+  // Line of the block in the whole file: the header line, then the body.
+  const i64 line = 2 + static_cast<i64>(std::count(
+                           body.begin(),
+                           body.begin() + static_cast<std::ptrdiff_t>(begin),
+                           '\n'));
+
+  TempFile tampered("fekf_ckpt_asym_tampered.ckpt");
+  auto write_block = [&](const std::vector<std::string>& block) {
+    std::string out;
+    for (const std::string& t : block) out += (out.empty() ? "" : " ") + t;
+    write_checksummed_file(tampered.path, "fekf-training-checkpoint-v1",
+                           body.substr(0, begin) + out + body.substr(end));
+  };
+  auto expect_rejected = [&](const char* label, const std::string& needle) {
+    SCOPED_TRACE(label);
+    try {
+      load_checkpoint(tampered.path);
+      ADD_FAILURE() << "load_checkpoint accepted " << label;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(tampered.path + ":" + std::to_string(line) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("kalman P block 0"), std::string::npos) << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  };
+
+  // Re-checksummed but untouched, the block loads.
+  write_block(tokens);
+  EXPECT_NO_THROW(load_checkpoint(tampered.path));
+
+  // P(0,1) takes the diagonal's value; P(1,0) keeps the old one.
+  std::vector<std::string> asym = tokens;
+  ASSERT_NE(asym[2], asym[2 + 1]);
+  asym[2 + 1] = asym[2];
+  write_block(asym);
+  expect_rejected("asymmetric pair", "not symmetric: P(0,1)");
+
+  // One entry short of n x n.
+  std::vector<std::string> short_block = tokens;
+  short_block.pop_back();
+  short_block[1] = std::to_string(count - 1);
+  write_block(short_block);
+  expect_rejected("non-square block", "not a square");
 }
 
 // ---------------------------------------------------------------------------

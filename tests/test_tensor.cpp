@@ -3,6 +3,7 @@
 // and parameterized shape sweeps for the matmul family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -211,13 +212,31 @@ TEST(Counter, BreakdownTracksNames) {
   KernelCounter::enable(false);
 }
 
-// f64 EKF kernels.
+// f64 EKF kernels. P is stored as its packed upper triangle.
+
+/// Entry (i, j) of a packed symmetric block.
+f64 packed_at(const std::vector<f64>& p, i64 i, i64 j, i64 n) {
+  const i64 lo = std::min(i, j), hi = std::max(i, j);
+  return p[static_cast<std::size_t>(k::packed_row(lo, n) + hi - lo)];
+}
+
+TEST(EkfKernels, PackedLayout) {
+  const i64 n = 5;
+  EXPECT_EQ(k::packed_size(n), 15);
+  // Row i starts after rows 0..i-1, which hold n, n-1, ... entries.
+  i64 offset = 0;
+  for (i64 i = 0; i < n; ++i) {
+    EXPECT_EQ(k::packed_row(i, n), offset);
+    offset += n - i;
+  }
+  EXPECT_EQ(offset, k::packed_size(n));
+}
+
 TEST(EkfKernels, SymvMatchesReference) {
   const i64 n = 9;
   Rng rng(15);
-  std::vector<f64> p(static_cast<std::size_t>(n * n));
+  std::vector<f64> p(static_cast<std::size_t>(k::packed_size(n)));
   for (auto& v : p) v = rng.gaussian();
-  k::symmetrize(p, n);
   std::vector<f64> g(static_cast<std::size_t>(n));
   for (auto& v : g) v = rng.gaussian();
   std::vector<f64> y(static_cast<std::size_t>(n));
@@ -225,32 +244,37 @@ TEST(EkfKernels, SymvMatchesReference) {
   for (i64 i = 0; i < n; ++i) {
     f64 ref = 0.0;
     for (i64 j = 0; j < n; ++j) {
-      ref += p[static_cast<std::size_t>(i * n + j)] *
-             g[static_cast<std::size_t>(j)];
+      ref += packed_at(p, i, j, n) * g[static_cast<std::size_t>(j)];
     }
     EXPECT_NEAR(y[static_cast<std::size_t>(i)], ref, 1e-12);
   }
 }
 
-TEST(EkfKernels, SymmetrizeMakesSymmetric) {
+TEST(EkfKernels, SymmetrizeFoldsPairsIntoPackedP) {
   const i64 n = 6;
   Rng rng(16);
-  std::vector<f64> p(static_cast<std::size_t>(n * n));
-  for (auto& v : p) v = rng.gaussian();
-  k::symmetrize(p, n);
+  std::vector<f64> full(static_cast<std::size_t>(n * n));
+  for (auto& v : full) v = rng.gaussian();
+  std::vector<f64> p(static_cast<std::size_t>(k::packed_size(n)));
+  k::symmetrize(full, p, n);
   for (i64 i = 0; i < n; ++i) {
-    for (i64 j = 0; j < n; ++j) {
-      EXPECT_EQ(p[static_cast<std::size_t>(i * n + j)],
-                p[static_cast<std::size_t>(j * n + i)]);
+    for (i64 j = i; j < n; ++j) {
+      const f64 expected =
+          i == j ? full[static_cast<std::size_t>(i * n + i)]
+                 : 0.5 * (full[static_cast<std::size_t>(i * n + j)] +
+                          full[static_cast<std::size_t>(j * n + i)]);
+      EXPECT_EQ(packed_at(p, i, j, n), expected);
     }
   }
 }
 
-TEST(EkfKernels, PUpdatePreservesSymmetryAndShrinksAlongK) {
+TEST(EkfKernels, PUpdateShrinksAlongK) {
   const i64 n = 12;
   Rng rng(17);
-  std::vector<f64> p(static_cast<std::size_t>(n * n), 0.0);
-  for (i64 i = 0; i < n; ++i) p[static_cast<std::size_t>(i * n + i)] = 1.0;
+  std::vector<f64> p(static_cast<std::size_t>(k::packed_size(n)), 0.0);
+  for (i64 i = 0; i < n; ++i) {
+    p[static_cast<std::size_t>(k::packed_row(i, n))] = 1.0;
+  }
   std::vector<f64> g(static_cast<std::size_t>(n));
   for (auto& v : g) v = rng.gaussian();
   std::vector<f64> q(static_cast<std::size_t>(n));
@@ -258,11 +282,14 @@ TEST(EkfKernels, PUpdatePreservesSymmetryAndShrinksAlongK) {
   const f64 gpg = k::dot(g, q);
   const f64 a = 1.0 / (0.98 + gpg);
   k::p_update_fused(p, q, a, 0.98, n);
-  // Symmetric after update.
+  // Entry (i,j) is (delta_ij - a q_i q_j) / lambda.
   for (i64 i = 0; i < n; ++i) {
-    for (i64 j = 0; j < n; ++j) {
-      EXPECT_EQ(p[static_cast<std::size_t>(i * n + j)],
-                p[static_cast<std::size_t>(j * n + i)]);
+    for (i64 j = i; j < n; ++j) {
+      const f64 expected =
+          ((i == j ? 1.0 : 0.0) - a * q[static_cast<std::size_t>(i)] *
+                                      q[static_cast<std::size_t>(j)]) /
+          0.98;
+      EXPECT_NEAR(packed_at(p, i, j, n), expected, 1e-12);
     }
   }
   // Variance along g shrinks: g^T P' g < g^T P g.

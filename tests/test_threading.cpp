@@ -92,14 +92,13 @@ TEST(ThreadDeterminism, Bmm) {
 TEST(ThreadDeterminism, PUpdate) {
   const i64 n = 256;
   Rng rng(41);
-  std::vector<f64> p0(static_cast<std::size_t>(n * n));
+  std::vector<f64> p0(static_cast<std::size_t>(kernels::packed_size(n)));
   std::vector<f64> k(static_cast<std::size_t>(n));
   for (i64 i = 0; i < n; ++i) {
     k[static_cast<std::size_t>(i)] = rng.gaussian();
     for (i64 j = i; j < n; ++j) {
-      const f64 v = rng.gaussian();
-      p0[static_cast<std::size_t>(i * n + j)] = v;
-      p0[static_cast<std::size_t>(j * n + i)] = v;
+      p0[static_cast<std::size_t>(kernels::packed_row(i, n) + j - i)] =
+          rng.gaussian();
     }
   }
   WidthGuard guard;
@@ -130,7 +129,7 @@ TEST(ThreadDeterminism, PUpdate) {
 TEST(ThreadDeterminism, SymvAndDot) {
   const i64 n = 512;
   Rng rng(43);
-  std::vector<f64> p(static_cast<std::size_t>(n * n));
+  std::vector<f64> p(static_cast<std::size_t>(kernels::packed_size(n)));
   std::vector<f64> g(static_cast<std::size_t>(n));
   for (auto& v : p) v = rng.gaussian();
   for (auto& v : g) v = rng.gaussian();
