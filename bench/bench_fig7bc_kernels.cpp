@@ -143,6 +143,7 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
   dp::register_gemm_variants();
   dp::register_ekf_variants();
   dp::register_matnt_variants();
+  dp::register_gemm_tn_variants();
   Rng rng(seed);
   std::vector<DispatchSection> sections;
 
@@ -182,6 +183,18 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
           reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(),
                                                    out.data(), 0, rows, nt_n,
                                                    nt_q);
+        }));
+  }
+  {  // TN reduction: the embedding-layer gw = xᵀu shape (108 atoms x 96
+     // neighbours at the bench width M = 12).
+    const i64 k = 10368, m = 12, n = 12;
+    const Tensor a = Tensor::randn(k, m, rng);
+    const Tensor b = Tensor::randn(k, n, rng);
+    Tensor out(m, n);
+    sections.push_back(time_family(
+        "gemm_tn_f32", "k=10368 m=12 n=12", [&](const dp::Variant& v) {
+          reinterpret_cast<dp::GemmTnPanelFn>(v.fn)(a.data(), b.data(),
+                                                    out.data(), 0, m, k, m, n);
         }));
   }
   return sections;

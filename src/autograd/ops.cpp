@@ -6,6 +6,10 @@ namespace fekf::ag::ops {
 
 namespace k = fekf::kernels;
 
+// Closures with several inputs test ag::needs_input_grad(i) and leave the
+// slot of an input nobody asked a gradient for undefined, skipping its
+// launches (DESIGN.md §8 "needs-grad pruning").
+
 Variable add(const Variable& a, const Variable& b) {
   return Variable::make_op(
       k::add(a.value(), b.value()), "add", {a, b},
@@ -15,14 +19,17 @@ Variable add(const Variable& a, const Variable& b) {
 Variable sub(const Variable& a, const Variable& b) {
   return Variable::make_op(
       k::sub(a.value(), b.value()), "sub", {a, b},
-      [](const Variable& g) -> std::vector<Variable> { return {g, neg(g)}; });
+      [](const Variable& g) -> std::vector<Variable> {
+        return {g, needs_input_grad(1) ? neg(g) : Variable{}};
+      });
 }
 
 Variable mul(const Variable& a, const Variable& b) {
   return Variable::make_op(
       k::mul(a.value(), b.value()), "mul", {a, b},
       [a, b](const Variable& g) -> std::vector<Variable> {
-        return {mul(g, b), mul(g, a)};
+        return {needs_input_grad(0) ? mul(g, b) : Variable{},
+                needs_input_grad(1) ? mul(g, a) : Variable{}};
       });
 }
 
@@ -62,19 +69,35 @@ Variable tanh(const Variable& a) {
 
 namespace {
 
-/// Fused kernel gx = g * (1 - tanh(a)^2) as a differentiable op (used as
-/// the backward of tanh_fused; must itself be differentiable for the force
-/// loss / EKF force measurement).
-Variable tanh_grad_fused(const Variable& g, const Variable& a) {
-  Tensor y = k::tanh(a.value());  // folded into the fused launch below
+Variable tanh_grad_fused(const Variable& g, const Variable& a,
+                         const Tensor& y_t);
+
+/// Zero-launch differentiable handle on a cached y_t = tanh(a): re-emits
+/// the tanh_fused node so the forward pass and every closure below share
+/// the one activation the forward launch computed (no closure recomputes
+/// a forward value, DESIGN.md §8).
+Variable tanh_wrap(const Tensor& y_t, const Variable& a) {
   return Variable::make_op(
-      k::tanh_backward(g.value(), y), "tanh_grad_fused", {g, a},
-      [g, a](const Variable& gout) -> std::vector<Variable> {
+      y_t, "tanh", {a}, [a, y_t](const Variable& g) -> std::vector<Variable> {
+        return {tanh_grad_fused(g, a, y_t)};
+      });
+}
+
+/// Fused kernel gx = g * (1 - y^2) over the cached y_t as a differentiable
+/// op (the backward of tanh_fused; must itself be differentiable for the
+/// force loss / EKF force measurement).
+Variable tanh_grad_fused(const Variable& g, const Variable& a,
+                         const Tensor& y_t) {
+  return Variable::make_op(
+      k::tanh_backward(g.value(), y_t), "tanh_grad_fused", {g, a},
+      [g, a, y_t](const Variable& gout) -> std::vector<Variable> {
         // d/dg = (1 - y^2) ⊙ gout — exactly the fused kernel again.
-        Variable grad_g = tanh_grad_fused(gout, a);
+        Variable grad_g =
+            needs_input_grad(0) ? tanh_grad_fused(gout, a, y_t) : Variable{};
+        if (!needs_input_grad(1)) return {grad_g, Variable{}};
         // d/da = gout ⊙ g ⊙ (-2 y (1 - y^2)), composed from primitives
         // (this path only runs in double-backward).
-        const Variable y = tanh(a);
+        const Variable y = tanh_wrap(y_t, a);
         const Variable one_minus = add_scalar(neg(square(y)), 1.0f);
         Variable grad_a =
             scale(mul(mul(gout, g), mul(y, one_minus)), -2.0f);
@@ -85,18 +108,15 @@ Variable tanh_grad_fused(const Variable& g, const Variable& a) {
 }  // namespace
 
 Variable tanh_fused(const Variable& a) {
-  return Variable::make_op(
-      k::tanh(a.value()), "tanh", {a},
-      [a](const Variable& g) -> std::vector<Variable> {
-        return {tanh_grad_fused(g, a)};
-      });
+  return tanh_wrap(k::tanh(a.value()), a);
 }
 
 Variable matmul(const Variable& a, const Variable& b) {
   return Variable::make_op(
       k::matmul(a.value(), b.value()), "matmul", {a, b},
       [a, b](const Variable& g) -> std::vector<Variable> {
-        return {matmul_nt(g, b), matmul_tn(a, g)};
+        return {needs_input_grad(0) ? matmul_nt(g, b) : Variable{},
+                needs_input_grad(1) ? matmul_tn(a, g) : Variable{}};
       });
 }
 
@@ -105,7 +125,8 @@ Variable matmul_nt(const Variable& a, const Variable& b) {
       k::matmul_nt(a.value(), b.value()), "matmul_nt", {a, b},
       [a, b](const Variable& g) -> std::vector<Variable> {
         // out = a b^T; ga = g b, gb = g^T a.
-        return {matmul(g, b), matmul_tn(g, a)};
+        return {needs_input_grad(0) ? matmul(g, b) : Variable{},
+                needs_input_grad(1) ? matmul_tn(g, a) : Variable{}};
       });
 }
 
@@ -114,7 +135,8 @@ Variable matmul_tn(const Variable& a, const Variable& b) {
       k::matmul_tn(a.value(), b.value()), "matmul_tn", {a, b},
       [a, b](const Variable& g) -> std::vector<Variable> {
         // out = a^T b; ga = b g^T, gb = a g.
-        return {matmul_nt(b, g), matmul(a, g)};
+        return {needs_input_grad(0) ? matmul_nt(b, g) : Variable{},
+                needs_input_grad(1) ? matmul(a, g) : Variable{}};
       });
 }
 
@@ -136,7 +158,9 @@ Variable linear_fused(const Variable& x, const Variable& w,
       k::linear_fused(x.value(), w.value(), bias.value()), "linear_fused",
       {x, w, bias},
       [x, w](const Variable& g) -> std::vector<Variable> {
-        return {matmul_nt(g, w), matmul_tn(x, g), sum_rows(g)};
+        return {needs_input_grad(0) ? matmul_nt(g, w) : Variable{},
+                needs_input_grad(1) ? matmul_tn(x, g) : Variable{},
+                needs_input_grad(2) ? sum_rows(g) : Variable{}};
       });
 }
 
@@ -189,14 +213,19 @@ std::vector<Variable> linear_tanh_double_backward(
     case LtOutput::kGw: p = matmul(x, gg); break;
     case LtOutput::kGb: p = broadcast_rows(gg, x.rows()); break;
   }
-  const Variable v = mul(scale(mul(mul(p, g), y), -2.0f), e);
-  Variable dg = mul(p, e);
-  Variable dx = matmul_nt(v, w);
-  Variable dw = matmul_tn(x, v);
-  Variable db = sum_rows(v);
-  if (which == LtOutput::kGx) {
+  const bool need_g = needs_input_grad(0), need_x = needs_input_grad(1),
+             need_w = needs_input_grad(2), need_b = needs_input_grad(3);
+  Variable dg, dx, dw, db;
+  if (need_g) dg = mul(p, e);
+  if (need_x || need_w || need_b) {
+    const Variable v = mul(scale(mul(mul(p, g), y), -2.0f), e);
+    if (need_x) dx = matmul_nt(v, w);
+    if (need_w) dw = matmul_tn(x, v);
+    if (need_b) db = sum_rows(v);
+  }
+  if (which == LtOutput::kGx && need_w) {
     dw = add(dw, matmul_tn(gg, mul(g, e)));  // explicit w term of u w^T
-  } else if (which == LtOutput::kGw) {
+  } else if (which == LtOutput::kGw && need_x) {
     dx = add(dx, matmul_nt(mul(g, e), gg));  // explicit x term of x^T u
   }
   return {dg, dx, dw, db};
@@ -207,9 +236,11 @@ std::vector<Variable> linear_tanh_backward_vars(const Variable& g,
                                                 const Variable& w,
                                                 const Variable& b,
                                                 const Tensor& y_t) {
+  const bool need_x = needs_input_grad(0), need_w = needs_input_grad(1),
+             need_b = needs_input_grad(2);
   Tensor gx_t, gw_t, gb_t;
   k::linear_tanh_backward(g.value(), y_t, x.value(), w.value(), gx_t, gw_t,
-                          gb_t);
+                          gb_t, {need_x, need_w, need_b});
   auto wrap = [&](Tensor value, const char* name, LtOutput which) {
     return Variable::make_op(
         std::move(value), name, {g, x, w, b},
@@ -217,9 +248,13 @@ std::vector<Variable> linear_tanh_backward_vars(const Variable& g,
           return linear_tanh_double_backward(gg, which, g, x, w, b, y_t);
         });
   };
-  return {wrap(std::move(gx_t), "linear_tanh_gx", LtOutput::kGx),
-          wrap(std::move(gw_t), "linear_tanh_gw", LtOutput::kGw),
-          wrap(std::move(gb_t), "linear_tanh_gb", LtOutput::kGb)};
+  // One launch forms only the needed grads; only those join the tape.
+  return {need_x ? wrap(std::move(gx_t), "linear_tanh_gx", LtOutput::kGx)
+                 : Variable{},
+          need_w ? wrap(std::move(gw_t), "linear_tanh_gw", LtOutput::kGw)
+                 : Variable{},
+          need_b ? wrap(std::move(gb_t), "linear_tanh_gb", LtOutput::kGb)
+                 : Variable{}};
 }
 
 }  // namespace
@@ -234,7 +269,7 @@ Variable add_rowvec(const Variable& mat, const Variable& row) {
   return Variable::make_op(
       k::add_rowvec(mat.value(), row.value()), "add_rowvec", {mat, row},
       [](const Variable& g) -> std::vector<Variable> {
-        return {g, sum_rows(g)};
+        return {g, needs_input_grad(1) ? sum_rows(g) : Variable{}};
       });
 }
 
@@ -334,7 +369,8 @@ Variable concat_rows(const Variable& a, const Variable& b) {
   return Variable::make_op(
       k::concat_rows(a.value(), b.value()), "concat_rows", {a, b},
       [ma, mb](const Variable& g) -> std::vector<Variable> {
-        return {slice_rows(g, 0, ma), slice_rows(g, ma, ma + mb)};
+        return {needs_input_grad(0) ? slice_rows(g, 0, ma) : Variable{},
+                needs_input_grad(1) ? slice_rows(g, ma, ma + mb) : Variable{}};
       });
 }
 

@@ -26,7 +26,9 @@ Variable square(const Variable& a);
 /// tanh whose backward composes primitives (recomputes tanh on the tape —
 /// many small launches, the framework-autograd behaviour).
 Variable tanh(const Variable& a);
-/// tanh whose backward is the single fused kernel g * (1 - y^2).
+/// tanh whose backward is the single fused kernel g * (1 - y^2) over the
+/// cached forward activation; neither it nor its double backward launches
+/// tanh again.
 Variable tanh_fused(const Variable& a);
 
 // ---- linear algebra -------------------------------------------------------

@@ -9,7 +9,29 @@
 namespace fekf::ag {
 
 namespace {
+
 thread_local bool t_grad_enabled = true;
+
+/// needs_input_grad() mask of the closure grad() is running on this
+/// thread; null outside grad().
+thread_local const std::vector<char>* t_needs_mask = nullptr;
+
+/// Installs a closure's needs-mask for its call and restores the previous
+/// one on scope exit, so a throwing closure cannot leak its mask.
+class NeedsMaskScope {
+ public:
+  explicit NeedsMaskScope(const std::vector<char>* mask)
+      : previous_(t_needs_mask) {
+    t_needs_mask = mask;
+  }
+  ~NeedsMaskScope() { t_needs_mask = previous_; }
+  NeedsMaskScope(const NeedsMaskScope&) = delete;
+  NeedsMaskScope& operator=(const NeedsMaskScope&) = delete;
+
+ private:
+  const std::vector<char>* previous_;
+};
+
 }  // namespace
 
 Variable::Variable(Tensor value, bool requires_grad)
@@ -64,6 +86,14 @@ NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
 
 bool grad_enabled() { return t_grad_enabled; }
 
+bool needs_input_grad(std::size_t i) {
+  if (t_needs_mask == nullptr) return true;
+  FEKF_CHECK(i < t_needs_mask->size(),
+             "needs_input_grad: input index " + std::to_string(i) +
+                 " out of range");
+  return (*t_needs_mask)[i] != 0;
+}
+
 std::vector<Variable> grad(const Variable& root,
                            std::span<const Variable> wrt,
                            const Variable& grad_root, bool create_graph) {
@@ -100,6 +130,22 @@ std::vector<Variable> grad(const Variable& root,
     }
   }
 
+  // Variables some `wrt` entry is reachable from. topo lists inputs first,
+  // so one forward pass decides every node after its inputs. Only these
+  // run their closure, and only their gradients are accumulated.
+  std::unordered_set<const VarImpl*> needed;
+  for (const Variable& w : wrt) needed.insert(w.key());
+  for (const Variable& var : topo) {
+    const auto& node = var.node();
+    if (!node || needed.count(var.key())) continue;
+    for (const Variable& input : node->inputs) {
+      if (input.defined() && needed.count(input.key())) {
+        needed.insert(var.key());
+        break;
+      }
+    }
+  }
+
   std::unordered_map<const VarImpl*, Variable> grads;
   {
     Variable seed = grad_root;
@@ -118,11 +164,21 @@ std::vector<Variable> grad(const Variable& root,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const Variable& var = *it;
     const auto& node = var.node();
-    if (!node) continue;
+    if (!node || !needed.count(var.key())) continue;
     auto found = grads.find(var.key());
     if (found == grads.end()) continue;  // unreached branch
     const Variable grad_out = found->second;
-    std::vector<Variable> input_grads = node->backward(grad_out);
+    std::vector<char> mask(node->inputs.size(), 0);
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      const Variable& input = node->inputs[i];
+      mask[i] = input.defined() && input.requires_grad() &&
+                needed.count(input.key());
+    }
+    std::vector<Variable> input_grads;
+    {
+      NeedsMaskScope scope(&mask);
+      input_grads = node->backward(grad_out);
+    }
     FEKF_CHECK(input_grads.size() == node->inputs.size(),
                "op '" + node->op_name + "' backward returned " +
                    std::to_string(input_grads.size()) + " grads for " +
@@ -130,7 +186,7 @@ std::vector<Variable> grad(const Variable& root,
     for (std::size_t i = 0; i < input_grads.size(); ++i) {
       const Variable& input = node->inputs[i];
       Variable& g = input_grads[i];
-      if (!g.defined() || !input.defined() || !input.requires_grad()) continue;
+      if (!mask[i] || !g.defined()) continue;
       FEKF_CHECK(g.value().same_shape(input.value()),
                  "op '" + node->op_name + "' backward grad #" +
                      std::to_string(i) + " shape " + g.value().shape_str() +

@@ -99,12 +99,25 @@ class NoGradGuard {
 
 bool grad_enabled();
 
+/// Whether the backward closure grad() is running needs the gradient of
+/// its node's input `i`. grad() prunes the tape to the nodes from which
+/// some `wrt` entry is reachable and scopes a per-node mask around each
+/// closure call (restored on exit, exceptions included); closures skip the
+/// launches for inputs whose gradient nobody asked for and return an
+/// undefined Variable in their slot. True outside grad(), so a closure
+/// invoked directly computes every input's gradient.
+bool needs_input_grad(std::size_t i);
+
 /// Reverse-mode gradient of `root` (any shape; `grad_root` defaults to
 /// ones) with respect to each Variable in `wrt`.
 ///
 /// With `create_graph == true` the returned gradients carry their own tape
 /// and can be differentiated again (used for forces and the force loss).
 /// Variables in `wrt` that the root does not depend on yield zero tensors.
+/// Only nodes on a path from some `wrt` entry to the root run their
+/// closure, and only the gradients of such paths are formed; each needed
+/// gradient still sums the same contributions in the same order, so the
+/// pruning never changes a returned value.
 std::vector<Variable> grad(const Variable& root,
                            std::span<const Variable> wrt,
                            const Variable& grad_root = {},

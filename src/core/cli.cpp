@@ -1,5 +1,7 @@
 #include "core/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -58,19 +60,27 @@ std::string Cli::get(const std::string& name) const {
   return f.value.value_or(f.default_value);
 }
 
+// Both numeric getters reject an empty value (strto* would parse it as
+// 0) and an out-of-range one (which strto* saturates to LLONG_MAX or
+// ±HUGE_VAL, flagging ERANGE); get_double also rejects nan and inf.
 i64 Cli::get_int(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
+  errno = 0;
   const long long r = std::strtoll(v.c_str(), &end, 10);
-  FEKF_CHECK(end && *end == '\0', "--" + name + ": '" + v + "' is not an integer");
+  FEKF_CHECK(!v.empty() && end && *end == '\0' && errno != ERANGE,
+             "--" + name + ": '" + v + "' is not an integer");
   return static_cast<i64>(r);
 }
 
 f64 Cli::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
+  errno = 0;
   const f64 r = std::strtod(v.c_str(), &end);
-  FEKF_CHECK(end && *end == '\0', "--" + name + ": '" + v + "' is not a number");
+  FEKF_CHECK(!v.empty() && end && *end == '\0' && errno != ERANGE &&
+                 std::isfinite(r),
+             "--" + name + ": '" + v + "' is not a number");
   return r;
 }
 

@@ -160,7 +160,8 @@ Variable bmm_nn(const Variable& x, const Variable& y, i64 p) {
       bmm_nn_kernel(x.value(), y.value(), p), "bmm_nn", {x, y},
       [x, y, p, q](const Variable& g) -> std::vector<Variable> {
         // out_b = X_b Y_b: gX_b = g_b Y_b^T, gY_b = X_b^T g_b.
-        return {bmm_nt(g, y, p, q), bmm_tn(x, g, p)};
+        return {ag::needs_input_grad(0) ? bmm_nt(g, y, p, q) : Variable{},
+                ag::needs_input_grad(1) ? bmm_tn(x, g, p) : Variable{}};
       });
 }
 
@@ -170,7 +171,8 @@ Variable bmm_tn(const Variable& x, const Variable& y, i64 q) {
       bmm_tn_kernel(x.value(), y.value(), q), "bmm_tn", {x, y},
       [x, y, p, q](const Variable& g) -> std::vector<Variable> {
         // out_b = X_b^T Y_b: gX_b = Y_b g_b^T, gY_b = X_b g_b.
-        return {bmm_nt(y, g, q, p), bmm_nn(x, g, q)};
+        return {ag::needs_input_grad(0) ? bmm_nt(y, g, q, p) : Variable{},
+                ag::needs_input_grad(1) ? bmm_nn(x, g, q) : Variable{}};
       });
 }
 
@@ -180,7 +182,8 @@ Variable bmm_nt(const Variable& x, const Variable& y, i64 p, i64 s) {
       [x, y, p, s](const Variable& g) -> std::vector<Variable> {
         // out_b = X_b Y_b^T: gX_b = g_b Y_b, gY_b = g_b^T X_b.
         (void)s;
-        return {bmm_nn(g, y, p), bmm_tn(g, x, p)};
+        return {ag::needs_input_grad(0) ? bmm_nn(g, y, p) : Variable{},
+                ag::needs_input_grad(1) ? bmm_tn(g, x, p) : Variable{}};
       });
 }
 

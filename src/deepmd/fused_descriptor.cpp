@@ -190,11 +190,15 @@ Variable desc_d_grad(const Variable& gd, const Variable& a, i64 m,
         //   d/dgD = hh·(A^<)^T + A·(hh^<)^T
         //   d/dA  = pad(gD^T·hh) + gD·hh^<
         const Variable hl = block_slice_rows(hh, m, 0, m_axis);
-        const Variable al = block_slice_rows(a, m, 0, m_axis);
-        Variable dgd = op::add(bmm_nt(hh, al, m, m_axis),
-                               bmm_nt(a, hl, m, m_axis));
-        Variable da = op::add(block_pad_rows(bmm_tn(gd, hh, m), m, m_axis, 0),
-                              bmm_nn(gd, hl, m));
+        Variable dgd, da;
+        if (ag::needs_input_grad(0)) {
+          const Variable al = block_slice_rows(a, m, 0, m_axis);
+          dgd = op::add(bmm_nt(hh, al, m, m_axis), bmm_nt(a, hl, m, m_axis));
+        }
+        if (ag::needs_input_grad(1)) {
+          da = op::add(block_pad_rows(bmm_tn(gd, hh, m), m, m_axis, 0),
+                       bmm_nn(gd, hl, m));
+        }
         return {dgd, da};
       });
 }
@@ -215,14 +219,18 @@ Variable desc_a(const std::vector<Variable>& g_mats,
           const Variable& g) -> std::vector<Variable> {
         // Same launches the kOpt1 backward issues (scale + 2 bmm per
         // type); composed of bmm ops, hence differentiable to any order.
+        const std::size_t types = g_mats.size();
         const Variable gs = op::scale(g, inv_nm);
-        std::vector<Variable> grads;
-        grads.reserve(g_mats.size() + r_mats.size());
-        for (std::size_t t = 0; t < g_mats.size(); ++t) {
-          grads.push_back(bmm_nt(r_mats[t], gs, sel[t], m));
+        std::vector<Variable> grads(2 * types);
+        for (std::size_t t = 0; t < types; ++t) {
+          if (ag::needs_input_grad(t)) {
+            grads[t] = bmm_nt(r_mats[t], gs, sel[t], m);
+          }
         }
-        for (std::size_t t = 0; t < g_mats.size(); ++t) {
-          grads.push_back(bmm_nn(g_mats[t], gs, sel[t]));
+        for (std::size_t t = 0; t < types; ++t) {
+          if (ag::needs_input_grad(types + t)) {
+            grads[types + t] = bmm_nn(g_mats[t], gs, sel[t]);
+          }
         }
         return grads;
       });

@@ -38,6 +38,26 @@ dispatch::Dispatched<dispatch::MatNtPanelFn>& matnt_dispatch() {
   return d;
 }
 
+dispatch::Dispatched<dispatch::GemmTnPanelFn>& gemm_tn_dispatch() {
+  static dispatch::Dispatched<dispatch::GemmTnPanelFn> d(
+      "gemm_tn_f32", &dispatch::register_gemm_tn_variants);
+  return d;
+}
+
+/// out(m, n) = a(k, m)ᵀ · b(k, n) with the dispatched panel body over
+/// output-row panels; each out[i][j] is one ascending-l chain, so the
+/// panel split does not change the numerics. Shared by matmul_tn and the
+/// gw phase of linear_tanh_backward.
+Tensor gemm_tn(const f32* a, const f32* b, i64 k, i64 m, i64 n) {
+  const dispatch::GemmTnPanelFn fn = gemm_tn_dispatch().get();
+  Tensor out(m, n);
+  f32* po = out.data();
+  parallel_for_blocks(
+      0, m, [&](i64 rlo, i64 rhi) { fn(a, b, po, rlo, rhi, k, m, n); },
+      grain_items(k * n));
+  return out;
+}
+
 dispatch::Dispatched<dispatch::GainPanelFn>& gain_dispatch() {
   static dispatch::Dispatched<dispatch::GainPanelFn> d(
       "ekf_gain_f64", &dispatch::register_ekf_variants);
@@ -174,29 +194,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   FEKF_CHECK(a.rows() == b.rows(), "matmul_tn: inner dims " + a.shape_str() +
                                        "^T * " + b.shape_str());
   KernelLaunch launch("matmul_tn");
-  const i64 k = a.rows(), m = a.cols(), n = b.cols();
-  Tensor out = Tensor::zeros(m, n);
-  const f32* __restrict__ pa = a.data();
-  const f32* __restrict__ pb = b.data();
-  f32* __restrict__ po = out.data();
-  // Row panels of the output; each panel keeps the cache-friendly l-outer
-  // loop, and each out[i][j] still accumulates over ascending l, so the
-  // panel split does not change the numerics.
-  parallel_for_blocks(
-      0, m,
-      [&](i64 rlo, i64 rhi) {
-        for (i64 l = 0; l < k; ++l) {
-          const f32* __restrict__ arow = pa + l * m;
-          const f32* __restrict__ brow = pb + l * n;
-          for (i64 i = rlo; i < rhi; ++i) {
-            const f32 av = arow[i];
-            f32* __restrict__ orow = po + i * n;
-            for (i64 j = 0; j < n; ++j) orow[j] += av * brow[j];
-          }
-        }
-      },
-      grain_items(k * n));
-  return out;
+  return gemm_tn(a.data(), b.data(), a.rows(), a.cols(), b.cols());
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
@@ -335,7 +333,7 @@ Tensor linear_tanh(const Tensor& x, const Tensor& w, const Tensor& bias) {
 
 void linear_tanh_backward(const Tensor& gy, const Tensor& y, const Tensor& x,
                           const Tensor& w, Tensor& gx, Tensor& gw,
-                          Tensor& gb) {
+                          Tensor& gb, LinearTanhGrads want) {
   const i64 m = x.rows(), k = x.cols(), n = w.cols();
   FEKF_CHECK(gy.rows() == m && gy.cols() == n && y.same_shape(gy) &&
                  w.rows() == k,
@@ -361,48 +359,40 @@ void linear_tanh_backward(const Tensor& gy, const Tensor& y, const Tensor& x,
         }
       },
       kGrainWork);
+  // Unrequested grads stay empty and their phases are skipped.
+  gx = Tensor();
+  gw = Tensor();
+  gb = Tensor();
   // gx = u w^T (matmul_nt ordering: f64 accumulator, ascending l) via the
   // shared matnt_f32 panel body.
-  gx = Tensor(m, k);
-  const dispatch::MatNtPanelFn nt_fn = matnt_dispatch().get();
-  const f32* __restrict__ pw = w.data();
-  f32* __restrict__ pgx = gx.data();
-  parallel_for_blocks(
-      0, m,
-      [&](i64 rlo, i64 rhi) { nt_fn(pu, pw, pgx, rlo, rhi, k, n); },
-      grain_items(n * k));
-  // gw = x^T u (matmul_tn ordering: f32 accumulation over ascending sample
-  // rows, output-row panels).
-  gw = Tensor::zeros(k, n);
-  const f32* __restrict__ px = x.data();
-  f32* __restrict__ pgw = gw.data();
-  parallel_for_blocks(
-      0, k,
-      [&](i64 rlo, i64 rhi) {
-        for (i64 l = 0; l < m; ++l) {
-          const f32* __restrict__ xrow = px + l * k;
-          const f32* __restrict__ urow = pu + l * n;
-          for (i64 i = rlo; i < rhi; ++i) {
-            const f32 xv = xrow[i];
-            f32* __restrict__ grow = pgw + i * n;
-            for (i64 j = 0; j < n; ++j) grow[j] += xv * urow[j];
-          }
-        }
-      },
-      grain_items(m * n));
+  if (want.gx) {
+    gx = Tensor(m, k);
+    const dispatch::MatNtPanelFn nt_fn = matnt_dispatch().get();
+    const f32* __restrict__ pw = w.data();
+    f32* __restrict__ pgx = gx.data();
+    parallel_for_blocks(
+        0, m,
+        [&](i64 rlo, i64 rhi) { nt_fn(pu, pw, pgx, rlo, rhi, k, n); },
+        grain_items(n * k));
+  }
+  // gw = x^T u: matmul_tn's body and partition via the shared
+  // gemm_tn_f32 panel.
+  if (want.gw) gw = gemm_tn(x.data(), pu, m, k, n);
   // gb = column sums of u (sum_rows ordering: f64 accumulator per column).
-  gb = Tensor(1, n);
-  f32* __restrict__ pgb = gb.data();
-  parallel_for_blocks(
-      0, n,
-      [&](i64 clo, i64 chi) {
-        for (i64 j = clo; j < chi; ++j) {
-          f64 acc = 0.0;
-          for (i64 i = 0; i < m; ++i) acc += pu[i * n + j];
-          pgb[j] = static_cast<f32>(acc);
-        }
-      },
-      grain_items(m));
+  if (want.gb) {
+    gb = Tensor(1, n);
+    f32* __restrict__ pgb = gb.data();
+    parallel_for_blocks(
+        0, n,
+        [&](i64 clo, i64 chi) {
+          for (i64 j = clo; j < chi; ++j) {
+            f64 acc = 0.0;
+            for (i64 i = 0; i < m; ++i) acc += pu[i * n + j];
+            pgb[j] = static_cast<f32>(acc);
+          }
+        },
+        grain_items(m));
+  }
 }
 
 Tensor broadcast_full(const Tensor& scalar, i64 m, i64 n) {

@@ -12,6 +12,8 @@
 //                                   upper-triangle P
 //   "matnt_f32"      MatNtPanelFn   row panel of out = a·bᵀ with a
 //                                   per-output f64 accumulator
+//   "gemm_tn_f32"    GemmTnPanelFn  row panel of out = aᵀ·b with a
+//                                   per-output f32 FMA chain
 #pragma once
 
 #include "core/common.hpp"
@@ -53,6 +55,16 @@ inline constexpr i64 kGainPanelRows = 128;
 using MatNtPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
                               i64 rhi, i64 n, i64 q);
 
+/// Rows [rlo, rhi) of out(m, n) = a(k, m)ᵀ · b(k, n): each output is one
+/// f32 chain started at +0.0f over ascending l with one fused multiply-add
+/// per term,
+///   out[i*n + j] = fma(a[l*m + i], b[l*n + j], out[i*n + j]),
+/// — the matmul_tn / linear_tanh_backward-gw reference order (GCC contracts
+/// the scalar body's every term at -march=native). The panel's rows are
+/// fully written; the caller need not zero them.
+using GemmTnPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
+                               i64 rhi, i64 k, i64 m, i64 n);
+
 // ---- registration hooks ---------------------------------------------------
 // Idempotent; invoked by the Dispatched<> handles guarding each call site
 // and by tests/benches that enumerate the registry.
@@ -60,6 +72,7 @@ using MatNtPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
 void register_gemm_variants();
 void register_ekf_variants();
 void register_matnt_variants();
+void register_gemm_tn_variants();
 
 // ---- undispatched EKF body ------------------------------------------------
 

@@ -4,12 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "core/rng.hpp"
+#include "data/systems.hpp"
+#include "deepmd/model.hpp"
+#include "md/sampler.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/kernel_counter.hpp"
 
 namespace fekf::ag {
@@ -316,6 +323,151 @@ TEST(Autograd, GradRootSeed) {
     EXPECT_NEAR(g3[0].value().data()[i], 3.0f * g1[0].value().data()[i],
                 1e-5f);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Needs-grad pruning
+// ---------------------------------------------------------------------------
+
+bool same_bytes(const Variable& a, const Variable& b) {
+  return a.value().same_shape(b.value()) &&
+         std::memcmp(a.value().data(), b.value().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(f32)) == 0;
+}
+
+/// Requires-grad leaves reachable from `root` that are not in `exclude`.
+std::vector<Variable> other_leaves(const Variable& root,
+                                   const std::vector<Variable>& exclude) {
+  std::unordered_set<const VarImpl*> skip, seen;
+  for (const Variable& v : exclude) skip.insert(v.key());
+  std::vector<Variable> leaves, stack = {root};
+  seen.insert(root.key());
+  while (!stack.empty()) {
+    const Variable v = stack.back();
+    stack.pop_back();
+    if (!v.node()) {
+      if (v.requires_grad() && !skip.count(v.key())) leaves.push_back(v);
+      continue;
+    }
+    for (const Variable& input : v.node()->inputs) {
+      if (input.defined() && input.requires_grad() &&
+          seen.insert(input.key()).second) {
+        stack.push_back(input);
+      }
+    }
+  }
+  return leaves;
+}
+
+std::vector<Variable> concat(std::vector<Variable> a,
+                             const std::vector<Variable>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Asking for fewer gradients prunes the tape but must not move a bit of the
+// ones still asked for: the force measurement's weight gradients (second
+// backward) against the same entries of the gradient w.r.t. weights ∪ env
+// leaves, and the first backward's dE/dR~ against dE/d(R~ ∪ weights), at
+// every fusion level and at widths 1 and 4.
+TEST(Autograd, PrunedGradientsMatchFullGradients) {
+  struct WidthGuard {
+    ~WidthGuard() { set_num_threads(0); }
+  } width_guard;
+  const data::SystemSpec& spec = data::get_system("NaCl");
+  Rng rng(501);
+  md::Structure st = spec.make_structure(rng);
+  auto pot = spec.make_potential(st);
+  md::SamplerConfig sampler;
+  sampler.dt_fs = spec.dt_fs;
+  sampler.temperatures = {spec.temperatures.front()};
+  sampler.equilibration_steps = 10;
+  sampler.stride = 2;
+  sampler.snapshots_per_temperature = 1;
+  const auto snaps = md::sample_trajectory(*pot, st, spec.masses, sampler, rng);
+  for (const auto level :
+       {deepmd::FusionLevel::kBaseline, deepmd::FusionLevel::kOpt1,
+        deepmd::FusionLevel::kOpt2, deepmd::FusionLevel::kFused}) {
+    deepmd::ModelConfig cfg;
+    cfg.rcut = 5.0;
+    cfg.rcut_smth = 2.5;
+    cfg.embed_width = 8;
+    cfg.axis_neurons = 4;
+    cfg.fitting_width = 12;
+    cfg.fusion = level;
+    deepmd::DeepmdModel model(cfg, 2);
+    model.fit_stats(snaps);
+    const auto env = model.prepare(snaps[0]);
+    const std::vector<Variable> params = model.parameters();
+    Rng sign_rng(502);
+    Tensor sign_t(env->natoms, 3);
+    for (i64 i = 0; i < sign_t.numel(); ++i) {
+      sign_t.data()[i] = sign_rng.uniform() < 0.5 ? -1.0f : 1.0f;
+    }
+    for (const i64 width : {1, 4}) {
+      SCOPED_TRACE("fusion " + std::to_string(static_cast<int>(level)) +
+                   " width " + std::to_string(width));
+      set_num_threads(width);
+      const auto pred = model.predict(env, /*with_forces=*/true);
+
+      // Second backward: weights only vs weights ∪ env leaves.
+      const Variable m = op::sum_all(op::mul(pred.forces, Variable(sign_t)));
+      const std::vector<Variable> env_leaves = other_leaves(m, params);
+      ASSERT_FALSE(env_leaves.empty());
+      const auto pruned = grad(m, params);
+      const auto full = grad(m, concat(params, env_leaves));
+      for (std::size_t p = 0; p < params.size(); ++p) {
+        EXPECT_TRUE(same_bytes(pruned[p], full[p])) << "param " << p;
+      }
+
+      // First backward (create_graph, as predict() takes it): env leaves
+      // only vs env leaves ∪ weights.
+      const std::vector<Variable> r_leaves = other_leaves(pred.energy, params);
+      ASSERT_FALSE(r_leaves.empty());
+      const auto pruned_r = grad(pred.energy, r_leaves, {}, true);
+      const auto full_r =
+          grad(pred.energy, concat(r_leaves, params), {}, true);
+      for (std::size_t t = 0; t < r_leaves.size(); ++t) {
+        EXPECT_TRUE(same_bytes(pruned_r[t], full_r[t])) << "leaf " << t;
+      }
+    }
+  }
+}
+
+TEST(Autograd, NeedsMaskIsScopedToEachClosure) {
+  EXPECT_TRUE(needs_input_grad(0));  // outside grad(): everything
+  Variable a(random_tensor(2, 3, 60), true);
+  Variable b(random_tensor(2, 3, 61), true);
+  std::vector<bool> seen;
+  const Variable z(random_tensor(2, 2, 62), true);
+  const Variable inner = op::sum_all(op::mul(z, z));
+  Variable y = Variable::make_op(
+      a.value().clone(), "probe", {a, b},
+      [&seen, &z, &inner](const Variable& g) -> std::vector<Variable> {
+        seen = {needs_input_grad(0), needs_input_grad(1)};
+        // A nested grad() installs and removes its own masks...
+        (void)grad(inner, std::vector<Variable>{z});
+        // ...and leaves this closure's mask in place.
+        seen.push_back(needs_input_grad(0));
+        seen.push_back(needs_input_grad(1));
+        return {needs_input_grad(0) ? g : Variable{},
+                needs_input_grad(1) ? g : Variable{}};
+      });
+  const auto g = grad(op::sum_all(y), std::vector<Variable>{a});
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true, false}));
+  EXPECT_EQ(g[0].value().at(0, 0), 1.0f);
+  EXPECT_TRUE(needs_input_grad(1));
+
+  // A throwing closure must not leak its mask past grad().
+  Variable t = Variable::make_op(
+      a.value().clone(), "throws", {a, b},
+      [](const Variable&) -> std::vector<Variable> {
+        throw std::runtime_error("closure failed");
+      });
+  EXPECT_THROW((void)grad(op::sum_all(t), std::vector<Variable>{b}),
+               std::runtime_error);
+  EXPECT_TRUE(needs_input_grad(0));
+  EXPECT_TRUE(needs_input_grad(1));
 }
 
 }  // namespace

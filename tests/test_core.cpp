@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -118,6 +119,50 @@ TEST(Cli, BadNumberThrows) {
   const char* argv[] = {"prog", "--k", "abc"};
   ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_THROW(cli.get_int("k"), Error);
+
+  // Hostile values: empty, out of range (strto* would saturate), and the
+  // non-finite spellings strtod accepts. Each is rejected with the flag's
+  // one-line diagnostic.
+  auto parsed = [](const char* value) {
+    Cli c("prog", "test");
+    c.flag("k", "0", "int").flag("x", "0", "number");
+    const char* args[] = {"prog", "--k", value, "--x", value};
+    EXPECT_TRUE(c.parse(5, args)) << value;
+    return c;
+  };
+  for (const char* bad : {"", "99999999999999999999", "-99999999999999999999",
+                          "1.5", " "}) {
+    const Cli c = parsed(bad);
+    try {
+      (void)c.get_int("k");
+      ADD_FAILURE() << "get_int accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--k: '" + std::string(bad) +
+                                           "' is not an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* bad : {"", "1e999", "-1e999", "nan", "NAN", "inf", "-inf",
+                          "infinity", "1e-400", "2x"}) {
+    const Cli c = parsed(bad);
+    try {
+      (void)c.get_double("x");
+      ADD_FAILURE() << "get_double accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--x: '" + std::string(bad) +
+                                           "' is not a number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Limits and ordinary values still parse.
+  const Cli max = parsed("9223372036854775807");
+  EXPECT_EQ(max.get_int("k"), std::numeric_limits<i64>::max());
+  const Cli ok = parsed("-42");
+  EXPECT_EQ(ok.get_int("k"), -42);
+  EXPECT_EQ(ok.get_double("x"), -42.0);
+  EXPECT_EQ(parsed("1e300").get_double("x"), 1e300);
 }
 
 TEST(Table, RendersAligned) {

@@ -27,13 +27,14 @@ namespace {
 
 namespace dp = dispatch;
 
-/// All three families; registration hooks are idempotent.
+/// All four families; registration hooks are idempotent.
 const std::vector<std::string>& all_families() {
   dp::register_gemm_variants();
   dp::register_ekf_variants();
   dp::register_matnt_variants();
+  dp::register_gemm_tn_variants();
   static const std::vector<std::string> families = {
-      "gemm_f32", "ekf_gain_f64", "matnt_f32"};
+      "gemm_f32", "ekf_gain_f64", "matnt_f32", "gemm_tn_f32"};
   return families;
 }
 
@@ -140,6 +141,7 @@ TEST(DispatchRegistry, UnsupportedIsaFallsBackGracefully) {
   EXPECT_EQ(reg.selected("gemm_f32").name, "simd");
   EXPECT_EQ(reg.selected("ekf_gain_f64").name, "blocked");
   EXPECT_EQ(reg.selected("matnt_f32").name, "lanes");
+  EXPECT_EQ(reg.selected("gemm_tn_f32").name, "scalar");
 }
 
 TEST(DispatchRegistry, ReRegistrationReplacesAndBumpsGeneration) {
@@ -291,6 +293,110 @@ TEST(DispatchExactness, MatNtVariantsAreBitExact) {
                                                s.q);
       EXPECT_TRUE(bytes_equal(ref, split));
     });
+  }
+}
+
+// Frozen copy of the matmul_tn body every xᵀg reduction ran before the
+// gemm_tn_f32 family (matmul_tn and, line for line, the gw phase of
+// linear_tanh_backward), verbatim over a zeroed output, so it compiles here
+// with kernels.cpp's contraction (one FMA per term).
+Tensor frozen_matmul_tn(const Tensor& a, const Tensor& b) {
+  const i64 k = a.rows(), m = a.cols(), n = b.cols();
+  Tensor out = Tensor::zeros(m, n);
+  const f32* __restrict__ pa = a.data();
+  const f32* __restrict__ pb = b.data();
+  f32* __restrict__ po = out.data();
+  for (i64 l = 0; l < k; ++l) {
+    const f32* __restrict__ arow = pa + l * m;
+    const f32* __restrict__ brow = pb + l * n;
+    for (i64 i = 0; i < m; ++i) {
+      const f32 av = arow[i];
+      f32* __restrict__ orow = po + i * n;
+      for (i64 j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
+  return out;
+}
+
+bool same_tensor(const Tensor& p, const Tensor& q) {
+  return p.same_shape(q) &&
+         std::memcmp(p.data(), q.data(),
+                     static_cast<std::size_t>(p.numel()) * sizeof(f32)) == 0;
+}
+
+TEST(DispatchExactness, GemmTnVariantsAreBitExact) {
+  dp::register_gemm_tn_variants();
+  const auto scalar = reinterpret_cast<dp::GemmTnPanelFn>(
+      dp::Registry::instance().find("gemm_tn_f32", "scalar")->fn);
+  // Output rows m cover 1, a ragged 4-row tile (5, 25, 50) and whole
+  // tiles (12); columns n cover 1, sub-vector (4), one vector (8), the
+  // masked 12/13/17 tails and multi-tile 25/50. k = 10368 is the
+  // bench-width embedding gw reduction (108 atoms x 96 neighbours).
+  for (const i64 k : {i64{1}, i64{37}, i64{10368}}) {
+    for (const i64 m : {1, 5, 12, 25, 50}) {
+      for (const i64 n : {1, 4, 8, 12, 13, 17, 25, 50}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                     " n=" + std::to_string(n));
+        const std::vector<f32> a = randn_f32(k * m, 81);
+        const std::vector<f32> b = randn_f32(k * n, 82);
+        std::vector<f32> ref(static_cast<std::size_t>(m * n), -7.0f);
+        scalar(a.data(), b.data(), ref.data(), 0, m, k, m, n);
+        // Panel cuts off the 4-row tile boundaries must compose.
+        std::vector<i64> cuts = {0};
+        for (const i64 c : {i64{3}, i64{6}, i64{23}}) {
+          if (c < m) cuts.push_back(c);
+        }
+        cuts.push_back(m);
+        for_each_checked_variant("gemm_tn_f32", [&](const dp::Variant& v) {
+          const auto fn = reinterpret_cast<dp::GemmTnPanelFn>(v.fn);
+          std::vector<f32> out(static_cast<std::size_t>(m * n), -7.0f);
+          fn(a.data(), b.data(), out.data(), 0, m, k, m, n);
+          EXPECT_TRUE(bytes_equal(ref, out));
+          std::vector<f32> split(static_cast<std::size_t>(m * n), -7.0f);
+          for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+            fn(a.data(), b.data(), split.data(), cuts[c], cuts[c + 1], k, m,
+               n);
+          }
+          EXPECT_TRUE(bytes_equal(ref, split));
+        });
+      }
+    }
+  }
+}
+
+TEST(DispatchKernels, GemmTnPublicKernelsMatchTheFrozenLoop) {
+  // matmul_tn and linear_tanh_backward's gw both run the dispatched body;
+  // under every backend and at widths 1, 2 and 4 they must reproduce the
+  // loop they replaced byte for byte.
+  BackendGuard backend_guard;
+  WidthGuard width_guard;
+  struct Shape { i64 k, m, n; };
+  const std::vector<Shape> shapes = {
+      {10368, 12, 12}, {10368, 1, 12}, {2592, 25, 25}, {108, 50, 50},
+      {108, 50, 1},    {37, 5, 13},    {64, 17, 8}};
+  for (const Shape& s : shapes) {
+    Rng rng(static_cast<u64>(s.k * 131 + s.m * 7 + s.n));
+    const Tensor a = Tensor::randn(s.k, s.m, rng);
+    const Tensor g = Tensor::randn(s.k, s.n, rng);
+    const Tensor y = Tensor::randn(s.k, s.n, rng, 0.5);
+    const Tensor w = Tensor::randn(s.m, s.n, rng);
+    const Tensor ref = frozen_matmul_tn(a, g);
+    // The gw phase reduces u = g * (1 - y^2), the tanh_backward formula.
+    const Tensor u = kernels::tanh_backward(g, y);
+    const Tensor ref_gw = frozen_matmul_tn(a, u);
+    for (const Mode& mode : kModes) {
+      apply_mode(mode);
+      for (const i64 width : {1, 2, 4}) {
+        SCOPED_TRACE("k=" + std::to_string(s.k) + " m=" + std::to_string(s.m) +
+                     " n=" + std::to_string(s.n) + " backend=" + mode.name +
+                     " width=" + std::to_string(width));
+        set_num_threads(width);
+        EXPECT_TRUE(same_tensor(kernels::matmul_tn(a, g), ref));
+        Tensor gx, gw, gb;
+        kernels::linear_tanh_backward(g, y, a, w, gx, gw, gb);
+        EXPECT_TRUE(same_tensor(gw, ref_gw));
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "autograd/ops.hpp"
@@ -155,6 +156,28 @@ TEST(Fusion, LinearTanhLaunchCounts) {
   KernelCounter::enable(false);
 }
 
+TEST(Fusion, LinearTanhBackwardFormsOnlyRequestedGrads) {
+  const LinearTanhCase c;
+  const Tensor y = kernels::linear_tanh(c.x.value(), c.w.value(),
+                                        c.b.value());
+  Tensor gx, gw, gb;
+  kernels::linear_tanh_backward(c.s, y, c.x.value(), c.w.value(), gx, gw, gb);
+  for (const kernels::LinearTanhGrads want :
+       {kernels::LinearTanhGrads{true, false, false},
+        kernels::LinearTanhGrads{false, true, false},
+        kernels::LinearTanhGrads{false, false, true},
+        kernels::LinearTanhGrads{false, true, true}}) {
+    Tensor px, pw, pb;
+    KernelCountScope scope;
+    kernels::linear_tanh_backward(c.s, y, c.x.value(), c.w.value(), px, pw,
+                                  pb, want);
+    EXPECT_EQ(scope.count(), 1);
+    EXPECT_TRUE(want.gx ? bitwise_equal(px, gx) : px.numel() == 0);
+    EXPECT_TRUE(want.gw ? bitwise_equal(pw, gw) : pw.numel() == 0);
+    EXPECT_TRUE(want.gb ? bitwise_equal(pb, gb) : pb.numel() == 0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-descriptor fusion (desc_a / desc_d) at model level
 // ---------------------------------------------------------------------------
@@ -290,6 +313,117 @@ TEST(Fusion, DescriptorLaunchCounts) {
   }
   KernelCounter::enable(false);
   EXPECT_LT(fused_total, unfused_total);
+}
+
+// At the default rung the force path does only the work its result needs:
+// the forward computes each activation once and every closure reuses it,
+// and each backward forms only the gradients someone asked for (DESIGN.md
+// §8): no weight gradients in predict()'s dE/dR~ pass, no tanh at all in
+// the measurement's double backward.
+TEST(Fusion, Opt2ForcePathSkipsUnneededWork) {
+  ModelPair pair = make_models("NaCl", 2, 205);
+  deepmd::DeepmdModel& model = pair.unfused;
+  ASSERT_EQ(model.fusion(), deepmd::FusionLevel::kOpt2);
+  KernelCounter::enable(true);
+  KernelCounter::reset();
+  auto pred = model.predict(pair.env_u, /*with_forces=*/true);
+  auto bd = KernelCounter::breakdown();
+  // 2 types x (3 embedding + 3 activated fitting layers), one tanh each.
+  EXPECT_EQ(bd["tanh"], 12);
+  EXPECT_EQ(bd["tanh_backward"], 12);
+  EXPECT_EQ(bd["matmul_tn"], 0);
+  EXPECT_EQ(bd["sum_rows"], 0);
+
+  Rng rng(206);
+  Tensor sign_t(pair.env_u->natoms, 3);
+  for (i64 i = 0; i < sign_t.numel(); ++i) {
+    sign_t.data()[i] = rng.uniform() < 0.5 ? -1.0f : 1.0f;
+  }
+  const Variable m = op::sum_all(op::mul(pred.forces, Variable(sign_t)));
+  const std::vector<Variable> params = model.parameters();
+  KernelCounter::reset();
+  (void)ag::grad(m, params);
+  bd = KernelCounter::breakdown();
+  const i64 weights_only = KernelCounter::total();
+  EXPECT_EQ(bd["tanh"], 0);
+  EXPECT_GT(bd["matmul_tn"], 0);  // the weight gradients are formed
+  // Asking for the env-matrix gradients as well costs launches the
+  // weight-only pass skips.
+  std::vector<Variable> with_env = params;
+  std::vector<Variable> stack = {m};
+  std::set<const ag::VarImpl*> seen = {m.key()}, weights;
+  for (const Variable& p : params) weights.insert(p.key());
+  while (!stack.empty()) {
+    const Variable v = stack.back();
+    stack.pop_back();
+    if (!v.node() && !weights.count(v.key())) with_env.push_back(v);
+    if (!v.node()) continue;
+    for (const Variable& input : v.node()->inputs) {
+      if (input.requires_grad() && seen.insert(input.key()).second) {
+        stack.push_back(input);
+      }
+    }
+  }
+  ASSERT_GT(with_env.size(), params.size());
+  KernelCounter::reset();
+  (void)ag::grad(m, with_env);
+  EXPECT_LT(weights_only, KernelCounter::total());
+  KernelCounter::enable(false);
+}
+
+// Frozen copy of tanh_fused's backward as it was before the activation was
+// cached: tanh recomputed with k::tanh for the fused kernel and with the
+// composed op::tanh in the double backward. Built from public kernels and
+// ops, so it compiles here as it did in ops.cpp.
+Variable frozen_tanh_grad_fused(const Variable& g, const Variable& a) {
+  Tensor y = kernels::tanh(a.value());
+  return Variable::make_op(
+      kernels::tanh_backward(g.value(), y), "frozen_tanh_grad_fused", {g, a},
+      [g, a](const Variable& gout) -> std::vector<Variable> {
+        Variable grad_g = frozen_tanh_grad_fused(gout, a);
+        const Variable y = op::tanh(a);
+        const Variable one_minus = op::add_scalar(op::neg(op::square(y)), 1.0f);
+        Variable grad_a =
+            op::scale(op::mul(op::mul(gout, g), op::mul(y, one_minus)), -2.0f);
+        return {grad_g, grad_a};
+      });
+}
+
+Variable frozen_tanh_fused(const Variable& a) {
+  return Variable::make_op(
+      kernels::tanh(a.value()), "tanh", {a},
+      [a](const Variable& g) -> std::vector<Variable> {
+        return {frozen_tanh_grad_fused(g, a)};
+      });
+}
+
+TEST(Fusion, TanhFusedDoubleBackwardMatchesRecompute) {
+  WidthGuard guard;
+  const LinearTanhCase c;
+  const auto wrt = c.wrt();
+  const Tensor probe = random_tensor(48, 16, 106);  // contracts gx
+  // First and second derivatives of sum(tanh(x w + b) ⊙ s), the second
+  // through gx as the force path does.
+  auto derivatives = [&](bool frozen) {
+    const Variable pre = op::linear_fused(c.x, c.w, c.b);
+    const Variable y = frozen ? frozen_tanh_fused(pre) : op::tanh_fused(pre);
+    const Variable loss = op::sum_all(op::mul(y, Variable(c.s)));
+    auto first = ag::grad(loss, wrt, {}, /*create_graph=*/true);
+    const Variable z = op::sum_all(op::mul(first[0], Variable(probe)));
+    auto second = ag::grad(z, wrt);
+    first.insert(first.end(), second.begin(), second.end());
+    return first;
+  };
+  for (const i64 width : {1, 4}) {
+    set_num_threads(width);
+    const auto cached = derivatives(false);
+    const auto frozen = derivatives(true);
+    ASSERT_EQ(cached.size(), frozen.size());
+    for (std::size_t i = 0; i < cached.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(cached[i].value(), frozen[i].value()))
+          << "width " << width << " derivative " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
