@@ -341,19 +341,20 @@ int main(int argc, char** argv) {
                                             : a.first < b.first;
               });
     // Tracing-overhead A/B (the fused config only — the production step):
-    // alternate untraced and traced passes of the same updates so host
-    // noise hits both arms equally, keep the best of each. The ratio is
-    // the "span recording is always cheap" claim as a number; the "obs"
-    // section of ci/budgets.json holds it to 1.05x. Min-of-5 per arm: on
-    // a loaded 1-core CI host single passes wobble several percent, and
-    // the min is the robust estimator of the noise-free pass.
+    // alternate untraced and traced passes of the same updates, flipping
+    // which arm goes first in each rep, so host noise and warm-cache order
+    // hit both arms equally; keep the best of each. The ratio is the "span
+    // recording is always cheap" claim as a number; the "obs" section of
+    // ci/budgets.json holds it to 1.05x. Min-of-5 per arm: on a loaded
+    // 1-core CI host single passes wobble several percent, and the min is
+    // the robust estimator of the noise-free pass.
     if (config.ekf == optim::EkfLevel::kFused) {
       auto& recorder = obs::TraceRecorder::instance();
       constexpr int kReps = 5;
       obs_untraced_s = 1e300;
       obs_traced_s = 1e300;
       for (int rep = 0; rep < kReps; ++rep) {
-        for (const bool traced : {false, true}) {
+        for (const bool traced : {rep % 2 == 1, rep % 2 == 0}) {
           recorder.set_enabled(traced);
           const auto t0 = std::chrono::steady_clock::now();
           trainer.energy_update(batch_span);

@@ -8,8 +8,10 @@
 //              through the direct path (the unbatched single-walker
 //              baseline every MD loop starts from)
 //   batched  — the same stream issued by --walkers concurrent walker
-//              threads through a BatchingEvaluator; reports throughput,
-//              per-request latency percentiles, and mean batch occupancy
+//              threads through a BatchingEvaluator, in 5 alternating
+//              pairs with the unbatched concurrent_direct leg; reports
+//              throughput, per-request latency percentiles, and mean batch
+//              occupancy
 //   publish  — ModelRegistry::publish_copy latency idle vs under
 //              --walkers polling readers; the loaded/idle ratio is the
 //              "publishing never blocks on readers" claim as a number,
@@ -19,10 +21,11 @@
 //
 // The gated quantities (ci/budgets.json "serving"): launch_amortization
 // (kernel launches per request, serial over batched — the deterministic
-// Fig-7(b)-style amortization number, exact on any host), batched_speedup,
-// occupancy_mean, publish_stalls, loaded_over_idle, p99 latency. The
-// wall-clock ones carry loose TIME-style slack on a contended host; the
-// structural ones (launch ratio, stalls = 0, pinned_ok = 1) are exact.
+// Fig-7(b)-style amortization number, exact on any host), batched_speedup
+// (median of the per-pair A/B ratios), occupancy_mean, publish_stalls,
+// loaded_over_idle, p99 latency. The wall-clock ones carry loose
+// TIME-style slack on a contended host; the structural ones (launch
+// ratio, stalls = 0, pinned_ok = 1) are exact.
 //
 // Emits a JSON document (stdout, and --json FILE if given) so
 // run_benches.sh can archive it as bench_artifacts/serving.json.
@@ -102,7 +105,9 @@ int main(int argc, char** argv) {
   add_common_flags(cli);
   cli.flag("system", "Cu", "catalog system")
       .flag("walkers", "64", "concurrent MD-walker threads")
-      .flag("requests", "8", "requests per walker")
+      .flag("requests", "64",
+            "requests per walker per leg (64 makes each concurrent leg "
+            "last a few hundred ms)")
       .flag("max_batch", "32", "BatchingEvaluator max batch")
       .flag("max_wait_us", "500", "BatchingEvaluator max wait (us)")
       .flag("publishes", "12", "publishes per publish-latency leg")
@@ -288,44 +293,29 @@ int main(int argc, char** argv) {
                 / static_cast<f64>(batched_launches)
           : 0.0;
 
-  // --- concurrent_direct: 64 walkers, each evaluating unbatched ------------
-  // The baseline a batching server actually displaces: every walker thread
-  // runs the full model itself. On a small host the in-flight graphs evict
-  // each other from cache and contend on the allocator; coalescing into one
-  // worker's batched pass removes that thrash.
+  // --- concurrent A/B: unbatched vs batched at the same concurrency -------
+  // concurrent_direct is the baseline a batching server actually displaces:
+  // every walker thread runs the full model itself. On a small host the
+  // in-flight graphs evict each other from cache and contend on the
+  // allocator; coalescing into one worker's batched pass removes that
+  // thrash. batched issues the same stream through a BatchingEvaluator.
+  // The two legs run as kPairs alternating pairs, each pair flipping which
+  // leg goes first, so host drift lands on both arms alike; the headline
+  // batched_speedup is the median of the per-pair throughput ratios.
   StreamResult concurrent_direct;
-  concurrent_direct.requests = total_requests;
-  {
-    std::vector<std::thread> threads;
-    const f64 t0 = now_seconds();
-    for (i64 w = 0; w < walkers; ++w) {
-      threads.emplace_back([&, w] {
-        for (i64 k = 0; k < per_walker; ++k) {
-          (void)serve::evaluate_with(*fixture.model, request_for(w, k));
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    concurrent_direct.total_s = now_seconds() - t0;
-    concurrent_direct.throughput_rps =
-        static_cast<f64>(concurrent_direct.requests)
-        / concurrent_direct.total_s;
-  }
-
-  // --- batched: concurrent walkers through the BatchingEvaluator ----------
   StreamResult batched;
   Slo request_latency;
   Slo queue_wait;
-  batched.requests = total_requests;
+  std::vector<f64> pair_speedups;
   {
     serve::BatchingConfig bcfg;
     bcfg.max_batch = cli.get_int("max_batch");
     bcfg.max_wait_s = static_cast<f64>(cli.get_int("max_wait_us")) * 1e-6;
     serve::BatchingEvaluator evaluator(registry, bcfg);
 
-    // The request-level SLO histograms must cover exactly this leg: the
-    // percentiles below gate ci/budgets.json "obs" budgets, so earlier
-    // warm-up traffic may not dilute them.
+    // The request-level SLO histograms must cover exactly the batched
+    // legs: the percentiles below gate ci/budgets.json "obs" budgets, so
+    // earlier warm-up traffic may not dilute them.
     metrics.histogram("serve.request_latency_seconds").reset();
     metrics.histogram("serve.queue_wait_seconds").reset();
 
@@ -337,24 +327,47 @@ int main(int argc, char** argv) {
 
     std::vector<std::vector<f64>> latencies(
         static_cast<std::size_t>(walkers));
-    std::vector<std::thread> threads;
-    const f64 t0 = now_seconds();
-    for (i64 w = 0; w < walkers; ++w) {
-      threads.emplace_back([&, w] {
-        auto& lane = latencies[static_cast<std::size_t>(w)];
-        lane.reserve(static_cast<std::size_t>(per_walker));
-        for (i64 k = 0; k < per_walker; ++k) {
-          const f64 sent = now_seconds();
-          (void)evaluator.evaluate(request_for(w, k));
-          lane.push_back(now_seconds() - sent);
-        }
-      });
+    auto run_leg = [&](bool batched_leg) {
+      std::vector<std::thread> threads;
+      const f64 t0 = now_seconds();
+      for (i64 w = 0; w < walkers; ++w) {
+        threads.emplace_back([&, w] {
+          auto& lane = latencies[static_cast<std::size_t>(w)];
+          for (i64 k = 0; k < per_walker; ++k) {
+            if (!batched_leg) {
+              (void)serve::evaluate_with(*fixture.model, request_for(w, k));
+              continue;
+            }
+            const f64 sent = now_seconds();
+            (void)evaluator.evaluate(request_for(w, k));
+            lane.push_back(now_seconds() - sent);
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      return now_seconds() - t0;
+    };
+    constexpr i64 kPairs = 5;
+    for (i64 p = 0; p < kPairs; ++p) {
+      f64 direct_s = 0.0;
+      f64 batched_s = 0.0;
+      for (const bool batched_leg : {p % 2 == 1, p % 2 == 0}) {
+        (batched_leg ? batched_s : direct_s) = run_leg(batched_leg);
+      }
+      concurrent_direct.total_s += direct_s;
+      batched.total_s += batched_s;
+      // Both legs serve the same request count: the throughput ratio is
+      // the inverse ratio of their wall times.
+      pair_speedups.push_back(direct_s / batched_s);
     }
-    for (std::thread& t : threads) t.join();
-    batched.total_s = now_seconds() - t0;
+    evaluator.shutdown();
+    concurrent_direct.requests = kPairs * total_requests;
+    concurrent_direct.throughput_rps =
+        static_cast<f64>(concurrent_direct.requests)
+        / concurrent_direct.total_s;
+    batched.requests = kPairs * total_requests;
     batched.throughput_rps =
         static_cast<f64>(batched.requests) / batched.total_s;
-    evaluator.shutdown();
 
     std::vector<f64> all;
     for (const auto& lane : latencies) {
@@ -388,8 +401,7 @@ int main(int argc, char** argv) {
   // concurrency. serial_ratio (vs one lone unbatched walker) is reported
   // for context — on a one-core host it hovers near 1.0 by construction,
   // since both paths run the same arithmetic through the same core.
-  const f64 batched_speedup =
-      batched.throughput_rps / concurrent_direct.throughput_rps;
+  const f64 batched_speedup = percentile(pair_speedups, 0.50);
   const f64 serial_ratio = batched.throughput_rps / serial.throughput_rps;
 
   // --- publish latency, idle vs under reader load -------------------------
@@ -530,11 +542,12 @@ int main(int argc, char** argv) {
   std::printf(
       "\nlaunch amortization %.2fx (%.1f -> %.1f kernel launches per "
       "request); batched speedup %.2fx vs unbatched at the same concurrency "
-      "(%.2fx vs one lone walker); publish p50 %.1f us idle vs %.1f us under "
-      "%lld readers (x%.2f), %lld stalls; mixed: %lld requests, %lld "
-      "pinned-version violations, latest served v%llu\n",
+      "(median of %zu pairs; %.2fx vs one lone walker); publish p50 %.1f us "
+      "idle vs %.1f us under %lld readers (x%.2f), %lld stalls; mixed: %lld "
+      "requests, %lld pinned-version violations, latest served v%llu\n",
       launch_amortization, serial_launches_per_req, batched_launches_per_req,
-      batched_speedup, serial_ratio, 1e6 * p50_idle, 1e6 * p50_loaded,
+      batched_speedup, pair_speedups.size(), serial_ratio, 1e6 * p50_idle,
+      1e6 * p50_loaded,
       static_cast<long long>(walkers), loaded_over_idle,
       static_cast<long long>(publish_stalls),
       static_cast<long long>(mixed_requests),
@@ -590,6 +603,11 @@ int main(int argc, char** argv) {
           ", \"p90_s\": " + fmt("%.9f", queue_wait.p90_s) +
           ", \"p99_s\": " + fmt("%.9f", queue_wait.p99_s) + "}},\n";
   json += "  \"batched_speedup\": " + fmt("%.4f", batched_speedup) + ",\n";
+  json += "  \"pair_speedups\": [";
+  for (std::size_t p = 0; p < pair_speedups.size(); ++p) {
+    json += (p > 0 ? ", " : "") + fmt("%.4f", pair_speedups[p]);
+  }
+  json += "],\n";
   json += "  \"serial_ratio\": " + fmt("%.4f", serial_ratio) + ",\n";
   json += "  \"publish\": {\"publishes\": " + std::to_string(publishes) +
           ", \"p50_idle_s\": " + fmt("%.9f", p50_idle) +

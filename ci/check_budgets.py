@@ -1,82 +1,82 @@
 #!/usr/bin/env python3
 """Perf/launch/allocation budget gate over the bench JSON artifacts.
 
-Consumes the machine-readable documents run_benches.sh (or ci/run_ci.sh)
+Reads the machine-readable documents run_benches.sh (or ci/run_ci.sh)
 writes into bench_artifacts/ — `fig7bc_kernels.json` and `fusion.json`,
-located via `BENCH_summary.json` or passed directly — and fails (exit 1)
-when any metric regresses beyond the thresholds in ci/budgets.json:
+located via `BENCH_summary.json` or passed directly, plus the optional
+`--chaos` and `--serving` artifacts — and fails (exit 1) when any value
+crosses its threshold in ci/budgets.json.
 
-  * per-step kernel launches, per configuration (`max_step_kernels`), plus
-    the structural requirement that the fused configuration keeps at least
-    `min_fused_reduction` x fewer launches than the baseline
-  * arena bytes per step (`max_arena_peak_scope_bytes`), skipped when the
-    artifact records the arena as disabled (FEKF_ARENA=0)
-  * step wall time (`max_total_s`), sized with generous slack because CI
-    hosts vary; launch/byte budgets are the tight ones (deterministic for a
-    given bench scale)
-  * bench_fusion launch budgets per fusion site (`max_fused_launches`)
-  * kernel-dispatch variant budgets (the "dispatch" section, DESIGN.md
-    §13): every budgeted `<kernel>.<variant>` must still be registered
-    (a vanished variant is a regression, not a skip), eligible variants
-    must meet `max_s_per_call`, and each kernel named in
-    `min_best_speedup` must keep its best-variant-vs-scalar speedup —
-    this is what makes the SIMD win a gate, not an anecdote
-  * chaos budgets over the bench_chaos artifact (`--chaos`, the "chaos"
-    section, DESIGN.md §10): per lossy-link cell the retry-time ratio and
-    comm overhead vs the clean cell, and for the churn scenario the
-    membership recovery bill (reshard + join catch-up + detection
-    seconds). These are SIMULATED seconds derived from byte counts and
-    seeded RNG draws — deterministic for a fixed bench scale — so their
-    budgets are tight, unlike the wall-clock gates
-  * serving budgets over the bench_serving artifact (`--serving`, the
-    "serving" section, DESIGN.md §14): the launch-amortization ratio of
-    the batched pass (kernel launches per request, serial over batched —
-    deterministic for fixed bench flags, so its floor is tight), the
-    wall-clock batched speedup / p99 latency / batch occupancy (loose,
-    host-dependent), and the structural zeros: publish_stalls and
-    pinned-version violations must stay exactly 0, and publish latency
-    under reader load stays within max_loaded_over_idle of idle (the
-    "publishing is independent of readers" claim as a number)
-  * observability budgets (the "obs" section, DESIGN.md §11): the tracing
-    tax — traced-over-untraced wall time of the fused training step from
-    the fig7bc artifact's A/B passes — must stay under
-    `max_traced_over_untraced`, and the request-level serving SLOs
-    (interpolated histogram p99 of request latency and queue wait from
-    bench_serving) must stay under their `max_*_p99_*` ceilings. The SLOs
-    come from the production MetricsRegistry histograms, so the gate also
-    proves the export path itself still works
+Every gated value is one row of RULES below: which artifact it comes from,
+which keyed item (configuration, fusion comparison, `kernel.variant`, chaos
+cell) and value path, whether the budget is a ceiling or a floor, which
+budgets.json key holds it, when the row applies, and how --rebaseline
+derives the limit. One checker, one rebaseliner and one self-test walk that
+table. The groups it covers:
+
+  * fig7bc_kernels (Fig. 7b/7c, DESIGN.md §12): per-configuration step
+    launches, wall time and arena bytes, zero retired arena slabs, and the
+    fused configuration keeping `min_fused_reduction` x fewer launches than
+    the baseline. Arena rows are skipped when the artifact records the
+    arena as disabled (FEKF_ARENA=0)
+  * fusion: launches per fusion site, each fused path launching fewer
+    kernels than its unfused twin (arena_vs_heap is exempt: both legs run
+    the same kernels, and it is absent when the arena is off)
+  * dispatch (DESIGN.md §13): every budgeted `kernel.variant` must still be
+    registered (a vanished variant is a failure, not a skip), eligible
+    variants meet `max_s_per_call`, and `min_best_speedup` holds the
+    best-variant-vs-scalar speedup whenever a non-scalar variant is
+    eligible on the host
+  * chaos (DESIGN.md §10): per lossy-link cell the retry ratio, comm
+    overhead and a non-zero drop count; for the churn scenario the
+    membership recovery bill. Simulated seconds, deterministic for a fixed
+    bench scale, so these budgets are tight
+  * serving (DESIGN.md §14): launch amortization (deterministic), batched
+    speedup (median of alternating A/B pairs), occupancy, p99 latency and
+    publish load factor (loose, host-dependent), and the structural zeros
+    (publish stalls, pinned-version violations)
+  * obs (DESIGN.md §11): the tracing tax of the fused training step and the
+    request-level serving SLOs read from the production histograms
+
+A budgeted item missing from its artifact fails, and so does a budgeted
+section whose artifact was not given. Wall-time limits carry generous slack
+because CI hosts vary; launch and byte limits are the tight ones.
 
 --kernels-doc FILE cross-checks docs/KERNELS.md against the artifact's
-dispatch section: every registered variant must appear in the doc's
-reference table with its budget key, and the doc must not list variants
-the registry no longer has.
-
---obs-doc FILE cross-checks docs/OBSERVABILITY.md the same way against
-the serving artifact's "obs" inventory (span names seen by a traced
-serving pass, every registered metric name, every env knob): observed
-spans and metrics must each have a row in the doc's tables, and the knob
-table must match env::knobs() exactly in both directions.
+dispatch section: every registered variant needs a row with its budget key,
+and the doc may not list variants the registry no longer has. --obs-doc
+FILE cross-checks docs/OBSERVABILITY.md the same way against the serving
+artifact's "obs" inventory: observed spans and metrics each need a row, and
+the knob table must equal env::knobs() in both directions. Both read the
+doc through one markdown table reader.
 
 Re-baselining (after an INTENTIONAL change to kernel granularity, bench
 scale, or model defaults): run the benches, eyeball the new numbers, then
   python3 ci/check_budgets.py --rebaseline
-which rewrites ci/budgets.json from the current artifacts with the default
-slack factors (launches +5%, arena bytes +25%, wall time x4). Commit the
-regenerated file together with the change that moved the numbers and say
-why in the commit message — the diff IS the perf review.
+which rewrites ci/budgets.json from the current artifacts by each rule's
+derivation (launches +5%, arena bytes +25%, wall time x4, pinned contract
+values as they are). Commit the regenerated file together with the change
+that moved the numbers and say why in the commit message — the diff IS the
+perf review.
 
---self-test proves the gate can fail: it first validates the real
-artifacts, then re-runs the checks on a copy with a deliberately injected
-launch-count regression (fused step_kernels x3) and exits 0 only if that
-regression is caught.
+--self-test proves the gate can fail. The artifacts must first pass. Then,
+for every value the gate checked, it pushes that value just past its limit
+(or deletes the keyed item for presence rows) and requires that row's
+failure; it drops each given artifact and requires the "not given" failure;
+it rebaselines the same artifacts in memory and requires them to pass with
+every checked row finding its budget key; and it feeds the doc table reader
+a KERNELS.md built from the artifact with one row dropped and one stale row
+added, and requires both to be reported.
 """
 
 import argparse
 import copy
 import json
 import math
+import operator
 import pathlib
 import sys
+from typing import Callable, NamedTuple, Optional
 
 DEFAULT_SUMMARY = "bench_artifacts/BENCH_summary.json"
 DEFAULT_BUDGETS = pathlib.Path(__file__).parent / "budgets.json"
@@ -86,8 +86,164 @@ ARENA_SLACK = 1.25    # slab rounding makes byte counts slightly lumpy
 TIME_SLACK = 4.0      # CI hosts vary widely; wall time is the loose gate
 
 
-class Violation(Exception):
-    pass
+class Direction(NamedTuple):
+    passes: Callable
+    word: str      # printed before the limit
+    verdict: str   # failure wording
+    sign: int      # the side of the limit a violation lies on
+    prefix: str    # budget keys of this direction start with it
+
+
+DIRECTIONS = {
+    "max": Direction(operator.le, "budget", "exceeds budget", 1, "max_"),
+    "min": Direction(operator.ge, "floor ", "is below the required", -1,
+                     "min_"),
+    "below": Direction(operator.lt, "budget", "is not below", 1, "max_"),
+}
+
+
+class Cond(NamedTuple):
+    """When a row applies: pred(doc, key, item) with the artifact, the
+    last item key and the keyed item; reason is printed when it does not."""
+    reason: str
+    pred: Callable
+
+
+class Rule(NamedTuple):
+    """One gated value. `value` and `budget` are dotted paths; each '*'
+    binds one item key (list elements are keyed by their name or kernel
+    field, budget dicts by their keys). The budget path ends at the limit's
+    key, whose max_/min_ prefix matches the direction; a row with a pinned
+    `limit` names its key the same way but takes the limit from the table.
+    A "present" row's path ends at the item, which must exist. With `per`
+    the value is value / max(1, per). Rows with `per` and presence rows
+    only report failures; the others print their gated line."""
+    name: str                          # '{}' takes the item key
+    art: str
+    value: str
+    direction: str
+    budget: str
+    rebase: Optional[Callable] = None  # measured value -> limit (None: omit)
+    when: Optional[Cond] = None
+    limit: Optional[float] = None
+    per: Optional[str] = None
+
+
+class Check(NamedTuple):
+    rule: Rule
+    keys: tuple
+    limit: Optional[float]
+    failure: Optional[str]
+
+
+def sig3(x):
+    return float(f"{x:.3g}")
+
+
+ARENA = Cond("arena disabled", lambda doc, key, item: doc.get("arena_enabled"))
+ELIGIBLE = Cond("not eligible on this host",
+                lambda doc, key, item: item.get("eligible", False))
+SIMD_ELIGIBLE = Cond(
+    "no eligible non-scalar variant on this host",
+    lambda doc, key, item: any(v.get("eligible") and v["name"] != "scalar"
+                               for v in item.get("variants", [])))
+# arena_vs_heap times the allocator under identical kernels, so both legs
+# launch the same count; it is not measured at all when FEKF_ARENA=0.
+NOT_ARENA_VS_HEAP = Cond("same kernels on both legs",
+                         lambda doc, key, item: key != "arena_vs_heap")
+MEASURED = Cond("arena disabled", lambda doc, key, item:
+                key != "arena_vs_heap" or doc.get("arena_enabled"))
+
+RULES = [
+    Rule("fig7bc.fused_reduction", "fig7bc", "configs.baseline.step_kernels",
+         "min", "fig7bc_kernels.min_fused_reduction", lambda _: 2.0,
+         per="configs.fused.step_kernels"),
+    Rule("fig7bc[{}]", "fig7bc", "configs.*", "present",
+         "fig7bc_kernels.configs.*"),
+    Rule("fig7bc[{}].step_kernels", "fig7bc", "configs.*.step_kernels", "max",
+         "fig7bc_kernels.configs.*.max_step_kernels",
+         lambda x: math.ceil(x * LAUNCH_SLACK)),
+    Rule("fig7bc[{}].total_s", "fig7bc", "configs.*.total_s", "max",
+         "fig7bc_kernels.configs.*.max_total_s",
+         lambda x: round(x * TIME_SLACK, 3)),
+    Rule("fig7bc[{}].arena_peak_scope_bytes", "fig7bc",
+         "configs.*.arena_peak_scope_bytes", "max",
+         "fig7bc_kernels.configs.*.max_arena_peak_scope_bytes",
+         lambda x: math.ceil(x * ARENA_SLACK), when=ARENA),
+    Rule("fig7bc[{}].arena_retired_slabs", "fig7bc",
+         "configs.*.arena_retired_slabs", "max",
+         "fig7bc_kernels.configs.*.max_arena_retired_slabs", when=ARENA,
+         limit=0),
+    Rule("fusion[{}]", "fusion", "comparisons.*", "present",
+         "fusion.comparisons.*", when=MEASURED),
+    Rule("fusion[{}].fused_launches", "fusion", "comparisons.*.fused_launches",
+         "max", "fusion.comparisons.*.max_fused_launches",
+         lambda x: math.ceil(x * LAUNCH_SLACK)),
+    Rule("fusion[{}].fused_over_unfused_launches", "fusion",
+         "comparisons.*.fused_launches", "below",
+         "fusion.comparisons.*.max_fused_over_unfused_launches",
+         when=NOT_ARENA_VS_HEAP, limit=1,
+         per="comparisons.*.unfused_launches"),
+    Rule("dispatch[{}]", "fig7bc", "dispatch.kernels.*.variants.*", "present",
+         "dispatch.kernels.*.variants.*"),
+    Rule("dispatch[{}].s_per_call", "fig7bc",
+         "dispatch.kernels.*.variants.*.s_per_call", "max",
+         "dispatch.kernels.*.variants.*.max_s_per_call",
+         lambda x: sig3(x * TIME_SLACK), when=ELIGIBLE),
+    # The paper-shape floor: a kernel whose best variant clears 1.5x on the
+    # baselining host keeps that requirement, so the SIMD win cannot erode.
+    Rule("dispatch[{}].best_speedup", "fig7bc",
+         "dispatch.kernels.*.best_speedup",
+         "min", "dispatch.kernels.*.min_best_speedup",
+         lambda x: 1.5 if x >= 1.5 else None, when=SIMD_ELIGIBLE),
+    # Chaos figures are simulated, deterministic for a fixed bench scale, so
+    # they get the tight launch slack, not TIME_SLACK.
+    Rule("chaos[{}]", "chaos", "cells.*", "present", "chaos.cells.*"),
+    Rule("chaos[{}].retry_ratio", "chaos", "cells.*.retry_ratio", "max",
+         "chaos.cells.*.max_retry_ratio", lambda x: sig3(x * LAUNCH_SLACK)),
+    Rule("chaos[{}].drop_overhead_frac", "chaos", "cells.*.drop_overhead_frac",
+         "max", "chaos.cells.*.max_drop_overhead_frac",
+         lambda x: sig3(x * LAUNCH_SLACK)),
+    # A lossy cell that records zero drops means the sweep stopped injecting.
+    Rule("chaos[{}].msg_drops", "chaos", "cells.*.msg_drops", "min",
+         "chaos.cells.*.min_msg_drops", lambda x: 1 if x > 0 else None),
+    Rule("chaos[churn].recovery_seconds", "chaos", "churn.recovery_seconds",
+         "max", "chaos.churn.max_recovery_seconds",
+         lambda x: sig3(x * LAUNCH_SLACK)),
+    Rule("chaos[churn].surviving_ranks", "chaos", "churn.surviving_ranks",
+         "min", "chaos.churn.min_surviving_ranks", lambda x: x),
+    Rule("chaos[churn].join_events", "chaos", "churn.join_events", "min",
+         "chaos.churn.min_join_events", lambda x: x),
+    # Launch amortization is a deterministic launch ratio, so its floor sits
+    # modestly below the measurement; the wall-clock rows get TIME_SLACK
+    # headroom, and the structural zeros are exact.
+    Rule("serving.launch_amortization", "serving", "launch_amortization",
+         "min", "serving.min_launch_amortization", lambda x: sig3(x / 1.4)),
+    Rule("serving.batched_speedup", "serving", "batched_speedup", "min",
+         "serving.min_batched_speedup", lambda _: 1.05),
+    Rule("serving.occupancy_mean", "serving", "batched.occupancy_mean", "min",
+         "serving.min_occupancy_mean", lambda x: sig3(x / 4.0)),
+    Rule("serving.p99_latency_s", "serving", "batched.p99_latency_s", "max",
+         "serving.max_p99_latency_s", lambda x: sig3(x * TIME_SLACK)),
+    Rule("serving.publish_stalls", "serving", "publish.publish_stalls", "max",
+         "serving.max_publish_stalls", lambda _: 0),
+    Rule("serving.loaded_over_idle", "serving", "publish.loaded_over_idle",
+         "max", "serving.max_loaded_over_idle",
+         lambda x: max(15.0, sig3(x * TIME_SLACK))),
+    Rule("serving.pinned_wrong_version", "serving",
+         "mixed.pinned_wrong_version", "max",
+         "serving.max_pinned_wrong_version", lambda _: 0),
+    # A ratio contract (the disabled path is one relaxed load), not a
+    # measurement with host headroom, so the ceiling is pinned.
+    Rule("obs.traced_over_untraced", "fig7bc", "obs.traced_over_untraced",
+         "max", "obs.max_traced_over_untraced", lambda _: 1.05),
+    Rule("obs.request_latency.p99_s", "serving",
+         "batched.request_latency.p99_s",
+         "max", "obs.max_request_p99_latency_s",
+         lambda x: sig3(x * TIME_SLACK)),
+    Rule("obs.queue_wait.p99_s", "serving", "batched.queue_wait.p99_s", "max",
+         "obs.max_queue_wait_p99_s", lambda x: sig3(x * TIME_SLACK)),
+]
 
 
 def load_json(path):
@@ -95,566 +251,327 @@ def load_json(path):
         return json.load(f)
 
 
-def check_fig7bc(doc, budgets, failures):
-    per_config = {c["name"]: c for c in doc["configs"]}
-    for name, limits in budgets.get("configs", {}).items():
-        actual = per_config.get(name)
-        if actual is None:
-            failures.append(f"fig7bc: configuration '{name}' missing from "
-                            f"artifact (bench and budgets out of sync)")
-            continue
-        gate(failures, f"fig7bc[{name}].step_kernels",
-             actual["step_kernels"], limits.get("max_step_kernels"))
-        gate(failures, f"fig7bc[{name}].total_s",
-             actual["total_s"], limits.get("max_total_s"))
-        if doc.get("arena_enabled"):
-            gate(failures, f"fig7bc[{name}].arena_peak_scope_bytes",
-                 actual["arena_peak_scope_bytes"],
-                 limits.get("max_arena_peak_scope_bytes"))
-            gate(failures, f"fig7bc[{name}].arena_retired_slabs",
-                 actual["arena_retired_slabs"], 0)
-    min_reduction = budgets.get("min_fused_reduction")
-    if min_reduction and "baseline" in per_config and "fused" in per_config:
-        ratio = (per_config["baseline"]["step_kernels"]
-                 / max(1, per_config["fused"]["step_kernels"]))
-        if ratio < min_reduction:
-            failures.append(
-                f"fig7bc: fused launch reduction {ratio:.2f}x is below the "
-                f"required {min_reduction}x (baseline "
-                f"{per_config['baseline']['step_kernels']} vs fused "
-                f"{per_config['fused']['step_kernels']})")
+def child(node, key):
+    """A dict member, or the list element whose name (or kernel) is key."""
+    if isinstance(node, dict):
+        return node.get(key)
+    if isinstance(node, list):
+        return next((e for e in node
+                     if e.get("name", e.get("kernel")) == key), None)
+    return None
 
 
-def check_fusion(doc, budgets, failures):
-    per_cmp = {c["name"]: c for c in doc["comparisons"]}
-    for name, limits in budgets.get("comparisons", {}).items():
-        actual = per_cmp.get(name)
-        if actual is None:
-            # arena_vs_heap is absent when FEKF_ARENA=0; that is not a
-            # regression, the arena legs are simply not measurable.
-            if name == "arena_vs_heap" and not doc.get("arena_enabled"):
+def bindings(node, segs, keys=()):
+    """Yield (keys, node) for every binding of the '*' segments in segs."""
+    if not segs:
+        yield keys, node
+        return
+    if segs[0] != "*":
+        nxt = child(node, segs[0])
+        if nxt is not None:
+            yield from bindings(nxt, segs[1:], keys)
+        return
+    pairs = (node.items() if isinstance(node, dict) else
+             ((e.get("name", e.get("kernel")), e) for e in node)
+             if isinstance(node, list) else ())
+    for key, nxt in pairs:
+        yield from bindings(nxt, segs[1:], keys + (key,))
+
+
+def bind(segs, keys):
+    """segs with each '*' replaced by the next key."""
+    keys = iter(keys)
+    return [next(keys) if s == "*" else s for s in segs]
+
+
+def lookup(node, segs):
+    """The node at the path segs, or None."""
+    for seg in segs:
+        node = child(node, seg)
+        if node is None:
+            return None
+    return node
+
+
+def split(path):
+    """(item segments, field segments): the item ends at the last '*'."""
+    segs = path.split(".")
+    cut = max((i + 1 for i, s in enumerate(segs) if s == "*"), default=0)
+    return segs[:cut], segs[cut:]
+
+
+def measure(rule, doc, keys):
+    """(item, value) of rule at keys; value is None when a field is absent
+    and item is None when the keyed item is."""
+    item_segs, field = split(rule.value)
+    item = lookup(doc, bind(item_segs, keys))
+    if item is None or rule.direction == "present":
+        return item, item
+    value = lookup(item, field)
+    if rule.per is not None and value is not None:
+        den = lookup(doc, bind(rule.per.split("."), keys))
+        value = None if den is None else value / max(1, den)
+    return item, value
+
+
+def applies(rule, doc, keys, item):
+    return rule.when is None or rule.when.pred(doc, keys[-1] if keys else None,
+                                               item)
+
+
+def run_checks(arts, budgets, out=print):
+    """Gate every rule of RULES; returns the Checks made, failed or not."""
+    checks, section = [], None
+    for rule in RULES:
+        doc = arts[rule.art]
+        segs = rule.budget.split(".")
+        if segs[0] != section and segs[0] in budgets:
+            section = segs[0]
+            out(f"{section} budgets:")
+        quiet = rule.direction == "present" or rule.per is not None
+        pinned = rule.limit is not None
+        for keys, limit in bindings(budgets, segs[:-1] if pinned else segs):
+            limit = rule.limit if pinned else limit
+            what = rule.name.format(".".join(keys))
+            if doc is None:
+                checks.append(Check(rule, keys, limit, (
+                    f"{segs[0]}: budgets define limits but no --{rule.art} "
+                    f"artifact was provided")))
                 continue
-            failures.append(f"fusion: comparison '{name}' missing from "
-                            f"artifact (bench and budgets out of sync)")
-            continue
-        gate(failures, f"fusion[{name}].fused_launches",
-             actual["fused_launches"], limits.get("max_fused_launches"))
-        # arena_vs_heap times the allocator under identical kernels, so its
-        # two legs launch the same count by design.
-        if (name != "arena_vs_heap"
-                and actual["fused_launches"] >= actual["unfused_launches"]):
-            failures.append(
-                f"fusion[{name}]: fused path launches "
-                f"{actual['fused_launches']} >= unfused "
-                f"{actual['unfused_launches']} — fusion regressed away")
-
-
-def check_dispatch(doc, budgets, failures):
-    if not budgets:
-        return
-    dispatch = doc.get("dispatch")
-    if dispatch is None:
-        failures.append("dispatch: budgets define kernel-variant limits but "
-                        "the fig7bc artifact has no 'dispatch' section "
-                        "(bench predates the dispatch registry?)")
-        return
-    per_kernel = {k["kernel"]: k for k in dispatch.get("kernels", [])}
-    for kernel, limits in budgets.get("kernels", {}).items():
-        actual = per_kernel.get(kernel)
-        if actual is None:
-            failures.append(f"dispatch: kernel '{kernel}' missing from "
-                            f"artifact (family unregistered? budgets out of "
-                            f"sync)")
-            continue
-        per_variant = {v["name"]: v for v in actual.get("variants", [])}
-        for vname, vlimits in limits.get("variants", {}).items():
-            v = per_variant.get(vname)
-            if v is None:
-                # A budgeted variant that is no longer registered is a
-                # regression (someone deleted/renamed it), not a skip.
-                failures.append(
-                    f"dispatch[{kernel}]: variant '{vname}' missing from "
-                    f"artifact — unregistered variant or budgets out of sync")
+            item, value = measure(rule, doc, keys)
+            if item is None and rule.direction != "present":
+                continue   # the item's presence row reports it
+            if not applies(rule, doc, keys, item):
+                if not quiet:
+                    out(f"  {what:<48} skipped ({rule.when.reason})")
                 continue
-            if not v.get("eligible", False):
-                # Not eligible on this host (CPU lacks the ISA): the bench
-                # does not time it, so there is nothing to gate. The
-                # registration itself was still verified above.
-                what = f"dispatch[{kernel}.{vname}].s_per_call"
-                print(f"  {what:<48} skipped (not eligible on this host)")
+            if value is None:
+                checks.append(Check(rule, keys, limit, (
+                    f"{what}: missing from the {rule.art} artifact (bench and "
+                    f"budgets out of sync)")))
                 continue
-            gate(failures, f"dispatch[{kernel}.{vname}].s_per_call",
-                 v["s_per_call"], vlimits.get("max_s_per_call"))
-        min_speedup = limits.get("min_best_speedup")
-        if min_speedup is not None:
-            eligible_nonscalar = any(
-                v.get("eligible") and v["name"] != "scalar"
-                for v in actual.get("variants", []))
-            if not eligible_nonscalar:
-                print(f"  dispatch[{kernel}].best_speedup skipped "
-                      f"(no eligible non-scalar variant on this host)")
-            else:
-                gate_min(failures, f"dispatch[{kernel}].best_speedup",
-                         actual.get("best_speedup", 0.0), min_speedup)
+            if rule.direction == "present":
+                checks.append(Check(rule, keys, None, None))
+                continue
+            d = DIRECTIONS[rule.direction]
+            ok = d.passes(value, limit)
+            if not quiet:
+                out(f"  {what:<48} {float(value):>14.6g}  {d.word} "
+                    f"{float(limit):>14.6g}  {'ok' if ok else 'FAIL'}")
+            checks.append(Check(rule, keys, limit, None if ok else
+                                f"{what}: {value} {d.verdict} {limit}"))
+    return checks
 
 
-def check_chaos(doc, budgets, failures):
-    if not budgets:
-        return
-    if doc is None:
-        failures.append("chaos: budgets define chaos limits but no --chaos "
-                        "artifact was provided")
-        return
-    per_cell = {c["name"]: c for c in doc.get("cells", [])}
-    for name, limits in budgets.get("cells", {}).items():
-        actual = per_cell.get(name)
-        if actual is None:
-            failures.append(f"chaos: cell '{name}' missing from artifact "
-                            f"(bench and budgets out of sync)")
+def rebaseline(arts):
+    """Budgets derived from the artifacts by each rule's rebase."""
+    budgets = {"_comment": [
+        "Perf/launch/allocation budgets for ci/check_budgets.py.",
+        "Regenerated by --rebaseline from the current bench artifacts;",
+        "see that script's docstring for when re-baselining is",
+        "legitimate and how to justify it in the commit.",
+    ]}
+    for rule in RULES:
+        doc = arts[rule.art]
+        if rule.rebase is None or doc is None:
             continue
-        gate(failures, f"chaos[{name}].retry_ratio",
-             actual["retry_ratio"], limits.get("max_retry_ratio"))
-        gate(failures, f"chaos[{name}].drop_overhead_frac",
-             actual["drop_overhead_frac"],
-             limits.get("max_drop_overhead_frac"))
-        # Structural floor: a lossy cell that records zero drops means the
-        # chaos sweep silently stopped injecting.
-        gate_min(failures, f"chaos[{name}].msg_drops",
-                 actual["msg_drops"], limits.get("min_msg_drops"))
-    limits = budgets.get("churn", {})
-    if limits:
-        churn = doc.get("churn")
-        if churn is None:
-            failures.append("chaos: budgets define churn limits but the "
-                            "artifact has no 'churn' section")
-            return
-        gate(failures, "chaos[churn].recovery_seconds",
-             churn["recovery_seconds"], limits.get("max_recovery_seconds"))
-        gate_min(failures, "chaos[churn].surviving_ranks",
-                 churn["surviving_ranks"], limits.get("min_surviving_ranks"))
-        gate_min(failures, "chaos[churn].join_events",
-                 churn["join_events"], limits.get("min_join_events"))
+        for keys, _ in bindings(doc, split(rule.value)[0]):
+            item, value = measure(rule, doc, keys)
+            if value is None or not applies(rule, doc, keys, item):
+                continue
+            limit = rule.rebase(value)
+            if limit is None:
+                continue
+            node = budgets
+            *path, leaf = bind(rule.budget.split("."), keys)
+            for seg in path:
+                node = node.setdefault(seg, {})
+            node[leaf] = limit
+    return budgets
 
 
-def check_serving(doc, budgets, failures):
-    if not budgets:
-        return
-    if doc is None:
-        failures.append("serving: budgets define serving limits but no "
-                        "--serving artifact was provided")
-        return
-    # Deterministic amortization floor (the ISSUE's ">= 2x batched over
-    # the unbatched single-walker path" in its host-independent form).
-    gate_min(failures, "serving.launch_amortization",
-             doc["launch_amortization"],
-             budgets.get("min_launch_amortization"))
-    # Wall-clock quantities: loose floors/ceilings, CI hosts vary.
-    gate_min(failures, "serving.batched_speedup",
-             doc["batched_speedup"], budgets.get("min_batched_speedup"))
-    gate_min(failures, "serving.occupancy_mean",
-             doc["batched"]["occupancy_mean"],
-             budgets.get("min_occupancy_mean"))
-    gate(failures, "serving.p99_latency_s",
-         doc["batched"]["p99_latency_s"], budgets.get("max_p99_latency_s"))
-    gate(failures, "serving.loaded_over_idle",
-         doc["publish"]["loaded_over_idle"],
-         budgets.get("max_loaded_over_idle"))
-    # Structural exact gates: a reader can never stall a publish, and a
-    # pinned request can never be served the wrong snapshot.
-    gate(failures, "serving.publish_stalls",
-         doc["publish"]["publish_stalls"],
-         budgets.get("max_publish_stalls"))
-    gate(failures, "serving.pinned_wrong_version",
-         doc["mixed"]["pinned_wrong_version"],
-         budgets.get("max_pinned_wrong_version"))
+def inject(check, arts):
+    """Push the checked value just past its limit, or delete its item."""
+    rule, keys = check.rule, check.keys
+    doc = arts[rule.art]
+    segs = rule.value.split(".")
+    parent = lookup(doc, bind(segs[:-1], keys))
+    if rule.direction == "present":
+        if isinstance(parent, dict):
+            del parent[keys[-1]]
+        else:
+            parent.remove(child(parent, keys[-1]))
+        return f"deleted {rule.name.format('.'.join(keys))}"
+    step = max(abs(check.limit) * 0.01, 1e-6)
+    bad = check.limit + DIRECTIONS[rule.direction].sign * step
+    if rule.per is not None:
+        bad *= max(1, lookup(doc, bind(rule.per.split("."), keys)))
+    parent[segs[-1]] = bad
+    return f"pushed {rule.name.format('.'.join(keys))} to {bad:.6g}"
 
 
-def check_obs(fig7bc, serving, budgets, failures):
-    if not budgets:
-        return
-    obs = fig7bc.get("obs")
-    if obs is None:
-        failures.append("obs: budgets define a tracing-tax limit but the "
-                        "fig7bc artifact has no 'obs' section (bench "
-                        "predates the traced/untraced A/B passes?)")
-    else:
-        gate(failures, "obs.traced_over_untraced",
-             obs["traced_over_untraced"],
-             budgets.get("max_traced_over_untraced"))
-    if serving is None:
-        if (budgets.get("max_request_p99_latency_s") is not None
-                or budgets.get("max_queue_wait_p99_s") is not None):
-            failures.append("obs: budgets define serving SLOs but no "
-                            "--serving artifact was provided")
-        return
-    batched = serving.get("batched", {})
-    slo = batched.get("request_latency")
-    if slo is None:
-        failures.append("obs: serving artifact has no "
-                        "batched.request_latency section (bench predates "
-                        "the histogram SLO export?)")
-        return
-    gate(failures, "obs.request_latency.p99_s",
-         slo["p99_s"], budgets.get("max_request_p99_latency_s"))
-    gate(failures, "obs.queue_wait.p99_s",
-         batched["queue_wait"]["p99_s"],
-         budgets.get("max_queue_wait_p99_s"))
+def self_test(arts, budgets):
+    clean = run_checks(arts, budgets)
+    failed = [c.failure for c in clean if c.failure]
+    if failed:
+        print("self-test: artifacts do not pass the current budgets, cannot "
+              "run the injection test:", file=sys.stderr)
+        for f in dict.fromkeys(failed):
+            print(f"  {f}", file=sys.stderr)
+        return 1
+    print(f"\nself-test: injecting a violation into each of the {len(clean)} "
+          f"checked values (gate output suppressed):")
+    missed = []
+    for check in clean:
+        broken = copy.deepcopy(arts)
+        what = inject(check, broken)
+        caught = [c for c in run_checks(broken, budgets, out=lambda _: None)
+                  if c.failure and c.rule is check.rule
+                  and c.keys == check.keys]
+        print(f"  {'caught' if caught else 'MISSED'}  {what}")
+        if not caught:
+            missed.append(what)
+    for art, doc in arts.items():
+        if doc is None:
+            continue
+        caught = [c for c in run_checks({**arts, art: None}, budgets,
+                                        out=lambda _: None)
+                  if c.failure and c.rule.art == art]
+        print(f"  {'caught' if caught else 'MISSED'}  dropped the {art} "
+              f"artifact")
+        if not caught:
+            missed.append(f"dropped the {art} artifact")
+    # The table, the checker and --rebaseline must agree: every limit's
+    # key declares the rule's direction, the artifacts pass budgets
+    # rebaselined from themselves, and every rule that was checked above
+    # finds its budget key there.
+    for rule in RULES:
+        leaf = rule.budget.split(".")[-1]
+        if (rule.direction != "present"
+                and not leaf.startswith(DIRECTIONS[rule.direction].prefix)):
+            missed.append(f"{rule.name}: a '{rule.direction}' rule under "
+                          f"budget key {leaf}")
+    fresh = rebaseline(arts)
+    rechecked = run_checks(arts, fresh, out=lambda _: None)
+    for c in rechecked:
+        if c.failure:
+            missed.append(f"rebaselined budgets: {c.failure}")
+    for rule in dict.fromkeys(c.rule for c in clean):
+        if not any(c.rule is rule for c in rechecked):
+            missed.append(f"--rebaseline writes no {rule.budget}")
+    missed += doc_self_test(arts["fig7bc"])
+    if missed:
+        print("self-test: FAILED —", file=sys.stderr)
+        for m in missed:
+            print(f"  {m}", file=sys.stderr)
+        return 1
+    print(f"\nself-test: ok — every injected violation caught, the "
+          f"artifacts pass their own rebaseline ({len(rechecked)} checks), "
+          f"and the KERNELS.md diff reports a dropped and a stale row")
+    return 0
 
 
-def gate(failures, what, actual, limit):
-    if limit is None:
-        return
-    status = "ok" if actual <= limit else "FAIL"
-    print(f"  {what:<48} {float(actual):>14.6g}  "
-          f"budget {float(limit):>14.6g}  {status}")
-    if actual > limit:
-        failures.append(f"{what}: {actual} exceeds budget {limit}")
+def doc_tables(text):
+    """{section: rows} of a markdown doc: under each '## ' heading, the
+    table rows whose first cell is backticked, cells without backticks."""
+    tables, section = {}, ""
+    for line in text.splitlines():
+        if line.startswith("## "):
+            section = line[3:].strip()
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 2 and cells[0].startswith("`"):
+            tables.setdefault(section, []).append(
+                [c.strip("`") for c in cells])
+    return tables
 
 
-def gate_min(failures, what, actual, floor):
-    if floor is None:
-        return
-    status = "ok" if actual >= floor else "FAIL"
-    print(f"  {what:<48} {float(actual):>14.6g}  "
-          f"floor  {float(floor):>14.6g}  {status}")
-    if actual < floor:
-        failures.append(f"{what}: {actual} is below the required {floor}")
-
-
-def check_kernels_doc(doc, doc_path, failures):
-    """Cross-check docs/KERNELS.md against the artifact's dispatch section.
-
-    The doc's reference table is machine-diffable by construction: each row
-    is `| `kernel` | `variant` | isa | `budget key` | speedup |`. Every
-    registered variant must have a row with the canonical budget key, and
-    the doc must not list variants the registry no longer has.
-    """
-    dispatch = doc.get("dispatch")
+def check_kernels_doc(fig7bc, text, where, failures):
+    """Every registered variant needs a `| kernel | variant | isa | budget
+    key | ... |` row with its canonical budget key; no row may name a
+    variant the registry no longer has."""
+    dispatch = fig7bc.get("dispatch")
     if dispatch is None:
         failures.append(f"kernels-doc: artifact has no 'dispatch' section "
-                        f"to diff {doc_path} against")
+                        f"to diff {where} against")
         return
     registered = {(k["kernel"], v["name"])
                   for k in dispatch.get("kernels", [])
                   for v in k.get("variants", [])}
-
-    documented = {}   # (kernel, variant) -> budget_key
-    for line in pathlib.Path(doc_path).read_text().splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) < 4 or not cells[0].startswith("`"):
-            continue   # not a data row of the reference table
-        documented[(cells[0].strip("`"), cells[1].strip("`"))] = (
-            cells[3].strip("`"))
-
-    for key in sorted(registered):
-        kernel, variant = key
-        doc_budget_key = documented.get(key)
+    documented = {(r[0], r[1]): r[3] for rows in doc_tables(text).values()
+                  for r in rows if len(r) >= 4}
+    for kernel, variant in sorted(registered):
+        doc_budget_key = documented.get((kernel, variant))
+        want_key = f"dispatch.{kernel}.{variant}"
         if doc_budget_key is None:
             failures.append(f"kernels-doc: registered variant "
-                            f"{kernel}.{variant} has no row in {doc_path}")
-            continue
-        want_key = f"dispatch.{kernel}.{variant}"
-        if doc_budget_key not in (want_key, "-"):
+                            f"{kernel}.{variant} has no row in {where}")
+        elif doc_budget_key not in (want_key, "-"):
             failures.append(
                 f"kernels-doc: {kernel}.{variant} budget key "
                 f"'{doc_budget_key}' should be '{want_key}' (or '-')")
-    for key in sorted(set(documented) - set(registered)):
-        failures.append(f"kernels-doc: {doc_path} lists {key[0]}.{key[1]} "
+    for key in sorted(set(documented) - registered):
+        failures.append(f"kernels-doc: {where} lists {key[0]}.{key[1]} "
                         f"but it is not registered (stale row)")
-    n_ok = len(registered & set(documented))
-    print(f"kernels-doc: {n_ok}/{len(registered)} registered variants "
-          f"documented in {doc_path}")
+    print(f"kernels-doc: {len(registered & set(documented))}/"
+          f"{len(registered)} registered variants documented in {where}")
 
 
-def check_obs_doc(serving, doc_path, failures):
-    """Cross-check docs/OBSERVABILITY.md against the serving artifact.
-
-    The artifact's "obs" section inventories the observability surface at
-    bench time: span names observed by a traced serving pass, every metric
-    name in the registry, and every registered env knob. The doc's tables
-    (## Spans / ## Metrics / ## Knobs, rows whose first cell is
-    backticked) must cover them: observed spans and metrics each need a
-    row, and the knob table must equal env::knobs() exactly — a knob row
-    for a knob that no longer exists is as stale as a missing one.
-    """
+def check_obs_doc(serving, text, where, failures):
+    """The serving artifact's "obs" inventory against the doc's ## Spans /
+    ## Metrics / ## Knobs tables: observed spans and metrics each need a
+    row, and the knob table must equal env::knobs() — a row for a knob
+    that no longer exists is as stale as a missing one."""
     obs = serving.get("obs")
     if obs is None:
         failures.append(f"obs-doc: serving artifact has no 'obs' inventory "
-                        f"to diff {doc_path} against")
+                        f"to diff {where} against")
         return
-    documented = {"Spans": set(), "Metrics": set(), "Knobs": set()}
-    section = None
-    for line in pathlib.Path(doc_path).read_text().splitlines():
-        if line.startswith("## "):
-            title = line[3:].strip()
-            section = title if title in documented else None
-            continue
-        if section is None:
-            continue
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) < 2 or not cells[0].startswith("`"):
-            continue   # not a data row
-        documented[section].add(cells[0].strip("`"))
-
+    tables = doc_tables(text)
+    documented = {kind: {r[0] for r in tables.get(kind, [])}
+                  for kind in ("Spans", "Metrics", "Knobs")}
     for kind, key in (("Spans", "spans"), ("Metrics", "metrics")):
         for name in sorted(set(obs.get(key, [])) - documented[kind]):
             failures.append(f"obs-doc: {kind.lower()[:-1]} '{name}' is "
-                            f"emitted but has no row in {doc_path}")
+                            f"emitted but has no row in {where}")
     knobs = set(obs.get("knobs", []))
     for name in sorted(knobs - documented["Knobs"]):
         failures.append(f"obs-doc: knob '{name}' is registered but has no "
-                        f"row in {doc_path}")
+                        f"row in {where}")
     for name in sorted(documented["Knobs"] - knobs):
-        failures.append(f"obs-doc: {doc_path} lists knob '{name}' but it "
+        failures.append(f"obs-doc: {where} lists knob '{name}' but it "
                         f"is not registered (stale row)")
     n_spans = len(set(obs.get("spans", [])) & documented["Spans"])
     n_metrics = len(set(obs.get("metrics", [])) & documented["Metrics"])
     print(f"obs-doc: {n_spans}/{len(obs.get('spans', []))} observed spans, "
           f"{n_metrics}/{len(obs.get('metrics', []))} metrics, "
           f"{len(knobs & documented['Knobs'])}/{len(knobs)} knobs "
-          f"documented in {doc_path}")
+          f"documented in {where}")
 
 
-def run_checks(fig7bc, fusion, budgets, chaos=None, serving=None):
-    failures = []
-    print("fig7bc_kernels budgets:")
-    check_fig7bc(fig7bc, budgets.get("fig7bc_kernels", {}), failures)
-    print("fusion budgets:")
-    check_fusion(fusion, budgets.get("fusion", {}), failures)
-    print("dispatch budgets:")
-    check_dispatch(fig7bc, budgets.get("dispatch", {}), failures)
-    if chaos is not None or budgets.get("chaos"):
-        print("chaos budgets:")
-        check_chaos(chaos, budgets.get("chaos", {}), failures)
-    if serving is not None or budgets.get("serving"):
-        print("serving budgets:")
-        check_serving(serving, budgets.get("serving", {}), failures)
-    if budgets.get("obs"):
-        print("obs budgets:")
-        check_obs(fig7bc, serving, budgets.get("obs", {}), failures)
-    return failures
-
-
-def rebaseline(fig7bc, fusion, path, chaos=None, serving=None):
-    budgets = {
-        "_comment": [
-            "Perf/launch/allocation budgets for ci/check_budgets.py.",
-            "Regenerated by --rebaseline from the current bench artifacts;",
-            "see that script's docstring for when re-baselining is",
-            "legitimate and how to justify it in the commit.",
-        ],
-        "fig7bc_kernels": {
-            "min_fused_reduction": 2.0,
-            "configs": {
-                c["name"]: {
-                    "max_step_kernels":
-                        math.ceil(c["step_kernels"] * LAUNCH_SLACK),
-                    "max_total_s": round(c["total_s"] * TIME_SLACK, 3),
-                    "max_arena_peak_scope_bytes":
-                        math.ceil(c["arena_peak_scope_bytes"] * ARENA_SLACK),
-                } for c in fig7bc["configs"]
-            },
-        },
-        "fusion": {
-            "comparisons": {
-                c["name"]: {
-                    "max_fused_launches":
-                        math.ceil(c["fused_launches"] * LAUNCH_SLACK),
-                } for c in fusion["comparisons"]
-            },
-        },
-    }
-    dispatch = fig7bc.get("dispatch")
-    if dispatch is not None:
-        kernels = {}
-        for k in dispatch.get("kernels", []):
-            entry = {
-                "variants": {
-                    v["name"]: {
-                        "max_s_per_call":
-                            float(f"{v['s_per_call'] * TIME_SLACK:.3g}"),
-                    }
-                    for v in k.get("variants", []) if v.get("eligible")
-                },
-            }
-            # The paper-shape acceptance floor: any kernel whose best
-            # variant clears 1.5x on this host keeps that requirement, so
-            # the SIMD win cannot silently erode (ISSUE: >=1.5x on at least
-            # one hot phase, enforced here).
-            if k.get("best_speedup", 0.0) >= 1.5:
-                entry["min_best_speedup"] = 1.5
-            kernels[k["kernel"]] = entry
-        budgets["dispatch"] = {"kernels": kernels}
-    if chaos is not None:
-        # Chaos figures are simulated (deterministic for a fixed bench
-        # scale), so they get the tight launch-style slack, not TIME_SLACK.
-        cells = {}
-        for c in chaos.get("cells", []):
-            limits = {
-                "max_retry_ratio":
-                    float(f"{c['retry_ratio'] * LAUNCH_SLACK:.3g}"),
-                "max_drop_overhead_frac":
-                    float(f"{c['drop_overhead_frac'] * LAUNCH_SLACK:.3g}"),
-            }
-            if c.get("drop_p", 0.0) > 0.0 and c.get("msg_drops", 0) > 0:
-                limits["min_msg_drops"] = 1
-            cells[c["name"]] = limits
-        churn = chaos.get("churn", {})
-        budgets["chaos"] = {
-            "cells": cells,
-            "churn": {
-                "max_recovery_seconds":
-                    float(f"{churn['recovery_seconds'] * LAUNCH_SLACK:.3g}"),
-                "min_surviving_ranks": churn["surviving_ranks"],
-                "min_join_events": churn["join_events"],
-            },
-        }
-    if serving is not None:
-        # Launch amortization is a deterministic launch count ratio, so it
-        # gets a modest floor below the measurement; the wall-clock ratios
-        # (speedup, occupancy, p99, publish load factor) are host noise and
-        # get TIME_SLACK-style headroom. The structural zeros are exact.
-        p99 = serving["batched"]["p99_latency_s"] * TIME_SLACK
-        loaded = serving["publish"]["loaded_over_idle"] * TIME_SLACK
-        budgets["serving"] = {
-            "min_launch_amortization":
-                float(f"{serving['launch_amortization'] / 1.4:.3g}"),
-            "min_batched_speedup": 1.05,
-            "min_occupancy_mean":
-                float(f"{serving['batched']['occupancy_mean'] / 4.0:.3g}"),
-            "max_p99_latency_s": float(f"{p99:.3g}"),
-            "max_publish_stalls": 0,
-            "max_loaded_over_idle": max(15.0, float(f"{loaded:.3g}")),
-            "max_pinned_wrong_version": 0,
-        }
-    if (fig7bc.get("obs") is not None and serving is not None
-            and serving.get("batched", {}).get("request_latency")):
-        # The tracing-tax ceiling is a ratio contract (disabled-path ==
-        # one relaxed atomic load), not a measurement with host headroom,
-        # so it is pinned at 1.05 rather than derived from the sample.
-        lat_p99 = serving["batched"]["request_latency"]["p99_s"] * TIME_SLACK
-        wait_p99 = serving["batched"]["queue_wait"]["p99_s"] * TIME_SLACK
-        budgets["obs"] = {
-            "max_traced_over_untraced": 1.05,
-            "max_request_p99_latency_s": float(f"{lat_p99:.3g}"),
-            "max_queue_wait_p99_s": float(f"{wait_p99:.3g}"),
-        }
-    with open(path, "w") as f:
-        json.dump(budgets, f, indent=2)
-        f.write("\n")
-    print(f"budgets re-baselined into {path}")
-
-
-def self_test(fig7bc, fusion, budgets, chaos=None, serving=None):
-    clean = run_checks(fig7bc, fusion, budgets, chaos, serving)
-    if clean:
-        print("self-test: artifacts do not pass the current budgets, cannot "
-              "run the injection test:", file=sys.stderr)
-        for f in clean:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    # Inject a launch-count regression: the fused configuration suddenly
-    # issues 3x the launches (e.g. someone broke a composite kernel back
-    # into primitives). The gate MUST catch this.
-    broken = copy.deepcopy(fig7bc)
-    for c in broken["configs"]:
-        if c["name"] == "fused":
-            c["step_kernels"] *= 3
-    print("\nself-test: injected 3x fused launch-count regression, "
-          "re-checking (failures below are EXPECTED):")
-    caught = run_checks(broken, fusion, budgets, chaos, serving)
-    if not caught:
-        print("self-test: FAILED — the injected regression was not caught",
-              file=sys.stderr)
-        return 1
-    print(f"\nself-test: ok — injected regression caught "
-          f"({len(caught)} violation(s), e.g. '{caught[0]}')")
-    # Inject a recovery-overhead regression: the churn scenario's membership
-    # recovery bill (reshard + catch-up + detection) suddenly costs 10x —
-    # e.g. someone broke the reshard accounting or the catch-up transfer
-    # started shipping P replicas. The chaos gate MUST catch this loudly.
-    if (chaos is not None and budgets.get("chaos", {}).get("churn", {})
-            .get("max_recovery_seconds") is not None):
-        broken_chaos = copy.deepcopy(chaos)
-        broken_chaos["churn"]["recovery_seconds"] *= 10
-        print("\nself-test: injected 10x churn recovery-overhead "
-              "regression, re-checking (failures below are EXPECTED):")
-        caught = run_checks(fig7bc, fusion, budgets, broken_chaos, serving)
-        recovery = [f for f in caught if "recovery_seconds" in f]
-        if not recovery:
-            print("self-test: FAILED — the injected recovery-overhead "
-                  "regression was not caught", file=sys.stderr)
-            return 1
-        print(f"\nself-test: ok — recovery-overhead regression caught "
-              f"('{recovery[0]}')")
-    # Inject a publish-stall regression: a reader suddenly blocks the
-    # publisher (e.g. someone swapped the lock-free snapshot swap for a
-    # mutex held across reads, or made publish wait for in-flight
-    # evaluations). publish_stalls must be exactly 0, so even one stall
-    # MUST fail the serving gate.
-    if (serving is not None and budgets.get("serving", {})
-            .get("max_publish_stalls") is not None):
-        broken_serving = copy.deepcopy(serving)
-        broken_serving["publish"]["publish_stalls"] += 7
-        print("\nself-test: injected synthetic publish stalls under reader "
-              "load, re-checking (failures below are EXPECTED):")
-        caught = run_checks(fig7bc, fusion, budgets, chaos, broken_serving)
-        stalls = [f for f in caught if "publish_stalls" in f]
-        if not stalls:
-            print("self-test: FAILED — the injected publish-stall "
-                  "regression was not caught", file=sys.stderr)
-            return 1
-        print(f"\nself-test: ok — publish-stall regression caught "
-              f"('{stalls[0]}')")
-    # Inject a request-latency SLO regression: the batched pass's p99
-    # request latency suddenly reads 100x (e.g. the batching loop grew a
-    # sleep, or the queue-wait histogram started double-counting). The obs
-    # gate MUST catch the fabricated p99.
-    if (serving is not None and budgets.get("obs", {})
-            .get("max_request_p99_latency_s") is not None):
-        broken_serving = copy.deepcopy(serving)
-        broken_serving["batched"]["request_latency"]["p99_s"] *= 100
-        print("\nself-test: injected 100x request-latency p99 regression, "
-              "re-checking (failures below are EXPECTED):")
-        caught = run_checks(fig7bc, fusion, budgets, chaos, broken_serving)
-        slo = [f for f in caught if "request_latency" in f]
-        if not slo:
-            print("self-test: FAILED — the injected p99 SLO regression was "
-                  "not caught", file=sys.stderr)
-            return 1
-        print(f"\nself-test: ok — p99 SLO regression caught ('{slo[0]}')")
-    # Inject a missing-variant regression: a budgeted SIMD variant vanishes
-    # from the artifact (someone deleted or renamed its registration). The
-    # dispatch gate MUST treat that as a failure, not a skip.
-    injected = None
-    for kernel, limits in budgets.get("dispatch", {}).get(
-            "kernels", {}).items():
-        for vname in limits.get("variants", {}):
-            if vname != "scalar":
-                injected = (kernel, vname)
-                break
-        if injected:
-            break
-    if injected is None:
-        print("self-test: SKIPPED missing-variant injection — budgets "
-              "define no non-scalar dispatch variants", file=sys.stderr)
-        return 0
-    broken = copy.deepcopy(fig7bc)
-    for k in broken["dispatch"]["kernels"]:
-        if k["kernel"] == injected[0]:
-            k["variants"] = [v for v in k["variants"]
-                             if v["name"] != injected[1]]
-    print(f"\nself-test: removed variant {injected[0]}.{injected[1]} from "
-          f"the artifact, re-checking (failures below are EXPECTED):")
-    caught = run_checks(broken, fusion, budgets, chaos, serving)
-    missing = [f for f in caught if "missing from artifact" in f
-               and injected[1] in f]
-    if not missing:
-        print("self-test: FAILED — the missing-variant regression was not "
-              "caught", file=sys.stderr)
-        return 1
-    print(f"\nself-test: ok — missing variant caught ('{missing[0]}')")
-    return 0
+def doc_self_test(fig7bc):
+    """The KERNELS.md diff on a doc built from the artifact's registry: it
+    must pass as built, and report a dropped row and an added stale one."""
+    variants = [(k["kernel"], v["name"])
+                for k in fig7bc.get("dispatch", {}).get("kernels", [])
+                for v in k.get("variants", [])]
+    if not variants:
+        return ["kernels-doc: the artifact registers no variants to test on"]
+    kernel, variant = variants[0]
+    problems = []
+    for rows, want in ((variants, []),
+                       (variants[1:] + [(kernel, "retired")],
+                        [f"{kernel}.{variant} has no row",
+                         f"lists {kernel}.retired but"])):
+        text = "## Variant catalog\n\n" + "\n".join(
+            f"| `{k}` | `{v}` | - | `dispatch.{k}.{v}` | - |" for k, v in rows)
+        failures = []
+        check_kernels_doc(fig7bc, text, "KERNELS.md (in memory)", failures)
+        if len(failures) != len(want) or not all(
+                any(w in f for f in failures) for w in want):
+            problems.append(f"kernels-doc self-test: wanted {want}, got "
+                            f"{failures}")
+    return problems
 
 
 def main():
@@ -675,10 +592,9 @@ def main():
     parser.add_argument("--rebaseline", action="store_true",
                         help="rewrite --budgets from the current artifacts")
     parser.add_argument("--self-test", action="store_true",
-                        help="verify the gate catches an injected "
-                             "launch-count regression, a removed dispatch "
-                             "variant, synthetic publish stalls, and a "
-                             "fabricated request-latency p99")
+                        help="verify the gate catches an injected violation "
+                             "of every checked value, a dropped artifact, "
+                             "and a drifted KERNELS.md table")
     parser.add_argument("--kernels-doc", default=None, metavar="FILE",
                         help="cross-check docs/KERNELS.md rows against the "
                              "artifact's dispatch section")
@@ -698,26 +614,33 @@ def main():
                   f"{summary['failures']} harness failure(s)",
                   file=sys.stderr)
             return 1
-    fig7bc = load_json(fig7bc_path)
-    fusion = load_json(fusion_path)
-    chaos = load_json(args.chaos) if args.chaos else None
-    serving = load_json(args.serving) if args.serving else None
+    paths = {"fig7bc": fig7bc_path, "fusion": fusion_path,
+             "chaos": args.chaos, "serving": args.serving}
+    arts = {name: load_json(p) if p else None for name, p in paths.items()}
 
     if args.rebaseline:
-        rebaseline(fig7bc, fusion, args.budgets, chaos, serving)
+        with open(args.budgets, "w") as f:
+            json.dump(rebaseline(arts), f, indent=2)
+            f.write("\n")
+        print(f"budgets re-baselined into {args.budgets}")
         return 0
     budgets = load_json(args.budgets)
     if args.self_test:
-        return self_test(fig7bc, fusion, budgets, chaos, serving)
-    failures = run_checks(fig7bc, fusion, budgets, chaos, serving)
+        return self_test(arts, budgets)
+    failures = [c.failure for c in run_checks(arts, budgets) if c.failure]
     if args.kernels_doc:
-        check_kernels_doc(fig7bc, args.kernels_doc, failures)
+        check_kernels_doc(arts["fig7bc"],
+                          pathlib.Path(args.kernels_doc).read_text(),
+                          args.kernels_doc, failures)
     if args.obs_doc:
-        if serving is None:
+        if arts["serving"] is None:
             failures.append("--obs-doc needs a --serving artifact for the "
                             "obs inventory")
         else:
-            check_obs_doc(serving, args.obs_doc, failures)
+            check_obs_doc(arts["serving"],
+                          pathlib.Path(args.obs_doc).read_text(),
+                          args.obs_doc, failures)
+    failures = list(dict.fromkeys(failures))
     if failures:
         print(f"check_budgets: {len(failures)} violation(s):",
               file=sys.stderr)

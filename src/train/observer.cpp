@@ -1,45 +1,6 @@
 #include "train/observer.hpp"
 
-#include <cmath>
-
 namespace fekf::train {
-
-namespace {
-
-/// JSON has no NaN/Infinity literals; a diverged step's loss exports as
-/// null (the fault_kind field says why).
-std::string json_number(f64 v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.8g", v);
-  return buf;
-}
-
-/// Minimal JSON string escaper (fault details can carry exception text).
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // LcurveObserver
@@ -63,68 +24,6 @@ void LcurveObserver::on_eval(const EpochRecord& record) {
                record.cumulative_seconds, record.train.energy_rmse,
                record.train.force_rmse, record.test.energy_rmse,
                record.test.force_rmse);
-  std::fflush(file_);
-}
-
-// ---------------------------------------------------------------------------
-// JsonlMetricsObserver
-// ---------------------------------------------------------------------------
-
-JsonlMetricsObserver::JsonlMetricsObserver(const std::string& path)
-    : file_(std::fopen(path.c_str(), "w")) {
-  FEKF_CHECK(file_ != nullptr, "cannot open '" + path + "' for writing");
-}
-
-JsonlMetricsObserver::~JsonlMetricsObserver() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void JsonlMetricsObserver::on_step(const StepEvent& event) {
-  std::fprintf(file_,
-               "{\"event\":\"step\",\"step\":%lld,\"epoch\":%lld,"
-               "\"loss\":%s,\"grad_norm2\":%s,\"seconds\":%.6f,"
-               "\"rolled_back\":%s%s%s}\n",
-               static_cast<long long>(event.step),
-               static_cast<long long>(event.epoch),
-               json_number(event.loss).c_str(),
-               json_number(event.grad_norm2).c_str(), event.seconds,
-               event.rolled_back ? "true" : "false",
-               event.fault_kind.empty() ? "" : ",\"fault_kind\":",
-               event.fault_kind.empty()
-                   ? ""
-                   : json_string(event.fault_kind).c_str());
-  std::fflush(file_);
-}
-
-void JsonlMetricsObserver::on_eval(const EpochRecord& record) {
-  std::fprintf(file_,
-               "{\"event\":\"eval\",\"epoch\":%lld,\"seconds\":%.6f,"
-               "\"train_e_rmse\":%.8g,\"train_f_rmse\":%.8g,"
-               "\"test_e_rmse\":%.8g,\"test_f_rmse\":%.8g}\n",
-               static_cast<long long>(record.epoch),
-               record.cumulative_seconds, record.train.energy_rmse,
-               record.train.force_rmse, record.test.energy_rmse,
-               record.test.force_rmse);
-  std::fflush(file_);
-}
-
-void JsonlMetricsObserver::on_checkpoint(const CheckpointEvent& event) {
-  std::fprintf(file_,
-               "{\"event\":\"checkpoint\",\"step\":%lld,\"path\":%s,"
-               "\"seconds\":%.6f}\n",
-               static_cast<long long>(event.step),
-               json_string(event.path).c_str(), event.seconds);
-  std::fflush(file_);
-}
-
-void JsonlMetricsObserver::on_fault(const FaultEvent& event) {
-  std::fprintf(file_,
-               "{\"event\":\"fault\",\"step\":%lld,\"kind\":%s,"
-               "\"action\":%s,\"detail\":%s}\n",
-               static_cast<long long>(event.step),
-               json_string(event.kind).c_str(),
-               json_string(event.action).c_str(),
-               json_string(event.detail).c_str());
   std::fflush(file_);
 }
 

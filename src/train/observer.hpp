@@ -2,10 +2,10 @@
 //
 // The resilient step loop shared by AdamTrainer and KalmanTrainer emits a
 // small, stable set of events; observers subscribe to them without the
-// trainers knowing what consumes the stream. The lcurve CSV writer and the
-// JSONL step-metrics emitter are both ports onto this interface, and
-// online-learning integrations (loss dashboards, early-stopping policies,
-// sample-selection triggers) attach the same way.
+// trainers knowing what consumes the stream. The lcurve CSV writer is a
+// port onto this interface, and online-learning integrations (loss
+// dashboards, early-stopping policies, sample-selection triggers) attach
+// the same way.
 //
 // Contract: hooks are invoked synchronously on the training thread, after
 // the step/epoch state they describe is fully applied (a rolled-back step
@@ -61,25 +61,6 @@ class LcurveObserver : public TrainObserver {
   LcurveObserver& operator=(const LcurveObserver&) = delete;
 
   void on_eval(const EpochRecord& record) override;
-
- private:
-  std::FILE* file_;
-};
-
-/// Machine-readable run log: one JSON object per line ("step", "eval",
-/// "checkpoint", "fault" events), append-only and flushed per line so a
-/// killed run keeps everything emitted before the cut.
-class JsonlMetricsObserver : public TrainObserver {
- public:
-  explicit JsonlMetricsObserver(const std::string& path);
-  ~JsonlMetricsObserver() override;
-  JsonlMetricsObserver(const JsonlMetricsObserver&) = delete;
-  JsonlMetricsObserver& operator=(const JsonlMetricsObserver&) = delete;
-
-  void on_step(const StepEvent& event) override;
-  void on_eval(const EpochRecord& record) override;
-  void on_checkpoint(const CheckpointEvent& event) override;
-  void on_fault(const FaultEvent& event) override;
 
  private:
   std::FILE* file_;

@@ -23,6 +23,13 @@
 #include "tensor/variants/variants.hpp"
 
 namespace fekf {
+namespace testref {
+// The full-P reference bodies, pinned term by term (frozen_full_p.cpp).
+void frozen_symv_rows(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi,
+                      i64 n);
+void frozen_rank1(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
+                  i64 rhi, i64 n);
+}  // namespace testref
 namespace {
 
 namespace dp = dispatch;
@@ -485,33 +492,6 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
   }
 }
 
-// Frozen copies of the full-P row bodies the EKF ran before P was stored
-// packed: kernels.cpp's symv_rows and the ekf_rank1_f64 scalar reference,
-// verbatim, so they compile here under the tree's flags as they did there.
-void frozen_symv_rows(const f64* p, const f64* g, f64* y, i64 rlo, i64 rhi,
-                      i64 n) {
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64* __restrict__ row = p + i * n;
-    f64 acc = 0.0;
-    for (i64 j = 0; j < n; ++j) acc += row[j] * g[j];
-    y[i] = acc;
-  }
-}
-
-void frozen_rank1(f64* p, const f64* k, f64 coeff, f64 inv_lambda, i64 rlo,
-                  i64 rhi, i64 n) {
-  for (i64 i = rlo; i < rhi; ++i) {
-    const f64 ki_scaled = coeff * k[i];
-    f64* __restrict__ prow = p + i * n;
-    for (i64 j = i; j < n; ++j) {
-      const f64 pij = 0.5 * (prow[j] + p[j * n + i]);
-      const f64 v = (pij - ki_scaled * k[j]) * inv_lambda;
-      prow[j] = v;
-      p[j * n + i] = v;
-    }
-  }
-}
-
 TEST(DispatchExactness, PackedEkfMatchesTheFullPReference) {
   // Several ekf_gain_fused + ekf_apply_fused updates on packed P, in place
   // and out of place (the ping-pong snapshot's first write), must give the
@@ -555,10 +535,12 @@ TEST(DispatchExactness, PackedEkfMatchesTheFullPReference) {
           std::vector<f64> w = w0, y(static_cast<std::size_t>(n));
           for (int update = 0; update < 4; ++update) {
             const std::vector<f64> g = randn_f64(n, 100 + update);
-            frozen_symv_rows(full.data(), g.data(), ref_y.data(), 0, n, n);
+            testref::frozen_symv_rows(full.data(), g.data(), ref_y.data(), 0,
+                                      n, n);
             const f64 ref_gain = kernels::dot(g, ref_y);
             const f64 a = 1.0 / (lambda + ref_gain);
-            frozen_rank1(full.data(), ref_y.data(), a, 1.0 / lambda, 0, n, n);
+            testref::frozen_rank1(full.data(), ref_y.data(), a, 1.0 / lambda,
+                                  0, n, n);
             for (i64 i = 0; i < n; ++i) {
               full[static_cast<std::size_t>(i * n + i)] += noise;
             }
