@@ -15,8 +15,12 @@
 // reported but not gated.
 //
 // Emits a JSON document (stdout, and --json FILE if given) so
-// run_benches.sh can archive it as bench_artifacts/chaos.json.
+// run_benches.sh can archive it as bench_artifacts/chaos.json. Its "obs"
+// object is the training half of the inventory ci/check_budgets.py
+// --obs-doc diffs docs/OBSERVABILITY.md against (bench_serving's is the
+// serving half).
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -186,6 +190,29 @@ int main(int argc, char** argv) {
                              churn.detection_seconds;
   }
 
+  // A traced training leg for the obs inventory: one epoch of a
+  // KalmanTrainer that checkpoints every step (so the kalman.flush and
+  // checkpoint paths fire) and evaluates, then one lossy cluster epoch.
+  const std::string obs_inventory = obs_inventory_json([&] {
+    const std::string ckpt =
+        (std::filesystem::temp_directory_path() / "fekf_bench_chaos_obs.ckpt")
+            .string();
+    deepmd::DeepmdModel model = fresh_model();
+    train::TrainOptions options;
+    options.batch_size = batch;
+    options.max_epochs = 1;
+    options.eval_max_samples = 4;
+    options.seed = static_cast<u64>(cli.get_int("seed"));
+    options.checkpoint_every = 1;
+    options.checkpoint_path = ckpt;
+    optim::KalmanConfig kcfg;
+    kcfg.blocksize = cli.get_int("blocksize");
+    train::KalmanTrainer trainer(model, kcfg, options);
+    (void)trainer.train(fixture.train_envs, fixture.test_envs);
+    std::filesystem::remove(ckpt);
+    (void)run_cluster(rank_list.front(), drop_list.back(), "");
+  });
+
   Table table({"cell", "ranks", "drop p", "steps", "comm s", "drops",
                "corrupt", "retries", "retry ratio", "overhead",
                "step p50/p90/p99 ms"});
@@ -256,7 +283,8 @@ int main(int argc, char** argv) {
           fmt("%.9f", churn.straggler_wait_seconds) + ",\n";
   json += "    \"heartbeat_seconds\": " +
           fmt("%.9f", churn.heartbeat_seconds) + "\n";
-  json += "  }\n}\n";
+  json += "  },\n";
+  json += "  \"obs\": " + obs_inventory + "\n}\n";
   std::printf("\n%s", json.c_str());
   const std::string path = cli.get("json");
   if (!path.empty()) {

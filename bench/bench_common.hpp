@@ -8,12 +8,17 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/cli.hpp"
+#include "core/env.hpp"
 #include "core/table.hpp"
 #include "data/dataset.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "train/trainer.hpp"
 
 namespace fekf::bench {
@@ -93,6 +98,45 @@ inline std::string fmt(const char* format, f64 v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, v);
   return buf;
+}
+
+inline std::string json_string_array(const std::vector<std::string>& names) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    out += "\"" + names[i] + "\"";
+    if (i + 1 < names.size()) out += ", ";
+  }
+  return out + "]";
+}
+
+/// The observable surface ci/check_budgets.py --obs-doc diffs against
+/// docs/OBSERVABILITY.md, as the artifact's "obs" JSON object: every
+/// distinct event name `traced_leg` records with span recording on, every
+/// metric registered by then, and every env knob.
+inline std::string obs_inventory_json(const std::function<void()>& traced_leg) {
+  auto& recorder = obs::TraceRecorder::instance();
+  const bool was_enabled = obs::TraceRecorder::enabled();
+  recorder.clear();
+  recorder.set_enabled(true);
+  traced_leg();
+  recorder.set_enabled(was_enabled);
+  std::set<std::string> spans;
+  for (const obs::TraceEvent& e : recorder.snapshot()) spans.insert(e.name);
+  recorder.clear();
+  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  std::set<std::string> metric_names;
+  for (const auto& names :
+       {metrics.counter_names(), metrics.gauge_names(),
+        metrics.histogram_names()}) {
+    metric_names.insert(names.begin(), names.end());
+  }
+  std::vector<std::string> knobs;
+  for (const env::Knob& knob : env::knobs()) knobs.emplace_back(knob.name);
+  return "{\n    \"spans\": " +
+         json_string_array({spans.begin(), spans.end()}) +
+         ",\n    \"metrics\": " +
+         json_string_array({metric_names.begin(), metric_names.end()}) +
+         ",\n    \"knobs\": " + json_string_array(knobs) + "\n  }";
 }
 
 }  // namespace fekf::bench

@@ -7,8 +7,9 @@
 //                 linear_fused/tanh_fused chain (opt2 reference)
 //   model step    energy + force prediction at FusionLevel kFused vs kOpt2
 //                 (covers desc_a / desc_d / desc_d_grad)
-//   EKF step      two-launch ekf_gain_fused + ekf_apply_fused vs the legacy
-//                 symv / dot / p_update_fused / axpy sequence
+//   EKF step      one-launch ekf_apply_gain (the pending P write and the
+//                 gain in one sweep) vs the legacy symv / dot /
+//                 p_update_fused / axpy sequence
 //   arena         the same model step with temporaries drawn from the
 //                 Workspace vs operator new
 //
@@ -169,15 +170,16 @@ int main(int argc, char** argv) {
             &ekf.fused_launches);
     measure([&] { legacy_opt.update(g, 0.1, wl); }, reps, &ekf.unfused_s,
             &ekf.unfused_launches);
-    FEKF_CHECK(ekf.fused_launches == 2,
+    FEKF_CHECK(ekf.fused_launches == 1,
                "fused EKF step issued " + std::to_string(ekf.fused_launches) +
-                   " launches per block, budget is 2");
+                   " launches per block, budget is 1");
     FEKF_CHECK(ekf.unfused_launches == 4,
                "legacy EKF step issued " +
                    std::to_string(ekf.unfused_launches) +
                    " launches per block, expected 4");
     // Both optimizers saw the identical update sequence: state must match
-    // bit for bit (the fused kernels replay the legacy accumulation order).
+    // bit for bit (the fused sweep replays the legacy accumulation order;
+    // state() writes the fused optimizer's pending step first).
     FEKF_CHECK(wf == wl, "fused EKF weights diverged from legacy");
     FEKF_CHECK(fused_opt.state().p == legacy_opt.state().p,
                "fused EKF covariance diverged from legacy");
@@ -189,9 +191,10 @@ int main(int argc, char** argv) {
 
   // ---- fused EKF step per kernel backend ------------------------------
   // Same comparison as above under FEKF_KERNEL_BACKEND=scalar and auto
-  // (DESIGN.md §13). The fused and legacy paths share the dispatched
-  // rank-1 body, so the bit-identity assertion must hold under both, and
-  // the two rows show what the auto-selected rung buys on the EKF update.
+  // (DESIGN.md §13). Every gain body either path can select keeps the
+  // reference chains, so the bit-identity assertion must hold under both,
+  // and the two rows show what the auto-selected rung buys on the EKF
+  // update.
   std::vector<std::pair<std::string, Result>> ekf_backends;
   {
     const i64 n = cli.get_int("ekf-n");
@@ -300,7 +303,7 @@ int main(int argc, char** argv) {
                 "skipped\n");
   }
   std::printf("\nAll fused outputs verified bit-identical to the unfused "
-              "reference; launch budgets asserted (2-launch EKF step, "
+              "reference; launch budgets asserted (1-launch EKF step, "
               "strict reduction elsewhere).\n");
 
   const std::string json_path = cli.get("json");

@@ -34,18 +34,15 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/env.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "md/lattice.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/batching.hpp"
 #include "serve/registry.hpp"
 #include "tensor/kernel_counter.hpp"
@@ -85,15 +82,6 @@ struct Slo {
   f64 p90_s = 0.0;
   f64 p99_s = 0.0;
 };
-
-std::string json_string_array(const std::vector<std::string>& names) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    out += "\"" + names[i] + "\"";
-    if (i + 1 < names.size()) out += ", ";
-  }
-  return out + "]";
-}
 
 }  // namespace
 
@@ -474,21 +462,13 @@ int main(int argc, char** argv) {
   }
 
   // --- obs inventory: the observable surface, for the --obs-doc gate ------
-  // A short traced leg replays the serving scenario with span recording on
-  // and collects every distinct event name that fired; together with the
-  // registered metric and env-knob names this is the machine-readable
-  // inventory ci/check_budgets.py --obs-doc diffs against
-  // docs/OBSERVABILITY.md (same drift contract as --kernels-doc).
-  std::vector<std::string> span_names;
-  {
-    auto& recorder = obs::TraceRecorder::instance();
-    const bool was_enabled = obs::TraceRecorder::enabled();
-    recorder.clear();
-    recorder.set_enabled(true);
+  // A short traced leg replays the serving scenario; bench_chaos records
+  // the training half of the inventory.
+  const std::string obs_inventory = obs_inventory_json([&] {
+    serve::BatchingConfig bcfg;
+    bcfg.max_batch = cli.get_int("max_batch");
+    bcfg.max_wait_s = static_cast<f64>(cli.get_int("max_wait_us")) * 1e-6;
     {
-      serve::BatchingConfig bcfg;
-      bcfg.max_batch = cli.get_int("max_batch");
-      bcfg.max_wait_s = static_cast<f64>(cli.get_int("max_wait_us")) * 1e-6;
       serve::BatchingEvaluator evaluator(registry, bcfg);
       for (i64 k = 0; k < 4; ++k) {
         (void)evaluator.evaluate(request_for(0, k));
@@ -496,26 +476,7 @@ int main(int argc, char** argv) {
       evaluator.shutdown();
     }
     (void)serve::evaluate_with(*fixture.model, request_for(0, 0));
-    recorder.set_enabled(was_enabled);
-    std::set<std::string> unique;
-    for (const obs::TraceEvent& e : recorder.snapshot()) {
-      unique.insert(e.name);
-    }
-    recorder.clear();
-    span_names.assign(unique.begin(), unique.end());
-  }
-  std::vector<std::string> metric_names;
-  {
-    std::set<std::string> unique;
-    for (const std::string& n : metrics.counter_names()) unique.insert(n);
-    for (const std::string& n : metrics.gauge_names()) unique.insert(n);
-    for (const std::string& n : metrics.histogram_names()) unique.insert(n);
-    metric_names.assign(unique.begin(), unique.end());
-  }
-  std::vector<std::string> knob_names;
-  for (const env::Knob& knob : env::knobs()) {
-    knob_names.emplace_back(knob.name);
-  }
+  });
 
   Table table({"scenario", "requests", "total s", "req/s", "p50 ms",
                "p99 ms", "batches", "occupancy"});
@@ -621,11 +582,7 @@ int main(int argc, char** argv) {
           std::to_string(pinned_wrong_version) +
           ", \"latest_served_version\": " + std::to_string(latest_served) +
           "},\n";
-  json += "  \"obs\": {\n";
-  json += "    \"spans\": " + json_string_array(span_names) + ",\n";
-  json += "    \"metrics\": " + json_string_array(metric_names) + ",\n";
-  json += "    \"knobs\": " + json_string_array(knob_names) + "\n";
-  json += "  }\n}\n";
+  json += "  \"obs\": " + obs_inventory + "\n}\n";
   std::printf("\n%s", json.c_str());
   if (!cli.get("json").empty()) {
     std::FILE* f = std::fopen(cli.get("json").c_str(), "w");

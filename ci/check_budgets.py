@@ -45,10 +45,12 @@ because CI hosts vary; launch and byte limits are the tight ones.
 --kernels-doc FILE cross-checks docs/KERNELS.md against the artifact's
 dispatch section: every registered variant needs a row with its budget key,
 and the doc may not list variants the registry no longer has. --obs-doc
-FILE cross-checks docs/OBSERVABILITY.md the same way against the serving
-artifact's "obs" inventory: observed spans and metrics each need a row, and
-the knob table must equal env::knobs() in both directions. Both read the
-doc through one markdown table reader.
+FILE cross-checks docs/OBSERVABILITY.md the same way against the union of
+the "obs" inventories of the serving artifact and of the chaos artifact
+(whose traced leg trains, checkpoints and runs the cluster): observed spans
+and metrics each need a row (a `<kind>` placeholder in a row name matches
+one dotted segment), and the knob table must equal env::knobs() in both
+directions. Both read the doc through one markdown table reader.
 
 Re-baselining (after an INTENTIONAL change to kernel granularity, bench
 scale, or model defaults): run the benches, eyeball the new numbers, then
@@ -64,9 +66,11 @@ for every value the gate checked, it pushes that value just past its limit
 (or deletes the keyed item for presence rows) and requires that row's
 failure; it drops each given artifact and requires the "not given" failure;
 it rebaselines the same artifacts in memory and requires them to pass with
-every checked row finding its budget key; and it feeds the doc table reader
+every checked row finding its budget key; it feeds the doc table reader
 a KERNELS.md built from the artifact with one row dropped and one stale row
-added, and requires both to be reported.
+added, and requires both to be reported; and it diffs an OBSERVABILITY.md
+built from the union inventory with one training-only metric row dropped,
+and requires that row to be reported.
 """
 
 import argparse
@@ -75,6 +79,7 @@ import json
 import math
 import operator
 import pathlib
+import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -460,6 +465,7 @@ def self_test(arts, budgets):
         if not any(c.rule is rule for c in rechecked):
             missed.append(f"--rebaseline writes no {rule.budget}")
     missed += doc_self_test(arts["fig7bc"])
+    missed += obs_doc_self_test(arts)
     if missed:
         print("self-test: FAILED —", file=sys.stderr)
         for m in missed:
@@ -467,7 +473,8 @@ def self_test(arts, budgets):
         return 1
     print(f"\nself-test: ok — every injected violation caught, the "
           f"artifacts pass their own rebaseline ({len(rechecked)} checks), "
-          f"and the KERNELS.md diff reports a dropped and a stale row")
+          f"the KERNELS.md diff reports a dropped and a stale row, and the "
+          f"OBSERVABILITY.md diff a dropped training row")
     return 0
 
 
@@ -517,36 +524,92 @@ def check_kernels_doc(fig7bc, text, where, failures):
           f"{len(registered)} registered variants documented in {where}")
 
 
-def check_obs_doc(serving, text, where, failures):
-    """The serving artifact's "obs" inventory against the doc's ## Spans /
-    ## Metrics / ## Knobs tables: observed spans and metrics each need a
-    row, and the knob table must equal env::knobs() — a row for a knob
-    that no longer exists is as stale as a missing one."""
-    obs = serving.get("obs")
-    if obs is None:
-        failures.append(f"obs-doc: serving artifact has no 'obs' inventory "
-                        f"to diff {where} against")
-        return
+OBS_SOURCES = ("serving", "chaos")  # bench_serving, and bench_chaos's training
+
+
+def obs_inventory(arts, where, failures):
+    """The union of the serving and training artifacts' "obs" inventories
+    ({spans, metrics, knobs} name sets); a missing one is a failure."""
+    union = {"spans": set(), "metrics": set(), "knobs": set()}
+    for art in OBS_SOURCES:
+        obs = (arts.get(art) or {}).get("obs")
+        if obs is None:
+            failures.append(f"obs-doc: no {art} artifact 'obs' inventory to "
+                            f"diff {where} against")
+            continue
+        for key, names in union.items():
+            names.update(obs.get(key, []))
+    return union
+
+
+def row_pattern(name):
+    """A doc row name as a regex; a `<kind>` placeholder matches one dotted
+    segment, so `dist.fault.<kind>` covers every dist.fault.* metric."""
+    parts = re.split(r"(<[^>]+>)", name)
+    return re.compile("".join("[^.]+" if p.startswith("<") else re.escape(p)
+                              for p in parts) + r"\Z")
+
+
+def check_obs_doc(arts, text, where, failures):
+    """The union inventory against the doc's ## Spans / ## Metrics /
+    ## Knobs tables: observed spans and metrics each need a row, and the
+    knob table must equal env::knobs() — a row for a knob that no longer
+    exists is as stale as a missing one."""
+    inv = obs_inventory(arts, where, failures)
     tables = doc_tables(text)
-    documented = {kind: {r[0] for r in tables.get(kind, [])}
-                  for kind in ("Spans", "Metrics", "Knobs")}
+    counts = {}
     for kind, key in (("Spans", "spans"), ("Metrics", "metrics")):
-        for name in sorted(set(obs.get(key, [])) - documented[kind]):
+        patterns = [row_pattern(r[0]) for r in tables.get(kind, [])]
+        missing = sorted(n for n in inv[key]
+                         if not any(p.match(n) for p in patterns))
+        for name in missing:
             failures.append(f"obs-doc: {kind.lower()[:-1]} '{name}' is "
                             f"emitted but has no row in {where}")
-    knobs = set(obs.get("knobs", []))
-    for name in sorted(knobs - documented["Knobs"]):
+        counts[key] = len(inv[key]) - len(missing)
+    knobs = inv["knobs"]
+    documented_knobs = {r[0] for r in tables.get("Knobs", [])}
+    for name in sorted(knobs - documented_knobs):
         failures.append(f"obs-doc: knob '{name}' is registered but has no "
                         f"row in {where}")
-    for name in sorted(documented["Knobs"] - knobs):
+    for name in sorted(documented_knobs - knobs):
         failures.append(f"obs-doc: {where} lists knob '{name}' but it "
                         f"is not registered (stale row)")
-    n_spans = len(set(obs.get("spans", [])) & documented["Spans"])
-    n_metrics = len(set(obs.get("metrics", [])) & documented["Metrics"])
-    print(f"obs-doc: {n_spans}/{len(obs.get('spans', []))} observed spans, "
-          f"{n_metrics}/{len(obs.get('metrics', []))} metrics, "
-          f"{len(knobs & documented['Knobs'])}/{len(knobs)} knobs "
+    print(f"obs-doc: {counts['spans']}/{len(inv['spans'])} observed spans, "
+          f"{counts['metrics']}/{len(inv['metrics'])} metrics, "
+          f"{len(knobs & documented_knobs)}/{len(knobs)} knobs "
           f"documented in {where}")
+
+
+def obs_doc_self_test(arts):
+    """The OBSERVABILITY.md diff on a doc built from the union inventory:
+    it must pass as built, and report a dropped training-only metric row
+    (train.steps when the training inventory has it)."""
+    failures = []
+    inv = obs_inventory(arts, "the self-test doc", failures)
+    if failures:
+        return [f"obs-doc self-test: {f}" for f in failures]
+    training_only = sorted(set(arts["chaos"]["obs"].get("metrics", [])) -
+                           set(arts["serving"]["obs"].get("metrics", [])))
+    if not training_only:
+        return ["obs-doc self-test: the training inventory adds no metric"]
+    dropped = "train.steps" if "train.steps" in training_only \
+        else training_only[0]
+    problems = []
+    for skip, want in ((None, []),
+                       (dropped, [f"metric '{dropped}' is emitted"])):
+        text = "\n".join(
+            f"## {kind}\n\n" + "\n".join(f"| `{n}` | - |"
+                                         for n in sorted(inv[key])
+                                         if n != skip)
+            for kind, key in (("Spans", "spans"), ("Metrics", "metrics"),
+                              ("Knobs", "knobs")))
+        failures = []
+        check_obs_doc(arts, text, "OBSERVABILITY.md (in memory)", failures)
+        if len(failures) != len(want) or not all(
+                any(w in f for f in failures) for w in want):
+            problems.append(f"obs-doc self-test: wanted {want}, got "
+                            f"{failures}")
+    return problems
 
 
 def doc_self_test(fig7bc):
@@ -600,7 +663,8 @@ def main():
                              "artifact's dispatch section")
     parser.add_argument("--obs-doc", default=None, metavar="FILE",
                         help="cross-check docs/OBSERVABILITY.md tables "
-                             "against the serving artifact's obs inventory")
+                             "against the serving and chaos artifacts' obs "
+                             "inventories")
     args = parser.parse_args()
 
     fig7bc_path, fusion_path = args.fig7bc, args.fusion
@@ -633,13 +697,8 @@ def main():
                           pathlib.Path(args.kernels_doc).read_text(),
                           args.kernels_doc, failures)
     if args.obs_doc:
-        if arts["serving"] is None:
-            failures.append("--obs-doc needs a --serving artifact for the "
-                            "obs inventory")
-        else:
-            check_obs_doc(arts["serving"],
-                          pathlib.Path(args.obs_doc).read_text(),
-                          args.obs_doc, failures)
+        check_obs_doc(arts, pathlib.Path(args.obs_doc).read_text(),
+                      args.obs_doc, failures)
     failures = list(dict.fromkeys(failures))
     if failures:
         print(f"check_budgets: {len(failures)} violation(s):",

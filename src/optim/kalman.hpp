@@ -34,8 +34,10 @@ namespace fekf::optim {
 ///               launches per block; agrees with the others to rounding.
 ///  kOpt3      — paper opt3: cached P g and the single-pass P kernel
 ///               (symv, dot, p_update_fused, axpy): 4 launches per block.
-///  kFused     — whole-step fusion (DESIGN.md §12): ekf_gain_fused +
-///               ekf_apply_fused, 2 launches per block, bit-exact with kOpt3.
+///  kFused     — whole-step fusion (DESIGN.md §12): each update leaves its
+///               P step pending, and the next one's ekf_apply_gain writes it
+///               while forming P g, one launch and one sweep of P per
+///               block, blocks in parallel; bit-exact with kOpt3.
 enum class EkfLevel { kFramework, kOpt3, kFused };
 
 struct KalmanConfig {
@@ -126,34 +128,38 @@ class KalmanOptimizer {
   i64 total_size() const { return total_; }
 
   /// The live filter state (lambda + every P block); the next update()
-  /// changes it, so callers that keep it copy it. set_state validates
-  /// block shapes against this optimizer's layout and copies into the
-  /// existing storage.
-  const KalmanState& state() const { return state_; }
+  /// changes it, so callers that keep it copy it. At kFused it first
+  /// writes the P step the last update left pending (one ekf_apply_gain
+  /// per block, under a kalman.flush span). set_state validates block
+  /// shapes against this optimizer's layout, copies into the existing
+  /// storage and drops any pending step.
+  const KalmanState& state();
   void set_state(const KalmanState& state);
 
-  /// Sentinel snapshot by ping-pong, with no copy. snapshot() marks the
-  /// live buffers (and lambda) as the snapshot. The first ekf_apply_fused
-  /// of each block after it reads the live buffer and writes a spare one
+  /// Sentinel snapshot by ping-pong, with no copy of P. snapshot() marks
+  /// the live buffers (and lambda, and at kFused the pending step, whose
+  /// k is total_size() doubles) as the snapshot. The first P write of each
+  /// block after it reads the live buffer and writes a spare one
   /// (allocated at the first snapshot), then the two swap, so the snapshot
-  /// is left untouched and later updates run in place. Paths that write in
+  /// is left untouched and later writes run in place. Paths that write in
   /// place while a block still is the snapshot — set_state, recondition,
   /// reset and the kOpt3/kFramework P updates — swap first and copy the
   /// snapshot into the new live buffer if they read it (copy-on-write).
   /// Either way the snapshot stays in the buffer it was taken in.
-  /// rollback() swaps every diverged block back and restores lambda; the
-  /// snapshot stays valid, so a second rollback restores the same state.
-  /// P memory is two packed copies at most.
+  /// rollback() swaps every diverged block back and restores lambda and
+  /// the pending step; the snapshot stays valid, so a second rollback
+  /// restores the same state. P memory is two packed copies at most.
   void snapshot();
   void rollback();
 
   /// Largest covariance diagonal seen during the most recent update() —
   /// the sentinel's P-health signal. NaN/Inf here means the filter has
   /// diverged. Costs one diagonal scan per block, which update() performs
-  /// anyway for covariance limiting.
+  /// anyway for covariance limiting (at kFused, over the pending step).
   f64 last_max_diag() const { return last_max_diag_; }
 
-  /// Divergence recovery: any block containing a non-finite entry is reset
+  /// Divergence recovery, after writing any pending step (under a
+  /// kalman.flush span): any block containing a non-finite entry is reset
   /// to p_init * I; any block whose max diagonal exceeds p_init is rescaled
   /// down to it (same positive-definiteness-preserving whole-block rescale
   /// as the p_max limiter). A non-finite lambda resets to lambda0.
@@ -169,30 +175,73 @@ class KalmanOptimizer {
   /// p_bytes + scratch: the peak resident footprint model of §5.3.
   i64 peak_bytes() const { return p_bytes() + scratch_bytes(); }
 
-  /// Reset P to identity and lambda to lambda0.
+  /// Reset P to p_init * I and lambda to lambda0, dropping any pending
+  /// step.
   void reset();
 
  private:
+  /// kFused: the P step of the last update, written by the next one
+  /// (DESIGN.md §12). Block b's step is kernels::EkfPendingStep{k at
+  /// blocks_[b].offset, a[b], lambda, process_noise, scale[b]}.
+  struct Pending {
+    bool active = false;
+    f64 lambda = 0.0;
+    std::vector<f64> k;      ///< P g per block, total_ entries
+    std::vector<f64> a;      ///< per block
+    std::vector<f64> scale;  ///< per block, p_max rescale (1 if none)
+  };
+  /// What one block's update saw, gathered per block (blocks may run in
+  /// parallel) and turned into kalman.* metrics after the loop.
+  struct BlockHealth {
+    f64 gpg = 0.0;
+    f64 max_diag = 0.0;
+    bool rescaled = false;
+    bool step_clamped = false;
+    bool newton_clamped = false;
+  };
+
+  void update_fused(std::span<const f64> g, f64 kscale, std::span<f64> w,
+                    f64 cap, f64 abe);
+  void update_eager(std::span<const f64> g, f64 kscale, std::span<f64> w,
+                    f64 cap, f64 abe);
+  /// Write the pending step into P, if any (kFused).
+  void flush();
+  /// Block b's ekf_apply_gain: y = P g (an empty g skips it), writing the
+  /// pending step into P first if there is one; returns g^T y.
+  f64 sweep(std::size_t b, std::span<const f64> g, std::span<f64> y);
+  /// The step-scale clamps every level applies to w_b += s * a * q: the
+  /// Newton closure and the trust region (see update()).
+  static f64 step_scale(f64 kscale, f64 a, f64 gpg, f64 abe, f64 cap,
+                        std::span<const f64> q, BlockHealth& health);
+  /// Combine the per-block health in block order into last_max_diag_ and
+  /// the kalman.* metrics.
+  void finish_update();
+
   /// Copy-on-write for an in-place writer of block b: if the live buffer
   /// still is the snapshot, swap it out to the spare slot, and copy it
   /// into the new live buffer when the writer reads the live contents
   /// (`keep`) rather than overwriting them all.
   void unshare(std::size_t b, bool keep);
   /// True while block b's live buffer is the snapshot.
-  bool shared(std::size_t b) const { return !shared_.empty() && shared_[b]; }
+  bool shared(std::size_t b) const {
+    return !shared_.empty() && shared_[b] != 0;
+  }
 
   std::vector<BlockSpec> blocks_;
   KalmanConfig config_;
   KalmanState state_;
   std::vector<std::vector<f64>> spare_;  ///< ping-pong partner per block
   /// Per block: the live buffer is the snapshot. Empty until the first
-  /// snapshot().
-  std::vector<bool> shared_;
+  /// snapshot(). Bytes, not vector<bool>: blocks update in parallel.
+  std::vector<char> shared_;
   f64 snap_lambda_ = 0.0;
+  Pending pending_, snap_pending_;
+  std::vector<f64> next_k_;  ///< kFused: this update's P g, total_ entries
+  std::vector<BlockHealth> health_;
   f64 last_max_diag_ = 0.0;
   i64 total_ = 0;
   i64 max_block_ = 0;
-  std::vector<f64> pg_;       ///< P g (max block size)
+  std::vector<f64> pg_;       ///< kOpt3/kFramework: P g (max block size)
   std::vector<f64> scratch_;  ///< kFramework: K K^T materialization
 };
 

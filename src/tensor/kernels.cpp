@@ -65,7 +65,7 @@ dispatch::Dispatched<dispatch::GainPanelFn>& gain_dispatch() {
 }
 
 /// y = P·g over packed P with the dispatched row body, one kGainPanelRows
-/// panel per task. Shared by symv and ekf_gain_fused.
+/// panel per task. Shared by symv and ekf_apply_gain's gain-only form.
 void gain_rows(const f64* p, const f64* g, f64* y, i64 n) {
   const dispatch::GainPanelFn fn = gain_dispatch().get();
   parallel_for_blocks(
@@ -82,11 +82,17 @@ void tanh_chunk(const f32* x, f32* y, i64 count) {
 }
 
 /// Partial <a,b> over one parallel_reduce_f64 chunk. Shared by dot and
-/// ekf_gain_fused.
+/// ekf_apply_gain.
 f64 dot_chunk(const f64* a, const f64* b, i64 lo, i64 hi) {
   f64 acc = 0.0;
   for (i64 l = lo; l < hi; ++l) acc += a[l] * b[l];
   return acc;
+}
+
+/// y[lo, hi) += alpha * x[lo, hi). Shared by axpy and ekf_commit_step, so
+/// the weight step compiles to the same arithmetic at every EKF level.
+void axpy_chunk(f64 alpha, const f64* x, f64* y, i64 lo, i64 hi) {
+  for (i64 i = lo; i < hi; ++i) y[i] += alpha * x[i];
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
@@ -569,10 +575,7 @@ void axpy(f64 alpha, std::span<const f64> x, std::span<f64> y) {
   f64* py = y.data();
   parallel_for_blocks(
       0, static_cast<i64>(x.size()),
-      [&](i64 lo, i64 hi) {
-        for (i64 i = lo; i < hi; ++i) py[i] += alpha * px[i];
-      },
-      kGrainWork);
+      [&](i64 lo, i64 hi) { axpy_chunk(alpha, px, py, lo, hi); }, kGrainWork);
 }
 
 void p_update_unfused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
@@ -633,8 +636,7 @@ void p_update_fused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
   const f64* __restrict__ pk = k.data();
   const f64 inv_lambda = 1.0 / lambda;
   // Row panels of the packed triangle: (P - (1/a) k k^T)/lambda, one
-  // streaming pass. The row body is shared with ekf_apply_fused, so fused
-  // and legacy EKF agree under any backend.
+  // streaming pass.
   parallel_for_blocks(
       0, n,
       [&](i64 rlo, i64 rhi) {
@@ -666,65 +668,52 @@ void symmetrize(std::span<const f64> full, std::span<f64> p, i64 n) {
       grain_items(n));
 }
 
-f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
+f64 ekf_apply_gain(std::span<const f64> p_in, std::span<f64> p_out,
+                   const EkfPendingStep* step, std::span<const f64> g,
                    std::span<f64> y, i64 n) {
-  FEKF_CHECK(static_cast<i64>(p.size()) == packed_size(n) &&
-                 static_cast<i64>(g.size()) == n &&
-                 static_cast<i64>(y.size()) == n,
-             "ekf_gain_fused size mismatch");
-  KernelLaunch launch("ekf_gain_fused");
+  FEKF_CHECK(static_cast<i64>(p_in.size()) == packed_size(n) &&
+                 (step == nullptr || (p_out.size() == p_in.size() &&
+                                      static_cast<i64>(step->k.size()) == n)) &&
+                 (g.empty() ? step != nullptr
+                            : static_cast<i64>(g.size()) == n &&
+                                  static_cast<i64>(y.size()) == n),
+             "ekf_apply_gain size mismatch");
+  KernelLaunch launch("ekf_apply_gain");
+  const f64* src = p_in.data();
+  if (g.empty()) {
+    f64* dst = p_out.data();
+    parallel_for_blocks(
+        0, n,
+        [&](i64 rlo, i64 rhi) {
+          dispatch::rank1_step_rows(src, dst, *step, rlo, rhi, n);
+        },
+        grain_items(n));
+    return 0.0;
+  }
   const f64* pg = g.data();
   const f64* py = y.data();
-  // Pass 1: y = P g with symv's partition and body.
-  gain_rows(p.data(), pg, y.data(), n);
-  // Pass 2 (same launch): g^T (P g) with dot()'s fixed-chunk reduction and
-  // chunk body, so the scalar is bit-identical to the unfused
-  // symv-then-dot sequence.
+  if (step == nullptr) {
+    gain_rows(src, pg, y.data(), n);
+  } else {
+    // One serial pass: y[i]'s chain takes its terms j < i from the rows
+    // above, so rows run in order (the optimizer runs blocks in parallel).
+    dispatch::rank1_step_gain(src, p_out.data(), *step, pg, y.data(), n);
+  }
+  // g^T y with dot()'s fixed-chunk reduction and chunk body, so the scalar
+  // is bit-identical to the symv-then-dot sequence.
   return parallel_reduce_f64(
       0, n, kReduceChunk,
       [pg, py](i64 lo, i64 hi) { return dot_chunk(pg, py, lo, hi); });
 }
 
-f64 ekf_apply_fused(std::span<const f64> p_in, std::span<f64> p_out,
-                    std::span<const f64> k, f64 a, f64 lambda,
-                    f64 step_scale, std::span<f64> w, f64 process_noise,
-                    i64 n) {
-  FEKF_CHECK(static_cast<i64>(p_in.size()) == packed_size(n) &&
-                 p_out.size() == p_in.size() &&
-                 static_cast<i64>(k.size()) == n &&
+f64 ekf_commit_step(std::span<const f64> p, const EkfPendingStep& step,
+                    f64 step_scale, std::span<f64> w, i64 n) {
+  FEKF_CHECK(static_cast<i64>(p.size()) == packed_size(n) &&
+                 static_cast<i64>(step.k.size()) == n &&
                  static_cast<i64>(w.size()) == n,
-             "ekf_apply_fused size mismatch");
-  KernelLaunch launch("ekf_apply_fused");
-  const f64* src = p_in.data();
-  f64* dst = p_out.data();
-  const f64* __restrict__ pk = k.data();
-  f64* __restrict__ pw = w.data();
-  const f64 inv_lambda = 1.0 / lambda;
-  // Row panels of the packed triangle: the task owning row i writes
-  // exactly row i's run, the diagonal (i,i) at its head, and w[i], so
-  // panels are disjoint and results are width-independent. Per element the
-  // arithmetic replays the unfused sequence verbatim: the rank-1 update
-  // (the row body shared with p_update_fused), then the additive noise on
-  // the diagonal, then the axpy-style weight step.
-  parallel_for_blocks(
-      0, n,
-      [&](i64 rlo, i64 rhi) {
-        dispatch::rank1_rows(src, dst, pk, a, inv_lambda, rlo, rhi, n);
-        for (i64 i = rlo; i < rhi; ++i) {
-          dst[packed_row(i, n)] += process_noise;
-          pw[i] += step_scale * pk[i];
-        }
-      },
-      grain_items(n));
-  // Serial health scan after the pool join (still this launch), identical
-  // to the optimizer's NaN-latching loop: first non-finite diagonal wins.
-  f64 max_diag = 0.0;
-  for (i64 i = 0; i < n; ++i) {
-    const f64 d = dst[packed_row(i, n)];
-    if (!std::isfinite(d)) return d;
-    max_diag = std::max(max_diag, d);
-  }
-  return max_diag;
+             "ekf_commit_step size mismatch");
+  axpy_chunk(step_scale, step.k.data(), w.data(), 0, n);
+  return dispatch::rank1_step_max_diag(p.data(), step, n);
 }
 
 }  // namespace fekf::kernels

@@ -135,26 +135,40 @@ void p_update_fused(std::span<f64> p, std::span<const f64> k, f64 inv_a,
 /// unfused path's explicit symmetrization, Algorithm 1 line 11).
 void symmetrize(std::span<const f64> full, std::span<f64> p, i64 n);
 
-/// Fused FEKF gain precomputation (EkfLevel::kFused): y = P g AND
-/// the scalar g^T P g in ONE launch, replacing the ekf_symv + ekf_dot pair.
-/// Bit-exact with that pair: rows run symv's dispatched body and the
-/// scalar uses the same fixed-chunk reduction as dot().
-f64 ekf_gain_fused(std::span<const f64> p, std::span<const f64> g,
+/// The covariance step a kFused EKF update leaves pending for the next
+/// one (DESIGN.md §12):
+///   P <- ((P - a k k^T) / lambda + noise I) * scale,
+/// k = P g of that update, lambda the one it ran at, scale < 1 only when
+/// its p_max limiter fired.
+struct EkfPendingStep {
+  std::span<const f64> k;
+  f64 a = 0.0;
+  f64 lambda = 1.0;
+  f64 noise = 0.0;
+  f64 scale = 1.0;
+};
+
+/// Fused FEKF sweep (EkfLevel::kFused), ONE launch, one read and one
+/// write of P: p_out <- step(p_in) and, in the same row-ascending pass,
+/// y = p_out g; returns g^T y. The P write is bit-exact with
+/// p_update_fused + the process-noise loop + the p_max rescale, and y and
+/// g^T y with symv + dot on the written P. p_in and p_out are either the
+/// same buffer (in place) or disjoint (the ping-pong snapshot's first
+/// write). Two reduced forms: with no step, y = p_in g and P is not
+/// written (p_out is ignored); with an empty g, only the P write, over
+/// row panels (a flush: y is ignored and 0 is returned).
+f64 ekf_apply_gain(std::span<const f64> p_in, std::span<f64> p_out,
+                   const EkfPendingStep* step, std::span<const f64> g,
                    std::span<f64> y, i64 n);
 
-/// Fused FEKF apply (EkfLevel::kFused): in ONE launch,
-///   p_out <- (p_in - a k k^T) / lambda + process_noise * I
-///   w     <- w + step_scale * k
-/// and returns the covariance max-diagonal with the same NaN-latching
-/// semantics as the serial health scan (first non-finite entry wins).
-/// p_in and p_out are either the same buffer (in place) or disjoint (the
-/// optimizer's ping-pong snapshot writes the spare buffer). Replaces
-/// ekf_p_update_fused + ekf_axpy plus the optimizer's uncounted
-/// process-noise and diagonal-scan loops; per-element arithmetic is
-/// identical to that sequence, so the results are bit-exact.
-f64 ekf_apply_fused(std::span<const f64> p_in, std::span<f64> p_out,
-                    std::span<const f64> k, f64 a, f64 lambda,
-                    f64 step_scale, std::span<f64> w, f64 process_noise,
-                    i64 n);
+/// The O(n) eager half of a kFused update, once the optimizer has the
+/// step it leaves pending (k = y of ekf_apply_gain, scale unread):
+///   w <- w + step_scale * k             (axpy's arithmetic)
+/// and returns the largest diagonal of the pending P before its scale,
+/// with the health scan's NaN latching, for the p_max limiter and the
+/// sentinels. It completes the update's one ekf_apply_gain launch and
+/// records none, like the optimizer's own O(n) loops at the other levels.
+f64 ekf_commit_step(std::span<const f64> p, const EkfPendingStep& step,
+                    f64 step_scale, std::span<f64> w, i64 n);
 
 }  // namespace fekf::kernels

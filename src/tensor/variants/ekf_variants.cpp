@@ -1,6 +1,7 @@
 // "ekf_gain_f64" variants — row panel of y = P·g over a packed P, behind
-// symv and ekf_gain_fused — and the undispatched rank-1 row body behind
-// p_update_fused and ekf_apply_fused (DESIGN.md §13).
+// symv and ekf_apply_gain's gain-only form — and the undispatched EKF
+// bodies: the rank-1 rows behind p_update_fused, and the pending-step rows,
+// sweep and diagonal probe behind ekf_apply_gain (DESIGN.md §12, §13).
 //
 // This file is compiled with -ffp-contract=off (tensor/CMakeLists.txt).
 // The full-P loops these bodies replaced compiled to a rounded product
@@ -143,6 +144,185 @@ void rank1_rows(const f64* src, f64* dst, const f64* k, f64 coeff,
 #pragma omp simd
     for (i64 j = i; j < n; ++j) d[j] = (s[j] - ki_scaled * k[j]) * inv_lambda;
   }
+}
+
+namespace {
+
+/// A kernels::EkfPendingStep with 1/lambda formed once.
+struct Rank1Step {
+  const f64* k;
+  f64 a;
+  f64 inv_lambda;
+  f64 noise;
+  f64 scale;
+};
+
+Rank1Step rank1_step(const kernels::EkfPendingStep& step) {
+  return {step.k.data(), step.a, 1.0 / step.lambda, step.noise, step.scale};
+}
+
+/// Entry (i, j) of step(P): the rank-1 update, then the diagonal noise,
+/// then the p_max scale, each rounded in that order.
+inline f64 stepped(f64 s, f64 ki_scaled, f64 kj, const Rank1Step& st,
+                   bool diag) {
+  f64 v = (s - ki_scaled * kj) * st.inv_lambda;
+  if (diag) v = v + st.noise;
+  return v * st.scale;
+}
+
+/// Columns [j0, j1) of rows [i, i + 4) of the sweep, j0 >= i + 4: write
+/// step(P) and continue the chains, every term unfused (i + 3 < nf).
+/// Column j's chain y[j] takes its terms i..i+3 here, in that order; each
+/// row's own chain acc[r] its terms j0..j1-1, read back from dst while
+/// the tile is still in L1.
+inline void sweep_tile4(const f64* const* s, f64* const* d, const f64* c,
+                        const Rank1Step& st, const f64* g, f64* y, f64* acc,
+                        i64 i, i64 j0, i64 j1, i64 nf) {
+  const f64* k = st.k;
+  const f64 il = st.inv_lambda, sc = st.scale;
+  const f64* s0 = s[0];
+  const f64* s1 = s[1];
+  const f64* s2 = s[2];
+  const f64* s3 = s[3];
+  f64* d0 = d[0];
+  f64* d1 = d[1];
+  f64* d2 = d[2];
+  f64* d3 = d[3];
+  const f64 c0 = c[0], c1 = c[1], c2 = c[2], c3 = c[3];
+  const f64 g0 = g[i], g1 = g[i + 1], g2 = g[i + 2], g3 = g[i + 3];
+#pragma omp simd
+  for (i64 j = j0; j < j1; ++j) {
+    const f64 kj = k[j];
+    const f64 v0 = ((s0[j] - c0 * kj) * il) * sc;
+    const f64 v1 = ((s1[j] - c1 * kj) * il) * sc;
+    const f64 v2 = ((s2[j] - c2 * kj) * il) * sc;
+    const f64 v3 = ((s3[j] - c3 * kj) * il) * sc;
+    d0[j] = v0;
+    d1[j] = v1;
+    d2[j] = v2;
+    d3[j] = v3;
+    y[j] = (((y[j] + v0 * g0) + v1 * g1) + v2 * g2) + v3 * g3;
+  }
+  f64 a0 = acc[0], a1 = acc[1], a2 = acc[2], a3 = acc[3];
+  i64 j = j0;
+  for (const i64 ju = std::min(j1, nf); j < ju; ++j) {
+    const f64 gj = g[j];
+    a0 += d0[j] * gj;
+    a1 += d1[j] * gj;
+    a2 += d2[j] * gj;
+    a3 += d3[j] * gj;
+  }
+  for (; j < j1; ++j) {
+    const f64 gj = g[j];
+    a0 = std::fma(d0[j], gj, a0);
+    a1 = std::fma(d1[j], gj, a1);
+    a2 = std::fma(d2[j], gj, a2);
+    a3 = std::fma(d3[j], gj, a3);
+  }
+  acc[0] = a0;
+  acc[1] = a1;
+  acc[2] = a2;
+  acc[3] = a3;
+}
+
+/// Columns per sweep tile: four rows of it (8 KB) stay in L1 between the
+/// write pass and the own-chain pass.
+constexpr i64 kSweepTile = 256;
+
+}  // namespace
+
+void rank1_step_rows(const f64* src, f64* dst,
+                     const kernels::EkfPendingStep& step, i64 rlo, i64 rhi,
+                     i64 n) {
+  const Rank1Step st = rank1_step(step);
+  const f64* k = st.k;
+  const f64 il = st.inv_lambda, sc = st.scale;
+  for (i64 i = rlo; i < rhi; ++i) {
+    const f64 ki_scaled = st.a * k[i];
+    const f64* s = src + (packed_row(i, n) - i);
+    f64* d = dst + (packed_row(i, n) - i);
+    d[i] = stepped(s[i], ki_scaled, k[i], st, true);
+#pragma omp simd
+    for (i64 j = i + 1; j < n; ++j) {
+      d[j] = ((s[j] - ki_scaled * k[j]) * il) * sc;
+    }
+  }
+}
+
+void rank1_step_gain(const f64* src, f64* dst,
+                     const kernels::EkfPendingStep& step, const f64* g, f64* y,
+                     i64 n) {
+  // Rows ascend, so every row j < i has written its term P[j,i] g[j] into
+  // y[i] (term j of y[i]'s chain, in order) before row i starts its own
+  // terms j >= i from there: each chain is gain_scalar's. Rows go four at
+  // a time, all below nf, so their scatter terms are unfused; the last
+  // n % 4 rows run one at a time with every term fused.
+  const Rank1Step st = rank1_step(step);
+  const f64* k = st.k;
+  const i64 nf = fused_from(n);
+  std::fill(y, y + n, 0.0);
+  i64 i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const f64* s[4];
+    f64* d[4];
+    f64 c[4];
+    for (i64 r = 0; r < 4; ++r) {
+      s[r] = src + (packed_row(i + r, n) - (i + r));
+      d[r] = dst + (packed_row(i + r, n) - (i + r));
+      c[r] = st.a * k[i + r];
+    }
+    // The 4 x 4 diagonal corner: v[r][q] = step(P)[i + r, i + q], q >= r.
+    f64 v[4][4];
+    for (i64 r = 0; r < 4; ++r) {
+      for (i64 q = r; q < 4; ++q) {
+        v[r][q] = stepped(s[r][i + q], c[r], k[i + q], st, q == r);
+        d[r][i + q] = v[r][q];
+      }
+    }
+    // Chain of row i + q over terms i..i+3: P[i + t, i + q] for t < q
+    // (scattered from the rows above), its own run from t = q.
+    f64 acc[4];
+    for (i64 q = 0; q < 4; ++q) {
+      f64 a = y[i + q];
+      for (i64 t = 0; t < 4; ++t) {
+        a += v[std::min(t, q)][std::max(t, q)] * g[i + t];
+      }
+      acc[q] = a;
+    }
+    for (i64 j0 = i + 4; j0 < n; j0 += kSweepTile) {
+      sweep_tile4(s, d, c, st, g, y, acc, i, j0, std::min(j0 + kSweepTile, n),
+                  nf);
+    }
+    for (i64 r = 0; r < 4; ++r) y[i + r] = acc[r];
+  }
+  for (; i < n; ++i) {
+    const f64 ki_scaled = st.a * k[i];
+    const f64* s = src + (packed_row(i, n) - i);
+    f64* d = dst + (packed_row(i, n) - i);
+    const f64 gi = g[i];
+    f64 a = y[i];
+    for (i64 j = i; j < n; ++j) {
+      const f64 vij = stepped(s[j], ki_scaled, k[j], st, j == i);
+      d[j] = vij;
+      a = std::fma(vij, g[j], a);
+      if (j > i) y[j] = std::fma(vij, gi, y[j]);
+    }
+    y[i] = a;
+  }
+}
+
+f64 rank1_step_max_diag(const f64* p, const kernels::EkfPendingStep& step,
+                        i64 n) {
+  const Rank1Step st = rank1_step(step);
+  f64 max_diag = 0.0;
+  for (i64 i = 0; i < n; ++i) {
+    const f64 ki_scaled = st.a * st.k[i];
+    f64 d = (p[packed_row(i, n)] - ki_scaled * st.k[i]) * st.inv_lambda;
+    d = d + st.noise;
+    if (!std::isfinite(d)) return d;
+    max_diag = std::max(max_diag, d);
+  }
+  return max_diag;
 }
 
 void register_ekf_variants() {

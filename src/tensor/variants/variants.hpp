@@ -17,6 +17,7 @@
 #pragma once
 
 #include "core/common.hpp"
+#include "tensor/kernels.hpp"
 
 namespace fekf::dispatch {
 
@@ -41,7 +42,7 @@ using GainPanelFn = void (*)(const f64* p, const f64* g, f64* y, i64 rlo,
                              i64 rhi, i64 n);
 
 /// Row panel height of the blocked ekf_gain_f64 body; symv and
-/// ekf_gain_fused hand the body panels this tall.
+/// ekf_apply_gain's gain-only form hand the body panels this tall.
 inline constexpr i64 kGainPanelRows = 128;
 
 /// Rows [rlo, rhi) of out(:, n) = a(:, q) · b(n, q)ᵀ with one f64
@@ -74,17 +75,44 @@ void register_ekf_variants();
 void register_matnt_variants();
 void register_gemm_tn_variants();
 
-// ---- undispatched EKF body ------------------------------------------------
+// ---- undispatched EKF bodies ----------------------------------------------
+// They live with the gain bodies in the translation unit built with
+// -ffp-contract=off, so every term below has the form written.
 
 /// Rows [rlo, rhi) of the packed rank-1 covariance update, for j >= i:
 ///   dst[i,j] = (src[i,j] - (coeff*k[i])*k[j]) * inv_lambda
 /// with the product rounded before the subtraction. P is exactly
 /// symmetric, so this is the value the full-P pair-averaged update
 /// 0.5*(P[i,j] + P[j,i]) computed. src == dst updates in place; rows are
-/// disjoint, so panels need no coordination (§9). Shared by p_update_fused
-/// and ekf_apply_fused; lives with the gain bodies in the translation unit
-/// built with -ffp-contract=off.
+/// disjoint, so panels need no coordination (§9). The p_update_fused body.
 void rank1_rows(const f64* src, f64* dst, const f64* k, f64 coeff,
                 f64 inv_lambda, i64 rlo, i64 rhi, i64 n);
+
+/// The bodies behind ekf_apply_gain apply a kernels::EkfPendingStep: for
+/// j >= i,
+///   step(P)[i,j] = ((P[i,j] - (a*k[i])*k[j]) * (1/lambda)
+///                   + [i == j] noise) * scale,
+/// each operation rounded in that order — rank1_rows' rank-1 update, then
+/// the process noise, then the p_max rescale (scale is 1 when the limiter
+/// did not fire, and x * 1 is exact).
+
+/// Rows [rlo, rhi) of dst = step(src), src == dst in place; rows are
+/// disjoint, so panels need no coordination.
+void rank1_step_rows(const f64* src, f64* dst,
+                     const kernels::EkfPendingStep& step, i64 rlo, i64 rhi,
+                     i64 n);
+
+/// The whole block in one row-ascending sweep: dst = step(src) and
+/// y = dst·g with the ekf_gain_f64 chains, bit for bit. Serial: each y[i]
+/// chain takes its terms j < i from the rows above it.
+void rank1_step_gain(const f64* src, f64* dst,
+                     const kernels::EkfPendingStep& step, const f64* g, f64* y,
+                     i64 n);
+
+/// Largest diagonal of step(p) before its scale (step.scale is not read),
+/// with the health scan's NaN latching: the first non-finite entry is
+/// returned as is.
+f64 rank1_step_max_diag(const f64* p, const kernels::EkfPendingStep& step,
+                        i64 n);
 
 }  // namespace fekf::dispatch

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -411,13 +412,16 @@ TEST(DispatchKernels, GemmTnPublicKernelsMatchTheFrozenLoop) {
 // Through the public kernels: width determinism and cross-path identity
 // ---------------------------------------------------------------------------
 
-/// One EKF workload stepped through the public kernels; returns every
-/// output so callers can compare across widths/backends/paths.
+/// One EKF update and the next update's gain, stepped through the public
+/// kernels; returns every output so callers can compare across
+/// widths/backends/paths. The fused path leaves the update's P step
+/// pending and writes it in the sweep that forms the next gain.
 struct EkfRun {
   std::vector<f64> p;
-  std::vector<f64> y;
+  std::vector<f64> y;  ///< the second gain's P g
   std::vector<f64> w;
   f64 gain = 0.0;
+  f64 gain2 = 0.0;
   f64 health = 0.0;
 
   bool operator==(const EkfRun& o) const {
@@ -425,6 +429,7 @@ struct EkfRun {
            std::memcmp(y.data(), o.y.data(), y.size() * sizeof(f64)) == 0 &&
            std::memcmp(w.data(), o.w.data(), w.size() * sizeof(f64)) == 0 &&
            std::memcmp(&gain, &o.gain, sizeof(f64)) == 0 &&
+           std::memcmp(&gain2, &o.gain2, sizeof(f64)) == 0 &&
            std::memcmp(&health, &o.health, sizeof(f64)) == 0;
   }
 };
@@ -432,26 +437,31 @@ struct EkfRun {
 EkfRun run_ekf(bool fused, i64 n) {
   const std::vector<f64> p0 = randn_f64(kernels::packed_size(n), 71);
   const std::vector<f64> g = randn_f64(n, 72);
+  const std::vector<f64> g2 = randn_f64(n, 74);
   EkfRun r;
   r.p = p0;
   r.y.assign(static_cast<std::size_t>(n), 0.0);
   r.w = randn_f64(n, 73);
+  std::vector<f64> q(static_cast<std::size_t>(n));
   const f64 lambda = 0.9987, step = 0.01, noise = 1e-8;
   if (fused) {
-    r.gain = kernels::ekf_gain_fused(r.p, g, r.y, n);
-    r.health = kernels::ekf_apply_fused(r.p, r.p, r.y,
-                                        1.0 / (lambda + r.gain), lambda, step,
-                                        r.w, noise, n);
+    r.gain = kernels::ekf_apply_gain(r.p, {}, nullptr, g, q, n);
+    const kernels::EkfPendingStep pending{q, 1.0 / (lambda + r.gain), lambda,
+                                          noise};
+    r.health = kernels::ekf_commit_step(r.p, pending, step, r.w, n);
+    r.gain2 = kernels::ekf_apply_gain(r.p, r.p, &pending, g2, r.y, n);
   } else {
-    kernels::symv(r.p, g, r.y, n);
-    r.gain = kernels::dot(g, r.y);
-    kernels::p_update_fused(r.p, r.y, 1.0 / (lambda + r.gain), lambda, n);
+    kernels::symv(r.p, g, q, n);
+    r.gain = kernels::dot(g, q);
+    kernels::p_update_fused(r.p, q, 1.0 / (lambda + r.gain), lambda, n);
     for (i64 i = 0; i < n; ++i) r.p[kernels::packed_row(i, n)] += noise;
-    kernels::axpy(step, r.y, r.w);
+    kernels::axpy(step, q, r.w);
     r.health = 0.0;
     for (i64 i = 0; i < n; ++i) {
       r.health = std::max(r.health, r.p[kernels::packed_row(i, n)]);
     }
+    kernels::symv(r.p, g2, r.y, n);
+    r.gain2 = kernels::dot(g2, r.y);
   }
   return r;
 }
@@ -477,49 +487,78 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
     EXPECT_TRUE(fused1 == fused2);
     EXPECT_TRUE(fused1 == fused4);
     EXPECT_TRUE(legacy1 == legacy4);
-    // ...fused vs legacy share the same bodies, so the cross-path
-    // identity holds under every backend (health is computed differently:
-    // fused returns max diag AFTER noise either way — compare the shared
-    // outputs)...
-    EXPECT_TRUE(std::memcmp(fused1.p.data(), legacy1.p.data(),
-                            fused1.p.size() * sizeof(f64)) == 0);
-    EXPECT_TRUE(std::memcmp(fused1.w.data(), legacy1.w.data(),
-                            fused1.w.size() * sizeof(f64)) == 0);
-    EXPECT_TRUE(std::memcmp(&fused1.gain, &legacy1.gain, sizeof(f64)) == 0);
+    // ...fused vs legacy agree on every output under every backend...
+    EXPECT_TRUE(fused1 == legacy1);
     // ...and every backend reproduces the scalar reference.
     if (!reference) reference = fused1;
     EXPECT_TRUE(fused1 == *reference);
   }
 }
 
+/// A symmetric n x n test covariance near I, row-major.
+std::vector<f64> test_full_p(i64 n) {
+  std::vector<f64> full(static_cast<std::size_t>(n * n));
+  Rng rng(static_cast<u64>(n));
+  for (i64 i = 0; i < n; ++i) {
+    for (i64 j = i; j < n; ++j) {
+      const f64 v = rng.gaussian() * 0.1 + (i == j ? 1.0 : 0.0);
+      full[static_cast<std::size_t>(i * n + j)] = v;
+      full[static_cast<std::size_t>(j * n + i)] = v;
+    }
+  }
+  return full;
+}
+
+std::vector<f64> pack(const std::vector<f64>& full, i64 n) {
+  std::vector<f64> packed(static_cast<std::size_t>(kernels::packed_size(n)));
+  for (i64 i = 0; i < n; ++i) {
+    for (i64 j = i; j < n; ++j) {
+      packed[static_cast<std::size_t>(kernels::packed_row(i, n) + j - i)] =
+          full[static_cast<std::size_t>(i * n + j)];
+    }
+  }
+  return packed;
+}
+
+std::vector<f64> expand(const std::vector<f64>& packed, i64 n) {
+  std::vector<f64> full(static_cast<std::size_t>(n * n));
+  for (i64 i = 0; i < n; ++i) {
+    for (i64 j = 0; j < n; ++j) {
+      const i64 lo = std::min(i, j), hi = std::max(i, j);
+      full[static_cast<std::size_t>(i * n + j)] =
+          packed[static_cast<std::size_t>(kernels::packed_row(lo, n) + hi -
+                                          lo)];
+    }
+  }
+  return full;
+}
+
+/// The pending step on the full-P reference: the frozen rank-1 update,
+/// the diagonal noise, then the scale.
+void frozen_step(std::vector<f64>& full, const std::vector<f64>& k, f64 a,
+                 f64 lambda, f64 noise, f64 scale, i64 n) {
+  testref::frozen_rank1(full.data(), k.data(), a, 1.0 / lambda, 0, n, n);
+  for (i64 i = 0; i < n; ++i) {
+    full[static_cast<std::size_t>(i * n + i)] += noise;
+  }
+  for (f64& v : full) v *= scale;
+}
+
 TEST(DispatchExactness, PackedEkfMatchesTheFullPReference) {
-  // Several ekf_gain_fused + ekf_apply_fused updates on packed P, in place
-  // and out of place (the ping-pong snapshot's first write), must give the
-  // y, w and expanded P of the full-P bodies bit for bit, under every
-  // backend and at pool widths 1, 2 and 4. The n's cover every n % 4 of the
-  // fused gain tail and multi-panel splits.
+  // Several fused updates on packed P — ekf_apply_gain writing the step
+  // the previous update left pending while it forms y, then
+  // ekf_commit_step — in place and out of place (the ping-pong snapshot's
+  // first write), must give the y, w and expanded P of the full-P bodies
+  // bit for bit, under every backend and at pool widths 1, 2 and 4. Packed
+  // P lags the reference by one step until the final flush. The n's cover
+  // every n % 4 of the fused gain tail and multi-panel splits.
   BackendGuard backend_guard;
   WidthGuard width_guard;
   const f64 lambda = 0.98, step = 0.37, noise = 1e-2;
   for (const i64 n : {i64{67}, i64{130}, 2 * dp::kGainPanelRows + 13,
                       i64{260}}) {
-    const auto nn = static_cast<std::size_t>(n * n);
-    std::vector<f64> full0(nn);
-    Rng rng(static_cast<u64>(n));
-    for (i64 i = 0; i < n; ++i) {
-      for (i64 j = i; j < n; ++j) {
-        const f64 v = rng.gaussian() * 0.1 + (i == j ? 1.0 : 0.0);
-        full0[static_cast<std::size_t>(i * n + j)] = v;
-        full0[static_cast<std::size_t>(j * n + i)] = v;
-      }
-    }
-    std::vector<f64> packed0(static_cast<std::size_t>(kernels::packed_size(n)));
-    for (i64 i = 0; i < n; ++i) {
-      for (i64 j = i; j < n; ++j) {
-        packed0[static_cast<std::size_t>(kernels::packed_row(i, n) + j - i)] =
-            full0[static_cast<std::size_t>(i * n + j)];
-      }
-    }
+    const std::vector<f64> full0 = test_full_p(n);
+    const std::vector<f64> packed0 = pack(full0, n);
     const std::vector<f64> w0 = randn_f64(n, 91);
     for (const Mode& mode : kModes) {
       apply_mode(mode);
@@ -533,37 +572,113 @@ TEST(DispatchExactness, PackedEkfMatchesTheFullPReference) {
           std::vector<f64> ref_y(static_cast<std::size_t>(n));
           std::vector<f64> packed = packed0, spare(packed0.size(), -7.0);
           std::vector<f64> w = w0, y(static_cast<std::size_t>(n));
+          std::vector<f64> k(static_cast<std::size_t>(n));
+          std::optional<kernels::EkfPendingStep> pending;
+          auto write_pending = [&](std::span<const f64> g, std::span<f64> out) {
+            const f64 gain = kernels::ekf_apply_gain(
+                packed, out_of_place ? spare : packed,
+                pending ? &*pending : nullptr, g, out, n);
+            if (pending && out_of_place) std::swap(packed, spare);
+            return gain;
+          };
           for (int update = 0; update < 4; ++update) {
             const std::vector<f64> g = randn_f64(n, 100 + update);
             testref::frozen_symv_rows(full.data(), g.data(), ref_y.data(), 0,
                                       n, n);
             const f64 ref_gain = kernels::dot(g, ref_y);
-            const f64 a = 1.0 / (lambda + ref_gain);
-            testref::frozen_rank1(full.data(), ref_y.data(), a, 1.0 / lambda,
-                                  0, n, n);
-            for (i64 i = 0; i < n; ++i) {
-              full[static_cast<std::size_t>(i * n + i)] += noise;
-            }
-            kernels::axpy(step, ref_y, ref_w);
-
-            const f64 gain = kernels::ekf_gain_fused(packed, g, y, n);
+            const f64 gain = write_pending(g, y);
             ASSERT_EQ(std::memcmp(&gain, &ref_gain, sizeof(f64)), 0);
-            kernels::ekf_apply_fused(packed, out_of_place ? spare : packed, y,
-                                     1.0 / (lambda + gain), lambda, step, w,
-                                     noise, n);
-            if (out_of_place) std::swap(packed, spare);
             ASSERT_TRUE(bytes_equal(y, ref_y)) << "update " << update;
+            ASSERT_TRUE(bytes_equal(expand(packed, n), full))
+                << "update " << update;
+
+            const f64 a = 1.0 / (lambda + ref_gain);
+            frozen_step(full, ref_y, a, lambda, noise, 1.0, n);
+            kernels::axpy(step, ref_y, ref_w);
+            k = y;
+            pending = kernels::EkfPendingStep{k, a, lambda, noise};
+            kernels::ekf_commit_step(packed, *pending, step, w, n);
             ASSERT_TRUE(bytes_equal(w, ref_w)) << "update " << update;
-            std::vector<f64> expanded(nn);
-            for (i64 i = 0; i < n; ++i) {
-              for (i64 j = 0; j < n; ++j) {
-                const i64 lo = std::min(i, j), hi = std::max(i, j);
-                expanded[static_cast<std::size_t>(i * n + j)] =
-                    packed[static_cast<std::size_t>(
-                        kernels::packed_row(lo, n) + hi - lo)];
-              }
-            }
-            ASSERT_TRUE(bytes_equal(expanded, full)) << "update " << update;
+          }
+          write_pending({}, {});
+          ASSERT_TRUE(bytes_equal(expand(packed, n), full));
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatchExactness, ApplyGainMatchesTheFullPReference) {
+  // One ekf_apply_gain against the frozen full-P rank-1, the diagonal
+  // noise and the p_max scale, then the frozen symv rows over the result:
+  // P and y byte for byte at every n % 4 (each a different split into
+  // four-row groups and a fused tail), in place and out of place (leaving
+  // the source untouched), with scale 1 and a rescale; and the two reduced
+  // forms, the gain alone (P not written) and the P write alone (the
+  // flush). Under every backend, at widths 1 and 4, with the diagonal
+  // probe of ekf_commit_step checked on the way.
+  BackendGuard backend_guard;
+  WidthGuard width_guard;
+  const f64 lambda = 0.98, noise = 1e-2, a = 0.3;
+  struct Form {
+    const char* name;
+    bool pending;
+    bool out_of_place;
+    f64 scale;
+    bool gain;
+  };
+  const Form forms[] = {{"gain only", false, false, 1.0, true},
+                        {"in place", true, false, 1.0, true},
+                        {"out of place", true, true, 1.0, true},
+                        {"in place, rescaled", true, false, 0.37, true},
+                        {"out of place, rescaled", true, true, 0.37, true},
+                        {"flush, rescaled", true, false, 0.37, false},
+                        {"flush out of place", true, true, 1.0, false}};
+  for (const i64 n : {1, 2, 3, 5, 8, 13, 130, 257, 1001}) {
+    const std::vector<f64> full0 = test_full_p(n);
+    const std::vector<f64> packed0 = pack(full0, n);
+    const std::vector<f64> k = randn_f64(n, 7);
+    const std::vector<f64> g = randn_f64(n, 8);
+    for (const Form& form : forms) {
+      std::vector<f64> ref = full0;
+      f64 ref_diag = 0.0;
+      if (form.pending) {
+        frozen_step(ref, k, a, lambda, noise, 1.0, n);
+        for (i64 i = 0; i < n; ++i) {
+          ref_diag =
+              std::max(ref_diag, ref[static_cast<std::size_t>(i * n + i)]);
+        }
+        for (f64& v : ref) v *= form.scale;
+      }
+      std::vector<f64> ref_y(static_cast<std::size_t>(n));
+      testref::frozen_symv_rows(ref.data(), g.data(), ref_y.data(), 0, n, n);
+      const f64 ref_gain = kernels::dot(g, ref_y);
+      const kernels::EkfPendingStep step{k, a, lambda, noise, form.scale};
+      for (const Mode& mode : kModes) {
+        apply_mode(mode);
+        for (const i64 width : {1, 4}) {
+          set_num_threads(width);
+          SCOPED_TRACE("n=" + std::to_string(n) + " " + form.name +
+                       " backend=" + mode.name +
+                       " width=" + std::to_string(width));
+          std::vector<f64> src = packed0;
+          std::vector<f64> dst(packed0.size(), -7.0);
+          std::vector<f64>& out = form.out_of_place ? dst : src;
+          std::vector<f64> y(static_cast<std::size_t>(n), -7.0);
+          if (form.pending) {
+            std::vector<f64> w(static_cast<std::size_t>(n), 0.0);
+            const f64 diag = kernels::ekf_commit_step(src, step, 0.0, w, n);
+            ASSERT_EQ(std::memcmp(&diag, &ref_diag, sizeof(f64)), 0);
+          }
+          const f64 gain = kernels::ekf_apply_gain(
+              src, out, form.pending ? &step : nullptr,
+              form.gain ? std::span<const f64>(g) : std::span<const f64>(),
+              form.gain ? std::span<f64>(y) : std::span<f64>(), n);
+          ASSERT_TRUE(bytes_equal(expand(out, n), ref));
+          if (form.out_of_place) ASSERT_TRUE(bytes_equal(src, packed0));
+          if (form.gain) {
+            ASSERT_TRUE(bytes_equal(y, ref_y));
+            ASSERT_EQ(std::memcmp(&gain, &ref_gain, sizeof(f64)), 0);
           }
         }
       }

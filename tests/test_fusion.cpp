@@ -467,24 +467,32 @@ TEST(Fusion, FekfStepKernelsBitExact) {
       max_diag_ref = std::max(max_diag_ref, d);
     }
 
-    // Fused two-launch step.
+    // Fused step: the gain (one launch), the eager weight step and
+    // health probe (no launch), and the P write the next sweep makes,
+    // here its flush form (one launch).
     std::vector<f64> p_f = p0, w_f = w0;
     std::vector<f64> q_f(static_cast<std::size_t>(n));
-    i64 gain_launches = 0, apply_launches = 0;
+    i64 gain_launches = 0, commit_launches = 0, write_launches = 0;
     f64 gpg_f = 0.0, max_diag_f = 0.0;
     {
       KernelCountScope scope;
-      gpg_f = kernels::ekf_gain_fused(p_f, g, q_f, n);
+      gpg_f = kernels::ekf_apply_gain(p_f, {}, nullptr, g, q_f, n);
       gain_launches = scope.count();
+    }
+    const kernels::EkfPendingStep step{q_f, a, lambda, noise};
+    {
+      KernelCountScope scope;
+      max_diag_f = kernels::ekf_commit_step(p_f, step, step_scale, w_f, n);
+      commit_launches = scope.count();
     }
     {
       KernelCountScope scope;
-      max_diag_f = kernels::ekf_apply_fused(p_f, p_f, q_f, a, lambda,
-                                            step_scale, w_f, noise, n);
-      apply_launches = scope.count();
+      kernels::ekf_apply_gain(p_f, p_f, &step, {}, {}, n);
+      write_launches = scope.count();
     }
     EXPECT_EQ(gain_launches, 1);
-    EXPECT_EQ(apply_launches, 1);
+    EXPECT_EQ(commit_launches, 0);
+    EXPECT_EQ(write_launches, 1);
     EXPECT_EQ(gpg_f, gpg_ref) << "width " << width;
     EXPECT_EQ(max_diag_f, max_diag_ref) << "width " << width;
     EXPECT_EQ(q_f, q_ref) << "width " << width;
@@ -524,7 +532,7 @@ TEST(Fusion, FekfOptimizerLaunchBudget) {
       // symv, dot, second symv, three-launch p_update_unfused, axpy
       {optim::EkfLevel::kFramework, 7},
       {optim::EkfLevel::kOpt3, 4},  // symv, dot, p_update_fused, axpy
-      {optim::EkfLevel::kFused, 2},  // ekf_gain_fused + ekf_apply_fused
+      {optim::EkfLevel::kFused, 1},  // ekf_apply_gain
   };
   const i64 n = 32;
   for (const auto& [level, launches] : rows) {
@@ -533,6 +541,7 @@ TEST(Fusion, FekfOptimizerLaunchBudget) {
     optim::KalmanOptimizer opt({{0, n, "blk"}, {n, n, "blk2"}}, cfg);
     std::vector<f64> w(static_cast<std::size_t>(2 * n), 0.0);
     std::vector<f64> g(static_cast<std::size_t>(2 * n), 0.01);
+    opt.update(g, 0.1, w);  // kFused: the first update has nothing pending
     KernelCountScope scope;
     opt.update(g, 0.1, w);
     EXPECT_EQ(scope.count(), 2 * launches) << static_cast<int>(level);

@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "core/rng.hpp"
+#include "obs/metrics.hpp"
 #include "optim/adam.hpp"
 #include "optim/ekf_blocks.hpp"
 #include "optim/kalman.hpp"
@@ -567,6 +568,118 @@ TEST(Kalman, SnapshotIsAFlipAndRollbackIsASwap) {
       EXPECT_EQ(seen[b].size(), 2u) << "block " << b;
     }
   }
+}
+
+bool same_bits(f64 a, f64 b) { return std::memcmp(&a, &b, sizeof(f64)) == 0; }
+
+TEST(Kalman, FusedMatchesOpt3AcrossEveryStateEvent) {
+  // kFused leaves each update's P step pending for the next update's
+  // sweep and runs the blocks in parallel; kOpt3 applies every step
+  // eagerly, block by block. Over 48 updates on three blocks of odd sizes
+  // (n % 4 = 1, 3, 1), with every event that reads or replaces the filter
+  // state interleaved as the trainer makes them — a snapshot every fifth
+  // update, rollbacks, a mid-sequence state(), set_state from a captured
+  // checkpoint, recondition, a NaN gradient and p_max rescales — weights,
+  // lambda, last_max_diag and P agree bit for bit.
+  const std::vector<BlockSpec> blocks{{0, 37, "a"}, {37, 23, "b"},
+                                      {60, 13, "c"}};
+  const std::size_t total = 73;
+  KalmanConfig cfg;
+  cfg.p_max = 1.2;  // lambda and the noise push the diagonal past it
+  cfg.level = EkfLevel::kFused;
+  KalmanOptimizer fused(blocks, cfg);
+  cfg.level = EkfLevel::kOpt3;
+  KalmanOptimizer opt3(blocks, cfg);
+  const bool metrics_were = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& rescales =
+      obs::MetricsRegistry::instance().counter("kalman.p_rescales");
+  const i64 rescales0 = rescales.value();
+
+  Rng rng(41);
+  std::vector<f64> wf(total, 0.0), wo(total, 0.0), g(total);
+  std::vector<f64> snap_w = wf, ckpt_w;
+  KalmanState ckpt_f, ckpt_o;
+  auto expect_same_p = [&](int update) {
+    const KalmanState& pf = fused.state();
+    const KalmanState& po = opt3.state();
+    ASSERT_TRUE(same_bits(pf.lambda, po.lambda)) << "update " << update;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      ASSERT_EQ(std::memcmp(pf.p[b].data(), po.p[b].data(),
+                            pf.p[b].size() * sizeof(f64)),
+                0)
+          << "update " << update << " block " << b;
+    }
+  };
+  auto restore = [&](const std::vector<f64>& w) {
+    wf = w;
+    wo = w;
+  };
+  for (int update = 0; update < 48; ++update) {
+    SCOPED_TRACE("update " + std::to_string(update));
+    if (update % 5 == 0) {
+      fused.snapshot();
+      opt3.snapshot();
+      snap_w = wf;
+    }
+    for (f64& v : g) v = rng.gaussian();
+    if (update == 33) g[40] = std::nan("");
+    const f64 kscale = 0.05 + 0.01 * (update % 7);
+    const std::optional<f64> cap =
+        update % 3 == 0 ? std::optional<f64>(0.0) : std::nullopt;
+    const f64 abe = update % 2 == 0 ? 0.4 : -1.0;
+    const i64 before = rescales.value();
+    fused.update(g, kscale, wf, cap, abe);
+    const i64 fused_rescales = rescales.value() - before;
+    opt3.update(g, kscale, wo, cap, abe);
+    EXPECT_EQ(fused_rescales, rescales.value() - before - fused_rescales);
+    ASSERT_TRUE(same_bits(fused.lambda(), opt3.lambda()));
+    if (update == 33) {
+      // The sentinel's response: NaN health, then rollback + recondition.
+      ASSERT_TRUE(std::isnan(fused.last_max_diag()));
+      ASSERT_TRUE(std::isnan(opt3.last_max_diag()));
+      fused.rollback();
+      opt3.rollback();
+      fused.recondition();
+      opt3.recondition();
+      restore(snap_w);
+      expect_same_p(update);
+      continue;
+    }
+    ASSERT_TRUE(same_bits(fused.last_max_diag(), opt3.last_max_diag()));
+    ASSERT_TRUE(wf == wo);
+    switch (update) {
+      case 10:
+      case 42:
+        fused.rollback();
+        opt3.rollback();
+        restore(snap_w);
+        break;
+      case 17:
+        expect_same_p(update);  // writes fused's pending step mid-sequence
+        break;
+      case 23:
+        ckpt_f = fused.state();
+        ckpt_o = opt3.state();
+        ckpt_w = wf;
+        break;
+      case 29:
+        fused.set_state(ckpt_f);
+        opt3.set_state(ckpt_o);
+        restore(ckpt_w);
+        break;
+      case 38:
+        fused.recondition();
+        opt3.recondition();
+        ASSERT_TRUE(same_bits(fused.last_max_diag(), opt3.last_max_diag()));
+        break;
+      default:
+        break;
+    }
+  }
+  expect_same_p(48);
+  EXPECT_GT(rescales.value() - rescales0, 0) << "p_max never fired";
+  obs::set_metrics_enabled(metrics_were);
 }
 
 TEST(NaiveEkf, SnapshotIsAFlipAndRollbackIsASwap) {
