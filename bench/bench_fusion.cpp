@@ -1,27 +1,20 @@
-// Fused-vs-unfused composite kernels and the arena allocator, head to head
-// (DESIGN.md §12). Three fusion sites and the Workspace are measured in
-// isolation so a regression is attributable to one kernel, not a whole
-// training step:
+// The fused EKF step and the arena allocator, head to head (DESIGN.md
+// §12). Each is measured in isolation so a regression is attributable to
+// one site, not a whole training step:
 //
-//   linear+tanh   whole-layer forward + one-launch backward vs the
-//                 linear_fused/tanh_fused chain (opt2 reference)
-//   model step    energy + force prediction at FusionLevel kFused vs kOpt2
-//                 (covers desc_a / desc_d / desc_d_grad)
 //   EKF step      one-launch ekf_apply_gain (the pending P write and the
 //                 gain in one sweep) vs the legacy symv / dot /
 //                 p_update_fused / axpy sequence
-//   arena         the same model step with temporaries drawn from the
-//                 Workspace vs operator new
+//   arena         the default model's energy + force prediction with
+//                 temporaries drawn from the Workspace vs operator new
 //
-// Every comparison asserts (FEKF_CHECK) the fused path's launch budget and
-// its bit-identical outputs, so the binary doubles as a CI gate; `--json
-// FILE` emits the numbers ci/check_budgets.py compares against
-// ci/budgets.json.
+// The EKF comparison asserts (FEKF_CHECK) the fused step's launch budget
+// and its bit-identical state, and the arena its steady state, so the
+// binary doubles as a CI gate; `--json FILE` emits the numbers
+// ci/check_budgets.py compares against ci/budgets.json.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
-#include "autograd/ops.hpp"
 #include "bench_common.hpp"
 #include "optim/kalman.hpp"
 #include "parallel/thread_pool.hpp"
@@ -35,19 +28,10 @@ using namespace fekf::bench;
 
 namespace {
 
-namespace op = ag::ops;
-using ag::Variable;
-
 f64 now_s() {
   return std::chrono::duration<f64>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool bitwise_equal(const Tensor& a, const Tensor& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<std::size_t>(a.numel()) * sizeof(f32)) == 0;
 }
 
 struct Result {
@@ -77,10 +61,9 @@ void measure(Fn&& fn, i64 reps, f64* seconds, i64* launches) {
 
 int main(int argc, char** argv) {
   Cli cli("bench_fusion",
-          "fused vs unfused composite kernels, plus the arena allocator");
+          "fused vs legacy EKF step, plus the arena allocator");
   add_common_flags(cli);
-  cli.flag("system", "Cu", "catalog system for the model-step comparison")
-      .flag("rows", "512", "linear+tanh micro: batch rows")
+  cli.flag("system", "Cu", "catalog system for the arena comparison")
       .flag("ekf-n", "256", "EKF micro: covariance block size")
       .flag("reps", "20", "timed repetitions per measurement")
       .flag("json", "", "also write a machine-readable summary to this file");
@@ -89,67 +72,6 @@ int main(int argc, char** argv) {
   const i64 reps = cli.get_int("reps");
   Table table({"comparison", "fused s/rep", "unfused s/rep", "speedup",
                "fused launches", "unfused launches"});
-
-  // ---- linear+tanh whole-layer fusion ---------------------------------
-  Result lin;
-  {
-    const i64 rows = cli.get_int("rows");
-    const i64 in = cli.get_int("embed") * 4;
-    const i64 out = cli.get_int("fit") * 4;
-    Rng rng(11);
-    const Variable x(Tensor::randn(rows, in, rng), true);
-    const Variable w(Tensor::randn(in, out, rng), true);
-    const Variable b(Tensor::randn(1, out, rng), true);
-    const Variable s(Tensor::randn(rows, out, rng));
-    const std::vector<Variable> wrt{x, w, b};
-    auto run = [&](bool fused) {
-      Variable y = fused ? op::linear_tanh_fused(x, w, b)
-                         : op::tanh_fused(op::linear_fused(x, w, b));
-      auto grads = ag::grad(op::sum_all(op::mul(y, s)), wrt);
-      return std::pair<Variable, std::vector<Variable>>(y, std::move(grads));
-    };
-    measure([&] { (void)run(true); }, reps, &lin.fused_s, &lin.fused_launches);
-    measure([&] { (void)run(false); }, reps, &lin.unfused_s,
-            &lin.unfused_launches);
-    auto rf = run(true);
-    auto ru = run(false);
-    FEKF_CHECK(bitwise_equal(rf.first.value(), ru.first.value()),
-               "fused linear+tanh forward is not bit-identical");
-    for (std::size_t i = 0; i < rf.second.size(); ++i) {
-      FEKF_CHECK(bitwise_equal(rf.second[i].value(), ru.second[i].value()),
-                 "fused linear+tanh gradient " + std::to_string(i) +
-                     " is not bit-identical");
-    }
-    table.add_row({"linear+tanh fwd+bwd", fmt("%.6f", lin.fused_s),
-                   fmt("%.6f", lin.unfused_s), fmt("%.2fx", lin.speedup()),
-                   std::to_string(lin.fused_launches),
-                   std::to_string(lin.unfused_launches)});
-  }
-
-  // ---- whole-descriptor fusion at model level -------------------------
-  Result model;
-  {
-    Fixture f = make_fixture(cli.get("system"), cli);
-    const train::EnvPtr& env = f.train_envs.front();
-    auto run = [&](deepmd::FusionLevel level) {
-      f.model->set_fusion(level);
-      return f.model->predict(env, /*with_forces=*/true);
-    };
-    measure([&] { (void)run(deepmd::FusionLevel::kFused); }, reps,
-            &model.fused_s, &model.fused_launches);
-    measure([&] { (void)run(deepmd::FusionLevel::kOpt2); }, reps,
-            &model.unfused_s, &model.unfused_launches);
-    auto pf = run(deepmd::FusionLevel::kFused);
-    auto pu = run(deepmd::FusionLevel::kOpt2);
-    FEKF_CHECK(pf.energy.item() == pu.energy.item(),
-               "fused model energy is not bit-identical");
-    FEKF_CHECK(bitwise_equal(pf.forces.value(), pu.forces.value()),
-               "fused model forces are not bit-identical");
-    table.add_row({"model energy+forces", fmt("%.6f", model.fused_s),
-                   fmt("%.6f", model.unfused_s), fmt("%.2fx", model.speedup()),
-                   std::to_string(model.fused_launches),
-                   std::to_string(model.unfused_launches)});
-  }
 
   // ---- fused EKF step -------------------------------------------------
   Result ekf;
@@ -244,7 +166,6 @@ int main(int argc, char** argv) {
   const bool arena_available = Workspace::enabled();
   if (arena_available) {
     Fixture f = make_fixture(cli.get("system"), cli);
-    f.model->set_fusion(deepmd::FusionLevel::kFused);
     const train::EnvPtr& env = f.train_envs.front();
     auto step = [&] { (void)f.model->predict(env, /*with_forces=*/true); };
     {
@@ -283,14 +204,8 @@ int main(int argc, char** argv) {
                    std::to_string(arena.unfused_launches)});
   }
 
-  // Launch budgets: fusion must strictly reduce launches at every site.
-  FEKF_CHECK(lin.fused_launches < lin.unfused_launches,
-             "linear+tanh fusion does not reduce launches");
-  FEKF_CHECK(model.fused_launches < model.unfused_launches,
-             "descriptor fusion does not reduce launches");
-
-  std::printf("Fused vs unfused composite kernels (seconds per repetition, "
-              "%lld reps; launches per repetition):\n",
+  std::printf("Fused vs unfused (seconds per repetition, %lld reps; "
+              "launches per repetition):\n",
               static_cast<long long>(reps));
   table.print();
   if (arena_available) {
@@ -302,9 +217,8 @@ int main(int argc, char** argv) {
     std::printf("\narena disabled (FEKF_ARENA=0): arena/heap comparison "
                 "skipped\n");
   }
-  std::printf("\nAll fused outputs verified bit-identical to the unfused "
-              "reference; launch budgets asserted (1-launch EKF step, "
-              "strict reduction elsewhere).\n");
+  std::printf("\nFused EKF state verified bit-identical to the legacy "
+              "sequence; launch budget asserted (1-launch EKF step).\n");
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
@@ -330,8 +244,6 @@ int main(int argc, char** argv) {
     json += "  \"arena_peak_scope_bytes\": " +
             std::to_string(arena_peak_bytes) + ",\n";
     json += "  \"comparisons\": [\n";
-    json += entry("linear_tanh", lin) + ",\n";
-    json += entry("model_step", model) + ",\n";
     json += entry("ekf_block_update", ekf);
     for (const auto& [backend, result] : ekf_backends) {
       json += ",\n" + entry(("ekf_block_update_" + backend).c_str(), result);

@@ -164,107 +164,6 @@ Variable linear_fused(const Variable& x, const Variable& w,
       });
 }
 
-namespace {
-
-// ---- fused linear+tanh (kFused dense layer) -------------------------------
-//
-// Forward y = tanh(x w + b) is one launch; the first backward is one launch
-// producing (gx, gw, gb) via the fused kernel. Each of those three grads is
-// itself a differentiable wrapper op so the force path can differentiate
-// through the backward. Writing u = g ⊙ e with e = 1 - y², the outputs are
-//   gx = u w^T    gw = x^T u    gb = 1^T u,
-// and for an upstream sensitivity gg of one output, the sensitivity routed
-// to u is P = gg w (gx), x gg (gw), or gg broadcast over rows (gb). Then
-//   dL/dg = P ⊙ e,   v = dL/d(pre) = (-2 P ⊙ g ⊙ y) ⊙ e,
-//   dL/dx = v w^T (+ u gg^T for the gw op),
-//   dL/dw = x^T v (+ gg^T u for the gx op),   dL/db = 1^T v.
-// (DESIGN.md §12 "Kernel fusion & memory arena" carries the derivation.)
-
-enum class LtOutput { kGx, kGw, kGb };
-
-std::vector<Variable> linear_tanh_backward_vars(const Variable& g,
-                                                const Variable& x,
-                                                const Variable& w,
-                                                const Variable& b,
-                                                const Tensor& y_t);
-
-/// Zero-launch differentiable handle on the cached forward value: re-emits
-/// the linear_tanh node so closures can rebuild e, u, v as graph nodes
-/// (correct to any derivative order) without recomputing tanh.
-Variable linear_tanh_wrap(const Tensor& y_t, const Variable& x,
-                          const Variable& w, const Variable& b) {
-  return Variable::make_op(
-      y_t, "linear_tanh", {x, w, b},
-      [x, w, b, y_t](const Variable& g) -> std::vector<Variable> {
-        return linear_tanh_backward_vars(g, x, w, b, y_t);
-      });
-}
-
-/// Double backward of one wrapper output (see derivation above). Composed
-/// from primitives; only runs under create_graph.
-std::vector<Variable> linear_tanh_double_backward(
-    const Variable& gg, LtOutput which, const Variable& g, const Variable& x,
-    const Variable& w, const Variable& b, const Tensor& y_t) {
-  const Variable y = linear_tanh_wrap(y_t, x, w, b);
-  const Variable e = add_scalar(neg(square(y)), 1.0f);
-  Variable p;
-  switch (which) {
-    case LtOutput::kGx: p = matmul(gg, w); break;
-    case LtOutput::kGw: p = matmul(x, gg); break;
-    case LtOutput::kGb: p = broadcast_rows(gg, x.rows()); break;
-  }
-  const bool need_g = needs_input_grad(0), need_x = needs_input_grad(1),
-             need_w = needs_input_grad(2), need_b = needs_input_grad(3);
-  Variable dg, dx, dw, db;
-  if (need_g) dg = mul(p, e);
-  if (need_x || need_w || need_b) {
-    const Variable v = mul(scale(mul(mul(p, g), y), -2.0f), e);
-    if (need_x) dx = matmul_nt(v, w);
-    if (need_w) dw = matmul_tn(x, v);
-    if (need_b) db = sum_rows(v);
-  }
-  if (which == LtOutput::kGx && need_w) {
-    dw = add(dw, matmul_tn(gg, mul(g, e)));  // explicit w term of u w^T
-  } else if (which == LtOutput::kGw && need_x) {
-    dx = add(dx, matmul_nt(mul(g, e), gg));  // explicit x term of x^T u
-  }
-  return {dg, dx, dw, db};
-}
-
-std::vector<Variable> linear_tanh_backward_vars(const Variable& g,
-                                                const Variable& x,
-                                                const Variable& w,
-                                                const Variable& b,
-                                                const Tensor& y_t) {
-  const bool need_x = needs_input_grad(0), need_w = needs_input_grad(1),
-             need_b = needs_input_grad(2);
-  Tensor gx_t, gw_t, gb_t;
-  k::linear_tanh_backward(g.value(), y_t, x.value(), w.value(), gx_t, gw_t,
-                          gb_t, {need_x, need_w, need_b});
-  auto wrap = [&](Tensor value, const char* name, LtOutput which) {
-    return Variable::make_op(
-        std::move(value), name, {g, x, w, b},
-        [g, x, w, b, y_t, which](const Variable& gg) -> std::vector<Variable> {
-          return linear_tanh_double_backward(gg, which, g, x, w, b, y_t);
-        });
-  };
-  // One launch forms only the needed grads; only those join the tape.
-  return {need_x ? wrap(std::move(gx_t), "linear_tanh_gx", LtOutput::kGx)
-                 : Variable{},
-          need_w ? wrap(std::move(gw_t), "linear_tanh_gw", LtOutput::kGw)
-                 : Variable{},
-          need_b ? wrap(std::move(gb_t), "linear_tanh_gb", LtOutput::kGb)
-                 : Variable{}};
-}
-
-}  // namespace
-
-Variable linear_tanh_fused(const Variable& x, const Variable& w,
-                           const Variable& bias) {
-  return linear_tanh_wrap(k::linear_tanh(x.value(), w.value(), bias.value()),
-                          x, w, bias);
-}
-
 Variable add_rowvec(const Variable& mat, const Variable& row) {
   return Variable::make_op(
       k::add_rowvec(mat.value(), row.value()), "add_rowvec", {mat, row},

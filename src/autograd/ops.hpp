@@ -43,14 +43,6 @@ Variable linear(const Variable& x, const Variable& w, const Variable& bias);
 Variable linear_fused(const Variable& x, const Variable& w,
                       const Variable& bias);
 
-/// tanh(x*W + bias) with ONE kernel launch forward and ONE launch for the
-/// whole first backward (gx, gw, gb in a single fused pass) — the kFused
-/// dense layer. Values and first gradients are bit-identical to the opt2
-/// chain (linear_fused + tanh_fused); the double backward (force path) is
-/// composed from primitives and matches within f32 rounding.
-Variable linear_tanh_fused(const Variable& x, const Variable& w,
-                           const Variable& bias);
-
 // ---- broadcast / reduction ------------------------------------------------
 Variable add_rowvec(const Variable& mat, const Variable& row);
 Variable broadcast_rows(const Variable& row, i64 m);

@@ -14,14 +14,9 @@ namespace fekf::deepmd {
 ///              symmetry-preserving descriptor and its derivatives (Fig. 6).
 ///  kOpt2     — kOpt1 + fused linear and tanh-backward kernels
 ///              (torch.compile-style elementwise fusion).
-///  kFused    — kOpt2 + whole-layer and whole-descriptor fusion: dense
-///              layers run as ONE linear+tanh kernel forward and ONE fused
-///              (gx, gw, gb) kernel backward, and the symmetry-preserving
-///              descriptor runs as two composite kernels (desc_a, desc_d)
-///              with a fused backward (DESIGN.md §12).
 /// The optimizer-side rungs (opt3's P-update kernel + Pg caching, and the
 /// fused FEKF step) are orthogonal to the model: optim::EkfLevel.
-enum class FusionLevel { kBaseline = 0, kOpt1 = 1, kOpt2 = 2, kFused = 3 };
+enum class FusionLevel { kBaseline = 0, kOpt1 = 1, kOpt2 = 2 };
 
 struct ModelConfig {
   f64 rcut = 6.0;       ///< descriptor cutoff (Å)

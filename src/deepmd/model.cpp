@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "deepmd/bmm.hpp"
-#include "deepmd/fused_descriptor.hpp"
 #include "deepmd/jacobian_ops.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -49,25 +48,19 @@ void DeepmdModel::set_stats(EnvStats env_stats, EnergyStats energy_stats) {
 std::shared_ptr<const EnvData> DeepmdModel::prepare(
     const md::Snapshot& snapshot) const {
   FEKF_CHECK(stats_ready_, "call fit_stats() before prepare()");
+  obs::ScopedSpan span("deepmd.env_build", "deepmd");
   return build_env(snapshot, env_stats_, sel_, config_);
 }
 
 Variable DeepmdModel::descriptor(const std::vector<Variable>& r_leaves,
                                  const std::vector<Variable>& g_mats,
                                  i64 natoms) const {
+  obs::ScopedSpan span("deepmd.descriptor", "deepmd");
   const i64 m = config_.embed_width;
   const i64 m_axis = config_.axis_neurons;
   i64 nm_total = 0;
   for (const i64 s : sel_) nm_total += s;
   const f32 inv_nm = 1.0f / static_cast<f32>(nm_total);
-
-  if (config_.fusion >= FusionLevel::kFused) {
-    // Whole-descriptor fusion: one launch for A, one for D (plus one fused
-    // launch for the whole gD -> gA backward contraction).
-    Variable a = desc_a(g_mats, r_leaves, sel_, inv_nm);
-    Variable d_blocks = desc_d(a, m, m_axis);
-    return op::reshape(d_blocks, natoms, m * m_axis);
-  }
 
   if (config_.fusion >= FusionLevel::kOpt1) {
     // Fused path: batched kernels over all atoms (one launch each).

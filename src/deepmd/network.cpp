@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/trace.hpp"
+
 namespace fekf::deepmd {
 
 namespace op = ag::ops;
@@ -21,10 +23,6 @@ LayerParams make_layer(i64 fan_in, i64 fan_out, const std::string& name,
 
 ag::Variable dense(const ag::Variable& x, const LayerParams& layer,
                    bool activate, FusionLevel fusion) {
-  if (activate && fusion >= FusionLevel::kFused) {
-    // Whole layer in one launch forward / one launch backward.
-    return op::linear_tanh_fused(x, layer.weight, layer.bias);
-  }
   const bool fused = fusion >= FusionLevel::kOpt2;
   ag::Variable pre = fused ? op::linear_fused(x, layer.weight, layer.bias)
                            : op::linear(x, layer.weight, layer.bias);
@@ -43,6 +41,7 @@ EmbeddingNet::EmbeddingNet(i64 width, const std::string& name, Rng& rng)
 
 ag::Variable EmbeddingNet::forward(const ag::Variable& s,
                                    FusionLevel fusion) const {
+  obs::ScopedSpan span("deepmd.embedding", "deepmd");
   // E0: tanh(s W0 + b0); E1/E2: X + tanh(X W + b) (residual).
   ag::Variable h = detail::dense(s, layers_[0], /*activate=*/true, fusion);
   h = op::add(h, detail::dense(h, layers_[1], true, fusion));
@@ -62,6 +61,7 @@ FittingNet::FittingNet(i64 input, i64 width, const std::string& name,
 
 ag::Variable FittingNet::forward(const ag::Variable& d,
                                  FusionLevel fusion) const {
+  obs::ScopedSpan span("deepmd.fitting", "deepmd");
   ag::Variable h = detail::dense(d, layers_[0], true, fusion);
   h = op::add(h, detail::dense(h, layers_[1], true, fusion));
   h = op::add(h, detail::dense(h, layers_[2], true, fusion));

@@ -96,10 +96,10 @@ DeepmdModel read_model_text(TextReader& r) {
   cfg.fitting_width = r.read_i64();
   const i64 fusion = r.read_i64();
   if (fusion < static_cast<i64>(FusionLevel::kBaseline) ||
-      fusion > static_cast<i64>(FusionLevel::kFused)) {
+      fusion > static_cast<i64>(FusionLevel::kOpt2)) {
     r.malformed("fusion level " + std::to_string(fusion) + " outside [" +
                 std::to_string(static_cast<i64>(FusionLevel::kBaseline)) +
-                ", " + std::to_string(static_cast<i64>(FusionLevel::kFused)) +
+                ", " + std::to_string(static_cast<i64>(FusionLevel::kOpt2)) +
                 "]");
   }
   cfg.fusion = static_cast<FusionLevel>(fusion);

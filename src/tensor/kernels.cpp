@@ -44,20 +44,6 @@ dispatch::Dispatched<dispatch::GemmTnPanelFn>& gemm_tn_dispatch() {
   return d;
 }
 
-/// out(m, n) = a(k, m)ᵀ · b(k, n) with the dispatched panel body over
-/// output-row panels; each out[i][j] is one ascending-l chain, so the
-/// panel split does not change the numerics. Shared by matmul_tn and the
-/// gw phase of linear_tanh_backward.
-Tensor gemm_tn(const f32* a, const f32* b, i64 k, i64 m, i64 n) {
-  const dispatch::GemmTnPanelFn fn = gemm_tn_dispatch().get();
-  Tensor out(m, n);
-  f32* po = out.data();
-  parallel_for_blocks(
-      0, m, [&](i64 rlo, i64 rhi) { fn(a, b, po, rlo, rhi, k, m, n); },
-      grain_items(k * n));
-  return out;
-}
-
 dispatch::Dispatched<dispatch::GainPanelFn>& gain_dispatch() {
   static dispatch::Dispatched<dispatch::GainPanelFn> d(
       "ekf_gain_f64", &dispatch::register_ekf_variants);
@@ -76,7 +62,7 @@ void gain_rows(const f64* p, const f64* g, f64* y, i64 n) {
 // Bodies with no vector rung that could be bit-exact (a libm call per
 // element; serial f64 reductions), so they are not dispatched.
 
-/// y[i] = tanh(x[i]) over one flat chunk; in place allowed (y == x).
+/// y[i] = tanh(x[i]) over one flat chunk.
 void tanh_chunk(const f32* x, f32* y, i64 count) {
   for (i64 i = 0; i < count; ++i) y[i] = std::tanh(x[i]);
 }
@@ -200,7 +186,18 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   FEKF_CHECK(a.rows() == b.rows(), "matmul_tn: inner dims " + a.shape_str() +
                                        "^T * " + b.shape_str());
   KernelLaunch launch("matmul_tn");
-  return gemm_tn(a.data(), b.data(), a.rows(), a.cols(), b.cols());
+  const dispatch::GemmTnPanelFn fn = gemm_tn_dispatch().get();
+  const i64 k = a.rows(), m = a.cols(), n = b.cols();
+  Tensor out(m, n);
+  const f32* pa = a.data();
+  const f32* pb = b.data();
+  f32* po = out.data();
+  // Each out[i][j] is one ascending-l chain, so the row-panel split does
+  // not change the numerics.
+  parallel_for_blocks(
+      0, m, [&](i64 rlo, i64 rhi) { fn(pa, pb, po, rlo, rhi, k, m, n); },
+      grain_items(k * n));
+  return out;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
@@ -310,95 +307,6 @@ Tensor linear_fused(const Tensor& x, const Tensor& w, const Tensor& bias) {
       [&](i64 rlo, i64 rhi) { fn(px, pw, pb, po, rlo, rhi, k, n); },
       grain_items(k * n));
   return out;
-}
-
-Tensor linear_tanh(const Tensor& x, const Tensor& w, const Tensor& bias) {
-  FEKF_CHECK(x.cols() == w.rows() && bias.rows() == 1 && bias.cols() == w.cols(),
-             "linear_tanh: " + x.shape_str() + " * " + w.shape_str() + " + " +
-                 bias.shape_str());
-  KernelLaunch launch("linear_tanh");
-  const dispatch::GemmPanelFn gemm_fn = gemm_dispatch().get();
-  const i64 m = x.rows(), k = x.cols(), n = w.cols();
-  Tensor out(m, n);
-  const f32* __restrict__ px = x.data();
-  const f32* __restrict__ pw = w.data();
-  const f32* __restrict__ pb = bias.data();
-  f32* __restrict__ po = out.data();
-  parallel_for_blocks(
-      0, m,
-      [&](i64 rlo, i64 rhi) {
-        // Same bias-then-ascending-l accumulation as linear_fused, then
-        // tanh in place over the panel: per variant, bit-identical to
-        // tanh(linear_fused(...)).
-        gemm_fn(px, pw, pb, po, rlo, rhi, k, n);
-        tanh_chunk(po + rlo * n, po + rlo * n, (rhi - rlo) * n);
-      },
-      grain_items(k * n));
-  return out;
-}
-
-void linear_tanh_backward(const Tensor& gy, const Tensor& y, const Tensor& x,
-                          const Tensor& w, Tensor& gx, Tensor& gw,
-                          Tensor& gb, LinearTanhGrads want) {
-  const i64 m = x.rows(), k = x.cols(), n = w.cols();
-  FEKF_CHECK(gy.rows() == m && gy.cols() == n && y.same_shape(gy) &&
-                 w.rows() == k,
-             "linear_tanh_backward: gy " + gy.shape_str() + " y " +
-                 y.shape_str() + " x " + x.shape_str() + " w " +
-                 w.shape_str());
-  KernelLaunch launch("linear_tanh_backward");
-  // u = gy * (1 - y^2), the tanh_backward formula; held in kernel-local
-  // scratch (arena-allocated inside a step) and consumed by all three
-  // grads. Each phase below keeps the partition and accumulation order of
-  // its unfused counterpart, so every output is bit-exact against the
-  // composed tanh_backward/matmul_nt/matmul_tn/sum_rows chain at any
-  // thread width.
-  Tensor u(m, n);
-  const f32* __restrict__ pg = gy.data();
-  const f32* __restrict__ py = y.data();
-  f32* __restrict__ pu = u.data();
-  parallel_for_blocks(
-      0, m * n,
-      [&](i64 lo, i64 hi) {
-        for (i64 i = lo; i < hi; ++i) {
-          pu[i] = pg[i] * (1.0f - py[i] * py[i]);
-        }
-      },
-      kGrainWork);
-  // Unrequested grads stay empty and their phases are skipped.
-  gx = Tensor();
-  gw = Tensor();
-  gb = Tensor();
-  // gx = u w^T (matmul_nt ordering: f64 accumulator, ascending l) via the
-  // shared matnt_f32 panel body.
-  if (want.gx) {
-    gx = Tensor(m, k);
-    const dispatch::MatNtPanelFn nt_fn = matnt_dispatch().get();
-    const f32* __restrict__ pw = w.data();
-    f32* __restrict__ pgx = gx.data();
-    parallel_for_blocks(
-        0, m,
-        [&](i64 rlo, i64 rhi) { nt_fn(pu, pw, pgx, rlo, rhi, k, n); },
-        grain_items(n * k));
-  }
-  // gw = x^T u: matmul_tn's body and partition via the shared
-  // gemm_tn_f32 panel.
-  if (want.gw) gw = gemm_tn(x.data(), pu, m, k, n);
-  // gb = column sums of u (sum_rows ordering: f64 accumulator per column).
-  if (want.gb) {
-    gb = Tensor(1, n);
-    f32* __restrict__ pgb = gb.data();
-    parallel_for_blocks(
-        0, n,
-        [&](i64 clo, i64 chi) {
-          for (i64 j = clo; j < chi; ++j) {
-            f64 acc = 0.0;
-            for (i64 i = 0; i < m; ++i) acc += pu[i * n + j];
-            pgb[j] = static_cast<f32>(acc);
-          }
-        },
-        grain_items(m));
-  }
 }
 
 Tensor broadcast_full(const Tensor& scalar, i64 m, i64 n) {

@@ -51,29 +51,6 @@ Tensor broadcast_full(const Tensor& scalar, i64 m, i64 n);
 /// kernel fusion; the unfused path is matmul + add_rowvec).
 Tensor linear_fused(const Tensor& x, const Tensor& w, const Tensor& bias);
 
-/// Fully fused dense layer: y = tanh(x*w + bias) in ONE launch. Uses the
-/// exact accumulation order of linear_fused followed by elementwise tanh,
-/// so values are bit-identical to the opt2 two-launch chain.
-Tensor linear_tanh(const Tensor& x, const Tensor& w, const Tensor& bias);
-
-/// Which outputs linear_tanh_backward forms; an unrequested one is left
-/// empty and its phase skipped (a backward taken w.r.t. the inputs only
-/// needs gx).
-struct LinearTanhGrads {
-  bool gx = true;
-  bool gw = true;
-  bool gb = true;
-};
-
-/// Fused backward of linear_tanh, ONE launch producing the requested grads.
-/// Computes u = gy ⊙ (1 - y²) internally, then
-///   gx = u w^T    gw = x^T u    gb = 1^T u
-/// with the accumulation orders of tanh_backward + matmul_nt + matmul_tn +
-/// sum_rows, so each grad is bit-identical to the unfused 4-launch chain.
-void linear_tanh_backward(const Tensor& gy, const Tensor& y, const Tensor& x,
-                          const Tensor& w, Tensor& gx, Tensor& gw,
-                          Tensor& gb, LinearTanhGrads want = {});
-
 // ---- reductions (double accumulators) --------------------------------------
 Tensor sum_all(const Tensor& a);                         // -> 1x1
 Tensor sum_rows(const Tensor& a);                        // (m,n) -> 1xn

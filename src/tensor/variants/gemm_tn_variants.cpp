@@ -1,5 +1,5 @@
-// "gemm_tn_f32" variants: the row-panel inner body behind matmul_tn and
-// the gw = xᵀu phase of linear_tanh_backward (DESIGN.md §13).
+// "gemm_tn_f32" variants: the row-panel inner body behind matmul_tn
+// (DESIGN.md §13).
 //
 // The family contract is one f32 chain per output element over ASCENDING
 // l, started at +0.0f, with one fused multiply-add per term:
@@ -27,8 +27,8 @@ namespace fekf::dispatch {
 
 namespace {
 
-/// Reference body — the loop matmul_tn and the linear_tanh_backward gw
-/// phase always ran, over a zero-seeded panel.
+/// Reference body — the loop matmul_tn always ran, over a zero-seeded
+/// panel.
 void gemm_tn_scalar(const f32* a, const f32* b, f32* out, i64 rlo, i64 rhi,
                     i64 k, i64 m, i64 n) {
   std::memset(out + rlo * n, 0,

@@ -1,5 +1,5 @@
-// "gemm_f32" variants: the row-panel inner body behind matmul,
-// linear_fused and linear_tanh (DESIGN.md §13).
+// "gemm_f32" variants: the row-panel inner body behind matmul and
+// linear_fused (DESIGN.md §13).
 //
 // Every variant keeps the reference accumulation shape — seed the output
 // row (bias or zeros), then accumulate xv * wrow over ASCENDING l — so

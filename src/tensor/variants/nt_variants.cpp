@@ -1,6 +1,5 @@
-// "matnt_f32" variants: the row-panel inner body behind matmul_nt, the
-// gx phase of linear_tanh_backward, and the per-block descriptor
-// contractions bmm_nt and desc_d (DESIGN.md §13).
+// "matnt_f32" variants: the row-panel inner body behind matmul_nt and the
+// per-block descriptor contraction bmm_nt (DESIGN.md §13).
 //
 // The family contract is one f64 accumulator per output element over
 // ASCENDING l:
@@ -30,8 +29,8 @@ namespace fekf::dispatch {
 namespace {
 
 /// Stack budget for the transposed b panel (16 KiB of f32). The repo's
-/// callers stay far below it: bmm_nt and desc_d blocks are s*q <= a few
-/// hundred, matmul_nt/gx panels are at most (network width)^2.
+/// callers stay far below it: bmm_nt blocks are s*q <= a few hundred,
+/// matmul_nt panels are at most (network width)^2.
 constexpr i64 kTransposeCap = 4096;
 
 /// Reference body — the exact loop matmul_nt/bmm_nt always ran.

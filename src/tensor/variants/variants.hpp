@@ -48,8 +48,7 @@ inline constexpr i64 kGainPanelRows = 128;
 /// Rows [rlo, rhi) of out(:, n) = a(:, q) · b(n, q)ᵀ with one f64
 /// accumulator per output element over ascending l:
 ///   out[i*n + j] = f32( Σ_{l<q} f64(a[i*q + l]) · f64(b[j*q + l]) )
-/// — the matmul_nt / bmm_nt / desc_d / linear_tanh_backward-gx reference
-/// order.
+/// — the matmul_nt / bmm_nt reference order.
 /// The f64 product of two f32 values is exact, so fused and unfused
 /// multiply-adds round identically and any variant keeping each output's
 /// ascending-l chain is bit-exact (see nt_variants.cpp).
@@ -60,7 +59,7 @@ using MatNtPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
 /// f32 chain started at +0.0f over ascending l with one fused multiply-add
 /// per term,
 ///   out[i*n + j] = fma(a[l*m + i], b[l*n + j], out[i*n + j]),
-/// — the matmul_tn / linear_tanh_backward-gw reference order (GCC contracts
+/// — the matmul_tn reference order (GCC contracts
 /// the scalar body's every term at -march=native). The panel's rows are
 /// fully written; the caller need not zero them.
 using GemmTnPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,

@@ -579,7 +579,7 @@ void KalmanTrainer::rollback_state() {
   flat_.scatter(weights_);
 }
 
-void KalmanTrainer::capture(TrainingCheckpoint& ckpt) const {
+void KalmanTrainer::capture(TrainingCheckpoint& ckpt) {
   if (mode_ == EkfMode::kFekf) {
     ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kKalman;
     ckpt.optimizer.kalman = kalman_->state();

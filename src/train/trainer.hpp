@@ -170,7 +170,7 @@ class KalmanTrainer {
   void apply_naive_sample(i64 slot, const Measurement& measurement);
   void snapshot_state();
   void rollback_state();
-  void capture(TrainingCheckpoint& ckpt) const;
+  void capture(TrainingCheckpoint& ckpt);
   void restore(const TrainingCheckpoint& ckpt);
 
   deepmd::DeepmdModel& model_;

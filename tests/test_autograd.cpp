@@ -387,7 +387,7 @@ TEST(Autograd, PrunedGradientsMatchFullGradients) {
   const auto snaps = md::sample_trajectory(*pot, st, spec.masses, sampler, rng);
   for (const auto level :
        {deepmd::FusionLevel::kBaseline, deepmd::FusionLevel::kOpt1,
-        deepmd::FusionLevel::kOpt2, deepmd::FusionLevel::kFused}) {
+        deepmd::FusionLevel::kOpt2}) {
     deepmd::ModelConfig cfg;
     cfg.rcut = 5.0;
     cfg.rcut_smth = 2.5;

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "deepmd/fused_descriptor.hpp"
+#include "deepmd/bmm.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
 #include "tensor/kernels.hpp"
@@ -272,10 +272,10 @@ TEST(DispatchExactness, MatNtVariantsAreBitExact) {
   const auto scalar = reinterpret_cast<dp::MatNtPanelFn>(
       dp::Registry::instance().find("matnt_f32", "scalar")->fn);
   // The shapes the family actually serves: the bmm_nt descriptor block
-  // (n=6, q=4: 4-lane main + 2-wide tail), the gx backward panel
+  // (n=6, q=4: 4-lane main + 2-wide tail), the matmul_nt backward panel
   // (n=q=50: 8-lane + 4-lane + 2 tail), a sub-4 n (delegates to scalar),
-  // an odd everything, one past the transpose cap (delegate path), and
-  // the desc_d block, where b aliases the first m_axis rows of a.
+  // an odd everything, one past the transpose cap (delegate path), and a
+  // b that aliases the first rows of a.
   struct Shape { i64 m, n, q; bool alias; };
   const std::vector<Shape> shapes = {{12, 6, 4, false},  {9, 50, 50, false},
                                      {7, 3, 11, false},  {5, 13, 7, false},
@@ -305,8 +305,7 @@ TEST(DispatchExactness, MatNtVariantsAreBitExact) {
 }
 
 // Frozen copy of the matmul_tn body every xᵀg reduction ran before the
-// gemm_tn_f32 family (matmul_tn and, line for line, the gw phase of
-// linear_tanh_backward), verbatim over a zeroed output, so it compiles here
+// gemm_tn_f32 family, verbatim over a zeroed output, so it compiles here
 // with kernels.cpp's contraction (one FMA per term).
 Tensor frozen_matmul_tn(const Tensor& a, const Tensor& b) {
   const i64 k = a.rows(), m = a.cols(), n = b.cols();
@@ -373,9 +372,8 @@ TEST(DispatchExactness, GemmTnVariantsAreBitExact) {
 }
 
 TEST(DispatchKernels, GemmTnPublicKernelsMatchTheFrozenLoop) {
-  // matmul_tn and linear_tanh_backward's gw both run the dispatched body;
-  // under every backend and at widths 1, 2 and 4 they must reproduce the
-  // loop they replaced byte for byte.
+  // matmul_tn runs the dispatched body; under every backend and at widths
+  // 1, 2 and 4 it must reproduce the loop it replaced byte for byte.
   BackendGuard backend_guard;
   WidthGuard width_guard;
   struct Shape { i64 k, m, n; };
@@ -386,12 +384,7 @@ TEST(DispatchKernels, GemmTnPublicKernelsMatchTheFrozenLoop) {
     Rng rng(static_cast<u64>(s.k * 131 + s.m * 7 + s.n));
     const Tensor a = Tensor::randn(s.k, s.m, rng);
     const Tensor g = Tensor::randn(s.k, s.n, rng);
-    const Tensor y = Tensor::randn(s.k, s.n, rng, 0.5);
-    const Tensor w = Tensor::randn(s.m, s.n, rng);
     const Tensor ref = frozen_matmul_tn(a, g);
-    // The gw phase reduces u = g * (1 - y^2), the tanh_backward formula.
-    const Tensor u = kernels::tanh_backward(g, y);
-    const Tensor ref_gw = frozen_matmul_tn(a, u);
     for (const Mode& mode : kModes) {
       apply_mode(mode);
       for (const i64 width : {1, 2, 4}) {
@@ -400,9 +393,6 @@ TEST(DispatchKernels, GemmTnPublicKernelsMatchTheFrozenLoop) {
                      " width=" + std::to_string(width));
         set_num_threads(width);
         EXPECT_TRUE(same_tensor(kernels::matmul_tn(a, g), ref));
-        Tensor gx, gw, gb;
-        kernels::linear_tanh_backward(g, y, a, w, gx, gw, gb);
-        EXPECT_TRUE(same_tensor(gw, ref_gw));
       }
     }
   }
@@ -688,8 +678,8 @@ TEST(DispatchExactness, ApplyGainMatchesTheFullPReference) {
 
 TEST(DispatchKernels, ForwardPathMatchesScalarUnderAuto) {
   // Every variant is bit-exact, so the public f32 kernels that dispatch
-  // (and the desc_d contraction on top of matnt_f32) must agree with
-  // forced-scalar byte for byte, on this CPU and with AVX2 masked.
+  // (and the bmm_nt descriptor contraction on top of matnt_f32) must agree
+  // with forced-scalar byte for byte, on this CPU and with AVX2 masked.
   BackendGuard guard;
   Rng rng(81);
   const Tensor x = Tensor::randn(33, 50, rng);
@@ -697,12 +687,14 @@ TEST(DispatchKernels, ForwardPathMatchesScalarUnderAuto) {
   const Tensor b = Tensor::randn(1, 25, rng);
   const Tensor wt = Tensor::randn(25, 50, rng);
   const i64 m = 25, m_axis = 16;
-  const Tensor desc_a = Tensor::randn(7 * m, 4, rng);
+  const Tensor a = Tensor::randn(7 * m, 4, rng);
+  const Tensor a_axis = Tensor::randn(7 * m_axis, 4, rng);
   auto run = [&] {
     return std::vector<Tensor>{
-        kernels::matmul(x, w), kernels::linear_tanh(x, w, b),
+        kernels::matmul(x, w), kernels::linear_fused(x, w, b),
         kernels::matmul_nt(x, wt),
-        deepmd::desc_d(ag::Variable(desc_a), m, m_axis).value()};
+        deepmd::bmm_nt(ag::Variable(a), ag::Variable(a_axis), m, m_axis)
+            .value()};
   };
   auto same = [](const Tensor& p, const Tensor& q) {
     return p.same_shape(q) &&

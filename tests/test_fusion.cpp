@@ -1,15 +1,11 @@
 // Fused-kernel equivalence and arena invariants (DESIGN.md §12).
 //
-// Tolerance contract: fused FORWARD values and FIRST-ORDER gradients are
-// BIT-IDENTICAL to the unfused reference (the fused kernels replay the
-// unfused accumulation orders), at thread widths 1 and 4. DOUBLE-BACKWARD
-// results are mathematically equal but composed from a different (coarser)
-// op sequence, so they agree to f32 roundoff — asserted at 1e-3 relative —
-// while remaining bit-identical across thread widths. The fused FEKF step
-// is bit-identical to the legacy four-launch sequence in every output.
+// Tolerance contract: fused FORWARD values, FIRST-ORDER gradients and the
+// cached-activation double backward are BIT-IDENTICAL to their references
+// at thread widths 1 and 4. The fused FEKF step is bit-identical to the
+// legacy four-launch sequence in every output.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -46,150 +42,25 @@ Tensor random_tensor(i64 rows, i64 cols, u64 seed) {
 }
 
 // ---------------------------------------------------------------------------
-// linear+tanh whole-layer fusion
+// Dense-layer and model force path
 // ---------------------------------------------------------------------------
 
-struct LinearTanhCase {
+struct DenseLayerCase {
   Variable x{random_tensor(48, 16, 101), true};
   Variable w{random_tensor(16, 24, 102), true};
   Variable b{random_tensor(1, 24, 103), true};
   Tensor s = random_tensor(48, 24, 104);  ///< non-trivial upstream gradient
 
-  Variable forward(bool fused) const {
-    return fused ? op::linear_tanh_fused(x, w, b)
-                 : op::tanh_fused(op::linear_fused(x, w, b));
-  }
-  Variable loss(bool fused) const {
-    return op::sum_all(op::mul(forward(fused), Variable(s)));
-  }
   std::vector<Variable> wrt() const { return {x, w, b}; }
 };
 
-TEST(Fusion, LinearTanhForwardBitExact) {
-  WidthGuard guard;
-  const LinearTanhCase c;
-  for (const i64 width : {1, 4}) {
-    set_num_threads(width);
-    ag::NoGradGuard no_grad;
-    const Tensor fused = c.forward(true).value();
-    const Tensor unfused = c.forward(false).value();
-    EXPECT_TRUE(bitwise_equal(fused, unfused)) << "width " << width;
-  }
-}
-
-TEST(Fusion, LinearTanhGradientBitExact) {
-  WidthGuard guard;
-  const LinearTanhCase c;
-  const auto wrt = c.wrt();
-  std::vector<Tensor> reference;
-  for (const i64 width : {1, 4}) {
-    set_num_threads(width);
-    auto gf = ag::grad(c.loss(true), wrt);
-    auto gu = ag::grad(c.loss(false), wrt);
-    for (std::size_t i = 0; i < wrt.size(); ++i) {
-      EXPECT_TRUE(bitwise_equal(gf[i].value(), gu[i].value()))
-          << "width " << width << " input " << i;
-      if (width == 1) {
-        reference.push_back(gf[i].value());
-      } else {
-        EXPECT_TRUE(bitwise_equal(gf[i].value(), reference[i]))
-            << "width determinism, input " << i;
-      }
-    }
-  }
-}
-
-TEST(Fusion, LinearTanhDoubleBackwardAgrees) {
-  WidthGuard guard;
-  const LinearTanhCase c;
-  const auto wrt = c.wrt();
-  const Tensor probe = random_tensor(48, 16, 105);  // contracts gx
-  auto second = [&](bool fused) {
-    auto g1 = ag::grad(c.loss(fused), wrt, {}, /*create_graph=*/true);
-    Variable z = op::sum_all(op::mul(g1[0], Variable(probe)));
-    return ag::grad(z, wrt);
-  };
-  std::vector<Tensor> reference;
-  for (const i64 width : {1, 4}) {
-    set_num_threads(width);
-    auto df = second(true);
-    auto du = second(false);
-    for (std::size_t i = 0; i < wrt.size(); ++i) {
-      // Different-but-equivalent contraction order: f32 roundoff tolerance.
-      for (i64 e = 0; e < df[i].numel(); ++e) {
-        const f64 a = df[i].value().data()[e];
-        const f64 r = du[i].value().data()[e];
-        EXPECT_NEAR(a, r, 1e-3 * (1.0 + std::abs(r)))
-            << "width " << width << " input " << i << " elem " << e;
-      }
-      // The fused double-backward itself must stay width-deterministic.
-      if (width == 1) {
-        reference.push_back(df[i].value());
-      } else {
-        EXPECT_TRUE(bitwise_equal(df[i].value(), reference[i]))
-            << "width determinism, input " << i;
-      }
-    }
-  }
-}
-
-TEST(Fusion, LinearTanhLaunchCounts) {
-  const LinearTanhCase c;
-  KernelCounter::enable(true);
-  KernelCounter::reset();
-  {
-    ag::NoGradGuard no_grad;
-    (void)c.forward(true);
-  }
-  auto bd = KernelCounter::breakdown();
-  EXPECT_EQ(bd["linear_tanh"], 1);
-  EXPECT_EQ(KernelCounter::total(), 1);  // the WHOLE layer is one launch
-
-  KernelCounter::reset();
-  (void)ag::grad(c.loss(true), c.wrt());
-  bd = KernelCounter::breakdown();
-  // One fused backward launch produces all three gradients.
-  EXPECT_EQ(bd["linear_tanh_backward"], 1);
-  EXPECT_EQ(bd["matmul_nt"], 0);
-  EXPECT_EQ(bd["matmul_tn"], 0);
-  EXPECT_EQ(bd["sum_rows"], 0);
-  KernelCounter::enable(false);
-}
-
-TEST(Fusion, LinearTanhBackwardFormsOnlyRequestedGrads) {
-  const LinearTanhCase c;
-  const Tensor y = kernels::linear_tanh(c.x.value(), c.w.value(),
-                                        c.b.value());
-  Tensor gx, gw, gb;
-  kernels::linear_tanh_backward(c.s, y, c.x.value(), c.w.value(), gx, gw, gb);
-  for (const kernels::LinearTanhGrads want :
-       {kernels::LinearTanhGrads{true, false, false},
-        kernels::LinearTanhGrads{false, true, false},
-        kernels::LinearTanhGrads{false, false, true},
-        kernels::LinearTanhGrads{false, true, true}}) {
-    Tensor px, pw, pb;
-    KernelCountScope scope;
-    kernels::linear_tanh_backward(c.s, y, c.x.value(), c.w.value(), px, pw,
-                                  pb, want);
-    EXPECT_EQ(scope.count(), 1);
-    EXPECT_TRUE(want.gx ? bitwise_equal(px, gx) : px.numel() == 0);
-    EXPECT_TRUE(want.gw ? bitwise_equal(pw, gw) : pw.numel() == 0);
-    EXPECT_TRUE(want.gb ? bitwise_equal(pb, gb) : pb.numel() == 0);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Whole-descriptor fusion (desc_a / desc_d) at model level
-// ---------------------------------------------------------------------------
-
-deepmd::ModelConfig small_config(deepmd::FusionLevel fusion) {
+deepmd::ModelConfig small_config() {
   deepmd::ModelConfig cfg;
   cfg.rcut = 5.0;
   cfg.rcut_smth = 2.5;
   cfg.embed_width = 8;
   cfg.axis_neurons = 4;
   cfg.fitting_width = 12;
-  cfg.fusion = fusion;
   return cfg;
 }
 
@@ -208,111 +79,17 @@ std::vector<md::Snapshot> sample_system(const std::string& name, i64 count,
   return md::sample_trajectory(*pot, st, spec.masses, cfg, rng);
 }
 
-struct ModelPair {
-  deepmd::DeepmdModel fused;
-  deepmd::DeepmdModel unfused;
-  std::shared_ptr<const deepmd::EnvData> env_f;
-  std::shared_ptr<const deepmd::EnvData> env_u;
+struct ModelCase {
+  deepmd::DeepmdModel model;
+  std::shared_ptr<const deepmd::EnvData> env;
 };
 
-ModelPair make_models(const std::string& system, i32 num_types, u64 seed) {
+ModelCase make_model(const std::string& system, i32 num_types, u64 seed) {
   auto snaps = sample_system(system, 2, seed);
-  ModelPair pair{
-      deepmd::DeepmdModel(small_config(deepmd::FusionLevel::kFused),
-                          num_types),
-      deepmd::DeepmdModel(small_config(deepmd::FusionLevel::kOpt2),
-                          num_types),
-      nullptr, nullptr};
-  pair.fused.fit_stats(snaps);
-  pair.unfused.set_stats(pair.fused.env_stats(), pair.fused.energy_stats());
-  pair.env_f = pair.fused.prepare(snaps[0]);
-  pair.env_u = pair.unfused.prepare(snaps[0]);
-  return pair;
-}
-
-TEST(Fusion, ModelForwardAndForcesBitExact) {
-  WidthGuard guard;
-  for (const i64 width : {1, 4}) {
-    set_num_threads(width);
-    ModelPair pair = make_models("NaCl", 2, 201);
-    auto pf = pair.fused.predict(pair.env_f, /*with_forces=*/true);
-    auto pu = pair.unfused.predict(pair.env_u, /*with_forces=*/true);
-    EXPECT_EQ(pf.energy.item(), pu.energy.item()) << "width " << width;
-    EXPECT_TRUE(bitwise_equal(pf.forces.value(), pu.forces.value()))
-        << "width " << width;
-  }
-}
-
-// The EKF force update differentiates the force graph w.r.t. the weights
-// (double backward). Fused and unfused compose different second-order op
-// sequences, so this is the tolerance-documented comparison.
-TEST(Fusion, ModelForceWeightGradientAgrees) {
-  WidthGuard guard;
-  ModelPair pair = make_models("Cu", 1, 202);
-  Rng rng(203);
-  Tensor sign_t(pair.env_f->natoms, 3);
-  for (i64 i = 0; i < sign_t.numel(); ++i) {
-    sign_t.data()[i] = rng.uniform() < 0.5 ? -1.0f : 1.0f;
-  }
-  const Variable sign(sign_t);
-  auto weight_grads = [&](deepmd::DeepmdModel& model,
-                          const std::shared_ptr<const deepmd::EnvData>& env) {
-    auto pred = model.predict(env, /*with_forces=*/true);
-    Variable m = op::sum_all(op::mul(pred.forces, sign));
-    return ag::grad(m, model.parameters());
-  };
-  std::vector<Tensor> width1;
-  for (const i64 width : {1, 4}) {
-    set_num_threads(width);
-    auto gf = weight_grads(pair.fused, pair.env_f);
-    auto gu = weight_grads(pair.unfused, pair.env_u);
-    ASSERT_EQ(gf.size(), gu.size());
-    for (std::size_t p = 0; p < gf.size(); ++p) {
-      for (i64 e = 0; e < gf[p].numel(); ++e) {
-        const f64 a = gf[p].value().data()[e];
-        const f64 r = gu[p].value().data()[e];
-        EXPECT_NEAR(a, r, 1e-3 * (1.0 + std::abs(r)))
-            << "width " << width << " param " << p << " elem " << e;
-      }
-      if (width == 1) {
-        width1.push_back(gf[p].value());
-      } else {
-        EXPECT_TRUE(bitwise_equal(gf[p].value(), width1[p]))
-            << "width determinism, param " << p;
-      }
-    }
-  }
-}
-
-TEST(Fusion, DescriptorLaunchCounts) {
-  ModelPair pair = make_models("NaCl", 2, 204);
-  KernelCounter::enable(true);
-  KernelCounter::reset();
-  i64 fused_total = 0;
-  {
-    KernelCountScope scope;
-    (void)pair.fused.predict(pair.env_f, /*with_forces=*/true);
-    fused_total = scope.count();
-  }
-  auto bd = KernelCounter::breakdown();
-  // The whole A and D contractions are one launch each; the whole gD -> gA
-  // backward is one launch; no unfused descriptor kernels fire.
-  EXPECT_EQ(bd["desc_a"], 1);
-  EXPECT_EQ(bd["desc_d"], 1);
-  EXPECT_EQ(bd["desc_d_grad"], 1);
-  EXPECT_EQ(bd["bmm_tn"], 0);
-  // 2 types x (3 embedding + 3 activated fitting layers), one launch each.
-  EXPECT_EQ(bd["linear_tanh"], 12);
-  EXPECT_EQ(bd["linear_tanh_backward"], 12);
-
-  i64 unfused_total = 0;
-  {
-    KernelCountScope scope;
-    (void)pair.unfused.predict(pair.env_u, /*with_forces=*/true);
-    unfused_total = scope.count();
-  }
-  KernelCounter::enable(false);
-  EXPECT_LT(fused_total, unfused_total);
+  ModelCase c{deepmd::DeepmdModel(small_config(), num_types), nullptr};
+  c.model.fit_stats(snaps);
+  c.env = c.model.prepare(snaps[0]);
+  return c;
 }
 
 // At the default rung the force path does only the work its result needs:
@@ -321,12 +98,12 @@ TEST(Fusion, DescriptorLaunchCounts) {
 // §8): no weight gradients in predict()'s dE/dR~ pass, no tanh at all in
 // the measurement's double backward.
 TEST(Fusion, Opt2ForcePathSkipsUnneededWork) {
-  ModelPair pair = make_models("NaCl", 2, 205);
-  deepmd::DeepmdModel& model = pair.unfused;
+  ModelCase c = make_model("NaCl", 2, 205);
+  deepmd::DeepmdModel& model = c.model;
   ASSERT_EQ(model.fusion(), deepmd::FusionLevel::kOpt2);
   KernelCounter::enable(true);
   KernelCounter::reset();
-  auto pred = model.predict(pair.env_u, /*with_forces=*/true);
+  auto pred = model.predict(c.env, /*with_forces=*/true);
   auto bd = KernelCounter::breakdown();
   // 2 types x (3 embedding + 3 activated fitting layers), one tanh each.
   EXPECT_EQ(bd["tanh"], 12);
@@ -335,7 +112,7 @@ TEST(Fusion, Opt2ForcePathSkipsUnneededWork) {
   EXPECT_EQ(bd["sum_rows"], 0);
 
   Rng rng(206);
-  Tensor sign_t(pair.env_u->natoms, 3);
+  Tensor sign_t(c.env->natoms, 3);
   for (i64 i = 0; i < sign_t.numel(); ++i) {
     sign_t.data()[i] = rng.uniform() < 0.5 ? -1.0f : 1.0f;
   }
@@ -399,7 +176,7 @@ Variable frozen_tanh_fused(const Variable& a) {
 
 TEST(Fusion, TanhFusedDoubleBackwardMatchesRecompute) {
   WidthGuard guard;
-  const LinearTanhCase c;
+  const DenseLayerCase c;
   const auto wrt = c.wrt();
   const Tensor probe = random_tensor(48, 16, 106);  // contracts gx
   // First and second derivatives of sum(tanh(x w + b) ⊙ s), the second
@@ -644,7 +421,8 @@ TEST(Arena, DisabledScopeAllocatesFromHeap) {
 
 TEST(Arena, ModelPredictInsideArenaMatchesHeap) {
   auto snaps = sample_system("Cu", 1, 401);
-  deepmd::DeepmdModel model(small_config(deepmd::FusionLevel::kFused), 1);
+  deepmd::DeepmdModel model(small_config(), 1);
+  ASSERT_EQ(model.fusion(), deepmd::FusionLevel::kOpt2);
   model.fit_stats(snaps);
   auto env = model.prepare(snaps[0]);
 

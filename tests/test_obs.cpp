@@ -670,7 +670,8 @@ TEST(Observer, LcurveStreamMatchesPostHocWrite) {
 
 TEST(Observer, TraceCoversTrainingPhases) {
   // A traced training run must attribute every Figure 7(c) phase plus the
-  // step/eval envelopes — the acceptance surface of DESIGN.md §11.
+  // step/eval envelopes and the model layers below deepmd.predict — the
+  // acceptance surface of DESIGN.md §11.
   TraceScope scope(/*enabled=*/true);
   data::DatasetConfig dcfg;
   dcfg.train_per_temperature = 2;
@@ -693,7 +694,8 @@ TEST(Observer, TraceCoversTrainingPhases) {
   auto by_name = TraceRecorder::instance().span_seconds_by_name();
   for (const char* phase :
        {"step", "eval", "forward", "gradient", "kf_update", "kalman.update",
-        "deepmd.predict"}) {
+        "deepmd.predict", "deepmd.env_build", "deepmd.embedding",
+        "deepmd.descriptor", "deepmd.fitting"}) {
     EXPECT_TRUE(by_name.count(phase)) << "missing span: " << phase;
   }
   const std::string json = TraceRecorder::instance().chrome_trace_json();

@@ -172,6 +172,7 @@ TEST(Serialize, InvalidConfigLineNamesFileAndLine) {
   const std::pair<const char*, const char*> rows[] = {
       // config num_types rcut rcut_smth embed axis fit fusion
       {"config 2 5 2.5 8 4 12 2", nullptr},
+      {"config 2 5 2.5 8 4 12 3", "fusion"},
       {"config 2 5 2.5 8 4 12 9", "fusion"},
       {"config 2 5 2.5 8 4 12 -7", "fusion"},
       {"config 2 nan 2.5 8 4 12 2", "rcut"},

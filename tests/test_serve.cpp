@@ -215,9 +215,8 @@ TEST(Evaluator, BatchMatchesDirectBitExactTwoTypes) {
 TEST(Evaluator, BatchMatchesDirectAcrossFusionLevels) {
   data::Dataset ds = small_dataset("NaCl");
   deepmd::DeepmdModel model = make_model(ds, 2);
-  for (auto level : {deepmd::FusionLevel::kBaseline,
-                     deepmd::FusionLevel::kOpt1,
-                     deepmd::FusionLevel::kFused}) {
+  for (auto level :
+       {deepmd::FusionLevel::kBaseline, deepmd::FusionLevel::kOpt1}) {
     model.set_fusion(level);
     expect_batch_matches_direct(model, std::span(ds.test.data(), 2));
   }
