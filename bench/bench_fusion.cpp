@@ -73,50 +73,12 @@ int main(int argc, char** argv) {
   Table table({"comparison", "fused s/rep", "unfused s/rep", "speedup",
                "fused launches", "unfused launches"});
 
-  // ---- fused EKF step -------------------------------------------------
-  Result ekf;
-  {
-    const i64 n = cli.get_int("ekf-n");
-    std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
-    optim::KalmanConfig fused_cfg;
-    optim::KalmanConfig legacy_cfg;
-    legacy_cfg.level = optim::EkfLevel::kOpt3;
-    optim::KalmanOptimizer fused_opt(blocks, fused_cfg);
-    optim::KalmanOptimizer legacy_opt(blocks, legacy_cfg);
-    Rng rng(13);
-    std::vector<f64> g(static_cast<std::size_t>(n));
-    for (f64& v : g) v = rng.gaussian() * 0.05;
-    std::vector<f64> wf(static_cast<std::size_t>(n), 0.0);
-    std::vector<f64> wl(static_cast<std::size_t>(n), 0.0);
-    measure([&] { fused_opt.update(g, 0.1, wf); }, reps, &ekf.fused_s,
-            &ekf.fused_launches);
-    measure([&] { legacy_opt.update(g, 0.1, wl); }, reps, &ekf.unfused_s,
-            &ekf.unfused_launches);
-    FEKF_CHECK(ekf.fused_launches == 1,
-               "fused EKF step issued " + std::to_string(ekf.fused_launches) +
-                   " launches per block, budget is 1");
-    FEKF_CHECK(ekf.unfused_launches == 4,
-               "legacy EKF step issued " +
-                   std::to_string(ekf.unfused_launches) +
-                   " launches per block, expected 4");
-    // Both optimizers saw the identical update sequence: state must match
-    // bit for bit (the fused sweep replays the legacy accumulation order;
-    // state() writes the fused optimizer's pending step first).
-    FEKF_CHECK(wf == wl, "fused EKF weights diverged from legacy");
-    FEKF_CHECK(fused_opt.state().p == legacy_opt.state().p,
-               "fused EKF covariance diverged from legacy");
-    table.add_row({"EKF block update", fmt("%.6f", ekf.fused_s),
-                   fmt("%.6f", ekf.unfused_s), fmt("%.2fx", ekf.speedup()),
-                   std::to_string(ekf.fused_launches),
-                   std::to_string(ekf.unfused_launches)});
-  }
-
   // ---- fused EKF step per kernel backend ------------------------------
-  // Same comparison as above under FEKF_KERNEL_BACKEND=scalar and auto
-  // (DESIGN.md §13). Every gain body either path can select keeps the
-  // reference chains, so the bit-identity assertion must hold under both,
-  // and the two rows show what the auto-selected rung buys on the EKF
-  // update.
+  // Under FEKF_KERNEL_BACKEND=scalar and auto (DESIGN.md §13; auto is the
+  // default). Every gain body either path can select keeps the reference
+  // chains, so the launch budget and the bit-identity assertions must hold
+  // under both, and the two rows show what the auto-selected rung buys on
+  // the EKF update.
   std::vector<std::pair<std::string, Result>> ekf_backends;
   {
     const i64 n = cli.get_int("ekf-n");
@@ -142,6 +104,18 @@ int main(int argc, char** argv) {
       measure([&] { legacy_opt.update(g, 0.1, wl); }, reps, &r.unfused_s,
               &r.unfused_launches);
       const char* name = dispatch::backend_name(backend);
+      FEKF_CHECK(r.fused_launches == 1,
+                 "fused EKF step issued " + std::to_string(r.fused_launches) +
+                     " launches per block under backend " + name +
+                     ", budget is 1");
+      FEKF_CHECK(r.unfused_launches == 4,
+                 "legacy EKF step issued " +
+                     std::to_string(r.unfused_launches) +
+                     " launches per block under backend " + name +
+                     ", expected 4");
+      // Both optimizers saw the identical update sequence: state must match
+      // bit for bit (the fused sweep replays the legacy accumulation order;
+      // state() writes the fused optimizer's pending step first).
       FEKF_CHECK(wf == wl, std::string("fused EKF weights diverged from "
                                        "legacy under backend ") +
                                name);
@@ -244,9 +218,9 @@ int main(int argc, char** argv) {
     json += "  \"arena_peak_scope_bytes\": " +
             std::to_string(arena_peak_bytes) + ",\n";
     json += "  \"comparisons\": [\n";
-    json += entry("ekf_block_update", ekf);
     for (const auto& [backend, result] : ekf_backends) {
-      json += ",\n" + entry(("ekf_block_update_" + backend).c_str(), result);
+      if (backend != ekf_backends.front().first) json += ",\n";
+      json += entry(("ekf_block_update_" + backend).c_str(), result);
     }
     if (arena_available) {
       json += ",\n" + entry("arena_vs_heap", arena);

@@ -1,9 +1,9 @@
 #include "dist/cluster.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "core/fault.hpp"
-#include "data/dataset.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "train/observer.hpp"
@@ -391,7 +391,8 @@ DistributedResult train_fekf_distributed(
     deepmd::DeepmdModel& model, std::span<const EnvPtr> train_envs,
     std::span<const EnvPtr> test_envs, const DistributedConfig& config) {
   config.validate();
-  FEKF_CHECK(config.options.batch_size >= config.ranks,
+  const train::TrainOptions& options = config.options;
+  FEKF_CHECK(options.batch_size >= config.ranks,
              "global batch must cover all ranks");
   FEKF_CHECK(!train_envs.empty(), "empty training set");
 
@@ -402,42 +403,18 @@ DistributedResult train_fekf_distributed(
   optim::KalmanOptimizer kalman(std::move(blocks), config.kalman);
   std::vector<f64> weights(static_cast<std::size_t>(flat.size()));
   std::vector<f64> grad(static_cast<std::size_t>(flat.size()));
+  std::vector<f64> snap_weights;
   flat.gather(weights);
 
   const i64 grad_payload = flat.size() * static_cast<i64>(sizeof(f64));
   VirtualCluster cluster(config, grad_payload, kalman.p_bytes());
   const i64 natoms = train_envs.front()->natoms;
-  Rng group_rng(config.options.seed ^ 0xd1570ULL);
-  data::BatchSampler sampler(static_cast<i64>(train_envs.size()),
-                             config.options.batch_size, config.options.seed);
-
-  i64 start_epoch = 1;
-  if (!config.options.resume_from.empty()) {
-    train::LoadedCheckpoint loaded =
-        train::load_checkpoint(config.options.resume_from);
-    train::TrainingCheckpoint& ckpt = loaded.state;
-    FEKF_CHECK(ckpt.layout == model.parameter_layout(),
-               "checkpoint '" + config.options.resume_from +
-                   "' does not match the model architecture "
-                   "(parameter layout differs)");
-    FEKF_CHECK(ckpt.optimizer.kind ==
-                   train::OptimizerCheckpoint::Kind::kKalman,
-               "checkpoint optimizer state is not a shared-P Kalman filter");
-    FEKF_CHECK(ckpt.has_group_rng,
-               "checkpoint is missing the force-group RNG stream");
-    weights = std::move(ckpt.weights);
-    flat.scatter(weights);
-    kalman.set_state(ckpt.optimizer.kalman);
-    sampler.set_state(ckpt.sampler);
-    group_rng.set_state(ckpt.group_rng);
-    result.train.steps = ckpt.steps;
-    result.train.history = std::move(ckpt.history);
-    result.train.faults = std::move(ckpt.faults);
-    start_epoch = ckpt.epoch;
-    if (ckpt.membership.present) cluster.restore_membership(ckpt.membership);
-  }
+  // KalmanTrainer's force-group stream and quasi-learning-rate rule, so a
+  // 1-rank run reproduces KalmanTrainer FEKF bit for bit.
+  Rng group_rng(options.seed ^ 0x9e3779b9ULL);
 
   i64 current_step = 0;
+  train::StepSignals signals;
   std::vector<f64> shard_seconds;
 
   // One reduced update: run every live rank's shard for real, take the
@@ -471,6 +448,11 @@ DistributedResult train_fekf_distributed(
           abe += shard.abe * shard_weight;
           shard_seconds[static_cast<std::size_t>(r)] = shard.seconds;
         }
+        if (FaultInjector::instance().fire(faults::kNanGrad, current_step)) {
+          grad[0] = std::numeric_limits<f64>::quiet_NaN();
+        }
+        signals.loss += std::abs(abe);
+        for (const f64 g : grad) signals.grad_norm2 += g * g;
         const f64 compute_s = cluster.compute_seconds(shard_seconds);
         // Ring allreduce of the reduced gradient + the scalar error. P is
         // NOT communicated: every rank applies the identical update below.
@@ -524,8 +506,10 @@ DistributedResult train_fekf_distributed(
         f64 kf_seconds = 0.0;
         {
           obs::ScopedSpan kf_span("kf_update", "train");
-          kalman.update(grad, std::sqrt(static_cast<f64>(bs)) * abe, weights,
-                        step_norm_cap, abe);
+          const f64 factor = options.qlr_factor >= 0.0
+                                 ? options.qlr_factor
+                                 : std::sqrt(static_cast<f64>(bs));
+          kalman.update(grad, factor * abe, weights, step_norm_cap, abe);
           flat.scatter(weights);
           kf_seconds = kf_watch.seconds();
         }
@@ -542,110 +526,73 @@ DistributedResult train_fekf_distributed(
         }
       };
 
-  Stopwatch total_watch;
-  std::vector<i64> indices;
-  std::vector<EnvPtr> batch;
-  for (i64 epoch = start_epoch; epoch <= config.options.max_epochs; ++epoch) {
-    while (sampler.next(indices)) {
-      batch.clear();
-      for (const i64 idx : indices) {
-        batch.push_back(train_envs[static_cast<std::size_t>(idx)]);
-      }
-      current_step = result.train.steps + 1;
-      result.simulated_seconds +=
-          cluster.poll_faults(current_step, result.train.faults);
+  train::ResilienceHooks hooks;
+  hooks.run_step = [&](std::span<const EnvPtr> batch, i64 step_index,
+                       FaultLog& log) -> train::StepSignals {
+    current_step = step_index;
+    signals = {};
+    result.simulated_seconds += cluster.poll_faults(step_index, log);
+    reduced_update(
+        batch,
+        [&](std::span<const EnvPtr> shard) {
+          return train::energy_measurement(model, shard);
+        },
+        /*step_norm_cap=*/0.0);
+    auto groups = train::make_force_groups(
+        natoms, options.force_updates_per_step, group_rng);
+    for (const auto& group : groups) {
       reduced_update(
           batch,
           [&](std::span<const EnvPtr> shard) {
-            return train::energy_measurement(model, shard);
+            return train::force_measurement(model, shard, group,
+                                            options.force_prefactor);
           },
-          /*step_norm_cap=*/0.0);
-      auto groups = train::make_force_groups(
-          natoms, config.options.force_updates_per_step, group_rng);
-      for (const auto& group : groups) {
-        reduced_update(
-            batch,
-            [&](std::span<const EnvPtr> shard) {
-              return train::force_measurement(model, shard, group,
-                                              config.options.force_prefactor);
-            },
-            /*step_norm_cap=*/std::nullopt);
-      }
-      ++result.train.steps;
-      {
-        train::StepEvent step_event;
-        step_event.step = result.train.steps;
-        step_event.epoch = epoch;
-        for (train::TrainObserver* observer : config.options.observers) {
-          observer->on_step(step_event);
-        }
-      }
-      if (config.options.checkpoint_every > 0 &&
-          result.train.steps % config.options.checkpoint_every == 0) {
-        Stopwatch ckpt_watch;
-        train::TrainingCheckpoint ckpt;
-        ckpt.epoch = epoch;
-        ckpt.steps = result.train.steps;
-        ckpt.layout = model.parameter_layout();
-        ckpt.weights = weights;
-        ckpt.optimizer.kind = train::OptimizerCheckpoint::Kind::kKalman;
-        ckpt.optimizer.kalman = kalman.state();
-        ckpt.sampler = sampler.state();
-        ckpt.has_group_rng = true;
-        ckpt.group_rng = group_rng.state();
-        ckpt.history = result.train.history;
-        ckpt.faults = result.train.faults;
-        ckpt.membership = cluster.membership();
-        train::save_checkpoint(ckpt, model, config.options.checkpoint_path);
-        result.train.checkpoint_seconds += ckpt_watch.seconds();
-        {
-          train::CheckpointEvent ckpt_event;
-          ckpt_event.step = result.train.steps;
-          ckpt_event.path = config.options.checkpoint_path;
-          ckpt_event.seconds = ckpt_watch.seconds();
-          for (train::TrainObserver* observer : config.options.observers) {
-            observer->on_checkpoint(ckpt_event);
-          }
-        }
-        if (obs::metrics_enabled()) {
-          obs::MetricsRegistry::instance()
-              .counter("dist.checkpoints")
-              .inc();
-        }
-      }
+          /*step_norm_cap=*/std::nullopt);
     }
-    train::EpochRecord record;
-    record.epoch = epoch;
-    record.cumulative_seconds = result.simulated_seconds;
-    record.train = train::evaluate(model, train_envs,
-                                   config.options.eval_max_samples,
-                                   config.options.eval_forces);
-    if (!test_envs.empty()) {
-      record.test = train::evaluate(model, test_envs,
-                                    config.options.eval_max_samples,
-                                    config.options.eval_forces);
-    }
-    result.train.history.push_back(record);
-    for (train::TrainObserver* observer : config.options.observers) {
-      observer->on_eval(record);
-    }
-    if (!result.train.converged && config.options.target_total_rmse > 0.0 &&
-        record.train.total() <= config.options.target_total_rmse) {
-      result.train.converged = true;
-      result.train.epochs_to_converge = epoch;
-      result.train.seconds_to_converge = total_watch.seconds();
-      result.simulated_seconds_to_converge = result.simulated_seconds;
-      break;
-    }
+    return signals;
+  };
+  hooks.snapshot = [&] {
+    obs::ScopedSpan span("train.snapshot", "train");
+    snap_weights = weights;
+    kalman.snapshot();
+  };
+  hooks.rollback = [&] {
+    obs::ScopedSpan span("train.rollback", "train");
+    weights = snap_weights;
+    kalman.rollback();
+    kalman.recondition();
+    flat.scatter(weights);
+  };
+  hooks.covariance_health = [&] { return kalman.last_max_diag(); };
+  // Distributed checkpoints also carry the membership table, so a resumed
+  // run continues on the same live set.
+  hooks.capture = [&](train::TrainingCheckpoint& ckpt) {
+    ckpt.optimizer.kind = train::OptimizerCheckpoint::Kind::kKalman;
+    ckpt.optimizer.kalman = kalman.state();
+    ckpt.has_group_rng = true;
+    ckpt.group_rng = group_rng.state();
+    ckpt.membership = cluster.membership();
+  };
+  hooks.restore = [&](const train::TrainingCheckpoint& ckpt) {
+    FEKF_CHECK(ckpt.optimizer.kind ==
+                   train::OptimizerCheckpoint::Kind::kKalman,
+               "checkpoint optimizer state is not a shared-P Kalman filter");
+    FEKF_CHECK(ckpt.has_group_rng,
+               "checkpoint is missing the force-group RNG stream");
+    kalman.set_state(ckpt.optimizer.kalman);
+    group_rng.set_state(ckpt.group_rng);
+    if (ckpt.membership.present) cluster.restore_membership(ckpt.membership);
+  };
+
+  result.train = train::run_resilient_epochs(model, train_envs, test_envs,
+                                             options, flat, weights, hooks);
+  // The loop returns right after the converging evaluation.
+  if (result.train.converged) {
+    result.simulated_seconds_to_converge = result.simulated_seconds;
   }
-  result.train.total_seconds = total_watch.seconds();
   result.surviving_ranks = cluster.live_ranks();
   result.membership = cluster.membership();
   result.comm = cluster.ledger();
-  if (!result.train.history.empty()) {
-    result.train.final_train = result.train.history.back().train;
-    result.train.final_test = result.train.history.back().test;
-  }
   return result;
 }
 

@@ -29,6 +29,13 @@
 // decisions depend only on deterministic step counts — never on measured
 // wall-clock — and a spec replays identically run to run.
 //
+// Training runs on the resilient epoch loop every trainer shares
+// (train::run_resilient_epochs, DESIGN.md §10): the distributed step differs
+// from KalmanTrainer's FEKF step only in how (g, ABE) is formed, so the
+// divergence sentinels, nan_grad and corrupt_ckpt injection, checkpoints,
+// max_steps and the observers cover the cluster path too. One rank with no
+// faults is KalmanTrainer FEKF bit for bit (tests/test_dist.cpp).
+//
 // Determinism contract (tests/test_dist_elastic.cpp):
 //   - Link faults (msg_drop / msg_corrupt) and a straggler under the
 //     kWait policy cost only simulated time. Final weights are
@@ -237,14 +244,17 @@ class VirtualCluster {
   CommLedger ledger_;
 };
 
-/// Data-parallel FEKF on the virtual cluster. Each step shards the global
-/// batch across the LIVE ranks, reduces gradients/errors, and applies one
-/// shared Kalman update (replicated deterministically on every rank, so it
-/// is timed once). Honors options.checkpoint_every / checkpoint_path /
-/// resume_from: distributed checkpoints carry the membership table, so a
-/// resumed run continues with the same live set and reproduces the
-/// uninterrupted weight trajectory bit-for-bit (the simulated clock and
-/// ledger restart at zero and cover only the resumed segment).
+/// Data-parallel FEKF on the virtual cluster. Each step polls the cluster's
+/// faults, then shards the global batch across the LIVE ranks, reduces
+/// gradients/errors, and applies one shared Kalman update (replicated
+/// deterministically on every rank, so it is timed once). Every
+/// TrainOptions field is honored as in KalmanTrainer; distributed
+/// checkpoints also carry the membership table, so a resumed run continues
+/// with the same live set and reproduces the uninterrupted weight
+/// trajectory bit-for-bit (the simulated clock and ledger restart at zero
+/// and cover only the resumed segment). `train.history[].cumulative_seconds`
+/// is measured wall time; `simulated_seconds_to_converge` is the simulated
+/// clock at the converging evaluation.
 DistributedResult train_fekf_distributed(deepmd::DeepmdModel& model,
                                          std::span<const train::EnvPtr> train_envs,
                                          std::span<const train::EnvPtr> test_envs,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <exception>
-#include <functional>
 #include <limits>
 
 #include "autograd/ops.hpp"
@@ -50,23 +49,6 @@ void TrainOptions::validate() const {
 
 namespace {
 
-/// Per-step health signals a trainer reports back to the resilient loop.
-struct StepSignals {
-  f64 loss = 0.0;        ///< sum of |ABE| per update, or the Adam loss
-  f64 grad_norm2 = 0.0;  ///< squared norm of the gathered gradient(s)
-};
-
-/// Trainer-specific operations the shared loop composes. All state they
-/// touch (weights, optimizer, RNGs) lives in the trainer.
-struct ResilienceHooks {
-  std::function<StepSignals(std::span<const EnvPtr>, i64)> run_step;
-  std::function<void()> snapshot;
-  std::function<void()> rollback;  ///< restore snapshot + recondition
-  std::function<f64()> covariance_health;  ///< max P diagonal (0 for Adam)
-  std::function<void(TrainingCheckpoint&)> capture;
-  std::function<void(const TrainingCheckpoint&)> restore;
-};
-
 bool all_finite(const std::vector<f64>& v) {
   for (const f64 x : v) {
     if (!std::isfinite(x)) return false;
@@ -74,13 +56,14 @@ bool all_finite(const std::vector<f64>& v) {
   return true;
 }
 
-/// Shared resilient epoch loop (DESIGN.md §10). One iteration = one
-/// guarded optimizer step: run it, check the sentinels, and either accept
-/// (advance the loss EMA, refresh the snapshot) or recover (roll back,
-/// recondition, log, skip the batch). Worker exceptions funnel into the
-/// same recovery path, so a throw mid-step can never leave half-applied
-/// trainer state behind. Checkpoints are written only at step boundaries,
-/// after the step's state is fully applied.
+f64 squared_norm(const std::vector<f64>& v) {
+  f64 norm2 = 0.0;
+  for (const f64 x : v) norm2 += x * x;
+  return norm2;
+}
+
+}  // namespace
+
 TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
                                  std::span<const EnvPtr> train_envs,
                                  std::span<const EnvPtr> test_envs,
@@ -135,7 +118,8 @@ TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
         obs::ScopedSpan step_span("step", "train");
         step_span.arg("step", static_cast<f64>(step_index));
         try {
-          sig = hooks.run_step(std::span<const EnvPtr>(batch), step_index);
+          sig = hooks.run_step(std::span<const EnvPtr>(batch), step_index,
+                               result.faults);
         } catch (...) {
           error = std::current_exception();
         }
@@ -312,14 +296,6 @@ TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
   return result;
 }
 
-f64 squared_norm(const std::vector<f64>& v) {
-  f64 norm2 = 0.0;
-  for (const f64 x : v) norm2 += x * x;
-  return norm2;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // AdamTrainer
 // ---------------------------------------------------------------------------
@@ -379,8 +355,8 @@ TrainResult AdamTrainer::train(std::span<const EnvPtr> train_envs,
                                std::span<const EnvPtr> test_envs) {
   auto params = flat_.params();
   ResilienceHooks hooks;
-  hooks.run_step = [&](std::span<const EnvPtr> batch,
-                       i64 step_index) -> StepSignals {
+  hooks.run_step = [&](std::span<const EnvPtr> batch, i64 step_index,
+                       FaultLog&) -> StepSignals {
     current_step_ = step_index;
     // The loss graph is declared after the scope, so it is destroyed
     // before the arena rewinds (the StepSignals return value is built
@@ -615,8 +591,8 @@ TrainResult KalmanTrainer::train(std::span<const EnvPtr> train_envs,
   group_rng_.reseed(options_.seed ^ 0x9e3779b9ULL);
   const i64 natoms = train_envs.front()->natoms;
   ResilienceHooks hooks;
-  hooks.run_step = [&](std::span<const EnvPtr> batch,
-                       i64 step_index) -> StepSignals {
+  hooks.run_step = [&](std::span<const EnvPtr> batch, i64 step_index,
+                       FaultLog&) -> StepSignals {
     current_step_ = step_index;
     step_loss_ = 0.0;
     step_grad_norm2_ = 0.0;

@@ -16,7 +16,7 @@
 // gradient (backward pass), and kf_update / adam_update (optimizer
 // algebra). Read the split with obs::SpanClock.
 //
-// Both trainers share one resilient step loop (DESIGN.md §10): every
+// Every trainer shares one resilient step loop (DESIGN.md §10): every
 // optimizer step is guarded by divergence sentinels (non-finite loss /
 // gradient / weights / covariance, loss explosion) and by a try/catch
 // around the whole step, so a worker exception or a numerically diverging
@@ -26,6 +26,8 @@
 // (train/checkpoint.hpp) every `checkpoint_every` steps and can resume
 // from one bit-exactly via `resume_from`.
 #pragma once
+
+#include <functional>
 
 #include "core/timer.hpp"
 #include "optim/adam.hpp"
@@ -95,7 +97,7 @@ struct TrainOptions {
   std::vector<TrainObserver*> observers;
 
   /// Reject non-positive sizes / non-finite rates with a clear Error.
-  /// Called by both trainers before the first step.
+  /// Called by every trainer before the first step.
   void validate() const;
 };
 
@@ -113,6 +115,45 @@ struct TrainResult {
   f64 recovery_seconds = 0.0;    ///< spent restoring snapshots
   f64 checkpoint_seconds = 0.0;  ///< spent writing checkpoints
 };
+
+/// Per-step health signals a step reports back to the resilient loop.
+struct StepSignals {
+  f64 loss = 0.0;        ///< sum of |ABE| per update, or the Adam loss
+  f64 grad_norm2 = 0.0;  ///< squared norm of the gathered gradient(s)
+};
+
+/// Trainer-specific operations the resilient loop composes. All state they
+/// touch (weights, optimizer, RNGs) lives with the trainer.
+struct ResilienceHooks {
+  /// One optimizer step on a batch at its 1-based step index. Events the
+  /// step records itself (the virtual cluster's membership faults) go to
+  /// the run's FaultLog.
+  std::function<StepSignals(std::span<const EnvPtr>, i64, FaultLog&)> run_step;
+  std::function<void()> snapshot;
+  std::function<void()> rollback;  ///< restore snapshot + recondition
+  std::function<f64()> covariance_health;  ///< max P diagonal (0 for Adam)
+  std::function<void(TrainingCheckpoint&)> capture;
+  std::function<void(const TrainingCheckpoint&)> restore;
+};
+
+/// The resilient epoch loop every trainer runs (DESIGN.md §10): Adam, the
+/// EKF family, and the data-parallel FEKF of dist/cluster.hpp. One
+/// iteration = one guarded optimizer step: run it, check the sentinels, and
+/// either accept (advance the loss EMA, refresh the snapshot) or recover
+/// (roll back, recondition, log, skip the batch). Worker exceptions funnel
+/// into the same recovery path, so a throw mid-step can never leave
+/// half-applied trainer state behind. The loop owns the batch sampler,
+/// resume, the epoch evaluation and the convergence test. Checkpoints are
+/// written only at step boundaries, after the step's state is fully
+/// applied. `weights` is the authoritative flat weight vector `flat`
+/// scatters into the model.
+TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
+                                 std::span<const EnvPtr> train_envs,
+                                 std::span<const EnvPtr> test_envs,
+                                 const TrainOptions& options,
+                                 optim::FlatParams& flat,
+                                 std::vector<f64>& weights,
+                                 const ResilienceHooks& hooks);
 
 class AdamTrainer {
  public:

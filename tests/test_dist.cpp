@@ -1,8 +1,11 @@
 // Virtual-cluster tests: interconnect model properties, communication
 // ledger accounting (FEKF ships gradients only, never P), and distributed
-// training equivalence/scaling behaviour.
+// training equivalence/scaling behaviour on the shared resilient loop.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "core/fault.hpp"
 #include "data/dataset.hpp"
 #include "dist/cluster.hpp"
 
@@ -61,6 +64,22 @@ Fixture make_fixture(i64 per_temp = 8) {
   f.model->fit_stats(f.dataset.train);
   f.train_envs = train::prepare_all(*f.model, f.dataset.train);
   return f;
+}
+
+/// Pins the injector to `spec` for the test, restoring the ambient
+/// FEKF_FAULT_SPEC arms on scope exit.
+struct InjectorGuard {
+  explicit InjectorGuard(const std::string& spec = {}) {
+    FaultInjector::instance().configure(spec);
+  }
+  ~InjectorGuard() { FaultInjector::instance().configure_from_env(); }
+};
+
+std::vector<f64> gather_weights(deepmd::DeepmdModel& model) {
+  optim::FlatParams flat(model.parameters());
+  std::vector<f64> w(static_cast<std::size_t>(flat.size()));
+  flat.gather(w);
+  return w;
 }
 
 DistributedConfig base_config(i64 ranks, i64 batch) {
@@ -137,6 +156,61 @@ TEST(Distributed, ConvergenceRecordsSimulatedTime) {
   EXPECT_GT(result.simulated_seconds_to_converge, 0.0);
   EXPECT_LE(result.simulated_seconds_to_converge,
             result.simulated_seconds + 1e-9);
+}
+
+TEST(Distributed, SingleRankMatchesKalmanTrainerBitExactly) {
+  // One rank reduces nothing, so the distributed step is KalmanTrainer's
+  // FEKF step: same loop, force-group stream and quasi-learning rate.
+  InjectorGuard guard;
+  for (const f64 qlr_factor : {-1.0, 1.0}) {
+    SCOPED_TRACE(qlr_factor);
+    DistributedConfig cfg = base_config(1, 4);
+    cfg.options.max_epochs = 2;
+    cfg.options.qlr_factor = qlr_factor;
+    Fixture local = make_fixture(4);
+    train::KalmanTrainer trainer(*local.model, cfg.kalman, cfg.options);
+    const train::TrainResult expected = trainer.train(local.train_envs, {});
+    Fixture dist = make_fixture(4);
+    const DistributedResult result =
+        train_fekf_distributed(*dist.model, dist.train_envs, {}, cfg);
+
+    EXPECT_EQ(gather_weights(*dist.model), gather_weights(*local.model));
+    EXPECT_EQ(result.train.steps, expected.steps);
+    ASSERT_EQ(result.train.history.size(), expected.history.size());
+    for (std::size_t e = 0; e < expected.history.size(); ++e) {
+      EXPECT_EQ(result.train.history[e].train.energy_rmse,
+                expected.history[e].train.energy_rmse);
+      EXPECT_EQ(result.train.history[e].train.force_rmse,
+                expected.history[e].train.force_rmse);
+    }
+  }
+}
+
+TEST(Distributed, NanGradientRollsBackAndTrainingContinues) {
+  InjectorGuard guard("nan_grad@step=2");
+  Fixture f = make_fixture(4);
+  DistributedConfig cfg = base_config(2, 4);
+  const DistributedResult result =
+      train_fekf_distributed(*f.model, f.train_envs, {}, cfg);
+  ASSERT_EQ(result.train.faults.count("nonfinite_signal"), 1);
+  for (const FaultEvent& e : result.train.faults.events) {
+    if (e.kind != "nonfinite_signal") continue;
+    EXPECT_EQ(e.step, 2);
+    EXPECT_EQ(e.action, "rollback_skip_batch");
+  }
+  for (const f64 w : gather_weights(*f.model)) {
+    ASSERT_TRUE(std::isfinite(w));
+  }
+}
+
+TEST(Distributed, MaxStepsStopsTheRun) {
+  Fixture f = make_fixture(4);
+  DistributedConfig cfg = base_config(2, 4);
+  cfg.options.max_steps = 3;
+  const DistributedResult result =
+      train_fekf_distributed(*f.model, f.train_envs, {}, cfg);
+  EXPECT_EQ(result.train.steps, 3);
+  EXPECT_EQ(result.comm.steps, 3 * 5);
 }
 
 }  // namespace
