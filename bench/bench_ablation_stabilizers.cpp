@@ -8,10 +8,11 @@
 //   - force-update trust region
 // The Newton-closure clamp on the sqrt(bs) step has no off switch; its
 // firings are counted like the others'.
-// Reported per variant: best and final (E+F) RMSE over the run, and how
-// often each knob fired (the run's deltas of the kalman.p_rescales,
-// kalman.step_clamps and kalman.newton_clamps counters). A knob whose
-// count is 0 did not touch that run's trajectory.
+// Reported per variant: best and final (E+F) RMSE over the run, the final
+// per-atom energy residual split into its mean (a constant offset) and its
+// spread about that mean, and how often each knob fired (the run's deltas
+// of the kalman.p_rescales, kalman.step_clamps and kalman.newton_clamps
+// counters). A knob whose count is 0 did not touch that run's trajectory.
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 
@@ -53,7 +54,8 @@ int main(int argc, char** argv) {
   obs::set_metrics_enabled(true);
   auto& metrics = obs::MetricsRegistry::instance();
   Table table({"variant", "best (E+F) RMSE", "final (E+F) RMSE",
-               "epochs run", "p rescales", "step clamps", "newton clamps"});
+               "final E offset/atom", "final E spread/atom", "epochs run",
+               "p rescales", "step clamps", "newton clamps"});
   for (const Variant& v : variants) {
     i64 before[3];
     for (int k = 0; k < 3; ++k) {
@@ -74,9 +76,13 @@ int main(int argc, char** argv) {
     train::TrainResult r = trainer.train(f.train_envs, {});
     f64 best = 1e30;
     for (const auto& rec : r.history) best = std::min(best, rec.train.total());
-    std::vector<std::string> row{v.name, Table::num(best),
-                                 Table::num(r.final_train.total()),
-                                 std::to_string(r.history.size())};
+    std::vector<std::string> row{
+        v.name,
+        Table::num(best),
+        Table::num(r.final_train.total()),
+        Table::num(r.final_train.energy_offset_per_atom),
+        Table::num(r.final_train.energy_spread_per_atom),
+        std::to_string(r.history.size())};
     for (int k = 0; k < 3; ++k) {
       row.push_back(std::to_string(
           metrics.counter(kFiringCounters[k]).value() - before[k]));
@@ -86,7 +92,9 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nThe last three columns count each knob's firings in that run. A "
+      "\nThe offset and spread columns split the final per-atom training "
+      "energy residual (eV) into its mean and its RMS about that mean. "
+      "The last three columns count each knob's firings in that run. A "
       "rescale or clamp with a 0 count in the default row never touched "
       "that run, so the variant without it matches the default; process "
       "noise acts on every update and has no counter. No outcome is "

@@ -5,11 +5,16 @@
 //   * cached vs recomputed P g (opt3 computation reuse)
 //   * fused batched descriptor contraction vs per-atom composed primitives
 //   * fused vs composed linear / tanh-backward
+//   * the 16-lane tanh body vs the libm tanhf loop it replaced
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <cstring>
 
 #include "autograd/ops.hpp"
 #include "core/rng.hpp"
 #include "deepmd/bmm.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 
 namespace fekf {
@@ -147,6 +152,47 @@ void BM_TanhBackwardComposed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TanhBackwardComposed)->Arg(4096);
+
+/// N(0, 1.5) inputs, the scale of the nets' pre-activations.
+Tensor tanh_inputs(i64 rows) {
+  Rng rng(13);
+  return Tensor::randn(rows, 50, rng, 1.5);
+}
+
+/// The scalar loop kernels::tanh replaced: one libm tanhf per element.
+void libm_tanh(const Tensor& x, Tensor& y) {
+  for (i64 i = 0; i < x.numel(); ++i) y.data()[i] = std::tanh(x.data()[i]);
+}
+
+void BM_TanhLibm(benchmark::State& state) {
+  const Tensor x = tanh_inputs(state.range(0));
+  Tensor y(x.rows(), x.cols());
+  for (auto _ : state) {
+    libm_tanh(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_TanhLibm)->Arg(4096);
+
+void BM_TanhKernel(benchmark::State& state) {
+  const Tensor x = tanh_inputs(state.range(0));
+  Tensor ref(x.rows(), x.cols());
+  libm_tanh(x, ref);
+  FEKF_CHECK(std::memcmp(kernels::tanh(x).data(), ref.data(),
+                         static_cast<std::size_t>(x.numel()) *
+                             sizeof(f32)) == 0,
+             "kernels::tanh differs from the libm loop");
+  // One thread, so the ratio to BM_TanhLibm is the per-element body's.
+  set_num_threads(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::tanh(x).data());
+  }
+  set_num_threads(0);
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_TanhKernel)->Arg(4096);
 
 }  // namespace
 }  // namespace fekf

@@ -1,7 +1,6 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "parallel/thread_pool.hpp"
@@ -59,13 +58,8 @@ void gain_rows(const f64* p, const f64* g, f64* y, i64 n) {
       std::max(dispatch::kGainPanelRows, grain_items(n)));
 }
 
-// Bodies with no vector rung that could be bit-exact (a libm call per
-// element; serial f64 reductions), so they are not dispatched.
-
-/// y[i] = tanh(x[i]) over one flat chunk.
-void tanh_chunk(const f32* x, f32* y, i64 count) {
-  for (i64 i = 0; i < count; ++i) y[i] = std::tanh(x[i]);
-}
+// Serial f64 reductions have no vector rung that could be bit-exact, so
+// they are not dispatched.
 
 /// Partial <a,b> over one parallel_reduce_f64 chunk. Shared by dot and
 /// ekf_apply_gain.
@@ -143,18 +137,6 @@ Tensor scale(const Tensor& a, f32 alpha) {
 
 Tensor add_scalar(const Tensor& a, f32 alpha) {
   return elementwise1(a, "add_scalar", [alpha](f32 x) { return x + alpha; });
-}
-
-Tensor tanh(const Tensor& a) {
-  KernelLaunch launch("tanh");
-  Tensor out(a.rows(), a.cols());
-  const f32* pa = a.data();
-  f32* po = out.data();
-  parallel_for_blocks(
-      0, a.numel(),
-      [&](i64 lo, i64 hi) { tanh_chunk(pa + lo, po + lo, hi - lo); },
-      kGrainWork);
-  return out;
 }
 
 Tensor tanh_backward(const Tensor& grad_y, const Tensor& y) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "train/observer.hpp"
 
@@ -31,20 +32,25 @@ std::vector<EpochRecord> read_lcurve(const std::string& path) {
   char header[256];
   FEKF_CHECK(std::fgets(header, sizeof(header), f.get()) != nullptr,
              "empty lcurve file");
+  FEKF_CHECK(std::string(header) == std::string(kLcurveHeader) + "\n",
+             "'" + path + "': lcurve header is not '" + kLcurveHeader + "'");
   std::vector<EpochRecord> records;
   long long epoch = 0;
-  f64 seconds = 0, te = 0, tf = 0, ve = 0, vf = 0;
-  while (std::fscanf(f.get(), "%lld,%lf,%lf,%lf,%lf,%lf", &epoch, &seconds,
-                     &te, &tf, &ve, &vf) == 6) {
-    EpochRecord rec;
+  EpochRecord rec;
+  int fields = 0;
+  while ((fields = std::fscanf(
+              f.get(), "%lld,%lf,%lf,%lf,%lf,%lf,%lf,%lf,%lf,%lf", &epoch,
+              &rec.cumulative_seconds, &rec.train.energy_rmse,
+              &rec.train.force_rmse, &rec.test.energy_rmse,
+              &rec.test.force_rmse, &rec.train.energy_offset_per_atom,
+              &rec.train.energy_spread_per_atom,
+              &rec.test.energy_offset_per_atom,
+              &rec.test.energy_spread_per_atom)) == 10) {
     rec.epoch = static_cast<i64>(epoch);
-    rec.cumulative_seconds = seconds;
-    rec.train.energy_rmse = te;
-    rec.train.force_rmse = tf;
-    rec.test.energy_rmse = ve;
-    rec.test.force_rmse = vf;
     records.push_back(rec);
   }
+  FEKF_CHECK(fields == EOF, "'" + path + "': malformed lcurve row " +
+                                std::to_string(records.size() + 1));
   return records;
 }
 

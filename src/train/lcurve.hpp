@@ -10,11 +10,12 @@
 
 namespace fekf::train {
 
-/// Write `history` as CSV:
-///   epoch,seconds,train_e_rmse,train_f_rmse,test_e_rmse,test_f_rmse
+/// Write `history` as CSV with the columns of kLcurveHeader
+/// (train/observer.hpp).
 void write_lcurve(const TrainResult& result, const std::string& path);
 
-/// Parse it back (round-trip for tooling/tests).
+/// Parse it back (round-trip for tooling/tests). A file whose header is not
+/// kLcurveHeader, or with a row that does not parse, is rejected.
 std::vector<EpochRecord> read_lcurve(const std::string& path);
 
 }  // namespace fekf::train

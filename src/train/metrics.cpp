@@ -22,7 +22,8 @@ Metrics evaluate(const deepmd::DeepmdModel& model,
                     ? static_cast<i64>(envs.size())
                     : std::min<i64>(max_samples,
                                     static_cast<i64>(envs.size()));
-  f64 se_e = 0.0, se_epa = 0.0, se_f = 0.0;
+  f64 se_e = 0.0, se_epa = 0.0, sum_epa = 0.0, se_f = 0.0;
+  std::vector<f64> dea_all(static_cast<std::size_t>(n));
   i64 f_count = 0;
   for (i64 s = 0; s < n; ++s) {
     const EnvPtr& env = envs[static_cast<std::size_t>(s)];
@@ -31,6 +32,8 @@ Metrics evaluate(const deepmd::DeepmdModel& model,
     se_e += de * de;
     const f64 dea = de / static_cast<f64>(env->natoms);
     se_epa += dea * dea;
+    sum_epa += dea;
+    dea_all[static_cast<std::size_t>(s)] = dea;
     if (with_forces) {
       const Tensor& f = pred.forces.value();
       const Tensor& y = env->force_label;
@@ -44,6 +47,13 @@ Metrics evaluate(const deepmd::DeepmdModel& model,
   Metrics m;
   m.energy_rmse = std::sqrt(se_e / static_cast<f64>(n));
   m.energy_rmse_per_atom = std::sqrt(se_epa / static_cast<f64>(n));
+  m.energy_offset_per_atom = sum_epa / static_cast<f64>(n);
+  f64 se_spread = 0.0;
+  for (const f64 d : dea_all) {
+    const f64 c = d - m.energy_offset_per_atom;
+    se_spread += c * c;
+  }
+  m.energy_spread_per_atom = std::sqrt(se_spread / static_cast<f64>(n));
   if (f_count > 0) {
     m.force_rmse = std::sqrt(se_f / static_cast<f64>(f_count));
   }

@@ -1,5 +1,6 @@
-// Evaluation metrics: energy RMSE (per structure and per atom, eV) and
-// force RMSE (per component, eV/Å) over a set of prepared environments.
+// Evaluation metrics: energy RMSE (per structure and per atom, eV), the
+// per-atom energy residual split into its mean and its spread, and force
+// RMSE (per component, eV/Å) over a set of prepared environments.
 #pragma once
 
 #include <memory>
@@ -15,7 +16,13 @@ using EnvPtr = std::shared_ptr<const deepmd::EnvData>;
 struct Metrics {
   f64 energy_rmse = 0.0;           ///< per structure (eV)
   f64 energy_rmse_per_atom = 0.0;  ///< per atom (eV)
-  f64 force_rmse = 0.0;            ///< per component (eV/Å)
+  /// Signed mean of the per-atom energy residual (E_pred - E_label) / N
+  /// (eV): a constant energy offset, to which forces are blind.
+  f64 energy_offset_per_atom = 0.0;
+  /// RMS of the per-atom energy residual about that mean (eV), so
+  /// energy_rmse_per_atom² = offset² + spread².
+  f64 energy_spread_per_atom = 0.0;
+  f64 force_rmse = 0.0;  ///< per component (eV/Å)
 
   /// The paper's §5.1 convergence monitor: energy + force RMSE.
   f64 total() const { return energy_rmse + force_rmse; }

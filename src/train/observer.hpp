@@ -51,6 +51,12 @@ class TrainObserver {
   virtual void on_fault(const FaultEvent&) {}
 };
 
+/// The lcurve CSV header. The four *_e_offset/*_e_spread columns are the
+/// per-atom energy residual's mean and spread (Metrics), in eV.
+inline constexpr const char* kLcurveHeader =
+    "epoch,seconds,train_e_rmse,train_f_rmse,test_e_rmse,test_f_rmse,"
+    "train_e_offset,train_e_spread,test_e_offset,test_e_spread";
+
 /// The lcurve.out port: one CSV row per epoch evaluation, streamed as the
 /// run progresses (write_lcurve replays a finished history through it).
 class LcurveObserver : public TrainObserver {

@@ -276,6 +276,13 @@ TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
                 << record.train.force_rmse << " (t=" << record.cumulative_seconds
                 << "s)";
     }
+    if (obs::metrics_enabled()) {
+      auto& metrics = obs::MetricsRegistry::instance();
+      metrics.gauge("train.energy_offset_per_atom")
+          .set(record.train.energy_offset_per_atom);
+      metrics.gauge("train.energy_spread_per_atom")
+          .set(record.train.energy_spread_per_atom);
+    }
     result.history.push_back(record);
     for (TrainObserver* observer : options.observers) {
       observer->on_eval(record);

@@ -656,16 +656,37 @@ TEST(Observer, LcurveStreamMatchesPostHocWrite) {
   train::LcurveObserver lcurve(live_path);
   opts.observers = {&lcurve};
 
+  const bool metrics_were = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
   optim::KalmanConfig kcfg;
   train::KalmanTrainer trainer(model, kcfg, opts);
   train::TrainResult result =
       trainer.train(train_envs, std::span<const train::EnvPtr>(test_envs));
+  obs::set_metrics_enabled(metrics_were);
   ASSERT_EQ(result.history.size(), 2u);
 
   // The streamed lcurve and a post-hoc write_lcurve of the same history
   // must be byte-identical (write_lcurve replays through the observer).
   train::write_lcurve(result, replay_path);
   EXPECT_EQ(read_file(live_path), read_file(replay_path));
+
+  // The energy offset columns and gauges carry the last evaluation's
+  // per-atom residual split.
+  const train::Metrics& last = result.history.back().train;
+  EXPECT_NE(last.energy_offset_per_atom, 0.0);
+  const auto records = train::read_lcurve(live_path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_NEAR(records.back().train.energy_offset_per_atom,
+              last.energy_offset_per_atom,
+              1e-6 * std::abs(last.energy_offset_per_atom));
+  EXPECT_NEAR(records.back().test.energy_spread_per_atom,
+              result.history.back().test.energy_spread_per_atom,
+              1e-6 * result.history.back().test.energy_spread_per_atom);
+  auto& registry = MetricsRegistry::instance();
+  EXPECT_EQ(registry.gauge("train.energy_offset_per_atom").value(),
+            last.energy_offset_per_atom);
+  EXPECT_EQ(registry.gauge("train.energy_spread_per_atom").value(),
+            last.energy_spread_per_atom);
 }
 
 TEST(Observer, TraceCoversTrainingPhases) {

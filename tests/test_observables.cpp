@@ -129,6 +129,10 @@ TEST(Lcurve, RoundTrips) {
     rec.train.force_rmse = 0.2 / static_cast<f64>(e);
     rec.test.energy_rmse = 0.15 / static_cast<f64>(e);
     rec.test.force_rmse = 0.25 / static_cast<f64>(e);
+    rec.train.energy_offset_per_atom = -0.03 * static_cast<f64>(e);
+    rec.train.energy_spread_per_atom = 0.004 / static_cast<f64>(e);
+    rec.test.energy_offset_per_atom = 0.05 * static_cast<f64>(e);
+    rec.test.energy_spread_per_atom = 0.006 / static_cast<f64>(e);
     result.history.push_back(rec);
   }
   const std::string path = std::string(::testing::TempDir()) + "lcurve.csv";
@@ -139,7 +143,53 @@ TEST(Lcurve, RoundTrips) {
     EXPECT_EQ(records[i].epoch, result.history[i].epoch);
     EXPECT_NEAR(records[i].train.force_rmse,
                 result.history[i].train.force_rmse, 1e-9);
+    EXPECT_NEAR(records[i].train.energy_offset_per_atom,
+                result.history[i].train.energy_offset_per_atom, 1e-9);
+    EXPECT_NEAR(records[i].train.energy_spread_per_atom,
+                result.history[i].train.energy_spread_per_atom, 1e-9);
+    EXPECT_NEAR(records[i].test.energy_offset_per_atom,
+                result.history[i].test.energy_offset_per_atom, 1e-9);
+    EXPECT_NEAR(records[i].test.energy_spread_per_atom,
+                result.history[i].test.energy_spread_per_atom, 1e-9);
   }
+  std::remove(path.c_str());
+}
+
+TEST(Lcurve, ForeignHeaderThrows) {
+  // A six-column file from before the offset columns, or any other CSV,
+  // is rejected instead of parsing as an empty history.
+  const std::string path =
+      std::string(::testing::TempDir()) + "lcurve_old.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "epoch,seconds,train_e_rmse,train_f_rmse,test_e_rmse,test_f_rmse\n"
+        "1,1.5,0.1,0.2,0.15,0.25\n",
+        f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(read_lcurve(path), Error);
+  std::remove(path.c_str());
+}
+
+TEST(Lcurve, MalformedRowThrows) {
+  // A row cut short (a run killed mid-write) or holding a non-number is
+  // rejected instead of ending the history early.
+  TrainResult result;
+  result.history.resize(2);
+  const std::string path =
+      std::string(::testing::TempDir()) + "lcurve_bad.csv";
+  for (const char* bad : {"3,4.5,0.1\n", "3,4.5,x,0,0,0,0,0,0,0\n"}) {
+    write_lcurve(result, path);
+    std::FILE* f = std::fopen(path.c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    std::fputs(bad, f);
+    std::fclose(f);
+    EXPECT_THROW(read_lcurve(path), Error) << bad;
+  }
+  write_lcurve(result, path);
+  EXPECT_EQ(read_lcurve(path).size(), 2u);
   std::remove(path.c_str());
 }
 

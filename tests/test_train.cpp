@@ -133,6 +133,24 @@ TEST(Metrics, PerfectPredictionIsZero) {
               m.energy_rmse / static_cast<f64>(f.dataset.natoms()), 1e-9);
 }
 
+TEST(Metrics, EnergyOffsetAndSpreadSplitThePerAtomRmse) {
+  Fixture f = make_fixture("Cu", 3, 1);
+  const Metrics m = evaluate(*f.model, f.train_envs, -1, false);
+  // The offset is the signed mean of (E_pred - E_label) / N.
+  f64 sum = 0.0;
+  for (const EnvPtr& env : f.train_envs) {
+    const f64 e = f.model->predict(env, false).energy.item();
+    sum += (e - env->energy_label) / static_cast<f64>(env->natoms);
+  }
+  EXPECT_NEAR(m.energy_offset_per_atom,
+              sum / static_cast<f64>(f.train_envs.size()), 1e-12);
+  EXPECT_GT(m.energy_spread_per_atom, 0.0);
+  const f64 split = m.energy_offset_per_atom * m.energy_offset_per_atom +
+                    m.energy_spread_per_atom * m.energy_spread_per_atom;
+  EXPECT_NEAR(split, m.energy_rmse_per_atom * m.energy_rmse_per_atom,
+              1e-9 * split);
+}
+
 TEST(Trainer, FekfReducesErrors) {
   Fixture f = make_fixture("Cu", 10, 2);
   TrainOptions opts;
