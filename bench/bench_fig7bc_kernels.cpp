@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iterator>
+#include <span>
 
 #include "bench_common.hpp"
 #include "obs/trace.hpp"
@@ -72,10 +73,10 @@ struct Sample {
 namespace dp = fekf::dispatch;
 
 struct VariantRow {
-  dp::Variant v;
-  bool eligible = false;   ///< supported by this CPU
-  bool selected = false;   ///< what the current policy resolves to
-  f64 s_per_call = 0.0;    ///< best-of-3 averaged wall time (eligible only)
+  std::string name;
+  std::string isa;
+  bool selected = false;   ///< what the current backend selects
+  f64 s_per_call = 0.0;    ///< best-of-3 averaged wall time
   f64 speedup = 0.0;       ///< scalar s_per_call / this s_per_call
 };
 
@@ -86,67 +87,56 @@ struct DispatchSection {
 
   f64 best_speedup() const {
     f64 best = 1.0;
-    for (const VariantRow& r : rows) {
-      if (r.eligible) best = std::max(best, r.speedup);
-    }
+    for (const VariantRow& r : rows) best = std::max(best, r.speedup);
     return best;
   }
 };
 
-/// Times `call(fn)` on the calling thread: repeats are calibrated on the
-/// scalar variant (~40 ms), then every variant runs the same repeat count
-/// three times and keeps the best pass — the per-variant rows in
-/// docs/KERNELS.md and the ci/budgets.json "dispatch" section come from
-/// exactly this loop.
-template <typename Call>
+/// Times `call(fn)` for every entry of a family table on the calling
+/// thread: repeats are calibrated on the scalar entry (~40 ms), then every
+/// variant runs the same repeat count three times and keeps the best pass
+/// — the per-variant rows in docs/KERNELS.md and the ci/budgets.json
+/// "dispatch" section come from exactly this loop.
+template <typename Fn, typename Call>
 DispatchSection time_family(const std::string& kernel, std::string shape,
+                            std::span<const dp::Variant<Fn>> table,
                             Call&& call) {
-  auto& reg = dp::Registry::instance();
-  const dp::Variant selected = reg.selected(kernel);
+  const dp::Variant<Fn>& selected = dp::select(table);
   DispatchSection section{kernel, std::move(shape), {}};
 
-  const dp::Variant scalar = *reg.find(kernel, "scalar");
-  const auto time_once = [&](const dp::Variant& v, i64 repeats) {
+  const auto time_once = [&](Fn fn, i64 repeats) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (i64 r = 0; r < repeats; ++r) call(v);
+    for (i64 r = 0; r < repeats; ++r) call(fn);
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<f64>(t1 - t0).count() /
            static_cast<f64>(repeats);
   };
   // Calibrate on scalar: target ~40 ms per measured pass.
+  const Fn scalar = table.front().fn;
   i64 repeats = 1;
   f64 scalar_probe = time_once(scalar, 1);
   while (scalar_probe * static_cast<f64>(repeats) < 0.04 &&
          repeats < (1 << 20)) {
     repeats *= 2;
   }
-  const auto measure = [&](const dp::Variant& v) {
-    f64 best = time_once(v, repeats);
+  const auto measure = [&](Fn fn) {
+    f64 best = time_once(fn, repeats);
     for (int pass = 1; pass < 3; ++pass) {
-      best = std::min(best, time_once(v, repeats));
+      best = std::min(best, time_once(fn, repeats));
     }
     return best;
   };
   const f64 scalar_s = measure(scalar);
-  for (const dp::Variant& v : reg.variants(kernel)) {
-    VariantRow row;
-    row.v = v;
-    row.eligible = reg.supported(v);
-    row.selected = v.name == selected.name;
-    if (row.eligible) {
-      row.s_per_call = v.name == "scalar" ? scalar_s : measure(v);
-      row.speedup = scalar_s / row.s_per_call;
-    }
+  for (const dp::Variant<Fn>& v : table) {
+    VariantRow row{v.name, v.isa, &v == &selected};
+    row.s_per_call = &v == &table.front() ? scalar_s : measure(v.fn);
+    row.speedup = scalar_s / row.s_per_call;
     section.rows.push_back(row);
   }
   return section;
 }
 
 std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
-  dp::register_gemm_variants();
-  dp::register_ekf_variants();
-  dp::register_matnt_variants();
-  dp::register_gemm_tn_variants();
   Rng rng(seed);
   std::vector<DispatchSection> sections;
 
@@ -157,9 +147,9 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
     const Tensor b = Tensor::randn(1, n, rng);
     Tensor out(m, n);
     sections.push_back(time_family(
-        "gemm_f32", "m=256 k=50 n=50", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::GemmPanelFn>(v.fn)(
-              x.data(), w.data(), b.data(), out.data(), 0, m, k, n);
+        "gemm_f32", "m=256 k=50 n=50", dp::gemm_variants(),
+        [&](dp::GemmPanelFn fn) {
+          fn(x.data(), w.data(), b.data(), out.data(), 0, m, k, n);
         }));
   }
   {  // EKF gain y = P g over a packed P block at the paper blocksize regime.
@@ -171,9 +161,9 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
     const std::vector<f64> g(tg.data(), tg.data() + n);
     std::vector<f64> y(static_cast<std::size_t>(n));
     sections.push_back(time_family(
-        "ekf_gain_f64", "n=1024 packed", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::GainPanelFn>(v.fn)(p.data(), g.data(),
-                                                  y.data(), 0, n, n);
+        "ekf_gain_f64", "n=1024 packed", dp::gain_variants(),
+        [&](dp::GainPanelFn fn) {
+          fn(p.data(), g.data(), y.data(), 0, n, n);
         }));
   }
   {  // NT contraction: the linear-backward gx shape (d = 50 layers).
@@ -182,10 +172,9 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
     const Tensor b = Tensor::randn(nt_n, nt_q, rng);
     Tensor out(rows, nt_n);
     sections.push_back(time_family(
-        "matnt_f32", "rows=256 n=50 q=50", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(),
-                                                   out.data(), 0, rows, nt_n,
-                                                   nt_q);
+        "matnt_f32", "rows=256 n=50 q=50", dp::matnt_variants(),
+        [&](dp::MatNtPanelFn fn) {
+          fn(a.data(), b.data(), out.data(), 0, rows, nt_n, nt_q);
         }));
   }
   {  // TN reduction: the embedding-layer gw = xᵀu shape (108 atoms x 96
@@ -195,9 +184,9 @@ std::vector<DispatchSection> run_dispatch_micro(u64 seed) {
     const Tensor b = Tensor::randn(k, n, rng);
     Tensor out(m, n);
     sections.push_back(time_family(
-        "gemm_tn_f32", "k=10368 m=12 n=12", [&](const dp::Variant& v) {
-          reinterpret_cast<dp::GemmTnPanelFn>(v.fn)(a.data(), b.data(),
-                                                    out.data(), 0, m, k, m, n);
+        "gemm_tn_f32", "k=10368 m=12 n=12", dp::gemm_tn_variants(),
+        [&](dp::GemmTnPanelFn fn) {
+          fn(a.data(), b.data(), out.data(), 0, m, k, m, n);
         }));
   }
   return sections;
@@ -485,19 +474,16 @@ int main(int argc, char** argv) {
   // mirrors this table — ci/check_budgets.py --kernels-doc flags drift.
   const auto dispatch_sections =
       run_dispatch_micro(static_cast<u64>(cli.get_int("seed")));
-  const dp::CpuFeatures cpu = dp::Registry::instance().cpu_features();
-  const char* backend =
-      dp::backend_name(dp::Registry::instance().backend());
-  std::printf("\nKernel-dispatch variants (backend=%s, cpu: avx2=%d fma=%d); "
+  const char* backend = dp::backend_name(dp::backend());
+  std::printf("\nKernel-dispatch variants (backend=%s, compiled isa: %s); "
               "single-thread body timings, best of 3:\n",
-              backend, cpu.avx2, cpu.fma);
+              backend, dp::kCompiledIsa);
   Table td({"kernel", "shape", "variant", "isa", "s/call", "speedup",
             "selected"});
   for (const DispatchSection& sec : dispatch_sections) {
     for (const VariantRow& row : sec.rows) {
-      td.add_row({sec.kernel, sec.shape, row.v.name, row.v.isa,
-                  row.eligible ? fmt("%.3e", row.s_per_call) : "-",
-                  row.eligible ? fmt("%.2fx", row.speedup) : "-",
+      td.add_row({sec.kernel, sec.shape, row.name, row.isa,
+                  fmt("%.3e", row.s_per_call), fmt("%.2fx", row.speedup),
                   row.selected ? "<=" : ""});
     }
   }
@@ -544,10 +530,8 @@ int main(int argc, char** argv) {
           "},\n";
   json += "  \"dispatch\": {\n";
   json += "    \"backend\": \"" + std::string(backend) + "\",\n";
-  json += "    \"cpu_avx2\": " + std::string(cpu.avx2 ? "true" : "false") +
-          ",\n";
-  json += "    \"cpu_fma\": " + std::string(cpu.fma ? "true" : "false") +
-          ",\n    \"kernels\": [\n";
+  json += "    \"compiled_isa\": \"" + std::string(dp::kCompiledIsa) +
+          "\",\n    \"kernels\": [\n";
   for (std::size_t s = 0; s < dispatch_sections.size(); ++s) {
     const DispatchSection& sec = dispatch_sections[s];
     json += "      {\"kernel\": \"" + sec.kernel + "\", \"shape\": \"" +
@@ -555,9 +539,10 @@ int main(int argc, char** argv) {
             fmt("%.3f", sec.best_speedup()) + ", \"variants\": [\n";
     for (std::size_t r = 0; r < sec.rows.size(); ++r) {
       const VariantRow& row = sec.rows[r];
-      json += "        {\"name\": \"" + row.v.name + "\", \"isa\": \"" +
-              row.v.isa + "\", \"eligible\": " + (row.eligible ? "true" : "false") +
-              ", \"selected\": " + (row.selected ? "true" : "false") +
+      // Every compiled entry runs on any CPU the binary starts on.
+      json += "        {\"name\": \"" + row.name + "\", \"isa\": \"" +
+              row.isa + "\", \"eligible\": true, \"selected\": " +
+              (row.selected ? "true" : "false") +
               ", \"s_per_call\": " + fmt("%.6e", row.s_per_call) +
               ", \"speedup_vs_scalar\": " + fmt("%.3f", row.speedup) + "}";
       json += r + 1 < sec.rows.size() ? ",\n" : "\n";

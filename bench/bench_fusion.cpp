@@ -82,11 +82,10 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, Result>> ekf_backends;
   {
     const i64 n = cli.get_int("ekf-n");
-    auto& reg = dispatch::Registry::instance();
-    const dispatch::Backend prior = reg.backend();
+    const dispatch::Backend prior = dispatch::backend();
     for (dispatch::Backend backend :
          {dispatch::Backend::kScalar, dispatch::Backend::kAuto}) {
-      reg.set_backend(backend);
+      dispatch::set_backend(backend);
       std::vector<optim::BlockSpec> blocks{{0, n, "blk"}};
       optim::KalmanConfig fused_cfg;
       optim::KalmanConfig legacy_cfg;
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
                      std::to_string(r.unfused_launches)});
       ekf_backends.emplace_back(name, r);
     }
-    reg.set_backend(prior);
+    dispatch::set_backend(prior);
   }
 
   // ---- arena vs heap --------------------------------------------------

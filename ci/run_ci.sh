@@ -19,7 +19,7 @@
 #                             gates it against ci/budgets.json (incl. the
 #                             per-variant dispatch, chaos-recovery and
 #                             serving budgets), diffs
-#                             docs/KERNELS.md against the registry via
+#                             docs/KERNELS.md against the variant tables via
 #                             --kernels-doc, and the gate's --self-test
 #                             proves it can fail
 #
@@ -99,8 +99,8 @@ for ty in $BUILD_TYPES; do
   # Forced-scalar leg: the whole suite must pass with every dispatched
   # kernel pinned to its scalar reference (DESIGN.md §13). This exercises
   # the reference bodies beyond the dedicated *_scalar_backend re-runs.
-  # (A CPU without AVX2 runs the simd/lanes rungs, not scalar; test_dispatch
-  # covers that path by masking AVX2 in-process.)
+  # (A build without AVX2 runs the generic simd/lanes/blocked rungs, not
+  # scalar; test_dispatch memcmps those bodies on every host.)
   echo "==== [3/4] ctest ($ty, FEKF_KERNEL_BACKEND=scalar)"
   FEKF_KERNEL_BACKEND=scalar \
     ctest --test-dir "$dir" --output-on-failure -j"$JOBS"

@@ -24,8 +24,8 @@ constexpr Knob kKnobs[] = {
      "Thread-pool width for all parallel_for/reduce regions "
      "(default: hardware concurrency)"},
     {"FEKF_KERNEL_BACKEND",
-     "Dispatch backend: scalar|auto (default auto = fastest variant this "
-     "CPU supports; every variant is bit-exact vs scalar)"},
+     "Dispatch backend: scalar|auto (default auto = the preferred variant "
+     "this build compiled; every variant is bit-exact vs scalar)"},
     {"FEKF_ARENA",
      "Per-thread arena allocator for steady-state steps; 0|off|false "
      "disables (default on)"},

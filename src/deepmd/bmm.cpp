@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "parallel/thread_pool.hpp"
-#include "tensor/dispatch.hpp"
 #include "tensor/kernel_counter.hpp"
 #include "tensor/variants/variants.hpp"
 
@@ -14,14 +13,10 @@ using ag::Variable;
 // Threading: the batched kernels parallelize over the block (atom/batch)
 // dimension — each task owns whole p x s output blocks, so the results are
 // bit-exact for any thread width (DESIGN.md "Threading & determinism").
+// bmm_nt's per-block body comes from the matnt_f32 variant table
+// (DESIGN.md §13); every entry is bit-exact with the scalar reference.
 
 namespace {
-
-dispatch::Dispatched<dispatch::MatNtPanelFn>& matnt_dispatch() {
-  static dispatch::Dispatched<dispatch::MatNtPanelFn> d(
-      "matnt_f32", &dispatch::register_matnt_variants);
-  return d;
-}
 
 i64 block_count(const Tensor& t, i64 block, const char* who) {
   FEKF_CHECK(block > 0 && t.rows() % block == 0,
@@ -97,9 +92,9 @@ Tensor bmm_nt_kernel(const Tensor& x, const Tensor& y, i64 p, i64 s) {
   FEKF_CHECK(y.cols() == q, "bmm_nt: inner dim mismatch");
   KernelLaunch launch("bmm_nt");
   // Each block is one matnt_f32 panel (out_b = X_b · Y_bᵀ with a
-  // per-output f64 chain); the variant body is resolved on the calling
-  // thread before the parallel region, per the dispatch contract.
-  const dispatch::MatNtPanelFn fn = matnt_dispatch().get();
+  // per-output f64 chain); the variant body is selected on the calling
+  // thread before the parallel region (DESIGN.md §13).
+  const auto fn = dispatch::select(dispatch::matnt_variants()).fn;
   Tensor out(nb * p, s);
   const f32* __restrict__ px = x.data();
   const f32* __restrict__ py = y.data();

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "parallel/thread_pool.hpp"
-#include "tensor/dispatch.hpp"
 #include "tensor/kernel_counter.hpp"
 #include "tensor/variants/variants.hpp"
 
@@ -16,43 +15,19 @@
 // combine order independently of the width. Grain sizes follow the
 // kGrainWork policy: unit-test-sized tensors run serial.
 //
-// Hot kernels route their inner bodies through the dispatch registry
-// (DESIGN.md §13): the handle resolves the selected variant on the calling
-// thread BEFORE the parallel region, and the partition/launch structure is
+// Hot kernels take their inner bodies from the family variant tables
+// (DESIGN.md §13): dispatch::select picks the body on the calling thread
+// BEFORE the parallel region, and the partition/launch structure is
 // unchanged — only the per-panel/per-chunk body varies by backend.
 
 namespace fekf::kernels {
 
 namespace {
 
-dispatch::Dispatched<dispatch::GemmPanelFn>& gemm_dispatch() {
-  static dispatch::Dispatched<dispatch::GemmPanelFn> d(
-      "gemm_f32", &dispatch::register_gemm_variants);
-  return d;
-}
-
-dispatch::Dispatched<dispatch::MatNtPanelFn>& matnt_dispatch() {
-  static dispatch::Dispatched<dispatch::MatNtPanelFn> d(
-      "matnt_f32", &dispatch::register_matnt_variants);
-  return d;
-}
-
-dispatch::Dispatched<dispatch::GemmTnPanelFn>& gemm_tn_dispatch() {
-  static dispatch::Dispatched<dispatch::GemmTnPanelFn> d(
-      "gemm_tn_f32", &dispatch::register_gemm_tn_variants);
-  return d;
-}
-
-dispatch::Dispatched<dispatch::GainPanelFn>& gain_dispatch() {
-  static dispatch::Dispatched<dispatch::GainPanelFn> d(
-      "ekf_gain_f64", &dispatch::register_ekf_variants);
-  return d;
-}
-
 /// y = P·g over packed P with the dispatched row body, one kGainPanelRows
 /// panel per task. Shared by symv and ekf_apply_gain's gain-only form.
 void gain_rows(const f64* p, const f64* g, f64* y, i64 n) {
-  const dispatch::GainPanelFn fn = gain_dispatch().get();
+  const auto fn = dispatch::select(dispatch::gain_variants()).fn;
   parallel_for_blocks(
       0, n, [&](i64 rlo, i64 rhi) { fn(p, g, y, rlo, rhi, n); },
       std::max(dispatch::kGainPanelRows, grain_items(n)));
@@ -148,7 +123,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   FEKF_CHECK(a.cols() == b.rows(), "matmul: inner dims " + a.shape_str() +
                                        " * " + b.shape_str());
   KernelLaunch launch("matmul");
-  const dispatch::GemmPanelFn fn = gemm_dispatch().get();
+  const auto fn = dispatch::select(dispatch::gemm_variants()).fn;
   const i64 m = a.rows(), k = a.cols(), n = b.cols();
   Tensor out(m, n);
   const f32* __restrict__ pa = a.data();
@@ -168,7 +143,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   FEKF_CHECK(a.rows() == b.rows(), "matmul_tn: inner dims " + a.shape_str() +
                                        "^T * " + b.shape_str());
   KernelLaunch launch("matmul_tn");
-  const dispatch::GemmTnPanelFn fn = gemm_tn_dispatch().get();
+  const auto fn = dispatch::select(dispatch::gemm_tn_variants()).fn;
   const i64 k = a.rows(), m = a.cols(), n = b.cols();
   Tensor out(m, n);
   const f32* pa = a.data();
@@ -186,7 +161,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   FEKF_CHECK(a.cols() == b.cols(), "matmul_nt: inner dims " + a.shape_str() +
                                        " * " + b.shape_str() + "^T");
   KernelLaunch launch("matmul_nt");
-  const dispatch::MatNtPanelFn fn = matnt_dispatch().get();
+  const auto fn = dispatch::select(dispatch::matnt_variants()).fn;
   const i64 m = a.rows(), k = a.cols(), n = b.rows();
   Tensor out(m, n);
   const f32* __restrict__ pa = a.data();
@@ -277,7 +252,7 @@ Tensor linear_fused(const Tensor& x, const Tensor& w, const Tensor& bias) {
              "linear_fused: " + x.shape_str() + " * " + w.shape_str() + " + " +
                  bias.shape_str());
   KernelLaunch launch("linear_fused");
-  const dispatch::GemmPanelFn fn = gemm_dispatch().get();
+  const auto fn = dispatch::select(dispatch::gemm_variants()).fn;
   const i64 m = x.rows(), k = x.cols(), n = w.cols();
   Tensor out(m, n);
   const f32* __restrict__ px = x.data();

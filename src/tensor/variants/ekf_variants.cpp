@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/dispatch.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/variants/variants.hpp"
 
@@ -325,20 +324,12 @@ f64 rank1_step_max_diag(const f64* p, const kernels::EkfPendingStep& step,
   return max_diag;
 }
 
-void register_ekf_variants() {
-  static const bool once = [] {
-    Registry& r = Registry::instance();
-    r.add({"ekf_gain_f64", "scalar", "generic", 0,
-           reinterpret_cast<void*>(&gain_scalar),
-           "reference: one ascending-j chain per row, P[j,i] read from "
-           "row j"});
-    r.add({"ekf_gain_f64", "blocked", "generic", 10,
-           reinterpret_cast<void*>(&gain_blocked),
-           "row panel: column runs vectorized across rows, own runs four "
-           "chains at a time; every chain unchanged"});
-    return true;
-  }();
-  (void)once;
+std::span<const Variant<GainPanelFn>> gain_variants() {
+  static constexpr Variant<GainPanelFn> kTable[] = {
+      {"scalar", "generic", &gain_scalar},
+      {"blocked", "generic", &gain_blocked},
+  };
+  return kTable;
 }
 
 }  // namespace fekf::dispatch

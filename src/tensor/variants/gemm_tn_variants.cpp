@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "tensor/dispatch.hpp"
 #include "tensor/variants/variants.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -133,22 +132,14 @@ void gemm_tn_avx2(const f32* a, const f32* b, f32* out, i64 rlo, i64 rhi,
 
 }  // namespace
 
-void register_gemm_tn_variants() {
-  static const bool once = [] {
-    Registry& r = Registry::instance();
-    r.add({"gemm_tn_f32", "scalar", "generic", 0,
-           reinterpret_cast<void*>(&gemm_tn_scalar),
-           "reference l-outer panel body (zero seed, then one FMA per "
-           "ascending l, through memory)"});
+std::span<const Variant<GemmTnPanelFn>> gemm_tn_variants() {
+  static constexpr Variant<GemmTnPanelFn> kTable[] = {
+      {"scalar", "generic", &gemm_tn_scalar},
 #if defined(__AVX2__) && defined(__FMA__)
-    r.add({"gemm_tn_f32", "avx2", "avx2+fma", 20,
-           reinterpret_cast<void*>(&gemm_tn_avx2),
-           "4x16 register tile held across the whole ascending-l chain; "
-           "one FMA per term, masked tail columns"});
+      {"avx2", "avx2+fma", &gemm_tn_avx2},
 #endif
-    return true;
-  }();
-  (void)once;
+  };
+  return kTable;
 }
 
 }  // namespace fekf::dispatch

@@ -17,7 +17,6 @@
 // Both wide variants first transpose the small b operand into a local
 // buffer so the j lanes load contiguously; oversized panels (or n < 4)
 // delegate to the scalar body.
-#include "tensor/dispatch.hpp"
 #include "tensor/variants/variants.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -147,25 +146,15 @@ void matnt_avx2(const f32* a, const f32* b, f32* out, i64 rlo, i64 rhi,
 
 }  // namespace
 
-void register_matnt_variants() {
-  static const bool once = [] {
-    Registry& r = Registry::instance();
-    r.add({"matnt_f32", "scalar", "generic", 0,
-           reinterpret_cast<void*>(&matnt_scalar),
-           "reference per-output ascending-l f64 chain"});
-    r.add({"matnt_f32", "lanes", "generic", 10,
-           reinterpret_cast<void*>(&matnt_lanes),
-           "4 outputs per step from a transposed b panel; exact f64 "
-           "products make the chain order the only rounding"});
+std::span<const Variant<MatNtPanelFn>> matnt_variants() {
+  static constexpr Variant<MatNtPanelFn> kTable[] = {
+      {"scalar", "generic", &matnt_scalar},
+      {"lanes", "generic", &matnt_lanes},
 #if defined(__AVX2__) && defined(__FMA__)
-    r.add({"matnt_f32", "avx2", "avx2+fma", 20,
-           reinterpret_cast<void*>(&matnt_avx2),
-           "8-lane packed-f64 FMA across outputs; same exact-product "
-           "argument as lanes"});
+      {"avx2", "avx2+fma", &matnt_avx2},
 #endif
-    return true;
-  }();
-  (void)once;
+  };
+  return kTable;
 }
 
 }  // namespace fekf::dispatch

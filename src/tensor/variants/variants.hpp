@@ -1,22 +1,26 @@
-// Dispatched kernel-family signatures and their registration hooks
-// (DESIGN.md §13). Each family is the INNER BODY of a hot kernel in
-// tensor/kernels.cpp: a per-panel or per-chunk function invoked from the
-// same parallel_for partitions the kernel always used, so thread-width
-// determinism (§9) is a property of the variant body alone.
+// Kernel-family signatures and their variant tables (DESIGN.md §13). Each
+// family is the INNER BODY of a hot kernel in tensor/kernels.cpp: a
+// per-panel or per-chunk function invoked from the same parallel_for
+// partitions the kernel always used, so thread-width determinism (§9) is a
+// property of the variant body alone.
 //
-// The name passed to dispatch::Registry keys the function-pointer type by
-// convention:
+// Each family's table holds typed dispatch::Variant entries, the `scalar`
+// reference first and then every variant this build compiled, in order of
+// preference; dispatch::select picks one per call site:
 //
-//   "gemm_f32"       GemmPanelFn    row panel of out = seed + x·W
-//   "ekf_gain_f64"   GainPanelFn    row panel of y = P·g over a packed
-//                                   upper-triangle P
-//   "matnt_f32"      MatNtPanelFn   row panel of out = a·bᵀ with a
-//                                   per-output f64 accumulator
-//   "gemm_tn_f32"    GemmTnPanelFn  row panel of out = aᵀ·b with a
-//                                   per-output f32 FMA chain
+//   gemm_variants()      GemmPanelFn    row panel of out = seed + x·W
+//   gain_variants()      GainPanelFn    row panel of y = P·g over a packed
+//                                       upper-triangle P
+//   matnt_variants()     MatNtPanelFn   row panel of out = a·bᵀ with a
+//                                       per-output f64 accumulator
+//   gemm_tn_variants()   GemmTnPanelFn  row panel of out = aᵀ·b with a
+//                                       per-output f32 FMA chain
 #pragma once
 
+#include <span>
+
 #include "core/common.hpp"
+#include "tensor/dispatch.hpp"
 #include "tensor/kernels.hpp"
 
 namespace fekf::dispatch {
@@ -65,14 +69,14 @@ using MatNtPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
 using GemmTnPanelFn = void (*)(const f32* a, const f32* b, f32* out, i64 rlo,
                                i64 rhi, i64 k, i64 m, i64 n);
 
-// ---- registration hooks ---------------------------------------------------
-// Idempotent; invoked by the Dispatched<> handles guarding each call site
-// and by tests/benches that enumerate the registry.
+// ---- variant tables -------------------------------------------------------
+// Family names, as the bench and docs/KERNELS.md key them: gemm_f32,
+// ekf_gain_f64, matnt_f32, gemm_tn_f32.
 
-void register_gemm_variants();
-void register_ekf_variants();
-void register_matnt_variants();
-void register_gemm_tn_variants();
+std::span<const Variant<GemmPanelFn>> gemm_variants();
+std::span<const Variant<GainPanelFn>> gain_variants();
+std::span<const Variant<MatNtPanelFn>> matnt_variants();
+std::span<const Variant<GemmTnPanelFn>> gemm_tn_variants();
 
 // ---- undispatched EKF bodies ----------------------------------------------
 // They live with the gain bodies in the translation unit built with

@@ -1,12 +1,11 @@
-// Kernel-dispatch registry and the bit-exactness contract
+// Kernel variant tables and the bit-exactness contract
 // (DESIGN.md §13, docs/KERNELS.md).
 //
-// The contract these tests enforce: every registered variant matches its
+// The contract these tests enforce: every compiled variant matches its
 // family's scalar reference byte for byte (memcmp), both as a bare body
-// and through the public kernels at thread widths 1 and 4; plus the
-// selection policy: auto picks the highest-priority variant the CPU
-// supports, scalar pins the reference, and an unsupported ISA (injected
-// via set_cpu_features_for_test) falls back gracefully instead of failing.
+// and through the public kernels at thread widths 1 and 4; plus the table
+// shape and selection policy: each table starts with the generic scalar
+// reference, auto selects the last entry and scalar the first.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,43 +34,23 @@ namespace {
 
 namespace dp = dispatch;
 
-/// All four families; registration hooks are idempotent.
-const std::vector<std::string>& all_families() {
-  dp::register_gemm_variants();
-  dp::register_ekf_variants();
-  dp::register_matnt_variants();
-  dp::register_gemm_tn_variants();
-  static const std::vector<std::string> families = {
-      "gemm_f32", "ekf_gain_f64", "matnt_f32", "gemm_tn_f32"};
-  return families;
+/// Calls visit(family, table) for each of the four family tables.
+template <typename Visit>
+void for_each_family(Visit&& visit) {
+  visit("gemm_f32", dp::gemm_variants());
+  visit("ekf_gain_f64", dp::gain_variants());
+  visit("matnt_f32", dp::matnt_variants());
+  visit("gemm_tn_f32", dp::gemm_tn_variants());
 }
 
 struct BackendGuard {
-  ~BackendGuard() {
-    dp::Registry::instance().set_backend(dp::Backend::kAuto);
-    dp::Registry::instance().set_cpu_features_for_test(std::nullopt);
-  }
+  const dp::Backend prior = dp::backend();
+  ~BackendGuard() { dp::set_backend(prior); }
 };
 
-/// The selections the public-kernel tests sweep: the scalar reference,
-/// auto on this CPU, and auto on a CPU without AVX2/FMA — the path such a
-/// host actually runs.
-struct Mode {
-  const char* name;
-  dp::Backend backend;
-  bool mask_avx2;
-};
-constexpr Mode kModes[] = {{"scalar", dp::Backend::kScalar, false},
-                           {"auto", dp::Backend::kAuto, false},
-                           {"auto-no-avx2", dp::Backend::kAuto, true}};
-
-void apply_mode(const Mode& mode) {
-  auto& reg = dp::Registry::instance();
-  reg.set_backend(mode.backend);
-  reg.set_cpu_features_for_test(
-      mode.mask_avx2 ? std::optional(dp::CpuFeatures{false, false})
-                     : std::nullopt);
-}
+/// The selections the public-kernel tests sweep: the scalar reference and
+/// auto, the last compiled variant of each family.
+constexpr dp::Backend kModes[] = {dp::Backend::kScalar, dp::Backend::kAuto};
 
 struct WidthGuard {
   ~WidthGuard() { set_num_threads(0); }
@@ -98,91 +77,40 @@ bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry policy
+// Table shape and selection
 // ---------------------------------------------------------------------------
 
-TEST(DispatchRegistry, EveryFamilyHasABitExactScalarFallback) {
-  auto& reg = dp::Registry::instance();
-  for (const std::string& family : all_families()) {
-    const auto scalar = reg.find(family, "scalar");
-    ASSERT_TRUE(scalar.has_value()) << family;
-    EXPECT_EQ(scalar->isa, "generic") << family;
-    EXPECT_GE(reg.variants(family).size(), 2u)
-        << family << ": expected at least one non-scalar variant";
-  }
-}
-
-TEST(DispatchRegistry, AutoSelectsTheHighestPrioritySupportedVariant) {
+TEST(DispatchTable, ScalarFirstAndSelectPicksTheEnds) {
   BackendGuard guard;
-  auto& reg = dp::Registry::instance();
-  reg.set_backend(dp::Backend::kAuto);
-  for (const std::string& family : all_families()) {
-    const dp::Variant v = reg.selected(family);
-    EXPECT_TRUE(reg.supported(v)) << family;
-    for (const dp::Variant& other : reg.variants(family)) {
-      if (reg.supported(other)) {
-        EXPECT_LE(other.priority, v.priority) << family << "/" << other.name;
-      }
+  for_each_family([](const char* family, auto table) {
+    SCOPED_TRACE(family);
+    ASSERT_GE(table.size(), 2u) << "expected at least one non-scalar variant";
+    EXPECT_STREQ(table.front().name, "scalar");
+    EXPECT_STREQ(table.front().isa, "generic");
+    for (std::size_t i = 1; i < table.size(); ++i) {
+      EXPECT_STRNE(table[i].name, "scalar");
+      EXPECT_TRUE(std::string(table[i].isa) == "generic" ||
+                  std::string(table[i].isa) == dp::kCompiledIsa)
+          << table[i].name;
     }
-  }
+    dp::set_backend(dp::Backend::kAuto);
+    EXPECT_EQ(&dp::select(table), &table.back());
+    dp::set_backend(dp::Backend::kScalar);
+    EXPECT_EQ(&dp::select(table), &table.front());
+  });
 }
 
-TEST(DispatchRegistry, ForcedScalarSelectsTheReferenceEverywhere) {
-  BackendGuard guard;
-  auto& reg = dp::Registry::instance();
-  reg.set_backend(dp::Backend::kScalar);
-  for (const std::string& family : all_families()) {
-    EXPECT_EQ(reg.selected(family).name, "scalar") << family;
-  }
-}
-
-TEST(DispatchRegistry, UnsupportedIsaFallsBackGracefully) {
-  BackendGuard guard;
-  auto& reg = dp::Registry::instance();
-  // A CPU with neither AVX2 nor FMA: every avx2+fma variant is ineligible
-  // and auto degrades to the best generic variant instead of failing.
-  reg.set_cpu_features_for_test(dp::CpuFeatures{false, false});
-  reg.set_backend(dp::Backend::kAuto);
-  for (const std::string& family : all_families()) {
-    EXPECT_NE(reg.selected(family).isa, "avx2+fma") << family;
-  }
-  EXPECT_EQ(reg.selected("gemm_f32").name, "simd");
-  EXPECT_EQ(reg.selected("ekf_gain_f64").name, "blocked");
-  EXPECT_EQ(reg.selected("matnt_f32").name, "lanes");
-  EXPECT_EQ(reg.selected("gemm_tn_f32").name, "scalar");
-}
-
-TEST(DispatchRegistry, ReRegistrationReplacesAndBumpsGeneration) {
-  auto& reg = dp::Registry::instance();
-  const auto base = reg.find("gemm_f32", "scalar");
-  ASSERT_TRUE(base.has_value());
-  const u64 gen0 = reg.generation();
-  dp::Variant probe = *base;
-  probe.kernel = "test_probe_kernel";
-  probe.name = "scalar";
-  probe.note = "first";
-  reg.add(probe);
-  EXPECT_GT(reg.generation(), gen0);
-  probe.note = "second";
-  reg.add(probe);
-  const auto found = reg.find("test_probe_kernel", "scalar");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->note, "second");
-  ASSERT_EQ(reg.variants("test_probe_kernel").size(), 1u);
-  EXPECT_EQ(reg.selected("test_probe_kernel").name, "scalar");
-}
-
-TEST(DispatchRegistry, BackendParsing) {
+TEST(DispatchTable, BackendParsing) {
   dp::Backend backend = dp::Backend::kScalar;
-  EXPECT_TRUE(dp::Registry::parse_backend("auto", &backend));
+  EXPECT_TRUE(dp::parse_backend("auto", &backend));
   EXPECT_EQ(backend, dp::Backend::kAuto);
-  EXPECT_TRUE(dp::Registry::parse_backend("scalar", &backend));
+  EXPECT_TRUE(dp::parse_backend("scalar", &backend));
   EXPECT_EQ(backend, dp::Backend::kScalar);
-  EXPECT_TRUE(dp::Registry::parse_backend("", &backend));
+  EXPECT_TRUE(dp::parse_backend("", &backend));
   EXPECT_EQ(backend, dp::Backend::kAuto);
   // The forced-level names of the old ladder, and junk, are rejected.
   for (const char* bad : {"simd", "avx2", "sse9", "AVX2", "Scalar", "auto "}) {
-    EXPECT_FALSE(dp::Registry::parse_backend(bad, &backend)) << bad;
+    EXPECT_FALSE(dp::parse_backend(bad, &backend)) << bad;
   }
 }
 
@@ -190,27 +118,20 @@ TEST(DispatchRegistry, BackendParsing) {
 // Per-variant exactness sweeps against the scalar reference
 // ---------------------------------------------------------------------------
 
-/// Runs `check(variant)` for every registered non-scalar variant of
-/// `family` that the real CPU supports.
-template <typename Fn>
-void for_each_checked_variant(const std::string& family, Fn&& check) {
-  auto& reg = dp::Registry::instance();
-  int checked = 0;
-  for (const dp::Variant& v : reg.variants(family)) {
-    if (v.name == "scalar" || !reg.supported(v)) continue;
-    SCOPED_TRACE(family + "/" + v.name);
-    check(v);
-    ++checked;
+/// Runs `check(fn)` for every non-scalar entry of a family table.
+template <typename Fn, typename Check>
+void for_each_checked_variant(std::span<const dp::Variant<Fn>> table,
+                              Check&& check) {
+  EXPECT_GE(table.size(), 2u) << "no non-scalar variant to check";
+  for (const dp::Variant<Fn>& v : table.subspan(1)) {
+    SCOPED_TRACE(v.name);
+    check(v.fn);
   }
-  EXPECT_GE(checked, 1) << family << ": no non-scalar variant was checkable";
 }
 
 TEST(DispatchExactness, GemmVariantsAreBitExact) {
-  dp::register_gemm_variants();
-  const auto scalar =
-      reinterpret_cast<dp::GemmPanelFn>(
-          dp::Registry::instance().find("gemm_f32", "scalar")->fn);
-  // Paper widths n = 25/16/50/1, an odd n = 23 (8-lane tail) and a
+  const dp::GemmPanelFn scalar = dp::gemm_variants().front().fn;
+  // Paper widths n = 25/16/50/1, an odd n = 23 (vector tail) and a
   // bias-less run.
   struct Shape { i64 m, k, n; bool bias; };
   const std::vector<Shape> shapes = {
@@ -225,19 +146,28 @@ TEST(DispatchExactness, GemmVariantsAreBitExact) {
     const f32* bias = s.bias ? b.data() : nullptr;
     std::vector<f32> ref(static_cast<std::size_t>(s.m * s.n));
     scalar(x.data(), w.data(), bias, ref.data(), 0, s.m, s.k, s.n);
-    for_each_checked_variant("gemm_f32", [&](const dp::Variant& v) {
+    // Panel splits off the 8-lane and row boundaries must compose.
+    std::vector<i64> cuts = {0};
+    for (const i64 c : {i64{1}, i64{3}, i64{7}}) {
+      if (c < s.m) cuts.push_back(c);
+    }
+    cuts.push_back(s.m);
+    for_each_checked_variant(dp::gemm_variants(), [&](dp::GemmPanelFn fn) {
       std::vector<f32> out(static_cast<std::size_t>(s.m * s.n), -7.0f);
-      reinterpret_cast<dp::GemmPanelFn>(v.fn)(x.data(), w.data(), bias,
-                                              out.data(), 0, s.m, s.k, s.n);
+      fn(x.data(), w.data(), bias, out.data(), 0, s.m, s.k, s.n);
       EXPECT_TRUE(bytes_equal(ref, out));
+      std::vector<f32> split(static_cast<std::size_t>(s.m * s.n), -7.0f);
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        fn(x.data(), w.data(), bias, split.data(), cuts[c], cuts[c + 1], s.k,
+           s.n);
+      }
+      EXPECT_TRUE(bytes_equal(ref, split));
     });
   }
 }
 
 TEST(DispatchExactness, GainVariantsAreBitExact) {
-  dp::register_ekf_variants();
-  const auto scalar = reinterpret_cast<dp::GainPanelFn>(
-      dp::Registry::instance().find("ekf_gain_f64", "scalar")->fn);
+  const dp::GainPanelFn scalar = dp::gain_variants().front().fn;
   // n = 67 is odd (a fused n % 4 tail, a ragged 4-row group) and fits one
   // panel; 2*kGainPanelRows + 13 spans three panels.
   for (const i64 n : {i64{67}, 2 * dp::kGainPanelRows + 13}) {
@@ -253,8 +183,7 @@ TEST(DispatchExactness, GainVariantsAreBitExact) {
       if (c < n) cuts.push_back(c);
     }
     cuts.push_back(n);
-    for_each_checked_variant("ekf_gain_f64", [&](const dp::Variant& v) {
-      const auto fn = reinterpret_cast<dp::GainPanelFn>(v.fn);
+    for_each_checked_variant(dp::gain_variants(), [&](dp::GainPanelFn fn) {
       std::vector<f64> out(static_cast<std::size_t>(n), -7.0);
       fn(p.data(), g.data(), out.data(), 0, n, n);
       EXPECT_TRUE(bytes_equal(ref, out));
@@ -268,9 +197,7 @@ TEST(DispatchExactness, GainVariantsAreBitExact) {
 }
 
 TEST(DispatchExactness, MatNtVariantsAreBitExact) {
-  dp::register_matnt_variants();
-  const auto scalar = reinterpret_cast<dp::MatNtPanelFn>(
-      dp::Registry::instance().find("matnt_f32", "scalar")->fn);
+  const dp::MatNtPanelFn scalar = dp::matnt_variants().front().fn;
   // The shapes the family actually serves: the bmm_nt descriptor block
   // (n=6, q=4: 4-lane main + 2-wide tail), the matmul_nt backward panel
   // (n=q=50: 8-lane + 4-lane + 2 tail), a sub-4 n (delegates to scalar),
@@ -287,18 +214,14 @@ TEST(DispatchExactness, MatNtVariantsAreBitExact) {
     const std::vector<f32> b = s.alias ? a : randn_f32(s.n * s.q, 72);
     std::vector<f32> ref(static_cast<std::size_t>(s.m * s.n));
     scalar(a.data(), b.data(), ref.data(), 0, s.m, s.n, s.q);
-    for_each_checked_variant("matnt_f32", [&](const dp::Variant& v) {
+    for_each_checked_variant(dp::matnt_variants(), [&](dp::MatNtPanelFn fn) {
       std::vector<f32> out(static_cast<std::size_t>(s.m * s.n), -7.0f);
-      reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(), out.data(),
-                                               0, s.m, s.n, s.q);
+      fn(a.data(), b.data(), out.data(), 0, s.m, s.n, s.q);
       EXPECT_TRUE(bytes_equal(ref, out));
       // Panel split at an arbitrary row must compose to the same matrix.
       std::vector<f32> split(static_cast<std::size_t>(s.m * s.n), -7.0f);
-      reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(),
-                                               split.data(), 0, 2, s.n, s.q);
-      reinterpret_cast<dp::MatNtPanelFn>(v.fn)(a.data(), b.data(),
-                                               split.data(), 2, s.m, s.n,
-                                               s.q);
+      fn(a.data(), b.data(), split.data(), 0, 2, s.n, s.q);
+      fn(a.data(), b.data(), split.data(), 2, s.m, s.n, s.q);
       EXPECT_TRUE(bytes_equal(ref, split));
     });
   }
@@ -332,9 +255,7 @@ bool same_tensor(const Tensor& p, const Tensor& q) {
 }
 
 TEST(DispatchExactness, GemmTnVariantsAreBitExact) {
-  dp::register_gemm_tn_variants();
-  const auto scalar = reinterpret_cast<dp::GemmTnPanelFn>(
-      dp::Registry::instance().find("gemm_tn_f32", "scalar")->fn);
+  const dp::GemmTnPanelFn scalar = dp::gemm_tn_variants().front().fn;
   // Output rows m cover 1, a ragged 4-row tile (5, 25, 50) and whole
   // tiles (12); columns n cover 1, sub-vector (4), one vector (8), the
   // masked 12/13/17 tails and multi-tile 25/50. k = 10368 is the
@@ -354,8 +275,8 @@ TEST(DispatchExactness, GemmTnVariantsAreBitExact) {
           if (c < m) cuts.push_back(c);
         }
         cuts.push_back(m);
-        for_each_checked_variant("gemm_tn_f32", [&](const dp::Variant& v) {
-          const auto fn = reinterpret_cast<dp::GemmTnPanelFn>(v.fn);
+        for_each_checked_variant(dp::gemm_tn_variants(),
+                                 [&](dp::GemmTnPanelFn fn) {
           std::vector<f32> out(static_cast<std::size_t>(m * n), -7.0f);
           fn(a.data(), b.data(), out.data(), 0, m, k, m, n);
           EXPECT_TRUE(bytes_equal(ref, out));
@@ -385,11 +306,11 @@ TEST(DispatchKernels, GemmTnPublicKernelsMatchTheFrozenLoop) {
     const Tensor a = Tensor::randn(s.k, s.m, rng);
     const Tensor g = Tensor::randn(s.k, s.n, rng);
     const Tensor ref = frozen_matmul_tn(a, g);
-    for (const Mode& mode : kModes) {
-      apply_mode(mode);
+    for (const dp::Backend mode : kModes) {
+      dp::set_backend(mode);
       for (const i64 width : {1, 2, 4}) {
         SCOPED_TRACE("k=" + std::to_string(s.k) + " m=" + std::to_string(s.m) +
-                     " n=" + std::to_string(s.n) + " backend=" + mode.name +
+                     " n=" + std::to_string(s.n) + " backend=" + dp::backend_name(mode) +
                      " width=" + std::to_string(width));
         set_num_threads(width);
         EXPECT_TRUE(same_tensor(kernels::matmul_tn(a, g), ref));
@@ -461,9 +382,9 @@ TEST(DispatchKernels, EveryBackendIsWidthDeterministicAndFusedInvariant) {
   WidthGuard width_guard;
   const i64 n = 193;
   std::optional<EkfRun> reference;
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(std::string("backend=") + mode.name);
-    apply_mode(mode);
+  for (const dp::Backend mode : kModes) {
+    SCOPED_TRACE(std::string("backend=") + dp::backend_name(mode));
+    dp::set_backend(mode);
     set_num_threads(1);
     const EkfRun fused1 = run_ekf(true, n);
     const EkfRun legacy1 = run_ekf(false, n);
@@ -550,12 +471,12 @@ TEST(DispatchExactness, PackedEkfMatchesTheFullPReference) {
     const std::vector<f64> full0 = test_full_p(n);
     const std::vector<f64> packed0 = pack(full0, n);
     const std::vector<f64> w0 = randn_f64(n, 91);
-    for (const Mode& mode : kModes) {
-      apply_mode(mode);
+    for (const dp::Backend mode : kModes) {
+      dp::set_backend(mode);
       for (const i64 width : {1, 2, 4}) {
         set_num_threads(width);
         for (const bool out_of_place : {false, true}) {
-          SCOPED_TRACE("n=" + std::to_string(n) + " backend=" + mode.name +
+          SCOPED_TRACE("n=" + std::to_string(n) + " backend=" + dp::backend_name(mode) +
                        " width=" + std::to_string(width) +
                        (out_of_place ? " out of place" : " in place"));
           std::vector<f64> full = full0, ref_w = w0;
@@ -644,12 +565,12 @@ TEST(DispatchExactness, ApplyGainMatchesTheFullPReference) {
       testref::frozen_symv_rows(ref.data(), g.data(), ref_y.data(), 0, n, n);
       const f64 ref_gain = kernels::dot(g, ref_y);
       const kernels::EkfPendingStep step{k, a, lambda, noise, form.scale};
-      for (const Mode& mode : kModes) {
-        apply_mode(mode);
+      for (const dp::Backend mode : kModes) {
+        dp::set_backend(mode);
         for (const i64 width : {1, 4}) {
           set_num_threads(width);
           SCOPED_TRACE("n=" + std::to_string(n) + " " + form.name +
-                       " backend=" + mode.name +
+                       " backend=" + dp::backend_name(mode) +
                        " width=" + std::to_string(width));
           std::vector<f64> src = packed0;
           std::vector<f64> dst(packed0.size(), -7.0);
@@ -665,7 +586,9 @@ TEST(DispatchExactness, ApplyGainMatchesTheFullPReference) {
               form.gain ? std::span<const f64>(g) : std::span<const f64>(),
               form.gain ? std::span<f64>(y) : std::span<f64>(), n);
           ASSERT_TRUE(bytes_equal(expand(out, n), ref));
-          if (form.out_of_place) ASSERT_TRUE(bytes_equal(src, packed0));
+          if (form.out_of_place) {
+            ASSERT_TRUE(bytes_equal(src, packed0));
+          }
           if (form.gain) {
             ASSERT_TRUE(bytes_equal(y, ref_y));
             ASSERT_EQ(std::memcmp(&gain, &ref_gain, sizeof(f64)), 0);
@@ -679,7 +602,7 @@ TEST(DispatchExactness, ApplyGainMatchesTheFullPReference) {
 TEST(DispatchKernels, ForwardPathMatchesScalarUnderAuto) {
   // Every variant is bit-exact, so the public f32 kernels that dispatch
   // (and the bmm_nt descriptor contraction on top of matnt_f32) must agree
-  // with forced-scalar byte for byte, on this CPU and with AVX2 masked.
+  // with forced-scalar byte for byte.
   BackendGuard guard;
   Rng rng(81);
   const Tensor x = Tensor::randn(33, 50, rng);
@@ -702,9 +625,9 @@ TEST(DispatchKernels, ForwardPathMatchesScalarUnderAuto) {
                        static_cast<std::size_t>(p.numel()) * sizeof(f32)) == 0;
   };
   std::vector<Tensor> reference;
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(std::string("backend=") + mode.name);
-    apply_mode(mode);
+  for (const dp::Backend mode : kModes) {
+    SCOPED_TRACE(std::string("backend=") + dp::backend_name(mode));
+    dp::set_backend(mode);
     const std::vector<Tensor> out = run();
     if (reference.empty()) reference = out;
     for (std::size_t i = 0; i < out.size(); ++i) {
