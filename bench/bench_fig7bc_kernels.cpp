@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <span>
 
 #include "bench_common.hpp"
@@ -76,8 +77,8 @@ struct VariantRow {
   std::string name;
   std::string isa;
   bool selected = false;   ///< what the current backend selects
-  f64 s_per_call = 0.0;    ///< best-of-3 averaged wall time
-  f64 speedup = 0.0;       ///< scalar s_per_call / this s_per_call
+  f64 s_per_call = 0.0;    ///< best pass's averaged wall time
+  f64 speedup = 0.0;       ///< median scalar/this ratio over paired passes
 };
 
 struct DispatchSection {
@@ -93,14 +94,18 @@ struct DispatchSection {
 };
 
 /// Times `call(fn)` for every entry of a family table on the calling
-/// thread: repeats are calibrated on the scalar entry (~40 ms), then every
-/// variant runs the same repeat count three times and keeps the best pass
-/// — the per-variant rows in docs/KERNELS.md and the ci/budgets.json
-/// "dispatch" section come from exactly this loop.
+/// thread: repeats are calibrated on the scalar entry (~40 ms a pass). Each
+/// other variant then runs kPairs alternating pairs of passes against
+/// scalar, each pair flipping which goes first, so host drift lands on both
+/// arms alike. Its speedup is the median of the per-pair scalar/variant
+/// ratios, and every s_per_call is the best of that body's passes. The
+/// per-variant rows in docs/KERNELS.md and the ci/budgets.json "dispatch"
+/// section come from exactly this loop.
 template <typename Fn, typename Call>
 DispatchSection time_family(const std::string& kernel, std::string shape,
                             std::span<const dp::Variant<Fn>> table,
                             Call&& call) {
+  constexpr int kPairs = 5;
   const dp::Variant<Fn>& selected = dp::select(table);
   DispatchSection section{kernel, std::move(shape), {}};
 
@@ -119,20 +124,35 @@ DispatchSection time_family(const std::string& kernel, std::string shape,
          repeats < (1 << 20)) {
     repeats *= 2;
   }
-  const auto measure = [&](Fn fn) {
-    f64 best = time_once(fn, repeats);
-    for (int pass = 1; pass < 3; ++pass) {
-      best = std::min(best, time_once(fn, repeats));
-    }
-    return best;
-  };
-  const f64 scalar_s = measure(scalar);
+  f64 scalar_best = time_once(scalar, repeats);
   for (const dp::Variant<Fn>& v : table) {
     VariantRow row{v.name, v.isa, &v == &selected};
-    row.s_per_call = &v == &table.front() ? scalar_s : measure(v.fn);
-    row.speedup = scalar_s / row.s_per_call;
+    if (&v == &table.front()) {
+      section.rows.push_back(row);  // timed against every other body below
+      continue;
+    }
+    f64 best = std::numeric_limits<f64>::infinity();
+    std::vector<f64> ratios;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      f64 scalar_s = 0.0, variant_s = 0.0;
+      if (pair % 2 == 0) {
+        scalar_s = time_once(scalar, repeats);
+        variant_s = time_once(v.fn, repeats);
+      } else {
+        variant_s = time_once(v.fn, repeats);
+        scalar_s = time_once(scalar, repeats);
+      }
+      scalar_best = std::min(scalar_best, scalar_s);
+      best = std::min(best, variant_s);
+      ratios.push_back(scalar_s / variant_s);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    row.s_per_call = best;
+    row.speedup = ratios[kPairs / 2];
     section.rows.push_back(row);
   }
+  section.rows.front().s_per_call = scalar_best;
+  section.rows.front().speedup = 1.0;
   return section;
 }
 
@@ -239,7 +259,7 @@ int main(int argc, char** argv) {
     auto groups =
         train::make_force_groups(f.train_envs.front()->natoms, 4, group_rng);
 
-    // Warm-up iteration (excluded), then measured iterations.
+    // One warm-up iteration (excluded) before the launch-count check.
     trainer.energy_update(batch_span);
     trainer.force_update(batch_span, groups[0]);
 
@@ -267,6 +287,20 @@ int main(int argc, char** argv) {
                  "kernel-launch counts differ between 1 and 4 threads: " +
                      std::to_string(count_1t) + " vs " +
                      std::to_string(count_nt));
+    }
+    // More warm-up, until the arena stops growing. Samples are pool tasks
+    // in the forward and in the backward, handed out dynamically, so each
+    // thread's arena peaks at the largest share of samples it has drawn so
+    // far; stop after kSteadyIters iterations in a row add no slab.
+    constexpr i64 kSteadyIters = 3;
+    constexpr i64 kMaxWarmupIters = 16;
+    for (i64 it = 0, steady = 0;
+         it < kMaxWarmupIters && steady < kSteadyIters; ++it) {
+      const i64 reserved = Workspace::stats().reserved_bytes;
+      trainer.energy_update(batch_span);
+      trainer.force_update(batch_span,
+                           groups[static_cast<std::size_t>(it % 4)]);
+      steady = Workspace::stats().reserved_bytes == reserved ? steady + 1 : 0;
     }
     KernelCounter::reset();
     const auto launches_before = KernelCounter::breakdown();
@@ -476,7 +510,8 @@ int main(int argc, char** argv) {
       run_dispatch_micro(static_cast<u64>(cli.get_int("seed")));
   const char* backend = dp::backend_name(dp::backend());
   std::printf("\nKernel-dispatch variants (backend=%s, compiled isa: %s); "
-              "single-thread body timings, best of 3:\n",
+              "single-thread body timings, best pass; speedup = median "
+              "of 5 alternating pairs against scalar:\n",
               backend, dp::kCompiledIsa);
   Table td({"kernel", "shape", "variant", "isa", "s/call", "speedup",
             "selected"});

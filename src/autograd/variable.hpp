@@ -118,6 +118,19 @@ bool needs_input_grad(std::size_t i);
 /// closure, and only the gradients of such paths are formed; each needed
 /// gradient still sums the same contributions in the same order, so the
 /// pruning never changes a returned value.
+///
+/// Per-term split. A root that is a run of single-input nodes over a left
+/// fold of `add`s, `c(add(...add(add(t0, t1), t2)..., tn))` (every batched
+/// measurement and Adam's batch loss), runs c and the adds on the caller
+/// and then each term's reverse sweep as one parallel_for task, whose
+/// kernels run inline. Terms that share an interior node, or a leaf term,
+/// stay in one task with every earlier term under their common add. A
+/// task records the gradients reaching leaves in the order it forms them;
+/// the caller folds those lists from tn down to t0 with the same
+/// ops::add, which is the serial sweep's order, so every result is bit for
+/// bit the serial one. The serial sweep runs instead when fewer than two
+/// terms remain, num_threads() is 1, the call is inside a parallel region,
+/// `create_graph` is set, or a `wrt` entry has a producer node.
 std::vector<Variable> grad(const Variable& root,
                            std::span<const Variable> wrt,
                            const Variable& grad_root = {},

@@ -16,8 +16,11 @@
 //  * Nested parallel regions run serially: a for_range issued from inside a
 //    pool task executes inline on that worker (no deadlock, no
 //    oversubscription). Parallelism therefore lives at the outermost level
-//    that reaches a region (per-sample measurement assembly when batched,
-//    per-row kernel panels otherwise) with identical results either way.
+//    that reaches a region, with identical results either way: one sample
+//    per task in the batched forward (measurement assembly) and in its
+//    backward (ag::grad's per-term sweep, whose leaf gradients the caller
+//    folds in the serial sweep's order), one EKF block per task in the
+//    update, per-row kernel panels everywhere else.
 //  * Exceptions thrown by workers are captured, the region drains, and the
 //    first exception rethrows on the calling thread.
 #pragma once

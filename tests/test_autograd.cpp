@@ -1,23 +1,30 @@
 // Autograd engine tests: analytic vs finite-difference gradients for every
-// op, double-backward correctness, fused-vs-composed equivalence, and tape
-// lifetime behaviour.
+// op, double-backward correctness, fused-vs-composed equivalence, tape
+// lifetime behaviour, and the per-term parallel sweep against the serial
+// one.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "core/rng.hpp"
+#include "data/dataset.hpp"
 #include "data/systems.hpp"
 #include "deepmd/model.hpp"
 #include "md/sampler.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernel_counter.hpp"
+#include "train/measurement.hpp"
+#include "train/trainer.hpp"
 
 namespace fekf::ag {
 namespace {
@@ -329,6 +336,11 @@ TEST(Autograd, GradRootSeed) {
 // Needs-grad pruning
 // ---------------------------------------------------------------------------
 
+/// Restores the default pool width on scope exit.
+struct WidthGuard {
+  ~WidthGuard() { set_num_threads(0); }
+};
+
 bool same_bytes(const Variable& a, const Variable& b) {
   return a.value().same_shape(b.value()) &&
          std::memcmp(a.value().data(), b.value().data(),
@@ -371,9 +383,7 @@ std::vector<Variable> concat(std::vector<Variable> a,
 // leaves, and the first backward's dE/dR~ against dE/d(R~ ∪ weights), at
 // every fusion level and at widths 1 and 4.
 TEST(Autograd, PrunedGradientsMatchFullGradients) {
-  struct WidthGuard {
-    ~WidthGuard() { set_num_threads(0); }
-  } width_guard;
+  WidthGuard width_guard;
   const data::SystemSpec& spec = data::get_system("NaCl");
   Rng rng(501);
   md::Structure st = spec.make_structure(rng);
@@ -468,6 +478,296 @@ TEST(Autograd, NeedsMaskIsScopedToEachClosure) {
                std::runtime_error);
   EXPECT_TRUE(needs_input_grad(0));
   EXPECT_TRUE(needs_input_grad(1));
+}
+
+// ---------------------------------------------------------------------------
+// Per-term parallel sweep: grad() splits a left fold of adds into one pool
+// task per term; every result must match the serial sweep bit for bit.
+// ---------------------------------------------------------------------------
+
+/// grad(root, wrt) at width 1 (the serial sweep) and at width 4.
+std::pair<std::vector<Variable>, std::vector<Variable>> grads_at_1_and_4(
+    const Variable& root, const std::vector<Variable>& wrt) {
+  WidthGuard guard;
+  set_num_threads(1);
+  auto serial = grad(root, wrt);
+  set_num_threads(4);
+  auto split = grad(root, wrt);
+  return {std::move(serial), std::move(split)};
+}
+
+void expect_same_bytes(const std::vector<Variable>& a,
+                       const std::vector<Variable>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_bytes(a[i], b[i])) << "gradient " << i;
+  }
+}
+
+/// Counts the backward calls of tagged() nodes inside and outside a pool
+/// task, which tells whether grad() split the sweep.
+struct TaskProbe {
+  std::atomic<int> in_task{0};
+  std::atomic<int> serial{0};
+};
+
+/// Identity op whose backward reports to `probe`.
+Variable tagged(const Variable& x, TaskProbe& probe) {
+  return Variable::make_op(
+      x.value(), "probe", {x},
+      [&probe](const Variable& g) -> std::vector<Variable> {
+        (in_parallel_region() ? probe.in_task : probe.serial).fetch_add(1);
+        return {g};
+      });
+}
+
+/// A term with several contributions to each leaf, so the order leaf
+/// gradients are summed in shows in the low bits.
+Variable mlp_term(const Variable& w, const Variable& b, const Variable& x) {
+  const Variable h = op::linear(x, w, b);
+  return op::sum_all(op::mul(op::tanh(h), op::matmul(x, w)));
+}
+
+Variable left_fold(const std::vector<Variable>& terms) {
+  Variable acc = terms.front();
+  for (std::size_t i = 1; i < terms.size(); ++i) acc = op::add(acc, terms[i]);
+  return acc;
+}
+
+struct Leaves {
+  Variable w{random_tensor(8, 8, 70, 0.4), true};
+  Variable b{random_tensor(1, 8, 71, 0.4), true};
+  std::vector<Variable> xs;
+  Leaves() {
+    for (u64 k = 0; k < 6; ++k) xs.emplace_back(random_tensor(16, 8, 80 + k));
+  }
+  std::vector<Variable> wrt() const { return {w, b}; }
+};
+
+TEST(ParallelSweep, DisjointTermsSplitBitForBit) {
+  Leaves l;
+  TaskProbe probe;
+  std::vector<Variable> terms;
+  for (const Variable& x : l.xs) {
+    terms.push_back(tagged(mlp_term(l.w, l.b, x), probe));
+  }
+  const auto [serial, split] = grads_at_1_and_4(left_fold(terms), l.wrt());
+  expect_same_bytes(serial, split);
+  EXPECT_EQ(probe.serial.load(), 6);  // width 1
+  EXPECT_EQ(probe.in_task.load(), 6);
+}
+
+TEST(ParallelSweep, TermsSharingAnInteriorNodeStaySerial) {
+  // t0 and the latest term share `s`: no term splits off.
+  Leaves l;
+  TaskProbe probe;
+  const Variable s = op::tanh(op::matmul(l.xs[0], l.w));
+  std::vector<Variable> terms = {tagged(op::sum_all(op::square(s)), probe)};
+  for (std::size_t k = 1; k + 1 < l.xs.size(); ++k) {
+    terms.push_back(tagged(mlp_term(l.w, l.b, l.xs[k]), probe));
+  }
+  terms.push_back(tagged(op::sum_all(op::mul(s, op::matmul(l.xs.back(), l.w))),
+                         probe));
+  const auto [serial, split] = grads_at_1_and_4(left_fold(terms), l.wrt());
+  expect_same_bytes(serial, split);
+  EXPECT_EQ(probe.in_task.load(), 0);
+  EXPECT_EQ(probe.serial.load(), 2 * static_cast<int>(terms.size()));
+}
+
+TEST(ParallelSweep, TermReachingASpineAddStaysSerial) {
+  // root = add(add(add(x, y), z), t) with t built from add(x, y): the
+  // leaf terms x, y and z merge under their adds, and t shares one of
+  // those adds, so nothing splits.
+  const Variable x(random_tensor(1, 1, 73), true);
+  const Variable y(random_tensor(1, 1, 74), true);
+  const Variable z(random_tensor(1, 1, 75), true);
+  TaskProbe probe;
+  const Variable a = op::add(x, y);
+  const Variable t = tagged(op::mul(op::tanh(a), a), probe);
+  const auto [serial, split] =
+      grads_at_1_and_4(op::add(op::add(a, z), t), {x, y, z});
+  expect_same_bytes(serial, split);
+  EXPECT_EQ(probe.in_task.load(), 0);
+}
+
+TEST(ParallelSweep, SharingAtTheFoldsBottomSplitsTheRest) {
+  // t0 and t1 share `s` (as a per-sample add(loss_e, loss_f) does): they
+  // run as one task under their add, the later terms one task each.
+  Leaves l;
+  TaskProbe bottom, rest;
+  const Variable s = op::tanh(op::matmul(l.xs[0], l.w));
+  std::vector<Variable> terms = {
+      tagged(op::sum_all(op::square(s)), bottom),
+      tagged(op::sum_all(op::mul(s, op::matmul(l.xs[1], l.w))), bottom)};
+  for (std::size_t k = 2; k < l.xs.size(); ++k) {
+    terms.push_back(tagged(mlp_term(l.w, l.b, l.xs[k]), rest));
+  }
+  const auto [serial, split] = grads_at_1_and_4(left_fold(terms), l.wrt());
+  expect_same_bytes(serial, split);
+  EXPECT_EQ(bottom.in_task.load(), 2);
+  EXPECT_EQ(rest.in_task.load(), 4);
+}
+
+TEST(ParallelSweep, LeafTermsFoldInSerialOrder) {
+  // A scalar wrt leaf as a term, in the middle of the fold and at its
+  // bottom: its direct gradient must join the ones the other terms send it
+  // where the serial sweep adds it.
+  Leaves l;
+  const Variable c(random_tensor(1, 1, 72), true);
+  TaskProbe probe;
+  auto term = [&](std::size_t k) {
+    return tagged(op::mul(mlp_term(l.w, l.b, l.xs[k]), c), probe);
+  };
+  const std::vector<Variable> middle = {term(0), c, term(1), term(2)};
+  const std::vector<Variable> bottom = {c, term(3), term(4), term(5)};
+  for (const auto& terms : {middle, bottom}) {
+    const auto [serial, split] =
+        grads_at_1_and_4(left_fold(terms), {l.w, l.b, c});
+    expect_same_bytes(serial, split);
+  }
+  EXPECT_GT(probe.in_task.load(), 0);
+}
+
+TEST(ParallelSweep, ScaledFoldOfPerSampleSumsMatchesAdamLoss) {
+  // AdamTrainer::batch_loss's shape: scale(fold of add(loss_e, loss_f)),
+  // with both per-sample losses reading the same prediction.
+  Leaves l;
+  TaskProbe probe;
+  std::vector<Variable> samples;
+  for (const Variable& x : l.xs) {
+    const Variable h = op::tanh(op::linear(x, l.w, l.b));
+    const Variable loss_e = tagged(op::scale(op::sum_all(h), 0.25f), probe);
+    const Variable loss_f = op::sum_all(op::square(op::matmul(h, l.w)));
+    samples.push_back(op::add(loss_e, loss_f));
+  }
+  const Variable root = op::scale(left_fold(samples), 1.0f / 6.0f);
+  const auto [serial, split] = grads_at_1_and_4(root, l.wrt());
+  expect_same_bytes(serial, split);
+  EXPECT_EQ(probe.in_task.load(), 6);
+}
+
+TEST(ParallelSweep, WorkerExceptionRethrowsOnCallerWithStateRestored) {
+  WidthGuard guard;
+  set_num_threads(4);
+  Leaves l;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_threw{false};
+  std::vector<Variable> terms;
+  for (const Variable& x : l.xs) {
+    terms.push_back(Variable::make_op(
+        Tensor::scalar(0.0f), "throws_on_worker",
+        {mlp_term(l.w, l.b, x)},
+        [&](const Variable& g) -> std::vector<Variable> {
+          if (std::this_thread::get_id() != caller) {
+            worker_threw = true;
+            throw std::runtime_error("closure failed on a worker");
+          }
+          // Hold the caller's task until a worker has thrown.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!worker_threw && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          return {g};
+        }));
+  }
+  EXPECT_THROW((void)grad(left_fold(terms), l.wrt()), std::runtime_error);
+  EXPECT_TRUE(worker_threw.load());
+  EXPECT_TRUE(grad_enabled());
+  EXPECT_TRUE(needs_input_grad(0));
+  // Every pool thread is back to grad mode on and no mask installed.
+  std::atomic<int> leaked{0};
+  parallel_for(0, 64, [&](i64) {
+    if (!grad_enabled() || !needs_input_grad(1)) leaked.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  EXPECT_EQ(leaked.load(), 0);
+}
+
+// The FEKF measurements at batch 8 on 108-atom Cu: the trainer's gradients
+// and the launches of one update must not depend on the pool width.
+struct CuBatch {
+  std::unique_ptr<deepmd::DeepmdModel> model;
+  std::vector<train::EnvPtr> envs;
+};
+
+CuBatch make_cu_batch() {
+  const data::SystemSpec& spec = data::get_system("Cu");
+  data::DatasetConfig dcfg;
+  dcfg.train_per_temperature = 4;
+  dcfg.test_per_temperature = 1;
+  const data::Dataset dataset = data::build_dataset(spec, dcfg);
+  deepmd::ModelConfig cfg;
+  cfg.rcut = 5.0;
+  cfg.rcut_smth = 2.5;
+  cfg.embed_width = 8;
+  cfg.axis_neurons = 4;
+  cfg.fitting_width = 16;
+  CuBatch out;
+  out.model = std::make_unique<deepmd::DeepmdModel>(cfg, spec.num_types());
+  out.model->fit_stats(dataset.train);
+  out.envs = train::prepare_all(*out.model, dataset.train);
+  out.envs.resize(8);
+  return out;
+}
+
+TEST(ParallelSweep, FekfMeasurementsAtBatch8MatchSerial) {
+  CuBatch cu = make_cu_batch();
+  ASSERT_EQ(cu.envs.size(), 8u);
+  const std::vector<Variable> params = cu.model->parameters();
+  Rng rng(5);
+  const auto groups = train::make_force_groups(cu.envs.front()->natoms, 4, rng);
+  const train::Measurement energy =
+      train::energy_measurement(*cu.model, cu.envs);
+  const train::Measurement force =
+      train::force_measurement(*cu.model, cu.envs, groups[0]);
+  for (const Variable& m : {energy.m, force.m}) {
+    const auto [serial, split] = grads_at_1_and_4(m, params);
+    expect_same_bytes(serial, split);
+  }
+}
+
+TEST(ParallelSweep, LaunchesPerUpdateDoNotDependOnWidth) {
+  CuBatch cu = make_cu_batch();
+  const std::vector<Variable> params = cu.model->parameters();
+  Rng rng(6);
+  const auto groups = train::make_force_groups(cu.envs.front()->natoms, 4, rng);
+  WidthGuard guard;
+  auto launches = [&](i64 width) {
+    set_num_threads(width);
+    KernelCountScope scope;
+    (void)grad(train::energy_measurement(*cu.model, cu.envs).m, params);
+    (void)grad(train::force_measurement(*cu.model, cu.envs, groups[1]).m,
+               params);
+    return scope.count();
+  };
+  const i64 serial = launches(1);
+  EXPECT_GT(serial, 0);
+  EXPECT_EQ(launches(4), serial);
+}
+
+TEST(ParallelSweep, AdamTrainingMatchesSerial) {
+  // AdamTrainer::batch_loss end to end: two epochs at batch 4, widths 1
+  // and 4, final weights compared byte for byte.
+  auto train_at = [](i64 width) {
+    WidthGuard guard;
+    set_num_threads(width);
+    CuBatch cu = make_cu_batch();
+    train::TrainOptions opts;
+    opts.batch_size = 4;
+    opts.max_epochs = 2;
+    opts.eval_max_samples = 2;
+    optim::AdamConfig acfg;
+    acfg.decay_steps = 100;
+    train::AdamTrainer trainer(*cu.model, acfg, {}, opts);
+    (void)trainer.train(cu.envs, {});
+    std::vector<Variable> weights;
+    for (const Variable& p : cu.model->parameters()) {
+      weights.emplace_back(p.value().clone());
+    }
+    return weights;
+  };
+  expect_same_bytes(train_at(1), train_at(4));
 }
 
 }  // namespace
