@@ -7,15 +7,25 @@
 //                 p_update_fused / axpy sequence
 //   arena         the default model's energy + force prediction with
 //                 temporaries drawn from the Workspace vs operator new
+//   serving       one predict_batch over 16 cells with forces (32-atom
+//                 FCC cells for Cu/Al), on a thread of its own like the
+//                 BatchingEvaluator worker, inside an ArenaScope vs on
+//                 the heap, with that thread's minor page faults per
+//                 batch (RUSAGE_THREAD; pool helpers' are not counted).
+//                 Report-only: no budget reads it
 //
 // The EKF comparison asserts (FEKF_CHECK) the fused step's launch budget
 // and its bit-identical state, and the arena its steady state, so the
 // binary doubles as a CI gate; `--json FILE` emits the numbers
 // ci/check_budgets.py compares against ci/budgets.json.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench_common.hpp"
+#include "md/lattice.hpp"
 #include "optim/kalman.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/dispatch.hpp"
@@ -55,6 +65,46 @@ void measure(Fn&& fn, i64 reps, f64* seconds, i64* launches) {
   const f64 t0 = now_s();
   for (i64 r = 0; r < reps; ++r) fn();
   *seconds = (now_s() - t0) / static_cast<f64>(reps);
+}
+
+i64 thread_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return static_cast<i64>(usage.ru_minflt);
+}
+
+/// One arm of the serving row: seconds and minor faults per batch.
+struct ServingArm {
+  f64 s_per_batch = 0.0;
+  f64 faults_per_batch = 0.0;
+};
+
+/// The serving row's batch: 16 jittered 2x2x2 FCC cells (32 atoms) for
+/// Cu/Al, else the fixture's first training snapshots.
+std::vector<train::EnvPtr> serving_envs(const Fixture& f) {
+  constexpr i64 kBatch = 16;
+  const f64 lattice_a = f.system == "Cu" ? 3.615 : f.system == "Al" ? 4.05 : 0.0;
+  std::vector<train::EnvPtr> envs;
+  Rng rng(7);
+  for (i64 i = 0; i < kBatch; ++i) {
+    if (lattice_a == 0.0) {
+      envs.push_back(f.train_envs[static_cast<std::size_t>(i) %
+                                  f.train_envs.size()]);
+      continue;
+    }
+    const md::Structure st = md::make_fcc(lattice_a, 2, 2, 2);
+    md::Snapshot snap;
+    snap.cell = st.cell;
+    snap.types = st.types;
+    snap.positions = st.positions;
+    for (md::Vec3& p : snap.positions) {  // thermal-scale jitter
+      p.x += 0.02 * lattice_a * rng.gaussian();
+      p.y += 0.02 * lattice_a * rng.gaussian();
+      p.z += 0.02 * lattice_a * rng.gaussian();
+    }
+    envs.push_back(f.model->prepare(snap));
+  }
+  return envs;
 }
 
 }  // namespace
@@ -136,6 +186,8 @@ int main(int argc, char** argv) {
   Result arena;
   i64 arena_allocs = 0, arena_peak_bytes = 0, arena_retired = 0;
   i64 arena_reserved_growth = 0;
+  ServingArm serve_arena, serve_heap;
+  i64 serve_natoms = 0;
   const bool arena_available = Workspace::enabled();
   if (arena_available) {
     Fixture f = make_fixture(cli.get("system"), cli);
@@ -175,6 +227,42 @@ int main(int argc, char** argv) {
                    fmt("%.2fx", arena.speedup()),
                    std::to_string(arena.fused_launches),
                    std::to_string(arena.unfused_launches)});
+
+    // Serving batch, arms interleaved per repetition so drift hits both.
+    const std::vector<train::EnvPtr> batch_envs = serving_envs(f);
+    std::thread([&] {
+      auto batch = [&](bool armed, ServingArm* arm) {
+        const i64 faults0 = thread_minor_faults();
+        const f64 t0 = now_s();
+        if (armed) {
+          ArenaScope scope;
+          (void)f.model->predict_batch(batch_envs, /*with_forces=*/true);
+        } else {
+          (void)f.model->predict_batch(batch_envs, /*with_forces=*/true);
+        }
+        arm->s_per_batch += now_s() - t0;
+        arm->faults_per_batch +=
+            static_cast<f64>(thread_minor_faults() - faults0);
+      };
+      ServingArm warm;
+      batch(true, &warm);
+      batch(false, &warm);
+      for (i64 r = 0; r < reps; ++r) {
+        batch(true, &serve_arena);
+        batch(false, &serve_heap);
+      }
+    }).join();
+    for (ServingArm* arm : {&serve_arena, &serve_heap}) {
+      arm->s_per_batch /= static_cast<f64>(reps);
+      arm->faults_per_batch /= static_cast<f64>(reps);
+    }
+    serve_natoms = batch_envs.front()->natoms;
+    table.add_row({"serving batch 16 arena/heap",
+                   fmt("%.6f", serve_arena.s_per_batch),
+                   fmt("%.6f", serve_heap.s_per_batch),
+                   fmt("%.2fx", serve_heap.s_per_batch /
+                                    serve_arena.s_per_batch),
+                   "-", "-"});
   }
 
   std::printf("Fused vs unfused (seconds per repetition, %lld reps; "
@@ -186,6 +274,10 @@ int main(int argc, char** argv) {
                 "%lld KiB, 0 retired slabs, 0 growth\n",
                 static_cast<long long>(arena_allocs / (reps + 2)),
                 static_cast<long long>(arena_peak_bytes / 1024));
+    std::printf("serving batch (16 x %lld atoms, forces, own thread): "
+                "%.1f minor faults/batch in the arena, %.1f on the heap\n",
+                static_cast<long long>(serve_natoms),
+                serve_arena.faults_per_batch, serve_heap.faults_per_batch);
   } else {
     std::printf("\narena disabled (FEKF_ARENA=0): arena/heap comparison "
                 "skipped\n");
@@ -216,6 +308,16 @@ int main(int argc, char** argv) {
             ",\n";
     json += "  \"arena_peak_scope_bytes\": " +
             std::to_string(arena_peak_bytes) + ",\n";
+    if (arena_available) {
+      json += "  \"serving_arena_vs_heap\": {\"batch\": 16, \"natoms\": " +
+              std::to_string(serve_natoms) + ", \"arena_s\": " +
+              fmt("%.6f", serve_arena.s_per_batch) + ", \"heap_s\": " +
+              fmt("%.6f", serve_heap.s_per_batch) +
+              ", \"arena_minor_faults\": " +
+              fmt("%.1f", serve_arena.faults_per_batch) +
+              ", \"heap_minor_faults\": " +
+              fmt("%.1f", serve_heap.faults_per_batch) + "},\n";
+    }
     json += "  \"comparisons\": [\n";
     for (const auto& [backend, result] : ekf_backends) {
       if (backend != ekf_backends.front().first) json += ",\n";

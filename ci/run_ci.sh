@@ -77,7 +77,10 @@ for ty in $BUILD_TYPES; do
   if [ "$ty" = tsan ]; then
     # TSan leg: race-check the suites where threads actually contend —
     # the serving registry/evaluator (publish vs lock-free readers, batch
-    # coalescing), the thread pool, and the parallel primitives. The full
+    # coalescing), the thread pool, the parallel primitives, and the
+    # per-thread tensor arena (test_threading's ArenaThreads cases: arm
+    # bits carried into pool tasks, lazy rewinds of worker arenas, a
+    # trainer and a server sharing the pool). The full
     # matrix and budgets stay on the other legs; TSan timing is not
     # representative and its full run would dominate the pipeline.
     for width in $WIDTHS; do

@@ -9,6 +9,7 @@ namespace fekf {
 namespace {
 
 thread_local bool t_in_parallel = false;
+thread_local bool t_arena_armed = false;
 
 i64 default_thread_count() {
   static const i64 cached = [] {
@@ -104,9 +105,14 @@ void ThreadPool::for_range_blocks(i64 begin, i64 end,
   };
   auto state = std::make_shared<State>();
   state->cursor.store(begin, std::memory_order_relaxed);
-  auto body = [state, end, grain, &fn] {
+  // Helper tasks allocate from their worker's arena exactly when the
+  // issuing thread is armed (tensor/workspace.hpp).
+  const bool armed = t_arena_armed;
+  auto body = [state, end, grain, armed, &fn] {
     const bool was_nested = t_in_parallel;
+    const bool was_armed = t_arena_armed;
     t_in_parallel = true;
+    t_arena_armed = armed;
     for (;;) {
       const i64 lo = state->cursor.fetch_add(grain, std::memory_order_relaxed);
       if (lo >= end) break;
@@ -120,6 +126,7 @@ void ThreadPool::for_range_blocks(i64 begin, i64 end,
       }
     }
     t_in_parallel = was_nested;
+    t_arena_armed = was_armed;
   };
   const i64 nchunks = (n + grain - 1) / grain;
   const i64 helpers = std::min<i64>(w - 1, nchunks - 1);
@@ -164,6 +171,10 @@ void set_num_threads(i64 n) {
 }
 
 bool in_parallel_region() { return t_in_parallel; }
+
+bool thread_arena_armed() { return t_arena_armed; }
+
+void set_thread_arena_armed(bool armed) { t_arena_armed = armed; }
 
 void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn,
                   i64 grain) {

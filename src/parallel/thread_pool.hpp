@@ -21,6 +21,9 @@
 //    backward (ag::grad's per-term sweep, whose leaf gradients the caller
 //    folds in the serial sweep's order), one EKF block per task in the
 //    update, per-row kernel panels everywhere else.
+//  * A helper task runs with the parallel-region flag set and with its
+//    issuer's arena arm bit (tensor/workspace.hpp), and restores the
+//    worker's own values when it ends.
 //  * Exceptions thrown by workers are captured, the region drains, and the
 //    first exception rethrows on the calling thread.
 #pragma once
@@ -99,6 +102,14 @@ void set_num_threads(i64 n);
 /// True while executing inside a parallel_for/for_range task; nested
 /// regions observe it and run serially.
 bool in_parallel_region();
+
+/// The calling thread's arena arm bit (tensor/workspace.hpp): set while the
+/// thread has an ArenaScope open. for_range copies the issuing thread's
+/// bit into every helper task, as it does the parallel-region flag, so a
+/// pool task allocates from its worker's arena exactly when the thread that
+/// issued it is armed. Only ArenaScope should set it.
+bool thread_arena_armed();
+void set_thread_arena_armed(bool armed);
 
 /// Convenience wrappers over ThreadPool::global(), capped at num_threads().
 void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn,

@@ -19,10 +19,10 @@
 // max_batch requests or max_wait_s after their oldest member, whichever
 // comes first.
 //
-// The arena allocator is never armed here: its reset-at-scope-exit is
-// process-global and walker threads allocate concurrently (tensor/
-// workspace.hpp). Runs mixing a live trainer with serving should disable
-// the arena (Workspace::set_enabled(false)) — see DESIGN.md §14.
+// Arena: each batch's activations come from the worker thread's arena
+// (evaluate_prepared opens one ArenaScope per batch). Arming is per thread
+// (tensor/workspace.hpp), so the walkers' prepare() stays on the heap and
+// a trainer may run its own scopes in the same process.
 #pragma once
 
 #include <condition_variable>

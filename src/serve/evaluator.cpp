@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/trace.hpp"
+#include "tensor/workspace.hpp"
 
 namespace fekf::serve {
 
@@ -52,11 +53,15 @@ std::vector<EvalResult> evaluate_prepared(
     bool with_forces) {
   obs::ScopedSpan span("serve.evaluate_batch", "serve");
   span.arg("requests", static_cast<f64>(envs.size()));
+  std::vector<EvalResult> out;
+  out.reserve(envs.size());
+  // The batch's activations come from this thread's arena (and its pool
+  // helpers'). Only plain EvalResults leave the scope; `preds` is declared
+  // after it, so every tensor dies before the arena rewinds.
+  ArenaScope arena;
   const f64 t0 = now_seconds();
   auto preds = model.predict_batch(envs, with_forces);
   const f64 elapsed = now_seconds() - t0;
-  std::vector<EvalResult> out;
-  out.reserve(envs.size());
   for (std::size_t i = 0; i < envs.size(); ++i) {
     EvalResult r = to_result(*envs[i], preds[i], with_forces);
     r.eval_seconds = elapsed;

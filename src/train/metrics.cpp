@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/workspace.hpp"
+
 namespace fekf::train {
 
 std::vector<EnvPtr> prepare_all(const deepmd::DeepmdModel& model,
@@ -26,6 +28,9 @@ Metrics evaluate(const deepmd::DeepmdModel& model,
   std::vector<f64> dea_all(static_cast<std::size_t>(n));
   i64 f_count = 0;
   for (i64 s = 0; s < n; ++s) {
+    // One arena scope per sample: `pred` is declared after it, so the
+    // pass's activations die before the scope rewinds.
+    ArenaScope arena;
     const EnvPtr& env = envs[static_cast<std::size_t>(s)];
     auto pred = model.predict(env, with_forces);
     const f64 de = static_cast<f64>(pred.energy.item()) - env->energy_label;

@@ -1,16 +1,25 @@
 // Determinism suite for the multithreaded hot path (DESIGN.md "Threading &
 // determinism"): every parallel kernel must produce BIT-IDENTICAL results
 // at width 1 and width 4, and a short FEKF training run must follow the
-// same trajectory at both widths.
+// same trajectory at both widths. The ArenaThreads cases pin the per-thread
+// arena rules (tensor/workspace.hpp): who is armed, who rewinds, and that a
+// trainer and a server sharing the pool both keep their results bit for bit.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "data/dataset.hpp"
 #include "deepmd/bmm.hpp"
+#include "deepmd/serialize.hpp"
 #include "parallel/thread_pool.hpp"
+#include "serve/batching.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/workspace.hpp"
 #include "train/trainer.hpp"
 
 namespace fekf {
@@ -224,6 +233,258 @@ TEST(ThreadDeterminism, FekfTrajectory50Steps) {
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], threaded[i]) << "trajectory checkpoint " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread arena arming and own-thread rewinds (tensor/workspace.hpp)
+// ---------------------------------------------------------------------------
+
+/// Force-enable the arena for a test and restore the ambient setting.
+struct ArenaEnableGuard {
+  bool was = Workspace::enabled();
+  ArenaEnableGuard() { Workspace::set_enabled(true); }
+  ~ArenaEnableGuard() { Workspace::set_enabled(was); }
+};
+
+/// Run `fn` once on `pool`'s worker, as a for_range helper task issued from
+/// the calling thread. The pool must have exactly one worker: each of the
+/// two indices waits for the other, so they run on different threads.
+/// Returns whether the worker ran `fn`.
+bool on_worker(ThreadPool& pool, const std::function<void()>& fn) {
+  const std::thread::id issuer = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> ran{false};
+  pool.for_range(0, 2, [&](i64) {
+    if (std::this_thread::get_id() != issuer) {
+      fn();
+      ran.store(true);
+    }
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  return ran.load();
+}
+
+Tensor filled(i64 rows, i64 cols, f32 value) {
+  Tensor t(rows, cols);
+  for (i64 i = 0; i < t.numel(); ++i) t.data()[i] = value;
+  return t;
+}
+
+TEST(ArenaThreads, WalkerPrepareStaysOnHeapWhileABatchScopeIsOpen) {
+  ArenaEnableGuard enable;
+  const data::SystemSpec& spec = data::get_system("Cu");
+  data::DatasetConfig dcfg;
+  dcfg.train_per_temperature = 1;
+  dcfg.test_per_temperature = 1;
+  const data::Dataset dataset = data::build_dataset(spec, dcfg);
+  deepmd::DeepmdModel model(tiny_model(), spec.num_types());
+  model.fit_stats(dataset.train);
+
+  ArenaScope batch;  // the serving worker's open batch
+  ASSERT_TRUE(Workspace::armed());
+  const i64 before = Workspace::stats().allocs;
+  bool walker_armed = true;
+  std::shared_ptr<const deepmd::EnvData> env;
+  std::thread walker([&] {
+    walker_armed = Workspace::armed();
+    env = model.prepare(dataset.train.front());
+  });
+  walker.join();
+  EXPECT_FALSE(walker_armed);
+  ASSERT_NE(env, nullptr);
+  EXPECT_EQ(Workspace::stats().allocs, before)
+      << "the walker's prepare() drew from an arena";
+  // The batch scope itself is armed: its own tensors do come from the arena.
+  const Tensor t(4, 4);
+  EXPECT_EQ(Workspace::stats().allocs, before + 1);
+}
+
+TEST(ArenaThreads, PoolTasksInheritTheIssuersArmBit) {
+  ArenaEnableGuard enable;
+  ThreadPool pool(2);
+  auto probe = [&](bool* armed) {
+    return on_worker(pool, [armed] {
+      *armed = Workspace::armed();
+      const Tensor t = filled(8, 8, 1.0f);
+    });
+  };
+
+  bool armed = true;
+  i64 before = Workspace::stats().allocs;
+  ASSERT_TRUE(probe(&armed));
+  EXPECT_FALSE(armed) << "task issued from an unarmed thread";
+  EXPECT_EQ(Workspace::stats().allocs, before);
+
+  ArenaScope scope;
+  armed = false;
+  before = Workspace::stats().allocs;
+  ASSERT_TRUE(probe(&armed));
+  EXPECT_TRUE(armed) << "task issued from an armed thread";
+  EXPECT_EQ(Workspace::stats().allocs, before + 1);
+}
+
+TEST(ArenaThreads, WorkerArenaRewindsLazilyAndNeverUnderALiveTensor) {
+  ArenaEnableGuard enable;
+  Workspace::reset_stats();
+  ThreadPool pool(2);
+  constexpr i64 kRows = 64, kCols = 64;
+
+  // The worker's allocation in one thread's scope, and then its allocation
+  // in a later scope of another thread: the first scope's exit bumped the
+  // epoch, so the worker rewound its own arena and reused the same bytes.
+  auto scope_on = [&](const std::function<void()>& fn) {
+    std::thread owner([&] {
+      ArenaScope scope;
+      ASSERT_TRUE(on_worker(pool, fn));
+    });
+    owner.join();
+  };
+  const f32* first = nullptr;
+  const f32* second = nullptr;
+  scope_on([] { const Tensor warm = filled(kRows, kCols, 0.0f); });
+  scope_on([&] { first = filled(kRows, kCols, 1.0f).data(); });
+  {
+    ArenaScope scope;
+    ASSERT_TRUE(on_worker(pool, [&] {
+      second = filled(kRows, kCols, 2.0f).data();
+    }));
+  }
+  EXPECT_EQ(first, second) << "the worker arena did not rewind itself";
+
+  // Now the main thread's step keeps a worker-allocated tensor alive while
+  // another thread closes a scope and then clobbers the worker's arena.
+  ArenaScope step;
+  Tensor live;
+  ASSERT_TRUE(on_worker(pool, [&] {
+    live = Tensor(kRows, kCols);
+    for (i64 i = 0; i < live.numel(); ++i) {
+      live.data()[i] = static_cast<f32>(i);
+    }
+  }));
+  const Tensor expect = [&] {
+    const bool was = Workspace::enabled();
+    Workspace::set_enabled(false);  // a heap copy outside the arena
+    Tensor copy = live.clone();
+    Workspace::set_enabled(was);
+    return copy;
+  }();
+  const f32* clobber_lo = nullptr;
+  const f32* clobber_hi = nullptr;
+  scope_on([] { const Tensor bump = filled(kRows, kCols, 0.0f); });
+  scope_on([&] {
+    const Tensor clobber = filled(4 * kRows, kCols, -1.0f);
+    clobber_lo = clobber.data();
+    clobber_hi = clobber.data() + clobber.numel();
+  });
+  EXPECT_TRUE(clobber_hi <= live.data() ||
+              clobber_lo >= live.data() + live.numel())
+      << "a lazy rewind handed out a live tensor's bytes";
+  EXPECT_EQ(std::memcmp(live.data(), expect.data(),
+                        static_cast<std::size_t>(live.numel()) * sizeof(f32)),
+            0);
+  EXPECT_EQ(Workspace::stats().retired_slabs, 0)
+      << "a lazy rewind retired another owner's slab";
+}
+
+TEST(ArenaThreads, TrainerAndServerShareThePoolBitForBit) {
+  const data::SystemSpec& spec = data::get_system("Cu");
+  data::DatasetConfig dcfg;
+  dcfg.train_per_temperature = 2;
+  dcfg.test_per_temperature = 1;
+  const data::Dataset dataset = data::build_dataset(spec, dcfg);
+  deepmd::DeepmdModel start(tiny_model(), spec.num_types());
+  start.fit_stats(dataset.train);
+
+  WidthGuard width;
+  set_num_threads(2);
+  constexpr i64 kSteps = 4;
+  auto train = [&](deepmd::DeepmdModel& model) {
+    auto envs = train::prepare_all(model, dataset.train);
+    const i64 batch = std::min<i64>(4, static_cast<i64>(envs.size()));
+    std::span<const train::EnvPtr> batch_span(envs.data(),
+                                              static_cast<std::size_t>(batch));
+    train::TrainOptions opts;
+    opts.batch_size = batch;
+    optim::KalmanConfig kcfg;
+    kcfg.blocksize = 512;
+    train::KalmanTrainer trainer(model, kcfg, opts);
+    Rng group_rng(7);
+    auto groups = train::make_force_groups(envs.front()->natoms, 4, group_rng);
+    for (i64 step = 0; step < kSteps; ++step) {
+      trainer.energy_update(batch_span);
+      trainer.force_update(batch_span,
+                           groups[static_cast<std::size_t>(step % 4)]);
+    }
+  };
+
+  deepmd::DeepmdModel reference = deepmd::clone_model(start);
+  {
+    const bool was = Workspace::enabled();
+    Workspace::set_enabled(false);
+    train(reference);
+    Workspace::set_enabled(was);
+  }
+
+  ArenaEnableGuard enable;
+  serve::ModelRegistry registry;
+  registry.publish_copy(start, 1);
+  std::vector<serve::EvalResult> expected;
+  for (const md::Snapshot& snap : dataset.test) {
+    serve::EvalRequest req;
+    req.snapshot = snap;
+    expected.push_back(serve::evaluate_with(start, req));
+  }
+  serve::BatchingConfig cfg;
+  cfg.max_batch = 4;
+  cfg.max_wait_s = 1e-3;
+  serve::BatchingEvaluator evaluator(registry, cfg);
+
+  std::atomic<bool> training{true};
+  std::atomic<int> served{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> walkers;
+  for (int w = 0; w < 2; ++w) {
+    walkers.emplace_back([&, w] {
+      for (std::size_t k = static_cast<std::size_t>(w);
+           training.load() || served.load() < 4; ++k) {
+        const std::size_t pick = k % dataset.test.size();
+        serve::EvalRequest req;
+        req.snapshot = dataset.test[pick];
+        const serve::EvalResult res = evaluator.evaluate(req);
+        const serve::EvalResult& want = expected[pick];
+        bool same = res.energy == want.energy &&
+                    res.forces.size() == want.forces.size();
+        // == on forces: the batched pass may flip the sign of a zero
+        // (DeepmdModel::predict_batch).
+        for (std::size_t a = 0; same && a < want.forces.size(); ++a) {
+          same = res.forces[a].x == want.forces[a].x &&
+                 res.forces[a].y == want.forces[a].y &&
+                 res.forces[a].z == want.forces[a].z;
+        }
+        if (!same) mismatches.fetch_add(1);
+        served.fetch_add(1);
+      }
+    });
+  }
+  deepmd::DeepmdModel model = deepmd::clone_model(start);
+  train(model);
+  training.store(false);
+  for (std::thread& t : walkers) t.join();
+
+  EXPECT_GE(served.load(), 4);
+  EXPECT_EQ(mismatches.load(), 0) << "served results moved under training";
+  const std::vector<ag::Variable> got = model.parameters();
+  const std::vector<ag::Variable> want = reference.parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(got[i].value(), want[i].value()))
+        << "parameter " << i << " differs from the arena-off run";
   }
 }
 
