@@ -12,7 +12,10 @@
 #                             environment re-runs, at every width in
 #                             FEKF_CI_WIDTHS, plus a forced-scalar leg
 #                             (FEKF_KERNEL_BACKEND=scalar) so the dispatch
-#                             fallback path stays tested end to end
+#                             fallback path stays tested end to end;
+#                             each ctest run prints its ten slowest tests
+#                             and keeps them as ci_artifacts/
+#                             slowest_tests_<leg>.txt
 #   4. perf/launch budgets    (release legs only) bench_fig7bc_kernels +
 #                             bench_fusion + bench_chaos + bench_serving
 #                             emit JSON, ci/check_budgets.py
@@ -40,6 +43,16 @@ BUILD_TYPES="${FEKF_CI_BUILD_TYPES:-release sanitize tsan}"
 WIDTHS="${FEKF_CI_WIDTHS:-1 4}"
 ARTIFACTS="${FEKF_CI_ARTIFACTS:-ci_artifacts}"
 mkdir -p "$ARTIFACTS"
+
+# Print the ten slowest tests of the ctest run that just finished in build
+# dir $1, read from its LastTest.log, and keep them as artifact $2.
+slowest_tests() {
+  echo "---- ten slowest tests"
+  awk '/^[0-9]+\/[0-9]+ Test: / { name = $3 }
+       /^Test time = / { printf "%8.2f s  %s\n", $4, name }' \
+    "$1/Testing/Temporary/LastTest.log" | sort -rn | awk 'NR <= 10' |
+    tee "$ARTIFACTS/$2"
+}
 
 echo "==== [1/4] format gate"
 python3 ci/check_format.py
@@ -88,6 +101,7 @@ for ty in $BUILD_TYPES; do
       FEKF_NUM_THREADS="$width" \
         ctest --test-dir "$dir" --output-on-failure -j"$JOBS" \
           -R '^(test_serve|test_threading|test_parallel)'
+      slowest_tests "$dir" "slowest_tests_${ty}_w${width}.txt"
     done
     echo "==== [4/4] budgets skipped for $ty (covered by the release leg)"
     continue
@@ -97,6 +111,7 @@ for ty in $BUILD_TYPES; do
     echo "==== [3/4] ctest ($ty, FEKF_NUM_THREADS=$width)"
     FEKF_NUM_THREADS="$width" \
       ctest --test-dir "$dir" --output-on-failure -j"$JOBS"
+    slowest_tests "$dir" "slowest_tests_${ty}_w${width}.txt"
   done
 
   # Forced-scalar leg: the whole suite must pass with every dispatched
@@ -107,6 +122,7 @@ for ty in $BUILD_TYPES; do
   echo "==== [3/4] ctest ($ty, FEKF_KERNEL_BACKEND=scalar)"
   FEKF_KERNEL_BACKEND=scalar \
     ctest --test-dir "$dir" --output-on-failure -j"$JOBS"
+  slowest_tests "$dir" "slowest_tests_${ty}_scalar.txt"
 
   if [ "$ty" = release ]; then
     echo "==== [4/4] perf/launch/allocation budgets ($ty)"

@@ -8,10 +8,10 @@
 
 namespace fekf::deepmd {
 
-std::shared_ptr<const EnvData> build_env(const md::Snapshot& snapshot,
-                                         const EnvStats& stats,
-                                         std::span<const i64> sel,
-                                         const ModelConfig& config) {
+std::shared_ptr<const EnvData> build_env(
+    const md::Snapshot& snapshot, const EnvStats& stats,
+    std::span<const i64> sel, const ModelConfig& config,
+    const md::NeighborList* neighbors) {
   const i64 n = snapshot.natoms();
   const i32 num_types = static_cast<i32>(sel.size());
   FEKF_CHECK(n > 0, "empty snapshot");
@@ -45,14 +45,43 @@ std::shared_ptr<const EnvData> build_env(const md::Snapshot& snapshot,
         env->type_counts[static_cast<std::size_t>(t)];
   }
 
-  md::NeighborList nl;
-  nl.build(snapshot.positions, snapshot.cell, config.rcut);
+  // This thread's list from its previous build keeps its storage
+  // (NeighborList::build reuses it), so a serving walker's steady state
+  // allocates no neighbor lists.
+  thread_local md::NeighborList own;
+  if (neighbors == nullptr) {
+    own.build(snapshot.positions, snapshot.cell, config.rcut);
+    neighbors = &own;
+  }
+  const md::NeighborList& nl = *neighbors;
+  FEKF_CHECK(nl.size() == n && nl.rcut() >= config.rcut,
+             "prebuilt neighbor list must cover every atom at a cutoff of "
+             "at least rcut");
+  // Only a longer list holds neighbors at or past rcut.
+  const bool longer = nl.rcut() > config.rcut;
+
+  // One Jacobian per filled slot: count them to size each type's vector.
+  std::vector<i64> filled(static_cast<std::size_t>(num_types));
+  std::vector<i64> slots(static_cast<std::size_t>(num_types), 0);
+  for (i64 i = 0; i < n; ++i) {
+    std::fill(filled.begin(), filled.end(), 0);
+    for (const md::Neighbor& nb : nl.of(i)) {
+      if (longer && nb.r >= config.rcut) continue;
+      ++filled[static_cast<std::size_t>(
+          snapshot.types[static_cast<std::size_t>(nb.index)])];
+    }
+    for (std::size_t t = 0; t < slots.size(); ++t) {
+      slots[t] += std::min(filled[t], sel[t]);
+    }
+  }
 
   env->r_mats.reserve(static_cast<std::size_t>(num_types));
   env->jacobians.resize(static_cast<std::size_t>(num_types));
   for (i32 t = 0; t < num_types; ++t) {
     env->r_mats.push_back(
         Tensor::zeros(n * sel[static_cast<std::size_t>(t)], 4));
+    env->jacobians[static_cast<std::size_t>(t)].reserve(
+        static_cast<std::size_t>(slots[static_cast<std::size_t>(t)]));
   }
 
   // Padding slots carry the *normalized raw-zero* radial value
@@ -67,13 +96,13 @@ std::shared_ptr<const EnvData> build_env(const md::Snapshot& snapshot,
     for (i64 row = 0; row < rm.rows(); ++row) rm.at(row, 0) = pad;
   }
 
-  std::vector<i64> filled(static_cast<std::size_t>(num_types));
   for (i64 srt = 0; srt < n; ++srt) {
     const i64 orig = env->perm[static_cast<std::size_t>(srt)];
     std::fill(filled.begin(), filled.end(), 0);
     // Neighbor lists are distance-sorted, so the nearest neighbors of each
     // type claim the slots — truncation (if any) drops the farthest.
     for (const md::Neighbor& nb : nl.of(orig)) {
+      if (longer && nb.r >= config.rcut) continue;
       const i32 t = snapshot.types[static_cast<std::size_t>(nb.index)];
       i64& cnt = filled[static_cast<std::size_t>(t)];
       if (cnt >= sel[static_cast<std::size_t>(t)]) {

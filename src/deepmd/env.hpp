@@ -17,6 +17,7 @@
 
 #include "deepmd/config.hpp"
 #include "deepmd/stats.hpp"
+#include "md/neighbor.hpp"
 #include "md/system.hpp"
 #include "tensor/tensor.hpp"
 
@@ -57,9 +58,16 @@ struct EnvData {
 };
 
 /// Build the normalized environment matrix + Jacobian for one snapshot.
-std::shared_ptr<const EnvData> build_env(const md::Snapshot& snapshot,
-                                         const EnvStats& stats,
-                                         std::span<const i64> sel,
-                                         const ModelConfig& config);
+///
+/// `neighbors`, when given, is a list already built for the snapshot's
+/// positions and cell (an MD step's, say) at a cutoff of at least
+/// config.rcut; the build then skips its own neighbor search. A list built
+/// at exactly config.rcut gives the env bit for bit. From a longer list
+/// the neighbors past config.rcut are dropped, and equidistant neighbors
+/// may take one another's slots.
+std::shared_ptr<const EnvData> build_env(
+    const md::Snapshot& snapshot, const EnvStats& stats,
+    std::span<const i64> sel, const ModelConfig& config,
+    const md::NeighborList* neighbors = nullptr);
 
 }  // namespace fekf::deepmd

@@ -46,10 +46,10 @@ void DeepmdModel::set_stats(EnvStats env_stats, EnergyStats energy_stats) {
 }
 
 std::shared_ptr<const EnvData> DeepmdModel::prepare(
-    const md::Snapshot& snapshot) const {
+    const md::Snapshot& snapshot, const md::NeighborList* neighbors) const {
   FEKF_CHECK(stats_ready_, "call fit_stats() before prepare()");
   obs::ScopedSpan span("deepmd.env_build", "deepmd");
-  return build_env(snapshot, env_stats_, sel_, config_);
+  return build_env(snapshot, env_stats_, sel_, config_, neighbors);
 }
 
 Variable DeepmdModel::descriptor(const std::vector<Variable>& r_leaves,

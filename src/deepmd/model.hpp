@@ -35,7 +35,11 @@ class DeepmdModel {
   void set_stats(EnvStats env_stats, EnergyStats energy_stats);
 
   /// Geometry preprocessing; reusable across epochs for a static dataset.
-  std::shared_ptr<const EnvData> prepare(const md::Snapshot& snapshot) const;
+  /// `neighbors` optionally reuses a list built for this snapshot at a
+  /// cutoff >= config().rcut (see build_env).
+  std::shared_ptr<const EnvData> prepare(
+      const md::Snapshot& snapshot,
+      const md::NeighborList* neighbors = nullptr) const;
 
   struct Prediction {
     ag::Variable energy;  ///< 1x1, eV

@@ -15,15 +15,22 @@ f64 SuttonChen::compute(std::span<const Vec3> positions,
   const i64 n = static_cast<i64>(positions.size());
   const f64 r_switch = 0.9 * rcut_;
 
-  // Pass 1: densities rho_i (switched).
+  // Pass 1: densities rho_i (switched). Each pair's (a/r)^m is kept for
+  // pass 2, which visits the pairs in the same order.
   std::vector<f64> rho(static_cast<std::size_t>(n), 0.0);
+  std::vector<f64> phi;
+  std::size_t pairs = 0;
+  for (i64 i = 0; i < n; ++i) pairs += nl.of(i).size();
+  phi.reserve(pairs);
   for (i64 i = 0; i < n; ++i) {
     f64 acc = 0.0;
     for (const Neighbor& nb : nl.of(i)) {
       if (nb.r >= rcut_) continue;
       f64 dsw = 0.0;
       const f64 sw = switch_fn(nb.r, r_switch, rcut_, dsw);
-      acc += std::pow(p_.a / nb.r, p_.m) * sw;
+      const f64 phir = std::pow(p_.a / nb.r, p_.m);
+      phi.push_back(phir);
+      acc += phir * sw;
     }
     rho[static_cast<std::size_t>(i)] = acc;
   }
@@ -42,6 +49,7 @@ f64 SuttonChen::compute(std::span<const Vec3> positions,
   // Pass 2: pair energy and forces. With the full double-counted neighbor
   // list, F_i = sum_nb [ V'(r) + (dF_i + dF_nb) phi'(r) ] * d_hat, where
   // both V and phi carry the switch.
+  std::size_t pair = 0;
   for (i64 i = 0; i < n; ++i) {
     Vec3 fi{};
     const f64 dFi = dF[static_cast<std::size_t>(i)];
@@ -51,7 +59,7 @@ f64 SuttonChen::compute(std::span<const Vec3> positions,
       const f64 sw = switch_fn(nb.r, r_switch, rcut_, dsw);
       const f64 vr = p_.epsilon * std::pow(p_.a / nb.r, p_.n);
       const f64 dvr = -p_.n * vr / nb.r;
-      const f64 phir = std::pow(p_.a / nb.r, p_.m);
+      const f64 phir = phi[pair++];
       const f64 dphir = -p_.m * phir / nb.r;
       energy += 0.5 * vr * sw;
       const f64 dV = dvr * sw + vr * dsw;

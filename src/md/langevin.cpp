@@ -1,6 +1,7 @@
 #include "md/langevin.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "md/units.hpp"
 
@@ -26,7 +27,34 @@ void LangevinIntegrator::initialize_velocities(System& system,
   for (auto& v : system.velocities) v -= v_com;
 }
 
-f64 LangevinIntegrator::run(System& system, i64 steps, Rng& rng) const {
+void LangevinIntegrator::evaluate(const System& system) {
+  evaluated_ = false;  // stays false if the potential throws
+  nl_.build(system.positions, system.cell, potential_.cutoff());
+  last_.forces.assign(system.positions.size(), Vec3{});
+  last_.energy = potential_.compute(system.positions, system.types,
+                                    system.cell, nl_, last_.forces);
+  last_.cell = system.cell;
+  last_.positions = system.positions;
+  last_.types = system.types;
+  evaluated_ = true;
+}
+
+bool LangevinIntegrator::evaluated_at(const System& system) const {
+  // Bitwise, not ==: the reused result must be the one a fresh evaluation
+  // would give, and -0.0 == 0.0 does not promise that.
+  auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+  };
+  const Vec3& l = last_.cell.lengths();
+  const Vec3& c = system.cell.lengths();
+  return evaluated_ && std::memcmp(&l, &c, sizeof l) == 0 &&
+         same(last_.positions, system.positions) &&
+         same(last_.types, system.types);
+}
+
+f64 LangevinIntegrator::run(System& system, i64 steps, Rng& rng) {
   const i64 n = system.natoms();
   FEKF_CHECK(static_cast<i64>(system.velocities.size()) == n,
              "velocities not initialized");
@@ -36,17 +64,8 @@ f64 LangevinIntegrator::run(System& system, i64 steps, Rng& rng) const {
   const f64 c1 = std::exp(-gamma * dt);
   const f64 kT = kBoltzmann * config_.temperature;
 
-  NeighborList nl;
-  std::vector<Vec3> forces(static_cast<std::size_t>(n));
-
-  auto eval = [&]() -> f64 {
-    nl.build(system.positions, system.cell, potential_.cutoff());
-    std::fill(forces.begin(), forces.end(), Vec3{});
-    return potential_.compute(system.positions, system.types, system.cell,
-                              nl, forces);
-  };
-
-  f64 energy = eval();
+  if (!evaluated_at(system)) evaluate(system);
+  const std::vector<Vec3>& forces = last_.forces;
   for (i64 step = 0; step < steps; ++step) {
     // B: half kick.
     for (i64 i = 0; i < n; ++i) {
@@ -77,7 +96,7 @@ f64 LangevinIntegrator::run(System& system, i64 steps, Rng& rng) const {
                                    system.velocities[static_cast<std::size_t>(i)]);
     }
     // Recompute forces, then B: half kick.
-    energy = eval();
+    evaluate(system);
     for (i64 i = 0; i < n; ++i) {
       const f64 inv_m =
           kForceToAccel / system.masses[static_cast<std::size_t>(i)];
@@ -85,7 +104,7 @@ f64 LangevinIntegrator::run(System& system, i64 steps, Rng& rng) const {
           (half_dt * inv_m) * forces[static_cast<std::size_t>(i)];
     }
   }
-  return energy;
+  return last_.energy;
 }
 
 f64 LangevinIntegrator::kinetic_energy(const System& system) {

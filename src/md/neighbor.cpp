@@ -10,7 +10,8 @@ void NeighborList::build(std::span<const Vec3> positions, const Cell& cell,
   FEKF_CHECK(rcut > 0.0, "rcut must be positive");
   rcut_ = rcut;
   const i64 n = static_cast<i64>(positions.size());
-  lists_.assign(static_cast<std::size_t>(n), {});
+  // resize + clear keeps every list's storage from the previous build.
+  lists_.resize(static_cast<std::size_t>(n));
 
   const Vec3 box = cell.lengths();
   const i32 sx = static_cast<i32>(std::ceil(rcut / box.x));
@@ -20,11 +21,18 @@ void NeighborList::build(std::span<const Vec3> positions, const Cell& cell,
 
   for (i64 i = 0; i < n; ++i) {
     auto& list = lists_[static_cast<std::size_t>(i)];
+    list.clear();
     const Vec3 ri = positions[static_cast<std::size_t>(i)];
     for (i64 j = 0; j < n; ++j) {
       const Vec3 base = positions[static_cast<std::size_t>(j)] - ri;
       for (i32 ax = -sx; ax <= sx; ++ax) {
+        // Image pruning (DESIGN.md §8): a shift whose x (then y) component
+        // alone reaches rcut cannot pass the r2 < rc2 test below, so
+        // skipping it drops only rejected candidates and the survivors
+        // keep their (j, ax, ay, az) order.
+        if (std::abs(base.x + ax * box.x) >= rcut) continue;
         for (i32 ay = -sy; ay <= sy; ++ay) {
+          if (std::abs(base.y + ay * box.y) >= rcut) continue;
           for (i32 az = -sz; az <= sz; ++az) {
             if (i == j && ax == 0 && ay == 0 && az == 0) continue;
             const Vec3 d{base.x + ax * box.x, base.y + ay * box.y,

@@ -25,8 +25,11 @@ struct Neighbor {
 
 class NeighborList {
  public:
-  /// Build for all atoms within `rcut`. O(N^2 * images); the paper systems
-  /// are small enough that this dominates nothing.
+  /// Build for all atoms within `rcut`. O(N^2 * images), and the largest
+  /// set-up cost there is: every teacher force evaluation and every env
+  /// build runs one. Shifts whose x or y component alone reaches `rcut`
+  /// are skipped before the inner loops (DESIGN.md §8), and rebuilding
+  /// reuses the lists' storage.
   void build(std::span<const Vec3> positions, const Cell& cell, f64 rcut);
 
   i64 size() const { return static_cast<i64>(lists_.size()); }

@@ -26,23 +26,20 @@ std::vector<Snapshot> sample_trajectory(const Potential& potential,
       config.snapshots_per_temperature *
       static_cast<i64>(config.temperatures.size())));
 
+  // One integrator for every temperature: each run() starts from the
+  // forces the previous one ended with, and they are the labels too, so
+  // each MD step costs one teacher evaluation and labelling costs none.
+  LangevinIntegrator integrator(
+      potential, LangevinIntegrator::Config{config.dt_fs,
+                                            config.temperatures.front(),
+                                            config.friction});
   for (const f64 temperature : config.temperatures) {
-    LangevinIntegrator integrator(
-        potential, LangevinIntegrator::Config{config.dt_fs, temperature,
-                                              config.friction});
+    integrator.set_temperature(temperature);
     integrator.initialize_velocities(system, rng);
     integrator.run(system, config.equilibration_steps, rng);
     for (i64 s = 0; s < config.snapshots_per_temperature; ++s) {
       integrator.run(system, config.stride, rng);
-      EnergyForces labels =
-          evaluate(potential, system.positions, system.types, system.cell);
-      Snapshot snap;
-      snap.cell = system.cell;
-      snap.positions = system.positions;
-      snap.types = system.types;
-      snap.energy = labels.energy;
-      snap.forces = std::move(labels.forces);
-      snapshots.push_back(std::move(snap));
+      snapshots.push_back(integrator.evaluation());
     }
   }
   return snapshots;

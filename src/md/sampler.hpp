@@ -21,7 +21,8 @@ struct SamplerConfig {
 };
 
 /// Run the sampler and label every snapshot with the teacher's energy and
-/// forces. Deterministic given `rng`'s state.
+/// forces, bit for bit what md::evaluate() gives at its positions.
+/// Deterministic given `rng`'s state.
 std::vector<Snapshot> sample_trajectory(const Potential& potential,
                                         const Structure& initial,
                                         std::span<const f64> mass_per_type,

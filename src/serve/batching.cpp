@@ -83,7 +83,7 @@ std::future<EvalResult> BatchingEvaluator::submit(EvalRequest request) {
 
   Pending pending;
   // Geometry preprocessing on the walker's thread, not the worker's.
-  pending.env = snap->model->prepare(request.snapshot);
+  pending.env = snap->model->prepare(request.snapshot, request.neighbors);
   pending.with_forces = request.with_forces;
   pending.snapshot = snap;
   pending.request_id = request_id;

@@ -40,7 +40,7 @@ EvalResult evaluate_with(const deepmd::DeepmdModel& model,
                          const EvalRequest& request) {
   obs::ScopedSpan span("serve.evaluate", "serve");
   const f64 t0 = now_seconds();
-  auto env = model.prepare(request.snapshot);
+  auto env = model.prepare(request.snapshot, request.neighbors);
   auto pred = model.predict(env, request.with_forces);
   EvalResult out = to_result(*env, pred, request.with_forces);
   out.eval_seconds = now_seconds() - t0;
@@ -80,7 +80,7 @@ std::vector<EvalResult> evaluate_batch_with(
   for (const EvalRequest& req : requests) {
     FEKF_CHECK(req.with_forces == with_forces,
                "mixed with_forces in one batch");
-    envs.push_back(model.prepare(req.snapshot));
+    envs.push_back(model.prepare(req.snapshot, req.neighbors));
   }
   return evaluate_prepared(model, envs, with_forces);
 }

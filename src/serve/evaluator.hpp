@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "deepmd/model.hpp"
+#include "md/neighbor.hpp"
 #include "md/system.hpp"
 
 namespace fekf::serve {
@@ -23,6 +24,12 @@ namespace fekf::serve {
 struct EvalRequest {
   md::Snapshot snapshot;
   bool with_forces = true;
+
+  /// Optional neighbor list already built for `snapshot` at a cutoff of at
+  /// least the model's rcut (ModelPotential passes its MD step's). Read
+  /// only while the request is prepared, inside evaluate() or submit();
+  /// nothing keeps the pointer.
+  const md::NeighborList* neighbors = nullptr;
 
   /// Freshness: 0 serves the latest published version at submit time;
   /// a non-zero value pins that exact version (it must exist). Only the

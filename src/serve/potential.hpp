@@ -30,6 +30,9 @@ class ModelPotential final : public md::Potential {
 
   f64 cutoff() const override { return rcut_; }
 
+  /// Evaluates through the evaluator, handing it `nl` so the env build
+  /// skips its own neighbor search: an MD step searches once.
+
   f64 compute(std::span<const md::Vec3> positions,
               std::span<const i32> types, const md::Cell& cell,
               const md::NeighborList& nl,

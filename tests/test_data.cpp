@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
 
 #include "data/dataset.hpp"
 #include "data/systems.hpp"
 #include "md/langevin.hpp"
 #include "md/neighbor.hpp"
+#include "md/sampler.hpp"
 #include "md/units.hpp"
 
 namespace fekf::data {
@@ -90,6 +93,85 @@ TEST_P(TeacherStability, HighTemperatureMdIsSane) {
 
 INSTANTIATE_TEST_SUITE_P(Catalog, TeacherStability,
                          ::testing::ValuesIn(system_names()),
+                         [](const auto& info) { return info.param; });
+
+// The sampler as it was before the integrator carried its last
+// evaluation: every run() starts with a fresh integrator (so with a fresh
+// force evaluation), and the labels come from md::evaluate().
+std::vector<md::Snapshot> reference_trajectory(
+    const md::Potential& potential, const md::Structure& initial,
+    std::span<const f64> mass_per_type, const md::SamplerConfig& config,
+    Rng& rng) {
+  md::System system;
+  system.cell = initial.cell;
+  system.positions = initial.positions;
+  system.types = initial.types;
+  for (const i32 t : initial.types) {
+    system.masses.push_back(mass_per_type[static_cast<std::size_t>(t)]);
+  }
+  const auto fresh = [&](f64 temperature) {
+    return md::LangevinIntegrator(
+        potential, md::LangevinIntegrator::Config{config.dt_fs, temperature,
+                                                  config.friction});
+  };
+  std::vector<md::Snapshot> snapshots;
+  for (const f64 temperature : config.temperatures) {
+    fresh(temperature).initialize_velocities(system, rng);
+    fresh(temperature).run(system, config.equilibration_steps, rng);
+    for (i64 s = 0; s < config.snapshots_per_temperature; ++s) {
+      fresh(temperature).run(system, config.stride, rng);
+      md::EnergyForces labels =
+          md::evaluate(potential, system.positions, system.types, system.cell);
+      snapshots.push_back(md::Snapshot{system.cell, system.positions,
+                                       system.types, labels.energy,
+                                       std::move(labels.forces)});
+    }
+  }
+  return snapshots;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool same_bits(f64 a, f64 b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+class SamplerLabels : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SamplerLabels, CarriedEvaluationsAreTheTeacherLabelsBitForBit) {
+  const SystemSpec& spec = get_system(GetParam());
+  Rng rng(61);
+  const md::Structure st = spec.make_structure(rng);
+  auto pot = spec.make_potential(st);
+  md::SamplerConfig cfg;
+  cfg.dt_fs = spec.dt_fs;
+  cfg.temperatures = {spec.temperatures.front(), spec.temperatures.back()};
+  cfg.equilibration_steps = 6;
+  cfg.stride = 3;
+  cfg.snapshots_per_temperature = 3;
+  Rng rng_a(62), rng_b(62);
+  const auto got = md::sample_trajectory(*pot, st, spec.masses, cfg, rng_a);
+  const auto want = reference_trajectory(*pot, st, spec.masses, cfg, rng_b);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const md::Snapshot& snap = got[k];
+    const md::EnergyForces at =
+        md::evaluate(*pot, snap.positions, snap.types, snap.cell);
+    EXPECT_TRUE(same_bits(snap.energy, at.energy)) << "snapshot " << k;
+    EXPECT_TRUE(same_bits(snap.forces, at.forces)) << "snapshot " << k;
+    EXPECT_TRUE(same_bits(snap.positions, want[k].positions))
+        << "snapshot " << k;
+    EXPECT_TRUE(same_bits(snap.energy, want[k].energy)) << "snapshot " << k;
+    EXPECT_TRUE(same_bits(snap.forces, want[k].forces)) << "snapshot " << k;
+  }
+  // Both consumed the same random stream.
+  EXPECT_EQ(rng_a.next(), rng_b.next());
+}
+
+INSTANTIATE_TEST_SUITE_P(MetalAndComposite, SamplerLabels,
+                         ::testing::Values("Cu", "CuO"),
                          [](const auto& info) { return info.param; });
 
 TEST(Dataset, SplitCoversAllTemperatures) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "autograd/ops.hpp"
@@ -313,6 +314,55 @@ TEST(Deepmd, StatsSuggestedSelCoversData) {
   for (const md::Snapshot& snap : snaps) {
     auto env = build_env(snap, stats, stats.suggested_sel, cfg);
     EXPECT_EQ(env->truncated_neighbors, 0);
+  }
+}
+
+void expect_same_env(const EnvData& a, const EnvData& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.perm, b.perm) << label;
+  EXPECT_EQ(a.truncated_neighbors, b.truncated_neighbors) << label;
+  ASSERT_EQ(a.r_mats.size(), b.r_mats.size()) << label;
+  for (std::size_t t = 0; t < a.r_mats.size(); ++t) {
+    ASSERT_EQ(a.r_mats[t].numel(), b.r_mats[t].numel()) << label;
+    EXPECT_EQ(std::memcmp(a.r_mats[t].data(), b.r_mats[t].data(),
+                          static_cast<std::size_t>(a.r_mats[t].numel()) *
+                              sizeof(f32)),
+              0)
+        << label << " type " << t;
+    ASSERT_EQ(a.jacobians[t].size(), b.jacobians[t].size()) << label;
+    for (std::size_t k = 0; k < a.jacobians[t].size(); ++k) {
+      const SlotJacobian& x = a.jacobians[t][k];
+      const SlotJacobian& y = b.jacobians[t][k];
+      EXPECT_TRUE(x.row == y.row && x.center == y.center &&
+                  x.neighbor == y.neighbor &&
+                  std::memcmp(x.j.data(), y.j.data(), sizeof x.j) == 0)
+          << label << " type " << t << " slot " << k;
+    }
+  }
+}
+
+TEST(Deepmd, PrebuiltNeighborListGivesTheSameEnv) {
+  for (const char* name : {"Cu", "HfO2"}) {
+    auto snaps = sample_system(name, 2, 55);
+    DeepmdModel model(small_config(), data::get_system(name).num_types());
+    model.fit_stats(snaps);
+    const f64 rcut = model.config().rcut;
+    for (const md::Snapshot& snap : snaps) {
+      auto own = model.prepare(snap);
+      md::NeighborList nl;
+      nl.build(snap.positions, snap.cell, rcut);
+      expect_same_env(*own, *model.prepare(snap, &nl),
+                      std::string(name) + " list at rcut");
+      // MD snapshots have no two neighbors at one distance, so a longer
+      // list, cut back to rcut, fills the slots the same way.
+      nl.build(snap.positions, snap.cell, rcut + 1.5);
+      expect_same_env(*own, *model.prepare(snap, &nl),
+                      std::string(name) + " longer list");
+      nl.build(snap.positions, snap.cell, rcut - 0.5);
+      EXPECT_THROW(model.prepare(snap, &nl), Error) << "list short of rcut";
+      nl.build(std::span(snap.positions).first(4), snap.cell, rcut);
+      EXPECT_THROW(model.prepare(snap, &nl), Error) << "list of other atoms";
+    }
   }
 }
 

@@ -1,12 +1,18 @@
-// MD substrate tests: neighbor-list invariants, analytic-vs-numeric forces
-// for every teacher potential, NVE energy conservation, Langevin
-// thermostatting, and lattice builders.
+// MD substrate tests: neighbor-list invariants and the oracle against the
+// unpruned 27-image search, analytic-vs-numeric forces for every teacher
+// potential, NVE energy conservation, Langevin thermostatting, and lattice
+// builders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <span>
+#include <string>
 
 #include "core/rng.hpp"
+#include "data/systems.hpp"
 #include "md/bonded.hpp"
 #include "md/coulomb.hpp"
 #include "md/eam.hpp"
@@ -101,6 +107,179 @@ TEST(Neighbor, CountMatchesBruteForceShell) {
   nl.build(s.positions, s.cell, 3.6 / std::sqrt(2.0) + 0.1);
   for (i64 i = 0; i < s.natoms(); ++i) {
     EXPECT_EQ(nl.of(i).size(), 12u);
+  }
+}
+
+// The neighbor search as it was before image pruning: every shift out to
+// ceil(rcut / L) is tested, and the lists are sorted as whole Neighbors. It
+// is the oracle for NeighborList::build, which must reproduce it bit for
+// bit — same neighbors, same d and r, same order among equal distances —
+// because the teacher labels and every env matrix are built from these
+// lists.
+std::vector<std::vector<Neighbor>> unpruned_lists(
+    std::span<const Vec3> positions, const Cell& cell, f64 rcut) {
+  const i64 n = static_cast<i64>(positions.size());
+  std::vector<std::vector<Neighbor>> lists(static_cast<std::size_t>(n));
+
+  const Vec3 box = cell.lengths();
+  const i32 sx = static_cast<i32>(std::ceil(rcut / box.x));
+  const i32 sy = static_cast<i32>(std::ceil(rcut / box.y));
+  const i32 sz = static_cast<i32>(std::ceil(rcut / box.z));
+  const f64 rc2 = rcut * rcut;
+
+  for (i64 i = 0; i < n; ++i) {
+    auto& list = lists[static_cast<std::size_t>(i)];
+    const Vec3 ri = positions[static_cast<std::size_t>(i)];
+    for (i64 j = 0; j < n; ++j) {
+      const Vec3 base = positions[static_cast<std::size_t>(j)] - ri;
+      for (i32 ax = -sx; ax <= sx; ++ax) {
+        for (i32 ay = -sy; ay <= sy; ++ay) {
+          for (i32 az = -sz; az <= sz; ++az) {
+            if (i == j && ax == 0 && ay == 0 && az == 0) continue;
+            const Vec3 d{base.x + ax * box.x, base.y + ay * box.y,
+                         base.z + az * box.z};
+            const f64 r2 = d.norm2();
+            if (r2 < rc2 && r2 > 1e-12) {
+              list.push_back(
+                  Neighbor{static_cast<i32>(j), d, std::sqrt(r2)});
+            }
+          }
+        }
+      }
+    }
+    std::sort(list.begin(), list.end(),
+              [](const Neighbor& a, const Neighbor& b) { return a.r < b.r; });
+  }
+  return lists;
+}
+
+bool same_bits(f64 a, f64 b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Builds into `nl` (which may hold an earlier build) and compares every
+// list against the oracle bitwise. Returns the number of neighbors seen.
+i64 expect_matches_oracle(NeighborList& nl, std::span<const Vec3> positions,
+                          const Cell& cell, f64 rcut,
+                          const std::string& label) {
+  nl.build(positions, cell, rcut);
+  const auto want = unpruned_lists(positions, cell, rcut);
+  EXPECT_EQ(nl.size(), static_cast<i64>(want.size())) << label;
+  if (nl.size() != static_cast<i64>(want.size())) return 0;
+  i64 total = 0;
+  for (i64 i = 0; i < nl.size(); ++i) {
+    const auto& got = nl.of(i);
+    const auto& ref = want[static_cast<std::size_t>(i)];
+    EXPECT_EQ(got.size(), ref.size()) << label << " atom " << i;
+    if (got.size() != ref.size()) return total;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const bool same = got[k].index == ref[k].index &&
+                        same_bits(got[k].d.x, ref[k].d.x) &&
+                        same_bits(got[k].d.y, ref[k].d.y) &&
+                        same_bits(got[k].d.z, ref[k].d.z) &&
+                        same_bits(got[k].r, ref[k].r);
+      EXPECT_TRUE(same) << label << " atom " << i << " slot " << k;
+      if (!same) return total;
+    }
+    total += static_cast<i64>(got.size());
+  }
+  return total;
+}
+
+TEST(NeighborOracle, CatalogStartStructures) {
+  // Perfect lattices put whole shells at one distance, so the sort's tie
+  // order is exercised on every system.
+  NeighborList nl;
+  for (const std::string& name : data::system_names()) {
+    const data::SystemSpec& spec = data::get_system(name);
+    Rng rng(5);
+    const Structure s = spec.make_structure(rng);
+    const f64 teacher_rcut = spec.make_potential(s)->cutoff();
+    for (const f64 rcut : {teacher_rcut, 6.0, 3.5}) {
+      EXPECT_GT(expect_matches_oracle(nl, s.positions, s.cell, rcut,
+                                      name + " rcut " + std::to_string(rcut)),
+                0);
+    }
+  }
+}
+
+TEST(NeighborOracle, JitteredMdSnapshots) {
+  NeighborList nl;
+  for (const std::string& name : {std::string("Cu"), std::string("CuO")}) {
+    const data::SystemSpec& spec = data::get_system(name);
+    Rng rng(31);
+    const Structure s = spec.make_structure(rng);
+    auto pot = spec.make_potential(s);
+    SamplerConfig cfg;
+    cfg.dt_fs = spec.dt_fs;
+    cfg.temperatures = {spec.temperatures.back()};
+    cfg.equilibration_steps = 4;
+    cfg.stride = 2;
+    cfg.snapshots_per_temperature = 3;
+    for (const Snapshot& snap :
+         sample_trajectory(*pot, s, spec.masses, cfg, rng)) {
+      expect_matches_oracle(nl, snap.positions, snap.cell, pot->cutoff(),
+                            name + " MD snapshot");
+    }
+  }
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    Structure s = make_fcc(3.615, 3, 3, 3);
+    jiggle(s, 0.3, seed);
+    expect_matches_oracle(nl, s.positions, s.cell, 6.0, "jiggled fcc");
+  }
+}
+
+TEST(NeighborOracle, ServingCellsAtThreeAngstrom) {
+  // 32-atom Cu cells displaced by a gaussian and not wrapped, so some
+  // coordinates sit just outside [0, L).
+  const Structure fcc = make_fcc(3.615, 2, 2, 2);
+  Rng rng(41);
+  NeighborList nl;
+  for (int c = 0; c < 8; ++c) {
+    std::vector<Vec3> positions = fcc.positions;
+    for (Vec3& p : positions) {
+      p += Vec3{0.02 * 3.615 * rng.gaussian(), 0.02 * 3.615 * rng.gaussian(),
+                0.02 * 3.615 * rng.gaussian()};
+    }
+    expect_matches_oracle(nl, positions, fcc.cell, 3.0, "serving cell");
+  }
+}
+
+TEST(NeighborOracle, CutoffBeyondTheBoxReachesTwoImageShells) {
+  // L = 7.2 and rcut = 9 > L: shifts of +-2 boxes contribute.
+  Structure s = make_fcc(3.6, 2, 2, 2);
+  jiggle(s, 0.1, 43);
+  NeighborList nl;
+  EXPECT_GT(expect_matches_oracle(nl, s.positions, s.cell, 9.0, "rcut > L"),
+            0);
+  expect_matches_oracle(nl, s.positions, s.cell, 4.5, "rcut > L/2");
+}
+
+TEST(NeighborOracle, OneAtomSeesItsOwnImages) {
+  const std::vector<Vec3> positions = {Vec3{1.0, 1.0, 1.0}};
+  NeighborList nl;
+  EXPECT_GT(expect_matches_oracle(nl, positions, Cell(3.0, 3.0, 3.0), 5.0,
+                                  "one atom"),
+            0);
+  expect_matches_oracle(nl, positions, Cell(2.5, 3.5, 6.0), 6.1,
+                        "one atom, non-cubic");
+}
+
+TEST(NeighborOracle, NonCubicBoxWithAtomsOnTheEdge) {
+  // Atoms at 0 and at L on an axis, one exactly rcut from another along x
+  // (the prune's boundary), and a rebuild into a list that held a larger
+  // system before.
+  const Cell cell(4.0, 5.5, 7.25);
+  const std::vector<Vec3> positions = {
+      Vec3{0.0, 0.0, 0.0},   Vec3{4.0, 2.75, 0.0}, Vec3{3.0, 0.0, 0.0},
+      Vec3{0.0, 5.5, 7.25},  Vec3{2.0, 5.4999, 3.625},
+      Vec3{1.0, 1.0, 7.2499}};
+  NeighborList nl;
+  Structure big = make_fcc(3.615, 3, 3, 3);
+  jiggle(big, 0.2, 47);
+  expect_matches_oracle(nl, big.positions, big.cell, 6.0, "large first");
+  for (const f64 rcut : {3.0, 2.75, 4.0, 5.5, 7.25, 8.0}) {
+    EXPECT_GT(expect_matches_oracle(nl, positions, cell, rcut,
+                                    "edge atoms rcut " + std::to_string(rcut)),
+              0);
   }
 }
 
@@ -251,6 +430,42 @@ TEST(Langevin, ThermostatsToTarget) {
   }
   const f64 t_mean = t_acc / windows;
   EXPECT_NEAR(t_mean, 600.0, 150.0);
+}
+
+TEST(Langevin, CarriedEvaluationMatchesAFreshOne) {
+  Structure s = make_fcc(3.615, 2, 2, 2);
+  jiggle(s, 0.05, 24);
+  SuttonChen sc({0.012382, 3.615, 39.432, 9.0, 6.0}, 6.0);
+  const std::vector<f64> masses(static_cast<std::size_t>(s.natoms()), 63.546);
+  System a{s.cell, s.positions, {}, s.types, masses};
+  System b = a;
+  LangevinIntegrator carried(sc, {1.0, 500.0, 0.05});
+  Rng rng_a(25), rng_b(25);
+  carried.initialize_velocities(a, rng_a);
+  LangevinIntegrator(sc, {1.0, 500.0, 0.05}).initialize_velocities(b, rng_b);
+  for (int chunk = 0; chunk < 4; ++chunk) {
+    const f64 ea = carried.run(a, 3, rng_a);
+    const f64 eb = LangevinIntegrator(sc, {1.0, 500.0, 0.05}).run(b, 3, rng_b);
+    EXPECT_EQ(std::memcmp(&ea, &eb, sizeof ea), 0) << chunk;
+    ASSERT_EQ(std::memcmp(a.positions.data(), b.positions.data(),
+                          a.positions.size() * sizeof(Vec3)),
+              0)
+        << chunk;
+    ASSERT_EQ(std::memcmp(a.velocities.data(), b.velocities.data(),
+                          a.velocities.size() * sizeof(Vec3)),
+              0)
+        << chunk;
+  }
+  // Moving an atom between runs makes the next run evaluate afresh.
+  a.positions[3].x += 0.01;
+  carried.run(a, 0, rng_a);
+  const EnergyForces moved = evaluate(sc, a.positions, a.types, a.cell);
+  const Snapshot& last = carried.evaluation();
+  EXPECT_EQ(last.energy, moved.energy);
+  ASSERT_EQ(last.forces.size(), moved.forces.size());
+  EXPECT_EQ(std::memcmp(last.forces.data(), moved.forces.data(),
+                        moved.forces.size() * sizeof(Vec3)),
+            0);
 }
 
 TEST(Sampler, ProducesLabelledSnapshots) {

@@ -20,6 +20,7 @@
 #include "data/dataset.hpp"
 #include "deepmd/serialize.hpp"
 #include "dist/cluster.hpp"
+#include "md/langevin.hpp"
 #include "serve/batching.hpp"
 #include "serve/potential.hpp"
 #include "serve/registry.hpp"
@@ -511,6 +512,50 @@ TEST(Potential, MdOverBatchingEvaluatorMatchesDirect) {
     EXPECT_EQ(a.forces[i].y, b.forces[i].y);
     EXPECT_EQ(a.forces[i].z, b.forces[i].z);
   }
+}
+
+TEST(Potential, MdStepsHandTheirNeighborListToTheModel) {
+  data::Dataset ds = small_dataset("CuO");
+  deepmd::DeepmdModel model = make_model(ds, 2);
+  ModelPotential potential(model);
+  const md::Snapshot& start = ds.train.front();
+  md::System sys;
+  sys.cell = start.cell;
+  sys.positions = start.positions;
+  sys.types = start.types;
+  const std::vector<f64>& masses = data::get_system("CuO").masses;
+  for (const i32 t : start.types) {
+    sys.masses.push_back(masses[static_cast<std::size_t>(t)]);
+  }
+  md::LangevinIntegrator integrator(potential, {1.0, 300.0, 0.05});
+  Rng rng(71);
+  integrator.initialize_velocities(sys, rng);
+  for (int chunk = 0; chunk < 3; ++chunk) {
+    const f64 energy = integrator.run(sys, 2, rng);
+    // Each step's evaluation used the integrator's list; evaluating the
+    // same positions with the env build's own search must agree bitwise.
+    EvalRequest request;
+    request.snapshot.cell = sys.cell;
+    request.snapshot.positions = sys.positions;
+    request.snapshot.types = sys.types;
+    const EvalResult own = evaluate_with(model, request);
+    EXPECT_EQ(energy, own.energy) << chunk;
+    const std::vector<md::Vec3>& forces = integrator.evaluation().forces;
+    ASSERT_EQ(forces.size(), own.forces.size());
+    for (std::size_t i = 0; i < own.forces.size(); ++i) {
+      EXPECT_EQ(forces[i].x, own.forces[i].x);
+      EXPECT_EQ(forces[i].y, own.forces[i].y);
+      EXPECT_EQ(forces[i].z, own.forces[i].z);
+    }
+  }
+  // The list really is the one the env is built from: one short of the
+  // model's cutoff is rejected rather than silently replaced.
+  md::NeighborList short_list;
+  short_list.build(sys.positions, sys.cell, model.config().rcut - 1.0);
+  std::vector<md::Vec3> forces(sys.positions.size());
+  EXPECT_THROW(potential.compute(sys.positions, sys.types, sys.cell,
+                                 short_list, forces),
+               Error);
 }
 
 }  // namespace
