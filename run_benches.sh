@@ -63,9 +63,9 @@ FEKF_TRACE="$ARTIFACTS/resilience_trace.json" \
   FEKF_METRICS="$ARTIFACTS/resilience_metrics.json" \
   run ./build/bench/bench_resilience --train 24 --epochs 3 \
   --ckpt "$ARTIFACTS/resilience.ckpt" --json "$ARTIFACTS/resilience.json"
-# Chaos sweep at the default scale: the ci/budgets.json chaos section is
-# baselined against these exact flags (the gated figures are simulated and
-# deterministic, so the scale must match).
+# Chaos churn scenario at the default scale: the ci/budgets.json chaos
+# section is baselined against these exact flags (the gated recovery bill is
+# simulated and deterministic, so the scale must match).
 run ./build/bench/bench_chaos --json "$ARTIFACTS/chaos.json"
 # Serving bench at the default scale: the ci/budgets.json serving section
 # gates its launch-amortization ratio (deterministic at this scale), the

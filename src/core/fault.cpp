@@ -1,5 +1,6 @@
 #include "core/fault.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,8 +34,7 @@ namespace {
 
 constexpr std::string_view kKnownKinds[] = {
     faults::kNanGrad, faults::kCorruptCkpt, faults::kRankFail,
-    faults::kRankJoin, faults::kStraggler, faults::kMsgDrop,
-    faults::kMsgCorrupt,
+    faults::kRankJoin, faults::kStraggler,
 };
 
 bool is_known_kind(std::string_view kind) {
@@ -51,17 +51,6 @@ std::string known_kinds_list() {
     out += k;
   }
   return out;
-}
-
-/// FNV-1a of the kind name: the default seed of a probabilistic arm that
-/// carries no seed= qualifier. Stable across runs by construction.
-u64 default_seed(std::string_view kind) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (const char c : kind) {
-    h ^= static_cast<u64>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 [[noreturn]] void bad_token(const std::string& token, const std::string& why) {
@@ -81,7 +70,7 @@ f64 parse_f64(const std::string& token, const char* text, char** endp) {
 }
 
 /// Apply one "key=value" qualifier token to `arm`.
-void apply_qualifier(FaultArm& arm, bool& has_seed, const std::string& token) {
+void apply_qualifier(FaultArm& arm, const std::string& token) {
   const std::size_t eq = token.find('=');
   if (eq == std::string::npos) {
     bad_token(token, "expected 'key=value' qualifier");
@@ -98,16 +87,6 @@ void apply_qualifier(FaultArm& arm, bool& has_seed, const std::string& token) {
       if (arm.repeat < 1) bad_token(token, "repeat count must be >= 1");
     }
     if (*endp != '\0') bad_token(token, "trailing characters after step");
-  } else if (key == "p") {
-    arm.prob = parse_f64(token, value.c_str(), &endp);
-    if (*endp != '\0') bad_token(token, "trailing characters after p");
-    if (!(arm.prob >= 0.0 && arm.prob <= 1.0)) {
-      bad_token(token, "p must be in [0, 1]");
-    }
-  } else if (key == "seed") {
-    arm.seed = static_cast<u64>(parse_i64(token, value.c_str(), &endp));
-    if (*endp != '\0') bad_token(token, "trailing characters after seed");
-    has_seed = true;
   } else if (key == "factor") {
     arm.factor = parse_f64(token, value.c_str(), &endp);
     if (*endp != '\0') bad_token(token, "trailing characters after factor");
@@ -120,7 +99,7 @@ void apply_qualifier(FaultArm& arm, bool& has_seed, const std::string& token) {
     if (arm.rank < 0) bad_token(token, "rank must be >= 0");
   } else {
     bad_token(token, "unknown qualifier '" + key + "=' "
-                     "(want step|p|seed|factor|rank)");
+                     "(want step|factor|rank)");
   }
 }
 
@@ -151,7 +130,6 @@ void FaultInjector::configure(const std::string& spec) {
   // Parse into a local registry first so a malformed spec leaves the
   // injector unchanged.
   std::vector<ArmState> parsed;
-  std::vector<bool> has_seed;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -168,13 +146,12 @@ void FaultInjector::configure(const std::string& spec) {
     const bool is_qualifier =
         at == std::string::npos && token.find('=') != std::string::npos;
     if (is_qualifier) {
-      // "seed=7" continues the arm on its left ("msg_drop@p=0.01,seed=7").
+      // "factor=2.5" continues the arm on its left
+      // ("straggler@step=2,factor=2.5").
       if (parsed.empty()) {
         bad_token(token, "qualifier with no fault kind before it");
       }
-      bool seeded = has_seed.back();
-      apply_qualifier(parsed.back().arm, seeded, token);
-      has_seed.back() = seeded;
+      apply_qualifier(parsed.back().arm, token);
     } else {
       FaultArm arm;
       arm.kind = at == std::string::npos ? token : token.substr(0, at);
@@ -187,22 +164,12 @@ void FaultInjector::configure(const std::string& spec) {
           bad_token(token, "duplicate arm for kind '" + arm.kind + "'");
         }
       }
-      bool seeded = false;
       if (at != std::string::npos) {
-        apply_qualifier(arm, seeded, token.substr(at + 1));
+        apply_qualifier(arm, token.substr(at + 1));
       }
-      parsed.push_back(ArmState{std::move(arm), 0, Rng(0)});
-      has_seed.push_back(seeded);
+      parsed.push_back(ArmState{std::move(arm), 0});
     }
     if (last) break;
-  }
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    FaultArm& arm = parsed[i].arm;
-    if (arm.prob >= 0.0 && arm.repeat > 1) {
-      bad_token(arm.kind, "probabilistic arms cannot carry a repeat count");
-    }
-    if (arm.prob >= 0.0 && !has_seed[i]) arm.seed = default_seed(arm.kind);
-    parsed[i].rng.reseed(arm.seed);
   }
   std::lock_guard<std::mutex> lock(mutex_);
   arms_ = std::move(parsed);
@@ -233,12 +200,7 @@ std::optional<FiredFault> FaultInjector::fire_detail(std::string_view kind,
   ArmState* a = find(kind);
   if (a == nullptr) return std::nullopt;
   if (a->arm.at_step >= 0 && step < a->arm.at_step) return std::nullopt;
-  if (a->arm.prob >= 0.0) {
-    // Probabilistic arm: one draw per eligible poll.
-    if (a->rng.uniform() >= a->arm.prob) return std::nullopt;
-  } else {
-    if (a->fired >= a->arm.repeat) return std::nullopt;
-  }
+  if (a->fired >= a->arm.repeat) return std::nullopt;
   ++a->fired;
   return FiredFault{a->arm.factor, a->arm.rank};
 }
@@ -246,9 +208,7 @@ std::optional<FiredFault> FaultInjector::fire_detail(std::string_view kind,
 bool FaultInjector::armed(std::string_view kind) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const ArmState* a = find(kind);
-  if (a == nullptr) return false;
-  if (a->arm.prob >= 0.0) return true;
-  return a->fired < a->arm.repeat;
+  return a != nullptr && a->fired < a->arm.repeat;
 }
 
 std::vector<FaultArm> FaultInjector::arms() const {

@@ -14,21 +14,17 @@
 //   spec  := arm ("," (arm | qual))*
 //   arm   := kind | kind "@" qual
 //   qual  := key "=" value
-//   kind  := nan_grad | corrupt_ckpt | rank_fail | rank_join
-//          | straggler | msg_drop | msg_corrupt
-//   key   := step | p | seed | factor | rank
+//   kind  := nan_grad | corrupt_ckpt | rank_fail | rank_join | straggler
+//   key   := step | factor | rank
 //
 // so "rank_fail@step=30,rank_join@step=60" arms two faults and
-// "msg_drop@p=0.01,seed=7" arms one probabilistic fault with two
-// qualifiers. Deterministic arms (`step=N`, or no qualifier = first
-// opportunity) fire on the first `repeat` polls whose step has reached N;
-// `step=30x3` sets repeat = 3, so the arm fires on three consecutive
-// polls. Probabilistic arms (`p=0.01`) fire per poll with probability p,
-// drawn from a dedicated xoshiro stream seeded by `seed=` (or a stable
-// per-kind default), so injected runs are exactly reproducible — the
-// recovery-determinism tests rely on it. `factor=` (straggler slowdown)
-// and `rank=` (target rank id) are payload qualifiers the poll site reads
-// back via FiredFault.
+// "straggler@step=2,factor=2.5" arms one fault with two qualifiers. An arm
+// (`step=N`, or no qualifier = first opportunity) fires on the first
+// `repeat` polls whose step has reached N; `step=30x3` sets repeat = 3, so
+// the arm fires on three consecutive polls. Every arm is deterministic, so
+// injected runs are exactly reproducible — the recovery-determinism tests
+// rely on it. `factor=` (straggler slowdown) and `rank=` (target rank id)
+// are payload qualifiers the poll site reads back via FiredFault.
 //
 // Fault kinds and their poll sites:
 //
@@ -44,14 +40,10 @@
 //   straggler@step=9     slow one rank down (factor=F, default 4x); the
 //                        cluster's bounded-wait policy decides wait vs
 //                        drop-and-reshard
-//   msg_drop@p=0.01      each simulated ring message is dropped with
-//                        probability p and retried with backoff
-//   msg_corrupt@p=0.01   ditto, but the message arrives corrupted and is
-//                        detected + retried
 //
-// Every configure() resets all fired counts and RNG streams, so a spec
-// replays identically run to run. Malformed specs throw a single-line
-// Error naming the offending token (tests/test_core.cpp).
+// Every configure() resets all fired counts, so a spec replays
+// identically run to run. Malformed specs throw a single-line Error naming
+// the offending token (tests/test_fault.cpp).
 #pragma once
 
 #include <atomic>
@@ -62,7 +54,6 @@
 #include <vector>
 
 #include "core/common.hpp"
-#include "core/rng.hpp"
 
 namespace fekf {
 
@@ -74,8 +65,6 @@ inline constexpr const char* kCorruptCkpt = "corrupt_ckpt";
 inline constexpr const char* kRankFail = "rank_fail";
 inline constexpr const char* kRankJoin = "rank_join";
 inline constexpr const char* kStraggler = "straggler";
-inline constexpr const char* kMsgDrop = "msg_drop";
-inline constexpr const char* kMsgCorrupt = "msg_corrupt";
 }  // namespace faults
 
 /// All kind names configure() accepts, for diagnostics and tests.
@@ -87,7 +76,7 @@ struct FaultEvent {
   i64 step = 0;        ///< optimizer / training step the event hit
   std::string kind;    ///< signal: "nan_grad", "nonfinite_loss",
                        ///< "rank_fail", "rank_evict", "rank_join",
-                       ///< "straggler", "link_degraded", ...
+                       ///< "straggler", ...
   std::string action;  ///< recovery taken: "rollback_skip_batch",
                        ///< "reshard", "catchup", "injected", ...
   std::string detail;  ///< free text (exception message, signal values)
@@ -133,9 +122,7 @@ struct FaultLog {
 struct FaultArm {
   std::string kind;
   i64 at_step = -1;   ///< -1: first opportunity
-  i64 repeat = 1;     ///< deterministic arms: consecutive firing polls
-  f64 prob = -1.0;    ///< >= 0: probabilistic arm (p= qualifier)
-  u64 seed = 0;       ///< probabilistic draw stream
+  i64 repeat = 1;     ///< consecutive firing polls
   f64 factor = -1.0;  ///< straggler slowdown; site default when < 0
   i64 rank = -1;      ///< target rank id; site default when < 0
 };
@@ -152,9 +139,8 @@ class FaultInjector {
   /// Process-wide injector, armed from FEKF_FAULT_SPEC on first use.
   static FaultInjector& instance();
 
-  /// (Re-)arm from a spec string; clears previous arms, fired counts and
-  /// probabilistic streams. Throws Error on a malformed spec, naming the
-  /// offending token.
+  /// (Re-)arm from a spec string; clears previous arms and fired counts.
+  /// Throws Error on a malformed spec, naming the offending token.
   void configure(const std::string& spec);
   /// Re-arm from FEKF_FAULT_SPEC (empty spec when the variable is unset).
   /// Test fixtures use this to restore the ambient environment arms.
@@ -162,12 +148,9 @@ class FaultInjector {
   /// Disarm everything.
   void clear();
 
-  /// Poll point. Deterministic arms: true exactly `repeat` times, on the
-  /// first polls whose `step` has reached the trigger step (always
-  /// eligible for step-less arms). Probabilistic arms: an independent
-  /// seeded draw per poll, true with probability p. Thread-safe; draw
-  /// order is the poll order, so single-threaded poll sites stay exactly
-  /// reproducible.
+  /// Poll point: true exactly `repeat` times, on the first polls whose
+  /// `step` has reached the trigger step (always eligible for step-less
+  /// arms). Thread-safe.
   bool fire(std::string_view kind, i64 step);
 
   /// fire(), plus the arm's payload qualifiers when it fires.
@@ -190,7 +173,6 @@ class FaultInjector {
   struct ArmState {
     FaultArm arm;
     i64 fired = 0;
-    Rng rng;  ///< probabilistic arms only
   };
 
   ArmState* find(std::string_view kind);

@@ -148,7 +148,7 @@ std::string TextReader::read_bytes() {
     malformed("expected ' ' before a length-prefixed string");
   }
   ++pos_;
-  if (pos_ + n > text_.size()) {
+  if (n > text_.size() - pos_) {
     malformed("length-prefixed string truncated (wanted " + std::to_string(n) +
               " bytes)");
   }
@@ -160,9 +160,19 @@ std::string TextReader::read_bytes() {
   return out;
 }
 
-void TextReader::read_f64s(std::vector<f64>& out, std::size_t n) {
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = read_f64();
+std::size_t TextReader::read_count() {
+  const u64 n = read_u64();
+  if (n > (text_.size() - pos_) / 2) {
+    malformed("count " + std::to_string(n) + " exceeds what the " +
+              std::to_string(text_.size() - pos_) + " bytes left can hold");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+std::vector<f64> TextReader::read_f64s() {
+  std::vector<f64> out(read_count());
+  for (f64& x : out) x = read_f64();
+  return out;
 }
 
 void write_checksummed_file(const std::string& path, std::string_view magic,

@@ -62,8 +62,12 @@ class TextReader {
   f64 read_f64();  ///< hex or decimal float, full-token parse required
   /// Counterpart of TextWriter::bytes.
   std::string read_bytes();
-  /// Fill `out` with `n` hex floats after an optional size check.
-  void read_f64s(std::vector<f64>& out, std::size_t n);
+  /// The entry count of a list. Every entry takes at least two bytes (a
+  /// separator and a digit), so a count the rest of the input cannot hold
+  /// is malformed; callers may allocate for it once it returns.
+  std::size_t read_count();
+  /// A count, then that many hex floats.
+  std::vector<f64> read_f64s();
 
   bool at_end();
   i64 line() const { return line_; }

@@ -24,16 +24,12 @@ void write_ivector(TextWriter& w, const char* name,
 
 std::vector<f64> read_vector(TextReader& r, const char* name) {
   r.expect(name);
-  const u64 n = r.read_u64();
-  std::vector<f64> v;
-  r.read_f64s(v, static_cast<std::size_t>(n));
-  return v;
+  return r.read_f64s();
 }
 
 std::vector<i64> read_ivector(TextReader& r, const char* name) {
   r.expect(name);
-  const u64 n = r.read_u64();
-  std::vector<i64> v(static_cast<std::size_t>(n));
+  std::vector<i64> v(r.read_count());
   for (auto& x : v) x = r.read_i64();
   return v;
 }
@@ -136,7 +132,7 @@ DeepmdModel read_model_text(TextReader& r) {
   model.set_stats(std::move(env), std::move(es));
 
   r.expect("params");
-  const u64 nparams = r.read_u64();
+  const std::size_t nparams = r.read_count();
   auto params = model.parameters();
   if (nparams != params.size()) {
     r.malformed("parameter count mismatch: file has " +

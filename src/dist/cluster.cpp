@@ -27,19 +27,6 @@ void InterconnectModel::validate() const {
   FEKF_CHECK(std::isfinite(latency_s) && latency_s >= 0.0,
              "InterconnectModel.latency_s must be finite and >= 0 (got " +
                  std::to_string(latency_s) + ")");
-  FEKF_CHECK(std::isfinite(loss_prob) && loss_prob >= 0.0 && loss_prob < 1.0,
-             "InterconnectModel.loss_prob must be in [0, 1) (got " +
-                 std::to_string(loss_prob) + ")");
-  FEKF_CHECK(std::isfinite(corrupt_prob) && corrupt_prob >= 0.0 &&
-                 corrupt_prob < 1.0,
-             "InterconnectModel.corrupt_prob must be in [0, 1) (got " +
-                 std::to_string(corrupt_prob) + ")");
-  FEKF_CHECK(max_retries >= 1,
-             "InterconnectModel.max_retries must be >= 1 (got " +
-                 std::to_string(max_retries) + ")");
-  FEKF_CHECK(std::isfinite(retry_backoff_s) && retry_backoff_s >= 0.0,
-             "InterconnectModel.retry_backoff_s must be finite and >= 0 "
-             "(got " + std::to_string(retry_backoff_s) + ")");
 }
 
 void FailureDetectorConfig::validate() const {
@@ -71,8 +58,7 @@ VirtualCluster::VirtualCluster(const DistributedConfig& config,
                                i64 grad_payload_bytes, i64 covariance_bytes)
     : config_(config),
       grad_payload_(grad_payload_bytes),
-      covariance_bytes_(covariance_bytes),
-      link_rng_(config.options.seed ^ 0x6c1a7eULL) {
+      covariance_bytes_(covariance_bytes) {
   config.validate();
   FEKF_CHECK(grad_payload_bytes >= 0 && covariance_bytes >= 0,
              "VirtualCluster payload sizes must be >= 0");
@@ -265,78 +251,11 @@ f64 VirtualCluster::poll_faults(i64 step, FaultLog& log) {
   return sim_after - sim_before;
 }
 
-f64 VirtualCluster::allreduce(i64 payload_bytes, i64 step) {
-  const i64 ranks = live_ranks();
-  if (ranks <= 1) return 0.0;
-  const InterconnectModel& net = config_.interconnect;
-  auto& injector = FaultInjector::instance();
-  const bool lossy = net.loss_prob > 0.0 || net.corrupt_prob > 0.0 ||
-                     injector.armed(faults::kMsgDrop) ||
-                     injector.armed(faults::kMsgCorrupt);
-  if (!lossy) {
-    const f64 s = net.allreduce_seconds(payload_bytes, ranks);
-    ledger_.comm_seconds += s;
-    return s;
-  }
-
-  // Per-message simulation: 2(r-1) hop rounds, r concurrent messages per
-  // round; a round lasts as long as its slowest message, including retry
-  // backoff. With every draw passing this reduces to the closed-form
-  // alpha-beta cost, so arming a zero-probability fault costs nothing.
-  const f64 chunk =
-      static_cast<f64>(payload_bytes) / static_cast<f64>(ranks);
-  const f64 msg_s = net.latency_s + chunk / (net.bandwidth_gbps * 1e9);
-  const i64 rounds = 2 * (ranks - 1);
-  f64 total = 0.0;
-  for (i64 round = 0; round < rounds; ++round) {
-    f64 round_s = msg_s;
-    for (i64 m = 0; m < ranks; ++m) {
-      f64 t = msg_s;
-      i64 failures = 0;
-      while (true) {
-        const bool dropped =
-            (net.loss_prob > 0.0 && link_rng_.uniform() < net.loss_prob) ||
-            injector.fire(faults::kMsgDrop, step);
-        bool corrupted = false;
-        if (!dropped) {
-          corrupted = (net.corrupt_prob > 0.0 &&
-                       link_rng_.uniform() < net.corrupt_prob) ||
-                      injector.fire(faults::kMsgCorrupt, step);
-        }
-        if (!dropped && !corrupted) break;
-        if (dropped) {
-          ++ledger_.msg_drops;
-        } else {
-          ++ledger_.msg_corrupts;
-        }
-        ++failures;
-        if (failures > net.max_retries) {
-          // Retry budget exhausted: force the message through the slow
-          // side channel and flag the sender; the failure detector decides
-          // its fate at the next step boundary.
-          i64 slot = 0;
-          for (Rank& r : members_) {
-            if (!r.alive) continue;
-            if (slot == m) {
-              r.silent = true;
-              break;
-            }
-            ++slot;
-          }
-          break;
-        }
-        const f64 backoff =
-            net.retry_backoff_s * static_cast<f64>(1LL << (failures - 1));
-        t += backoff + msg_s;
-        ++ledger_.retries;
-        ledger_.retry_seconds += backoff + msg_s;
-      }
-      round_s = std::max(round_s, t);
-    }
-    total += round_s;
-  }
-  ledger_.comm_seconds += total;
-  return total;
+f64 VirtualCluster::allreduce(i64 payload_bytes) {
+  const f64 s =
+      config_.interconnect.allreduce_seconds(payload_bytes, live_ranks());
+  ledger_.comm_seconds += s;
+  return s;
 }
 
 f64 VirtualCluster::compute_seconds(
@@ -460,8 +379,8 @@ DistributedResult train_fekf_distributed(
         // the real timeline whose args carry the ledger's accounting: the
         // simulated allreduce seconds and the bytes moved.
         const f64 comm_s =
-            cluster.allreduce(grad_payload, current_step) +
-            cluster.allreduce(static_cast<i64>(sizeof(f64)), current_step);
+            cluster.allreduce(grad_payload) +
+            cluster.allreduce(static_cast<i64>(sizeof(f64)));
         const i64 comm_bytes =
             InterconnectModel::allreduce_bytes(grad_payload, ranks) +
             InterconnectModel::allreduce_bytes(static_cast<i64>(sizeof(f64)),
@@ -485,15 +404,8 @@ DistributedResult train_fekf_distributed(
           metrics.gauge("dist.sim_comm_seconds")
               .set(ledger.comm_seconds);
           // CommLedger mirror, so the telemetry sampler's time-series
-          // carries the lossy-link / membership accounting live instead
-          // of only in the end-of-run TrainResult.
-          metrics.gauge("dist.msg_drops")
-              .set(static_cast<f64>(ledger.msg_drops));
-          metrics.gauge("dist.msg_corrupts")
-              .set(static_cast<f64>(ledger.msg_corrupts));
-          metrics.gauge("dist.retries")
-              .set(static_cast<f64>(ledger.retries));
-          metrics.gauge("dist.retry_seconds").set(ledger.retry_seconds);
+          // carries the membership accounting live instead of only in the
+          // end-of-run TrainResult.
           metrics.gauge("dist.reshard_seconds").set(ledger.reshard_seconds);
           metrics.gauge("dist.join_seconds").set(ledger.join_seconds);
           metrics.gauge("dist.detection_seconds")
@@ -518,8 +430,8 @@ DistributedResult train_fekf_distributed(
         result.simulated_seconds += compute_s + comm_s + kf_seconds;
         if (obs::metrics_enabled()) {
           // Per-step distribution (not just the running totals above):
-          // bench_chaos reports its p50/p90/p99 per sweep cell, where the
-          // straggler and lossy-link arms show up as a fattened tail.
+          // bench_chaos reports its p50/p90/p99 for the churn scenario,
+          // where stragglers and membership changes fatten the tail.
           obs::MetricsRegistry::instance()
               .histogram("dist.step_sim_seconds")
               .record(compute_s + comm_s + kf_seconds);

@@ -21,13 +21,13 @@
 // Elastic membership (VirtualCluster). The ring is no longer a fixed,
 // healthy set: ranks can be silenced (FEKF_FAULT_SPEC=rank_fail), join
 // (rank_join, receiving a weight + covariance-shard catch-up transfer),
-// straggle (straggler, a per-rank compute slowdown bounded by a wait
-// policy), and drop or corrupt ring messages (msg_drop / msg_corrupt,
-// retried with exponential backoff). A heartbeat failure detector evicts
-// silent ranks after `miss_limit` missed heartbeats; heartbeats are
-// evaluated once per training step at the step boundary, so eviction
-// decisions depend only on deterministic step counts — never on measured
-// wall-clock — and a spec replays identically run to run.
+// and straggle (straggler, a per-rank compute slowdown bounded by a wait
+// policy). The links are reliable, as the paper's RoCE fabric is: every
+// allreduce costs its closed-form alpha-beta time. A heartbeat failure
+// detector evicts silent ranks after `miss_limit` missed heartbeats;
+// heartbeats are evaluated once per training step at the step boundary,
+// so eviction decisions depend only on deterministic step counts — never
+// on measured wall-clock — and a spec replays identically run to run.
 //
 // Training runs on the resilient epoch loop every trainer shares
 // (train::run_resilient_epochs, DESIGN.md §10): the distributed step differs
@@ -37,9 +37,8 @@
 // faults is KalmanTrainer FEKF bit for bit (tests/test_dist.cpp).
 //
 // Determinism contract (tests/test_dist_elastic.cpp):
-//   - Link faults (msg_drop / msg_corrupt) and a straggler under the
-//     kWait policy cost only simulated time. Final weights are
-//     BIT-IDENTICAL to the fault-free run.
+//   - A straggler under the kWait policy costs only simulated time. Final
+//     weights are BIT-IDENTICAL to the fault-free run.
 //   - Membership changes (rank_fail eviction, rank_join, kDropReshard
 //     straggler eviction) change the live rank count, hence the shard
 //     split and the floating-point reduction — final weights differ from
@@ -56,19 +55,7 @@ struct InterconnectModel {
   f64 latency_s = 5e-6;        ///< per-hop message latency
   f64 bandwidth_gbps = 25.0;   ///< GB/s per link (paper: RoCE 25 GB/s)
 
-  // Degraded-link model: every simulated ring message is independently
-  // dropped / delivered-corrupted with these probabilities (drawn from the
-  // cluster's seeded link RNG, so runs stay reproducible), detected by the
-  // receiver, and retried with exponential backoff. A message that still
-  // fails after max_retries retries is forced through on the side channel
-  // and its sender is marked silent for the failure detector to judge.
-  f64 loss_prob = 0.0;         ///< P(message dropped), [0, 1)
-  f64 corrupt_prob = 0.0;      ///< P(message corrupted in flight), [0, 1)
-  i64 max_retries = 3;         ///< retries per message before giving up
-  f64 retry_backoff_s = 50e-6; ///< backoff before retry i is 2^(i-1) * this
-
-  /// Reject non-positive bandwidth, negative latency, out-of-range
-  /// loss/corruption probabilities and a non-positive retry budget.
+  /// Reject non-positive bandwidth and negative latency.
   void validate() const;
 
   /// One point-to-point message of `bytes` (alpha-beta).
@@ -134,12 +121,6 @@ struct CommLedger {
   i64 join_events = 0;
   i64 join_bytes = 0;
   f64 join_seconds = 0.0;
-  // Degraded links: per-message drops/corruptions and the retry traffic
-  // they cost (backoff + re-send, the amount allreduce ran over ideal).
-  i64 msg_drops = 0;
-  i64 msg_corrupts = 0;
-  i64 retries = 0;
-  f64 retry_seconds = 0.0;
   // Stragglers: injected slowdown events and the extra simulated wait the
   // bounded-wait policy admitted beyond the nominal compute max.
   i64 straggler_events = 0;
@@ -177,13 +158,13 @@ struct DistributedResult {
   train::MembershipCheckpoint membership;  ///< final membership table
 };
 
-/// Membership lifecycle + degraded-link simulation for the elastic virtual
-/// cluster. Owns the member table (stable ids, never reused), the seeded
-/// link RNG, and the CommLedger; train_fekf_distributed drives it once per
-/// step (poll_faults) and once per collective (allreduce /
-/// compute_seconds). The constructor validates the FULL config — including
-/// the interconnect and detector knobs — so a bad bandwidth or miss limit
-/// is rejected at construction, not at first use.
+/// Membership lifecycle for the elastic virtual cluster. Owns the member
+/// table (stable ids, never reused) and the CommLedger;
+/// train_fekf_distributed drives it once per step (poll_faults) and once
+/// per collective (allreduce / compute_seconds). The constructor validates
+/// the FULL config — including the interconnect and detector knobs — so a
+/// bad bandwidth or miss limit is rejected at construction, not at first
+/// use.
 class VirtualCluster {
  public:
   using Rank = train::MembershipCheckpoint::Rank;
@@ -210,12 +191,10 @@ class VirtualCluster {
   /// observers. Returns the simulated seconds charged.
   f64 poll_faults(i64 step, FaultLog& log);
 
-  /// Simulated ring allreduce of `payload_bytes` among the live ranks.
-  /// With loss/corruption armed, each of the 2(r-1) hop rounds simulates
-  /// its r messages individually (drop/corrupt draws, exponential-backoff
-  /// retries); otherwise charges the closed-form alpha-beta cost. Updates
-  /// comm_seconds and the link fields of the ledger; returns the seconds.
-  f64 allreduce(i64 payload_bytes, i64 step);
+  /// Simulated ring allreduce of `payload_bytes` among the live ranks:
+  /// charges InterconnectModel::allreduce_seconds to the ledger's
+  /// comm_seconds and returns it.
+  f64 allreduce(i64 payload_bytes);
 
   /// Straggler-aware simulated compute time of one collective:
   /// `measured_seconds[slot]` is the real compute time of live slot
@@ -240,7 +219,6 @@ class VirtualCluster {
   i64 covariance_bytes_;
   std::vector<Rank> members_;
   i64 next_id_ = 0;
-  Rng link_rng_;
   CommLedger ledger_;
 };
 

@@ -38,10 +38,7 @@ void write_f64s(TextWriter& w, const char* name,
 
 std::vector<f64> read_f64s(TextReader& r, const char* name) {
   r.expect(name);
-  const u64 n = r.read_u64();
-  std::vector<f64> v;
-  r.read_f64s(v, static_cast<std::size_t>(n));
-  return v;
+  return r.read_f64s();
 }
 
 /// The largest n with n * n <= m.
@@ -98,9 +95,9 @@ optim::KalmanState read_kalman(TextReader& r) {
                 std::to_string(k.lambda));
   }
   r.expect("blocks");
-  const u64 nblocks = r.read_u64();
-  k.p.reserve(static_cast<std::size_t>(nblocks));
-  for (u64 b = 0; b < nblocks; ++b) {
+  const std::size_t nblocks = r.read_count();
+  k.p.reserve(nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b) {
     const std::vector<f64> block = read_f64s(r, "block");
     const auto bad = std::find_if_not(
         block.begin(), block.end(), [](f64 v) { return std::isfinite(v); });
@@ -156,8 +153,6 @@ const char* optimizer_kind_name(OptimizerCheckpoint::Kind kind) {
       return "none";
     case OptimizerCheckpoint::Kind::kKalman:
       return "kalman";
-    case OptimizerCheckpoint::Kind::kNaiveEkf:
-      return "naive_ekf";
     case OptimizerCheckpoint::Kind::kAdam:
       return "adam";
   }
@@ -176,9 +171,6 @@ void save_checkpoint(const TrainingCheckpoint& ckpt,
   // (blocks are written in full, about twice their packed entries).
   std::size_t p_entries = ckpt.optimizer.kalman.p.size();
   for (const auto& b : ckpt.optimizer.kalman.p) p_entries += 2 * b.size();
-  for (const auto& rep : ckpt.optimizer.replicas) {
-    for (const auto& b : rep.p) p_entries += 2 * b.size();
-  }
   w.reserve((p_entries + ckpt.weights.size()) * 24 + (1u << 16));
 
   w.key("section");
@@ -216,13 +208,6 @@ void save_checkpoint(const TrainingCheckpoint& ckpt,
       break;
     case OptimizerCheckpoint::Kind::kKalman:
       write_kalman(w, ckpt.optimizer.kalman);
-      break;
-    case OptimizerCheckpoint::Kind::kNaiveEkf:
-      w.key("replicas");
-      w.size(ckpt.optimizer.replicas.size());
-      for (const optim::KalmanState& rep : ckpt.optimizer.replicas) {
-        write_kalman(w, rep);
-      }
       break;
     case OptimizerCheckpoint::Kind::kAdam:
       w.key("t");
@@ -318,10 +303,10 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
   r.expect("section");
   r.expect("layout");
   r.expect("layout");
-  const u64 nleaves = r.read_u64();
-  ckpt.layout.reserve(static_cast<std::size_t>(nleaves));
+  const std::size_t nleaves = r.read_count();
+  ckpt.layout.reserve(nleaves);
   i64 layout_total = 0;
-  for (u64 i = 0; i < nleaves; ++i) {
+  for (std::size_t i = 0; i < nleaves; ++i) {
     r.expect("leaf");
     std::string name = r.read_bytes();
     const i64 size = r.read_i64();
@@ -347,13 +332,6 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
   } else if (kind == "kalman") {
     ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kKalman;
     ckpt.optimizer.kalman = read_kalman(r);
-  } else if (kind == "naive_ekf") {
-    ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kNaiveEkf;
-    r.expect("replicas");
-    const u64 nreps = r.read_u64();
-    for (u64 i = 0; i < nreps; ++i) {
-      ckpt.optimizer.replicas.push_back(read_kalman(r));
-    }
   } else if (kind == "adam") {
     ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kAdam;
     r.expect("t");
@@ -367,8 +345,7 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
   r.expect("section");
   r.expect("sampler");
   r.expect("order");
-  const u64 norder = r.read_u64();
-  ckpt.sampler.order.resize(static_cast<std::size_t>(norder));
+  ckpt.sampler.order.resize(r.read_count());
   for (i64& i : ckpt.sampler.order) i = r.read_i64();
   r.expect("cursor");
   ckpt.sampler.cursor = r.read_i64();
@@ -383,8 +360,8 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
   r.expect("section");
   r.expect("history");
   r.expect("history");
-  const u64 nrecords = r.read_u64();
-  for (u64 i = 0; i < nrecords; ++i) {
+  const std::size_t nrecords = r.read_count();
+  for (std::size_t i = 0; i < nrecords; ++i) {
     EpochRecord rec;
     r.expect("epoch");
     rec.epoch = r.read_i64();
@@ -397,8 +374,8 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
   r.expect("section");
   r.expect("faults");
   r.expect("faults");
-  const u64 nevents = r.read_u64();
-  for (u64 i = 0; i < nevents; ++i) {
+  const std::size_t nevents = r.read_count();
+  for (std::size_t i = 0; i < nevents; ++i) {
     FaultEvent e;
     r.expect("event");
     e.step = r.read_i64();
@@ -416,8 +393,8 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
     r.expect("next_id");
     ckpt.membership.next_id = r.read_i64();
     r.expect("ranks");
-    const u64 nranks = r.read_u64();
-    for (u64 i = 0; i < nranks; ++i) {
+    const std::size_t nranks = r.read_count();
+    for (std::size_t i = 0; i < nranks; ++i) {
       MembershipCheckpoint::Rank rank;
       r.expect("rank");
       rank.id = r.read_i64();

@@ -39,11 +39,10 @@ struct EpochRecord {
 
 /// Which optimizer the checkpoint carries, and its full state.
 struct OptimizerCheckpoint {
-  enum class Kind { kNone, kKalman, kNaiveEkf, kAdam };
+  enum class Kind { kNone, kKalman, kAdam };
   Kind kind = Kind::kNone;
-  optim::KalmanState kalman;                 ///< kKalman
-  std::vector<optim::KalmanState> replicas;  ///< kNaiveEkf
-  optim::AdamState adam;                     ///< kAdam
+  optim::KalmanState kalman;  ///< kKalman
+  optim::AdamState adam;      ///< kAdam
 };
 
 /// Elastic virtual-cluster membership (dist/cluster.hpp). Lives here, not

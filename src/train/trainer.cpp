@@ -419,22 +419,14 @@ TrainResult AdamTrainer::train(std::span<const EnvPtr> train_envs,
 
 KalmanTrainer::KalmanTrainer(deepmd::DeepmdModel& model,
                              optim::KalmanConfig kalman_config,
-                             TrainOptions options, EkfMode mode)
+                             TrainOptions options)
     : model_(model),
       flat_(model.parameters()),
-      options_(options),
-      mode_(mode) {
+      kalman_(optim::split_blocks(model.parameter_layout(),
+                                  kalman_config.blocksize),
+              kalman_config),
+      options_(options) {
   options_.validate();
-  auto blocks = optim::split_blocks(model.parameter_layout(),
-                                    kalman_config.blocksize);
-  if (mode_ == EkfMode::kFekf) {
-    kalman_ = std::make_unique<optim::KalmanOptimizer>(std::move(blocks),
-                                                       kalman_config);
-  } else {
-    naive_ = std::make_unique<optim::NaiveEkf>(std::move(blocks),
-                                               kalman_config,
-                                               options.batch_size);
-  }
   weights_.resize(static_cast<std::size_t>(flat_.size()));
   grad_flat_.resize(static_cast<std::size_t>(flat_.size()));
   flat_.gather(weights_);
@@ -459,28 +451,9 @@ void KalmanTrainer::apply_fekf(const Measurement& measurement,
     const f64 factor = options_.qlr_factor >= 0.0
                            ? options_.qlr_factor
                            : std::sqrt(static_cast<f64>(batch_size));
-    kalman_->update(grad_flat_, factor * measurement.abe, weights_,
-                    step_norm_cap, measurement.abe);
+    kalman_.update(grad_flat_, factor * measurement.abe, weights_,
+                   step_norm_cap, measurement.abe);
     flat_.scatter(weights_);
-  }
-}
-
-void KalmanTrainer::apply_naive_sample(i64 slot,
-                                       const Measurement& measurement) {
-  auto params = flat_.params();
-  {
-    obs::ScopedSpan span("gradient", "train");
-    auto g = ag::grad(measurement.m, params);
-    flat_.gather_grads(g, grad_flat_);
-  }
-  if (FaultInjector::instance().fire(faults::kNanGrad, current_step_)) {
-    grad_flat_[0] = std::numeric_limits<f64>::quiet_NaN();
-  }
-  {
-    obs::ScopedSpan span("kf_update", "train");
-    step_loss_ += std::abs(measurement.abe);
-    step_grad_norm2_ += squared_norm(grad_flat_);
-    naive_->accumulate(slot, grad_flat_, measurement.abe);
   }
 }
 
@@ -488,102 +461,53 @@ void KalmanTrainer::energy_update(std::span<const EnvPtr> batch) {
   // Declared before the measurement so the whole forward/backward graph
   // dies before the scope rewinds the arena (workspace.hpp aliasing rules).
   ArenaScope arena;
-  if (mode_ == EkfMode::kFekf) {
-    Measurement m;
-    {
-      obs::ScopedSpan span("forward", "train");
-      m = energy_measurement(model_, batch);
-    }
-    // Energy updates are well-posed scalar Newton steps — run uncapped so
-    // large transient energy errors close in one or two updates.
-    apply_fekf(m, static_cast<i64>(batch.size()), /*step_norm_cap=*/0.0);
-    return;
+  Measurement m;
+  {
+    obs::ScopedSpan span("forward", "train");
+    m = energy_measurement(model_, batch);
   }
-  for (std::size_t s = 0; s < batch.size(); ++s) {
-    Measurement m;
-    {
-      obs::ScopedSpan span("forward", "train");
-      m = energy_measurement(model_, batch.subspan(s, 1));
-    }
-    apply_naive_sample(static_cast<i64>(s), m);
-  }
-  obs::ScopedSpan span("kf_update", "train");
-  naive_->commit(weights_);
-  flat_.scatter(weights_);
+  // Energy updates are well-posed scalar Newton steps — run uncapped so
+  // large transient energy errors close in one or two updates.
+  apply_fekf(m, static_cast<i64>(batch.size()), /*step_norm_cap=*/0.0);
 }
 
 void KalmanTrainer::force_update(std::span<const EnvPtr> batch,
                                  std::span<const i64> group) {
   ArenaScope arena;
-  if (mode_ == EkfMode::kFekf) {
-    Measurement m;
-    {
-      obs::ScopedSpan span("forward", "train");
-      m = force_measurement(model_, batch, group, options_.force_prefactor);
-    }
-    apply_fekf(m, static_cast<i64>(batch.size()),
-               /*step_norm_cap=*/std::nullopt);
-    return;
+  Measurement m;
+  {
+    obs::ScopedSpan span("forward", "train");
+    m = force_measurement(model_, batch, group, options_.force_prefactor);
   }
-  for (std::size_t s = 0; s < batch.size(); ++s) {
-    Measurement m;
-    {
-      obs::ScopedSpan span("forward", "train");
-      m = force_measurement(model_, batch.subspan(s, 1), group,
-                            options_.force_prefactor);
-    }
-    apply_naive_sample(static_cast<i64>(s), m);
-  }
-  obs::ScopedSpan span("kf_update", "train");
-  naive_->commit(weights_);
-  flat_.scatter(weights_);
+  apply_fekf(m, static_cast<i64>(batch.size()),
+             /*step_norm_cap=*/std::nullopt);
 }
 
 void KalmanTrainer::snapshot_state() {
   obs::ScopedSpan span("train.snapshot", "train");
   snap_weights_ = weights_;
-  if (mode_ == EkfMode::kFekf) {
-    kalman_->snapshot();
-  } else {
-    naive_->snapshot();
-  }
+  kalman_.snapshot();
 }
 
 void KalmanTrainer::rollback_state() {
   obs::ScopedSpan span("train.rollback", "train");
   weights_ = snap_weights_;
-  if (mode_ == EkfMode::kFekf) {
-    kalman_->rollback();
-    kalman_->recondition();
-  } else {
-    naive_->rollback();
-    naive_->recondition();
-  }
+  kalman_.rollback();
+  kalman_.recondition();
   flat_.scatter(weights_);
 }
 
 void KalmanTrainer::capture(TrainingCheckpoint& ckpt) {
-  if (mode_ == EkfMode::kFekf) {
-    ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kKalman;
-    ckpt.optimizer.kalman = kalman_->state();
-  } else {
-    ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kNaiveEkf;
-    ckpt.optimizer.replicas = naive_->state();
-  }
+  ckpt.optimizer.kind = OptimizerCheckpoint::Kind::kKalman;
+  ckpt.optimizer.kalman = kalman_.state();
   ckpt.has_group_rng = true;
   ckpt.group_rng = group_rng_.state();
 }
 
 void KalmanTrainer::restore(const TrainingCheckpoint& ckpt) {
-  if (mode_ == EkfMode::kFekf) {
-    FEKF_CHECK(ckpt.optimizer.kind == OptimizerCheckpoint::Kind::kKalman,
-               "checkpoint optimizer state is not a shared-P Kalman filter");
-    kalman_->set_state(ckpt.optimizer.kalman);
-  } else {
-    FEKF_CHECK(ckpt.optimizer.kind == OptimizerCheckpoint::Kind::kNaiveEkf,
-               "checkpoint optimizer state is not a naive-EKF replica set");
-    naive_->set_state(ckpt.optimizer.replicas);
-  }
+  FEKF_CHECK(ckpt.optimizer.kind == OptimizerCheckpoint::Kind::kKalman,
+             "checkpoint optimizer state is not a shared-P Kalman filter");
+  kalman_.set_state(ckpt.optimizer.kalman);
   FEKF_CHECK(ckpt.has_group_rng,
              "checkpoint is missing the force-group RNG stream");
   group_rng_.set_state(ckpt.group_rng);
@@ -613,10 +537,7 @@ TrainResult KalmanTrainer::train(std::span<const EnvPtr> train_envs,
   };
   hooks.snapshot = [&] { snapshot_state(); };
   hooks.rollback = [&] { rollback_state(); };
-  hooks.covariance_health = [&] {
-    return mode_ == EkfMode::kFekf ? kalman_->last_max_diag()
-                                   : naive_->last_max_diag();
-  };
+  hooks.covariance_health = [&] { return kalman_.last_max_diag(); };
   hooks.capture = [&](TrainingCheckpoint& ckpt) { capture(ckpt); };
   hooks.restore = [&](const TrainingCheckpoint& ckpt) { restore(ckpt); };
   return run_resilient_epochs(model_, train_envs, test_envs, options_, flat_,

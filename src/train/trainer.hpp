@@ -3,13 +3,11 @@
 //  * AdamTrainer  — the paper's baseline: DeePMD loss (energy + force terms
 //    with the standard prefactor schedule), any mini-batch size, lr scaled
 //    by sqrt(bs) as in Table 1.
-//  * KalmanTrainer — the EKF family. One step = 1 energy update + 4 force
-//    updates (paper §4). Modes:
-//      EkfMode::kFekf  — funnel dataflow: gradients/errors reduced across
-//                        the batch FIRST, one shared P, sqrt(bs) step
-//                        (Algorithm 1). batch_size 1 reproduces RLEKF.
-//      EkfMode::kNaive — fusiform dataflow: full per-sample Kalman updates
-//                        against per-sample P replicas, increments averaged.
+//  * KalmanTrainer — FEKF. One step = 1 energy update + 4 force updates
+//    (paper §4), each in the funnel dataflow: gradients/errors reduced
+//    across the batch FIRST, one shared P, sqrt(bs) step (Algorithm 1).
+//    batch_size 1 reproduces RLEKF. The fusiform Naive-EKF of §3.3 is not
+//    implemented; bench_comm_memory costs it analytically.
 //
 // Iteration time is split into the three Figure 7(c) phases by the "train"
 // spans around them: forward (prediction + measurement assembly),
@@ -33,7 +31,6 @@
 #include "optim/adam.hpp"
 #include "optim/flat_params.hpp"
 #include "optim/kalman.hpp"
-#include "optim/naive_ekf.hpp"
 #include "train/checkpoint.hpp"
 #include "train/measurement.hpp"
 
@@ -186,12 +183,10 @@ class AdamTrainer {
   optim::AdamState snap_adam_;
 };
 
-enum class EkfMode { kFekf, kNaive };
-
 class KalmanTrainer {
  public:
   KalmanTrainer(deepmd::DeepmdModel& model, optim::KalmanConfig kalman_config,
-                TrainOptions options, EkfMode mode = EkfMode::kFekf);
+                TrainOptions options);
 
   TrainResult train(std::span<const EnvPtr> train_envs,
                     std::span<const EnvPtr> test_envs);
@@ -202,13 +197,11 @@ class KalmanTrainer {
   void force_update(std::span<const EnvPtr> batch,
                     std::span<const i64> group);
 
-  const optim::KalmanOptimizer* kalman() const { return kalman_.get(); }
-  const optim::NaiveEkf* naive() const { return naive_.get(); }
+  const optim::KalmanOptimizer* kalman() const { return &kalman_; }
 
  private:
   void apply_fekf(const Measurement& measurement, i64 batch_size,
                   std::optional<f64> step_norm_cap);
-  void apply_naive_sample(i64 slot, const Measurement& measurement);
   void snapshot_state();
   void rollback_state();
   void capture(TrainingCheckpoint& ckpt);
@@ -216,10 +209,8 @@ class KalmanTrainer {
 
   deepmd::DeepmdModel& model_;
   optim::FlatParams flat_;
-  std::unique_ptr<optim::KalmanOptimizer> kalman_;
-  std::unique_ptr<optim::NaiveEkf> naive_;
+  optim::KalmanOptimizer kalman_;
   TrainOptions options_;
-  EkfMode mode_;
   std::vector<f64> weights_;
   std::vector<f64> grad_flat_;
   Rng group_rng_;
@@ -228,8 +219,8 @@ class KalmanTrainer {
   // updates of one step.
   f64 step_loss_ = 0.0;
   f64 step_grad_norm2_ = 0.0;
-  // Last good weights for sentinel rollback; the optimizers keep their
-  // own snapshot (KalmanOptimizer::snapshot).
+  // Last good weights for sentinel rollback; the optimizer keeps its own
+  // snapshot (KalmanOptimizer::snapshot).
   std::vector<f64> snap_weights_;
 };
 

@@ -1,8 +1,7 @@
 // Optimizer tests: RLEKF block gather/split layout (including the paper's
 // {1350, 10240, 9760, ...} network), Kalman-filter convergence on linear
 // regression, equivalence of the fused/unfused P-update kernels and of the
-// Pg-caching toggle, covariance-limiting guards, Adam on a quadratic, and
-// the Naive-EKF memory/commit accounting.
+// Pg-caching toggle, covariance-limiting guards, and Adam on a quadratic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "optim/adam.hpp"
 #include "optim/ekf_blocks.hpp"
 #include "optim/kalman.hpp"
-#include "optim/naive_ekf.hpp"
 #include "tensor/kernel_counter.hpp"
 #include "tensor/kernels.hpp"
 
@@ -327,53 +325,6 @@ TEST(Adam, LearningRateSchedule) {
   EXPECT_NEAR(adam.current_lr(), 4e-3 * 0.95, 1e-12);
 }
 
-TEST(NaiveEkf, MemoryIsSlotsTimesP) {
-  auto blocks = split_blocks(Layout{{"w", 64}}, 32);
-  KalmanConfig cfg;
-  NaiveEkf naive(blocks, cfg, /*slots=*/8);
-  KalmanOptimizer single(blocks, cfg);
-  // Two packed 32-parameter blocks per replica: 2 * 528 entries * 8 B.
-  EXPECT_EQ(single.p_bytes(), 8448);
-  EXPECT_EQ(naive.p_bytes(), 8 * single.p_bytes());
-  EXPECT_EQ(naive.comm_bytes_per_step(), naive.p_bytes());
-}
-
-TEST(NaiveEkf, CommitAveragesIncrements) {
-  auto blocks = split_blocks(Layout{{"w", 4}}, 16);
-  KalmanConfig cfg;
-  cfg.process_noise = 0.0;
-  cfg.max_step_norm = 0.0;
-  NaiveEkf naive(blocks, cfg, 2);
-  // Both slots see identical fresh P, so with gradients g and -g and equal
-  // errors the increments cancel exactly.
-  std::vector<f64> g{1.0, -0.5, 0.25, 2.0};
-  std::vector<f64> gneg = g;
-  for (auto& v : gneg) v = -v;
-  naive.accumulate(0, g, 0.3);
-  naive.accumulate(1, gneg, 0.3);
-  std::vector<f64> w(4, 1.0);
-  naive.commit(w);
-  for (const f64 v : w) EXPECT_NEAR(v, 1.0, 1e-12);
-}
-
-TEST(NaiveEkf, SingleSlotMatchesKalman) {
-  auto blocks = split_blocks(Layout{{"w", 6}}, 16);
-  KalmanConfig cfg;
-  cfg.process_noise = 0.0;
-  cfg.max_step_norm = 0.0;
-  NaiveEkf naive(blocks, cfg, 1);
-  KalmanOptimizer kal(blocks, cfg);
-  Rng rng(12);
-  std::vector<f64> w1(6, 0.0), w2(6, 0.0), g(6);
-  for (int step = 0; step < 10; ++step) {
-    for (auto& v : g) v = rng.gaussian();
-    naive.accumulate(0, g, 0.2);
-    naive.commit(w1);
-    kal.update(g, 0.2, w2);
-  }
-  for (i64 i = 0; i < 6; ++i) EXPECT_NEAR(w1[static_cast<std::size_t>(i)], w2[static_cast<std::size_t>(i)], 1e-10);
-}
-
 TEST(Validation, KalmanConfigRejectsBadValues) {
   auto reject = [](auto&& mutate) {
     KalmanConfig cfg;
@@ -399,7 +350,6 @@ TEST(Validation, KalmanConfigRejectsBadValues) {
   bad.lambda0 = -1.0;
   auto blocks = split_blocks(Layout{{"w", 4}}, 16);
   EXPECT_THROW(KalmanOptimizer(blocks, bad), Error);
-  EXPECT_THROW(NaiveEkf(blocks, bad, 2), Error);
 }
 
 TEST(Validation, AdamConfigRejectsBadValues) {
@@ -680,58 +630,6 @@ TEST(Kalman, FusedMatchesOpt3AcrossEveryStateEvent) {
   expect_same_p(48);
   EXPECT_GT(rescales.value() - rescales0, 0) << "p_max never fired";
   obs::set_metrics_enabled(metrics_were);
-}
-
-TEST(NaiveEkf, SnapshotIsAFlipAndRollbackIsASwap) {
-  auto blocks = split_blocks(Layout{{"w", 20}, {"b", 7}}, 16);
-  KalmanConfig cfg;
-  NaiveEkf naive(blocks, cfg, /*slots=*/2), plain(blocks, cfg, 2);
-  Rng rng(29);
-  std::vector<f64> w(27, 0.0), w_plain(27, 0.0), g(27);
-  auto step = [&](bool also_plain) {
-    for (i64 slot = 0; slot < 2; ++slot) {
-      for (auto& v : g) v = rng.gaussian();
-      naive.accumulate(slot, g, 0.1);
-      if (also_plain) plain.accumulate(slot, g, 0.1);
-    }
-    naive.commit(w);
-    if (also_plain) plain.commit(w_plain);
-  };
-  auto same = [](const std::vector<KalmanState>& a,
-                 const std::vector<KalmanState>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t s = 0; s < a.size(); ++s) {
-      if (!same_state(a[s], b[s])) return false;
-    }
-    return true;
-  };
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    naive.snapshot();
-    step(true);
-  }
-  EXPECT_TRUE(same(naive.state(), plain.state()));
-  EXPECT_EQ(w, w_plain);
-
-  naive.snapshot();
-  const std::vector<KalmanState> snap = naive.state();
-  step(false);
-  step(false);
-  EXPECT_FALSE(same(naive.state(), snap));
-  naive.rollback();
-  EXPECT_TRUE(same(naive.state(), snap));
-  naive.recondition();
-  EXPECT_FALSE(same(naive.state(), snap));
-  naive.rollback();
-  EXPECT_TRUE(same(naive.state(), snap));
-  naive.set_state(plain.state());
-  naive.rollback();
-  EXPECT_TRUE(same(naive.state(), snap));
-  // rollback clears a half-accumulated batch.
-  for (auto& v : g) v = rng.gaussian();
-  naive.accumulate(0, g, 0.1);
-  naive.rollback();
-  EXPECT_TRUE(same(naive.state(), snap));
-  EXPECT_THROW(naive.commit(w), Error);
 }
 
 TEST(Kalman, ReconditionRepairsDivergedCovariance) {

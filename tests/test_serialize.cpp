@@ -207,6 +207,48 @@ TEST(Serialize, InvalidConfigLineNamesFileAndLine) {
   }
 }
 
+TEST(Serialize, HostileCountNamesFileAndLine) {
+  // A list count the rest of the file cannot hold fails at load with one
+  // line naming the file and the count's line, before anything is
+  // allocated for it (not as std::length_error or std::bad_alloc).
+  data::Dataset ds = small_dataset();
+  DeepmdModel model(small_config(), 2);
+  model.fit_stats(ds.train);
+  TempFile file("fekf_count.model");
+  save_model(model, file.path);
+  const std::string text = read_file(file.path);
+
+  // {line key, hostile count}: 2^62, 2^40, 2^40.
+  const std::pair<const char*, const char*> rows[] = {
+      {"sel", "4611686018427387904"},
+      {"sel", "1099511627776"},
+      {"davg", "1099511627776"},
+  };
+  for (const auto& [key, count] : rows) {
+    SCOPED_TRACE(std::string(key) + " " + count);
+    const std::size_t begin = text.find("\n" + std::string(key) + " ") + 1;
+    ASSERT_NE(begin, 0u);
+    const std::size_t count_begin = begin + std::string(key).size() + 1;
+    const std::size_t count_end = text.find_first_of(" \n", count_begin);
+    const i64 line = 1 + static_cast<i64>(std::count(
+                             text.begin(), text.begin() + begin, '\n'));
+    write_text(file.path, text.substr(0, count_begin) + count +
+                              text.substr(count_end));
+    try {
+      load_model(file.path);
+      ADD_FAILURE() << "loaded a " << key << " count of " << count;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file.path + ":" + std::to_string(line) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("count ") + count), std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ModelPotential, MatchesDirectPrediction) {
   data::Dataset ds = small_dataset("Cu");
   DeepmdModel model(small_config(), 1);

@@ -1,6 +1,6 @@
 // Training-loop tests: measurement construction invariants, metric
 // definitions, short integration runs for every trainer (FEKF, RLEKF-mode,
-// Naive-EKF, Adam), and a parameterized smoke sweep over all eight catalog
+// Adam), and a parameterized smoke sweep over all eight catalog
 // systems checking that training is stable and reduces force error.
 #include <gtest/gtest.h>
 
@@ -179,21 +179,6 @@ TEST(Trainer, RlekfModeIsBatchSizeOne) {
   TrainResult result = trainer.train(f.train_envs, {});
   // One step per sample per epoch.
   EXPECT_EQ(result.steps, static_cast<i64>(f.train_envs.size()));
-}
-
-TEST(Trainer, NaiveEkfRunsAndAllocatesPerSampleP) {
-  Fixture f = make_fixture("Cu", 6, 1);
-  TrainOptions opts;
-  opts.batch_size = 3;
-  opts.max_epochs = 1;
-  opts.eval_max_samples = 6;
-  optim::KalmanConfig kcfg;
-  kcfg.blocksize = 1024;
-  KalmanTrainer trainer(*f.model, kcfg, opts, EkfMode::kNaive);
-  TrainResult result = trainer.train(f.train_envs, {});
-  EXPECT_GT(result.steps, 0);
-  ASSERT_NE(trainer.naive(), nullptr);
-  EXPECT_EQ(trainer.naive()->slots(), 3);
 }
 
 TEST(Trainer, AdamReducesForceError) {
