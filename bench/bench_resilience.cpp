@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     join_bytes = dr.comm.join_bytes;
   }
   // A straggler under the bounded-wait policy: the extra simulated wait is
-  // the admitted slowdown, capped at straggler_wait_factor x nominal.
+  // the admitted slowdown, capped at kStragglerWaitFactor x nominal.
   f64 straggler_wait_seconds = 0.0;
   {
     dist::DistributedResult dr = run_cluster("straggler@step=2,factor=4");

@@ -38,8 +38,8 @@
 //   rank_join@step=60    a new rank joins at step 60 and receives the
 //                        weight + covariance catch-up transfer
 //   straggler@step=9     slow one rank down (factor=F, default 4x); the
-//                        cluster's bounded-wait policy decides wait vs
-//                        drop-and-reshard
+//                        cluster waits for it, at most 3x the nominal
+//                        compute max (dist::kStragglerWaitFactor)
 //
 // Every configure() resets all fired counts, so a spec replays
 // identically run to run. Malformed specs throw a single-line Error naming

@@ -162,11 +162,15 @@ std::string TextReader::read_bytes() {
 
 std::size_t TextReader::read_count() {
   const u64 n = read_u64();
+  require_fits(n, "count " + std::to_string(n));
+  return static_cast<std::size_t>(n);
+}
+
+void TextReader::require_fits(u64 n, const std::string& what) const {
   if (n > (text_.size() - pos_) / 2) {
-    malformed("count " + std::to_string(n) + " exceeds what the " +
+    malformed(what + " exceeds what the " +
               std::to_string(text_.size() - pos_) + " bytes left can hold");
   }
-  return static_cast<std::size_t>(n);
 }
 
 std::vector<f64> TextReader::read_f64s() {

@@ -66,6 +66,10 @@ class TextReader {
   /// separator and a digit), so a count the rest of the input cannot hold
   /// is malformed; callers may allocate for it once it returns.
   std::size_t read_count();
+  /// Malformed unless `n` values of at least two bytes each fit in the
+  /// input left; `what` names them: "<what> exceeds what the <k> bytes left
+  /// can hold".
+  void require_fits(u64 n, const std::string& what) const;
   /// A count, then that many hex floats.
   std::vector<f64> read_f64s();
 

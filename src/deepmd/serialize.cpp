@@ -1,6 +1,8 @@
 #include "deepmd/serialize.hpp"
 
 #include <cmath>
+#include <optional>
+#include <utility>
 
 namespace fekf::deepmd {
 
@@ -32,6 +34,31 @@ std::vector<i64> read_ivector(TextReader& r, const char* name) {
   std::vector<i64> v(r.read_count());
   for (auto& x : v) x = r.read_i64();
   return v;
+}
+
+/// Parameter count of the nets `cfg` describes for `num_types` types, or
+/// nullopt when it overflows 64 bits. Each layer is a rows x cols weight
+/// plus a cols bias: embedding 1 -> M -> M -> M and fitting
+/// M*M< -> W -> W -> W -> 1 (network.cpp).
+std::optional<u64> parameter_count(const ModelConfig& cfg, i64 num_types) {
+  const u64 m = static_cast<u64>(cfg.embed_width);
+  const u64 w = static_cast<u64>(cfg.fitting_width);
+  u64 d = 0;
+  bool overflow = __builtin_mul_overflow(
+      m, static_cast<u64>(cfg.axis_neurons), &d);
+  const std::pair<u64, u64> layers[] = {{1, m}, {m, m}, {m, m}, {d, w},
+                                        {w, w}, {w, w}, {w, 1}};
+  u64 per_type = 0;
+  for (const auto& [rows, cols] : layers) {
+    u64 layer = 0;
+    overflow = overflow || __builtin_mul_overflow(rows + 1, cols, &layer) ||
+               __builtin_add_overflow(per_type, layer, &per_type);
+  }
+  u64 total = 0;
+  overflow = overflow || __builtin_mul_overflow(
+                             per_type, static_cast<u64>(num_types), &total);
+  if (overflow) return std::nullopt;
+  return total;
 }
 
 }  // namespace
@@ -107,17 +134,29 @@ DeepmdModel read_model_text(TextReader& r) {
     r.malformed("rcut_smth must be in [0, rcut), got " +
                 std::to_string(cfg.rcut_smth));
   }
+  const std::string widths = "embed_width " + std::to_string(cfg.embed_width) +
+                             ", axis_neurons " +
+                             std::to_string(cfg.axis_neurons) +
+                             ", fitting_width " +
+                             std::to_string(cfg.fitting_width);
   if (cfg.embed_width < 1 || cfg.axis_neurons < 1 || cfg.fitting_width < 1 ||
       cfg.axis_neurons > cfg.embed_width) {
     r.malformed("network widths must be >= 1 with axis_neurons <= "
-                "embed_width, got embed_width " +
-                std::to_string(cfg.embed_width) + ", axis_neurons " +
-                std::to_string(cfg.axis_neurons) + ", fitting_width " +
-                std::to_string(cfg.fitting_width));
+                "embed_width, got " + widths);
   }
+  // Nothing is built for these widths until the file is known to hold
+  // their parameters (at least two bytes each).
+  const std::optional<u64> nvalues = parameter_count(cfg, num_types);
+  if (!nvalues) r.malformed("parameter count of " + widths + " overflows");
+  r.require_fits(*nvalues, "parameter count " + std::to_string(*nvalues) +
+                               " of " + widths);
 
   EnvStats env;
   std::vector<i64> sel = read_ivector(r, "sel");
+  if (static_cast<i64>(sel.size()) != num_types) {
+    r.malformed("sel has " + std::to_string(sel.size()) +
+                " entries, num_types is " + std::to_string(num_types));
+  }
   env.davg = read_vector(r, "davg");
   env.dstd_r = read_vector(r, "dstd_r");
   env.dstd_a = read_vector(r, "dstd_a");

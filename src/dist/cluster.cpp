@@ -1,7 +1,7 @@
 #include "dist/cluster.hpp"
 
 #include <cmath>
-#include <limits>
+#include <optional>
 
 #include "core/fault.hpp"
 #include "obs/metrics.hpp"
@@ -11,7 +11,6 @@
 namespace fekf::dist {
 
 using train::EnvPtr;
-using train::Measurement;
 
 namespace {
 
@@ -48,10 +47,6 @@ void DistributedConfig::validate() const {
   kalman.validate();
   interconnect.validate();
   detector.validate();
-  FEKF_CHECK(std::isfinite(straggler_wait_factor) &&
-                 straggler_wait_factor >= 1.0,
-             "DistributedConfig.straggler_wait_factor must be >= 1 (got " +
-                 std::to_string(straggler_wait_factor) + ")");
 }
 
 VirtualCluster::VirtualCluster(const DistributedConfig& config,
@@ -142,11 +137,10 @@ void VirtualCluster::record(FaultLog& log, i64 step, const char* kind,
   }
 }
 
-void VirtualCluster::evict(Rank& rank, i64 step, FaultLog& log,
-                           const char* why) {
+void VirtualCluster::evict(Rank& rank, i64 step, FaultLog& log) {
   FEKF_CHECK(live_ranks() > 1,
              "rank eviction left no surviving ranks (rank " +
-                 std::to_string(rank.id) + ", " + why + ")");
+                 std::to_string(rank.id) + ", heartbeat timeout)");
   rank.alive = false;
   const i64 survivors = live_ranks();
   // Survivors take over the dead rank's shard and re-sync the
@@ -159,8 +153,9 @@ void VirtualCluster::evict(Rank& rank, i64 step, FaultLog& log,
       InterconnectModel::allreduce_bytes(grad_payload_, survivors);
   ledger_.reshard_seconds += reshard_s;
   record(log, step, "rank_evict", "fault.rank_evict", "reshard",
-         "rank " + std::to_string(rank.id) + " evicted (" + why + "); " +
-             std::to_string(survivors) + " survivors");
+         "rank " + std::to_string(rank.id) +
+             " evicted (heartbeat timeout); " + std::to_string(survivors) +
+             " survivors");
 }
 
 f64 VirtualCluster::poll_faults(i64 step, FaultLog& log) {
@@ -210,17 +205,7 @@ f64 VirtualCluster::poll_faults(i64 step, FaultLog& log) {
            "up " + std::to_string(catchup_bytes) + " bytes");
   }
 
-  // 4. Straggler policy: under kDropReshard, ranks slower than the bounded
-  // wait admits are evicted rather than waited for.
-  if (config_.straggler_policy == StragglerPolicy::kDropReshard) {
-    for (Rank& r : members_) {
-      if (r.alive && r.slowdown > config_.straggler_wait_factor) {
-        evict(r, step, log, "straggler beyond bounded wait");
-      }
-    }
-  }
-
-  // 5. Heartbeat failure detector: one evaluation per step boundary; a
+  // 4. Heartbeat failure detector: one evaluation per step boundary; a
   // silent rank accrues one miss per evaluation and is evicted at
   // miss_limit. Eviction branches ONLY on the miss count — the simulated
   // detection latency is reported, never consulted.
@@ -230,11 +215,11 @@ f64 VirtualCluster::poll_faults(i64 step, FaultLog& log) {
     if (r.missed >= config_.detector.miss_limit) {
       ledger_.detection_seconds += static_cast<f64>(r.missed) *
                                    config_.detector.heartbeat_period_s;
-      evict(r, step, log, "heartbeat timeout");
+      evict(r, step, log);
     }
   }
 
-  // 6. The step's heartbeat traffic (live ranks report in, overlapped — a
+  // 5. The step's heartbeat traffic (live ranks report in, overlapped — a
   // single message latency on the simulated clock).
   const i64 live = live_ranks();
   if (live > 1) {
@@ -273,36 +258,125 @@ f64 VirtualCluster::compute_seconds(
   }
   if (slowed <= nominal) return nominal;
   const f64 used =
-      std::min(slowed, config_.straggler_wait_factor * nominal);
+      std::min(slowed, kStragglerWaitFactor * nominal);
   ledger_.straggler_wait_seconds += used - nominal;
   return used;
 }
 
 namespace {
 
-/// Reduce a shard's measurement into flat gradient + ABE, measuring the
-/// local compute time.
-struct ShardResult {
-  std::vector<f64> grad;
-  f64 abe = 0.0;
-  f64 seconds = 0.0;
-};
+/// The cluster's half of every FEKF update: shard the batch over the live
+/// ranks, sum the weighted shard gradients and ABEs in rank order, and
+/// charge the simulated clock and the ledger. The update's simulated time
+/// is max(shard, straggler-bounded) + allreduce + (one) KF update; the
+/// Kalman step itself is KalmanTrainer's, replicated on every rank, so it
+/// is timed once.
+struct ShardedReducer final : train::GradientReducer {
+  ShardedReducer(DistributedResult& result, i64 grad_payload)
+      : result(result), grad_payload(grad_payload) {}
 
-ShardResult run_shard(deepmd::DeepmdModel& /*model*/, optim::FlatParams& flat,
-                      std::span<const EnvPtr> shard,
-                      const std::function<Measurement(std::span<const EnvPtr>)>&
-                          measure) {
-  ShardResult out;
-  out.grad.resize(static_cast<std::size_t>(flat.size()));
-  Stopwatch watch;
-  Measurement m = measure(shard);
-  auto params = flat.params();
-  auto g = ag::grad(m.m, params);
-  flat.gather_grads(g, out.grad);
-  out.abe = m.abe;
-  out.seconds = watch.seconds();
-  return out;
-}
+  void begin_step(i64 step, FaultLog& log) override {
+    result.simulated_seconds += cluster->poll_faults(step, log);
+  }
+
+  f64 reduce(std::span<const EnvPtr> batch, const Gradient& gradient,
+             std::span<f64> grad) override {
+    const i64 bs = static_cast<i64>(batch.size());
+    const i64 ranks = cluster->live_ranks();
+    std::fill(grad.begin(), grad.end(), 0.0);
+    shard_grad.resize(grad.size());
+    shard_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
+    f64 abe = 0.0;
+    for (i64 r = 0; r < ranks; ++r) {
+      const i64 lo = r * bs / ranks;
+      const i64 hi = (r + 1) * bs / ranks;
+      if (lo == hi) continue;
+      obs::ScopedSpan shard_span("dist.shard", "dist");
+      shard_span.arg("rank", static_cast<f64>(r));
+      shard_span.arg("samples", static_cast<f64>(hi - lo));
+      Stopwatch watch;
+      const f64 shard_abe =
+          gradient(batch.subspan(static_cast<std::size_t>(lo),
+                                 static_cast<std::size_t>(hi - lo)),
+                   shard_grad);
+      shard_seconds[static_cast<std::size_t>(r)] = watch.seconds();
+      const f64 shard_weight =
+          static_cast<f64>(hi - lo) / static_cast<f64>(bs);
+      for (std::size_t i = 0; i < grad.size(); ++i) {
+        grad[i] += shard_grad[i] * shard_weight;
+      }
+      abe += shard_abe * shard_weight;
+    }
+    compute_s = cluster->compute_seconds(shard_seconds);
+    // Ring allreduce of the reduced gradient + the scalar error. P is NOT
+    // communicated: every rank applies the identical Kalman step. The
+    // collective is simulated, so its span is a near-zero sliver on the
+    // real timeline whose args carry the ledger's accounting: the simulated
+    // allreduce seconds and the bytes moved.
+    const i64 error_payload = static_cast<i64>(sizeof(f64));
+    comm_s =
+        cluster->allreduce(grad_payload) + cluster->allreduce(error_payload);
+    CommLedger& ledger = cluster->ledger();
+    const i64 grad_bytes =
+        InterconnectModel::allreduce_bytes(grad_payload, ranks);
+    const i64 error_bytes =
+        InterconnectModel::allreduce_bytes(error_payload, ranks);
+    {
+      obs::ScopedSpan comm_span("dist.allreduce", "dist");
+      comm_span.arg("sim_seconds", comm_s);
+      comm_span.arg("bytes", static_cast<f64>(grad_bytes + error_bytes));
+    }
+    ledger.gradient_bytes += grad_bytes;
+    ledger.error_bytes += error_bytes;
+    ++ledger.steps;
+    if (obs::metrics_enabled()) {
+      auto& metrics = obs::MetricsRegistry::instance();
+      metrics.counter("dist.allreduce_bytes").inc(grad_bytes + error_bytes);
+      metrics.counter("dist.allreduces").inc();
+      metrics.gauge("dist.sim_comm_seconds").set(ledger.comm_seconds);
+      // CommLedger mirror, so the telemetry sampler's time-series carries
+      // the membership accounting live instead of only in the end-of-run
+      // result.
+      metrics.gauge("dist.reshard_seconds").set(ledger.reshard_seconds);
+      metrics.gauge("dist.join_seconds").set(ledger.join_seconds);
+      metrics.gauge("dist.detection_seconds").set(ledger.detection_seconds);
+      metrics.gauge("dist.straggler_wait_seconds")
+          .set(ledger.straggler_wait_seconds);
+    }
+    return abe;
+  }
+
+  void after_update(f64 kf_seconds) override {
+    result.compute_seconds += compute_s + kf_seconds;
+    result.simulated_seconds += compute_s + comm_s + kf_seconds;
+    if (obs::metrics_enabled()) {
+      // Per-step distribution (not just the running totals above):
+      // bench_chaos reports its p50/p90/p99 for the churn scenario, where
+      // stragglers and membership changes fatten the tail.
+      obs::MetricsRegistry::instance()
+          .histogram("dist.step_sim_seconds")
+          .record(compute_s + comm_s + kf_seconds);
+    }
+  }
+
+  // Distributed checkpoints also carry the membership table, so a resumed
+  // run continues on the same live set.
+  void capture(train::TrainingCheckpoint& ckpt) override {
+    ckpt.membership = cluster->membership();
+  }
+  void restore(const train::TrainingCheckpoint& ckpt) override {
+    if (ckpt.membership.present) cluster->restore_membership(ckpt.membership);
+  }
+
+  DistributedResult& result;
+  const i64 grad_payload;
+  /// Built once the trainer's filter reports its P footprint.
+  std::optional<VirtualCluster> cluster;
+  std::vector<f64> shard_grad;
+  std::vector<f64> shard_seconds;
+  f64 compute_s = 0.0;  ///< simulated compute of the update in flight
+  f64 comm_s = 0.0;     ///< its simulated allreduce
+};
 
 }  // namespace
 
@@ -310,201 +384,22 @@ DistributedResult train_fekf_distributed(
     deepmd::DeepmdModel& model, std::span<const EnvPtr> train_envs,
     std::span<const EnvPtr> test_envs, const DistributedConfig& config) {
   config.validate();
-  const train::TrainOptions& options = config.options;
-  FEKF_CHECK(options.batch_size >= config.ranks,
+  FEKF_CHECK(config.options.batch_size >= config.ranks,
              "global batch must cover all ranks");
-  FEKF_CHECK(!train_envs.empty(), "empty training set");
-
   DistributedResult result;
-  optim::FlatParams flat(model.parameters());
-  auto blocks =
-      optim::split_blocks(model.parameter_layout(), config.kalman.blocksize);
-  optim::KalmanOptimizer kalman(std::move(blocks), config.kalman);
-  std::vector<f64> weights(static_cast<std::size_t>(flat.size()));
-  std::vector<f64> grad(static_cast<std::size_t>(flat.size()));
-  std::vector<f64> snap_weights;
-  flat.gather(weights);
-
-  const i64 grad_payload = flat.size() * static_cast<i64>(sizeof(f64));
-  VirtualCluster cluster(config, grad_payload, kalman.p_bytes());
-  const i64 natoms = train_envs.front()->natoms;
-  // KalmanTrainer's force-group stream and quasi-learning-rate rule, so a
-  // 1-rank run reproduces KalmanTrainer FEKF bit for bit.
-  Rng group_rng(options.seed ^ 0x9e3779b9ULL);
-
-  i64 current_step = 0;
-  train::StepSignals signals;
-  std::vector<f64> shard_seconds;
-
-  // One reduced update: run every live rank's shard for real, take the
-  // simulated step time as max(shard, straggler-bounded) + allreduce +
-  // (one) KF update.
-  auto reduced_update =
-      [&](std::span<const EnvPtr> batch,
-          const std::function<Measurement(std::span<const EnvPtr>)>& measure,
-          std::optional<f64> step_norm_cap) {
-        const i64 bs = static_cast<i64>(batch.size());
-        const i64 ranks = cluster.live_ranks();
-        std::fill(grad.begin(), grad.end(), 0.0);
-        shard_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
-        f64 abe = 0.0;
-        for (i64 r = 0; r < ranks; ++r) {
-          const i64 lo = r * bs / ranks;
-          const i64 hi = (r + 1) * bs / ranks;
-          if (lo == hi) continue;
-          obs::ScopedSpan shard_span("dist.shard", "dist");
-          shard_span.arg("rank", static_cast<f64>(r));
-          shard_span.arg("samples", static_cast<f64>(hi - lo));
-          ShardResult shard = run_shard(
-              model, flat, batch.subspan(static_cast<std::size_t>(lo),
-                                         static_cast<std::size_t>(hi - lo)),
-              measure);
-          const f64 shard_weight =
-              static_cast<f64>(hi - lo) / static_cast<f64>(bs);
-          for (std::size_t i = 0; i < grad.size(); ++i) {
-            grad[i] += shard.grad[i] * shard_weight;
-          }
-          abe += shard.abe * shard_weight;
-          shard_seconds[static_cast<std::size_t>(r)] = shard.seconds;
-        }
-        if (FaultInjector::instance().fire(faults::kNanGrad, current_step)) {
-          grad[0] = std::numeric_limits<f64>::quiet_NaN();
-        }
-        signals.loss += std::abs(abe);
-        for (const f64 g : grad) signals.grad_norm2 += g * g;
-        const f64 compute_s = cluster.compute_seconds(shard_seconds);
-        // Ring allreduce of the reduced gradient + the scalar error. P is
-        // NOT communicated: every rank applies the identical update below.
-        // The collective is simulated, so its span is a near-zero sliver on
-        // the real timeline whose args carry the ledger's accounting: the
-        // simulated allreduce seconds and the bytes moved.
-        const f64 comm_s =
-            cluster.allreduce(grad_payload) +
-            cluster.allreduce(static_cast<i64>(sizeof(f64)));
-        const i64 comm_bytes =
-            InterconnectModel::allreduce_bytes(grad_payload, ranks) +
-            InterconnectModel::allreduce_bytes(static_cast<i64>(sizeof(f64)),
-                                               ranks);
-        {
-          obs::ScopedSpan comm_span("dist.allreduce", "dist");
-          comm_span.arg("sim_seconds", comm_s);
-          comm_span.arg("bytes", static_cast<f64>(comm_bytes));
-        }
-        CommLedger& ledger = cluster.ledger();
-        ledger.gradient_bytes +=
-            InterconnectModel::allreduce_bytes(grad_payload, ranks);
-        ledger.error_bytes += InterconnectModel::allreduce_bytes(
-            static_cast<i64>(sizeof(f64)), ranks);
-        ++ledger.steps;
-        if (obs::metrics_enabled()) {
-          auto& metrics = obs::MetricsRegistry::instance();
-          metrics.counter("dist.allreduce_bytes")
-              .inc(comm_bytes);
-          metrics.counter("dist.allreduces").inc();
-          metrics.gauge("dist.sim_comm_seconds")
-              .set(ledger.comm_seconds);
-          // CommLedger mirror, so the telemetry sampler's time-series
-          // carries the membership accounting live instead of only in the
-          // end-of-run TrainResult.
-          metrics.gauge("dist.reshard_seconds").set(ledger.reshard_seconds);
-          metrics.gauge("dist.join_seconds").set(ledger.join_seconds);
-          metrics.gauge("dist.detection_seconds")
-              .set(ledger.detection_seconds);
-          metrics.gauge("dist.straggler_wait_seconds")
-              .set(ledger.straggler_wait_seconds);
-        }
-
-        Stopwatch kf_watch;
-        f64 kf_seconds = 0.0;
-        {
-          obs::ScopedSpan kf_span("kf_update", "train");
-          const f64 factor = options.qlr_factor >= 0.0
-                                 ? options.qlr_factor
-                                 : std::sqrt(static_cast<f64>(bs));
-          kalman.update(grad, factor * abe, weights, step_norm_cap, abe);
-          flat.scatter(weights);
-          kf_seconds = kf_watch.seconds();
-        }
-
-        result.compute_seconds += compute_s + kf_seconds;
-        result.simulated_seconds += compute_s + comm_s + kf_seconds;
-        if (obs::metrics_enabled()) {
-          // Per-step distribution (not just the running totals above):
-          // bench_chaos reports its p50/p90/p99 for the churn scenario,
-          // where stragglers and membership changes fatten the tail.
-          obs::MetricsRegistry::instance()
-              .histogram("dist.step_sim_seconds")
-              .record(compute_s + comm_s + kf_seconds);
-        }
-      };
-
-  train::ResilienceHooks hooks;
-  hooks.run_step = [&](std::span<const EnvPtr> batch, i64 step_index,
-                       FaultLog& log) -> train::StepSignals {
-    current_step = step_index;
-    signals = {};
-    result.simulated_seconds += cluster.poll_faults(step_index, log);
-    reduced_update(
-        batch,
-        [&](std::span<const EnvPtr> shard) {
-          return train::energy_measurement(model, shard);
-        },
-        /*step_norm_cap=*/0.0);
-    auto groups = train::make_force_groups(
-        natoms, options.force_updates_per_step, group_rng);
-    for (const auto& group : groups) {
-      reduced_update(
-          batch,
-          [&](std::span<const EnvPtr> shard) {
-            return train::force_measurement(model, shard, group,
-                                            options.force_prefactor);
-          },
-          /*step_norm_cap=*/std::nullopt);
-    }
-    return signals;
-  };
-  hooks.snapshot = [&] {
-    obs::ScopedSpan span("train.snapshot", "train");
-    snap_weights = weights;
-    kalman.snapshot();
-  };
-  hooks.rollback = [&] {
-    obs::ScopedSpan span("train.rollback", "train");
-    weights = snap_weights;
-    kalman.rollback();
-    kalman.recondition();
-    flat.scatter(weights);
-  };
-  hooks.covariance_health = [&] { return kalman.last_max_diag(); };
-  // Distributed checkpoints also carry the membership table, so a resumed
-  // run continues on the same live set.
-  hooks.capture = [&](train::TrainingCheckpoint& ckpt) {
-    ckpt.optimizer.kind = train::OptimizerCheckpoint::Kind::kKalman;
-    ckpt.optimizer.kalman = kalman.state();
-    ckpt.has_group_rng = true;
-    ckpt.group_rng = group_rng.state();
-    ckpt.membership = cluster.membership();
-  };
-  hooks.restore = [&](const train::TrainingCheckpoint& ckpt) {
-    FEKF_CHECK(ckpt.optimizer.kind ==
-                   train::OptimizerCheckpoint::Kind::kKalman,
-               "checkpoint optimizer state is not a shared-P Kalman filter");
-    FEKF_CHECK(ckpt.has_group_rng,
-               "checkpoint is missing the force-group RNG stream");
-    kalman.set_state(ckpt.optimizer.kalman);
-    group_rng.set_state(ckpt.group_rng);
-    if (ckpt.membership.present) cluster.restore_membership(ckpt.membership);
-  };
-
-  result.train = train::run_resilient_epochs(model, train_envs, test_envs,
-                                             options, flat, weights, hooks);
-  // The loop returns right after the converging evaluation.
+  ShardedReducer reducer(
+      result, model.num_parameters() * static_cast<i64>(sizeof(f64)));
+  train::KalmanTrainer trainer(model, config.kalman, config.options, &reducer);
+  reducer.cluster.emplace(config, reducer.grad_payload,
+                          trainer.kalman()->p_bytes());
+  result.train = trainer.train(train_envs, test_envs);
+  // train() returns right after the converging evaluation.
   if (result.train.converged) {
     result.simulated_seconds_to_converge = result.simulated_seconds;
   }
-  result.surviving_ranks = cluster.live_ranks();
-  result.membership = cluster.membership();
-  result.comm = cluster.ledger();
+  result.surviving_ranks = reducer.cluster->live_ranks();
+  result.membership = reducer.cluster->membership();
+  result.comm = reducer.cluster->ledger();
   return result;
 }
 

@@ -21,29 +21,31 @@
 // Elastic membership (VirtualCluster). The ring is no longer a fixed,
 // healthy set: ranks can be silenced (FEKF_FAULT_SPEC=rank_fail), join
 // (rank_join, receiving a weight + covariance-shard catch-up transfer),
-// and straggle (straggler, a per-rank compute slowdown bounded by a wait
-// policy). The links are reliable, as the paper's RoCE fabric is: every
-// allreduce costs its closed-form alpha-beta time. A heartbeat failure
-// detector evicts silent ranks after `miss_limit` missed heartbeats;
-// heartbeats are evaluated once per training step at the step boundary,
-// so eviction decisions depend only on deterministic step counts — never
-// on measured wall-clock — and a spec replays identically run to run.
+// and straggle (straggler, a per-rank compute slowdown the step waits for,
+// at most kStragglerWaitFactor times the nominal compute max). The links
+// are reliable, as the paper's RoCE fabric is: every allreduce costs its
+// closed-form alpha-beta time. A heartbeat failure detector evicts silent
+// ranks after `miss_limit` missed heartbeats; heartbeats are evaluated once
+// per training step at the step boundary, so eviction decisions depend only
+// on deterministic step counts — never on measured wall-clock — and a spec
+// replays identically run to run.
 //
-// Training runs on the resilient epoch loop every trainer shares
-// (train::run_resilient_epochs, DESIGN.md §10): the distributed step differs
-// from KalmanTrainer's FEKF step only in how (g, ABE) is formed, so the
-// divergence sentinels, nan_grad and corrupt_ckpt injection, checkpoints,
-// max_steps and the observers cover the cluster path too. One rank with no
-// faults is KalmanTrainer FEKF bit for bit (tests/test_dist.cpp).
+// Training is KalmanTrainer's FEKF step (train/trainer.hpp) on the resilient
+// epoch loop every trainer shares (DESIGN.md §10). The cluster supplies only
+// its GradientReducer: how each update turns its batch into (g, ABE) by
+// sharding it over the live ranks, plus the fault poll, the ledger and the
+// membership table in checkpoints. Sentinels, nan_grad and corrupt_ckpt
+// injection, checkpoints, max_steps, the observers and the per-update arena
+// scope are the trainer's own. One rank with no faults is KalmanTrainer
+// FEKF bit for bit (tests/test_dist.cpp).
 //
 // Determinism contract (tests/test_dist_elastic.cpp):
-//   - A straggler under the kWait policy costs only simulated time. Final
-//     weights are BIT-IDENTICAL to the fault-free run.
-//   - Membership changes (rank_fail eviction, rank_join, kDropReshard
-//     straggler eviction) change the live rank count, hence the shard
-//     split and the floating-point reduction — final weights differ from
-//     the fault-free run but are bit-identical across two invocations of
-//     the same spec.
+//   - A straggler costs only simulated time. Final weights are
+//     BIT-IDENTICAL to the fault-free run.
+//   - Membership changes (rank_fail eviction, rank_join) change the live
+//     rank count, hence the shard split and the floating-point reduction —
+//     final weights differ from the fault-free run but are bit-identical
+//     across two invocations of the same spec.
 #pragma once
 
 #include "train/checkpoint.hpp"
@@ -94,12 +96,9 @@ struct FailureDetectorConfig {
   void validate() const;
 };
 
-/// What the cluster does about a straggler whose slowdown exceeds the
-/// bounded wait.
-enum class StragglerPolicy {
-  kWait,         ///< wait, but at most straggler_wait_factor * nominal max
-  kDropReshard,  ///< evict ranks slower than the bound and reshard
-};
+/// Bounded wait: a step waits for stragglers at most this multiple of the
+/// nominal (un-slowed) compute max.
+inline constexpr f64 kStragglerWaitFactor = 3.0;
 
 struct CommLedger {
   i64 gradient_bytes = 0;  ///< cumulative allreduced gradient payload
@@ -113,16 +112,16 @@ struct CommLedger {
   i64 reshard_events = 0;
   i64 reshard_bytes = 0;
   f64 reshard_seconds = 0.0;
-  // Membership lifecycle: evictions decided by the heartbeat detector (or
-  // the kDropReshard straggler policy), and joins with their catch-up
-  // transfer (weights + covariance shard, point-to-point to the joiner).
+  // Membership lifecycle: evictions decided by the heartbeat detector, and
+  // joins with their catch-up transfer (weights + covariance shard,
+  // point-to-point to the joiner).
   i64 evictions = 0;
   f64 detection_seconds = 0.0;  ///< simulated heartbeat-detection latency
   i64 join_events = 0;
   i64 join_bytes = 0;
   f64 join_seconds = 0.0;
   // Stragglers: injected slowdown events and the extra simulated wait the
-  // bounded-wait policy admitted beyond the nominal compute max.
+  // bounded wait admitted beyond the nominal compute max.
   i64 straggler_events = 0;
   f64 straggler_wait_seconds = 0.0;
   // Heartbeat traffic (the detector's cost of doing business).
@@ -137,14 +136,8 @@ struct DistributedConfig {
   optim::KalmanConfig kalman;
   InterconnectModel interconnect;
   FailureDetectorConfig detector;
-  StragglerPolicy straggler_policy = StragglerPolicy::kWait;
-  /// Bounded wait: a step waits for stragglers at most this multiple of
-  /// the nominal (un-slowed) compute max. Under kDropReshard, ranks whose
-  /// slowdown exceeds it are evicted instead.
-  f64 straggler_wait_factor = 3.0;
 
-  /// Validates ranks, options, kalman, interconnect, detector, and the
-  /// straggler knobs together.
+  /// Validates ranks, options, kalman, interconnect and detector together.
   void validate() const;
 };
 
@@ -184,11 +177,11 @@ class VirtualCluster {
 
   /// Step-boundary poll, in deterministic order: injected rank_fail
   /// (silences a rank), straggler (sets a slowdown factor), rank_join
-  /// (admits a rank and charges the catch-up transfer), the kDropReshard
-  /// straggler policy, the heartbeat detector (evict + reshard), then the
-  /// step's heartbeat traffic. Recovery events are appended to `log`,
-  /// mirrored to the obs layer, and fanned out to the configured
-  /// observers. Returns the simulated seconds charged.
+  /// (admits a rank and charges the catch-up transfer), the heartbeat
+  /// detector (evict + reshard), then the step's heartbeat traffic.
+  /// Recovery events are appended to `log`, mirrored to the obs layer, and
+  /// fanned out to the configured observers. Returns the simulated seconds
+  /// charged.
   f64 poll_faults(i64 step, FaultLog& log);
 
   /// Simulated ring allreduce of `payload_bytes` among the live ranks:
@@ -198,8 +191,8 @@ class VirtualCluster {
 
   /// Straggler-aware simulated compute time of one collective:
   /// `measured_seconds[slot]` is the real compute time of live slot
-  /// `slot`; each is scaled by its rank's slowdown and the bounded-wait
-  /// policy caps the result at straggler_wait_factor * nominal max.
+  /// `slot`; each is scaled by its rank's slowdown and the bounded wait
+  /// caps the result at kStragglerWaitFactor * nominal max.
   f64 compute_seconds(const std::vector<f64>& measured_seconds);
 
   CommLedger& ledger() { return ledger_; }
@@ -208,8 +201,9 @@ class VirtualCluster {
  private:
   Rank* find_live(i64 id);
   Rank* pick_victim(i64 preferred_id);
-  /// Evict `rank` (alive -> false), charge the survivor reshard, log it.
-  void evict(Rank& rank, i64 step, FaultLog& log, const char* why);
+  /// Evict a silent `rank` (alive -> false), charge the survivor reshard,
+  /// log it.
+  void evict(Rank& rank, i64 step, FaultLog& log);
   /// trace_name must be a string literal (TraceEvent keeps the pointer).
   void record(FaultLog& log, i64 step, const char* kind,
               const char* trace_name, const char* action, std::string detail);
@@ -222,17 +216,18 @@ class VirtualCluster {
   CommLedger ledger_;
 };
 
-/// Data-parallel FEKF on the virtual cluster. Each step polls the cluster's
-/// faults, then shards the global batch across the LIVE ranks, reduces
-/// gradients/errors, and applies one shared Kalman update (replicated
-/// deterministically on every rank, so it is timed once). Every
-/// TrainOptions field is honored as in KalmanTrainer; distributed
-/// checkpoints also carry the membership table, so a resumed run continues
-/// with the same live set and reproduces the uninterrupted weight
-/// trajectory bit-for-bit (the simulated clock and ledger restart at zero
-/// and cover only the resumed segment). `train.history[].cumulative_seconds`
-/// is measured wall time; `simulated_seconds_to_converge` is the simulated
-/// clock at the converging evaluation.
+/// Data-parallel FEKF on the virtual cluster: a KalmanTrainer whose every
+/// update shards the global batch across the LIVE ranks and reduces
+/// gradients/errors before the one shared Kalman step (replicated
+/// deterministically on every rank, so it is timed once). Each step first
+/// polls the cluster's faults. Every TrainOptions field is honored as in
+/// KalmanTrainer; distributed checkpoints also carry the membership table,
+/// so a resumed run continues with the same live set and reproduces the
+/// uninterrupted weight trajectory bit-for-bit (the simulated clock and
+/// ledger restart at zero and cover only the resumed segment).
+/// `train.history[].cumulative_seconds` is measured wall time;
+/// `simulated_seconds_to_converge` is the simulated clock at the converging
+/// evaluation.
 DistributedResult train_fekf_distributed(deepmd::DeepmdModel& model,
                                          std::span<const train::EnvPtr> train_envs,
                                          std::span<const train::EnvPtr> test_envs,

@@ -22,9 +22,6 @@ void TrainOptions::validate() const {
                                  std::to_string(batch_size) + ")");
   FEKF_CHECK(max_epochs > 0, "TrainOptions.max_epochs must be > 0 (got " +
                                  std::to_string(max_epochs) + ")");
-  FEKF_CHECK(force_updates_per_step > 0,
-             "TrainOptions.force_updates_per_step must be > 0 (got " +
-                 std::to_string(force_updates_per_step) + ")");
   FEKF_CHECK(std::isfinite(force_prefactor) && force_prefactor > 0.0,
              "TrainOptions.force_prefactor must be finite and > 0 (got " +
                  std::to_string(force_prefactor) + ")");
@@ -34,12 +31,6 @@ void TrainOptions::validate() const {
   FEKF_CHECK(std::isfinite(qlr_factor),
              "TrainOptions.qlr_factor must be finite "
              "(negative selects sqrt(batch_size))");
-  FEKF_CHECK(snapshot_every > 0, "TrainOptions.snapshot_every must be > 0");
-  FEKF_CHECK(std::isfinite(sentinel_explode_factor) &&
-                 sentinel_explode_factor > 1.0,
-             "TrainOptions.sentinel_explode_factor must be finite and > 1");
-  FEKF_CHECK(sentinel_warmup_steps >= 0,
-             "TrainOptions.sentinel_warmup_steps must be >= 0");
   FEKF_CHECK(checkpoint_every >= 0,
              "TrainOptions.checkpoint_every must be >= 0 (0 disables)");
   FEKF_CHECK(checkpoint_every == 0 || !checkpoint_path.empty(),
@@ -145,9 +136,8 @@ TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
           reason = "nonfinite_weights";
         } else if (!std::isfinite(hooks.covariance_health())) {
           reason = "nonfinite_covariance";
-        } else if (healthy_steps >= options.sentinel_warmup_steps &&
-                   loss_ema > 0.0 &&
-                   sig.loss > options.sentinel_explode_factor * loss_ema) {
+        } else if (healthy_steps >= kLossSentinelWarmupSteps &&
+                   loss_ema > 0.0 && sig.loss > kLossExplodeFactor * loss_ema) {
           reason = "exploding_loss";
           detail = "loss=" + std::to_string(sig.loss) +
                    " ema=" + std::to_string(loss_ema);
@@ -175,7 +165,7 @@ TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
                        ? std::abs(sig.loss)
                        : 0.9 * loss_ema + 0.1 * std::abs(sig.loss);
         ++healthy_steps;
-        if (healthy_steps % options.snapshot_every == 0) hooks.snapshot();
+        hooks.snapshot();
       }
       // Skipped batches still count as attempted steps, so fault triggers
       // keyed on the step index stay deterministic across reruns.
@@ -419,68 +409,74 @@ TrainResult AdamTrainer::train(std::span<const EnvPtr> train_envs,
 
 KalmanTrainer::KalmanTrainer(deepmd::DeepmdModel& model,
                              optim::KalmanConfig kalman_config,
-                             TrainOptions options)
+                             TrainOptions options,
+                             GradientReducer* reducer)
     : model_(model),
       flat_(model.parameters()),
       kalman_(optim::split_blocks(model.parameter_layout(),
                                   kalman_config.blocksize),
               kalman_config),
-      options_(options) {
+      options_(options),
+      reducer_(reducer) {
   options_.validate();
   weights_.resize(static_cast<std::size_t>(flat_.size()));
   grad_flat_.resize(static_cast<std::size_t>(flat_.size()));
   flat_.gather(weights_);
 }
 
-void KalmanTrainer::apply_fekf(const Measurement& measurement,
-                               i64 batch_size,
-                               std::optional<f64> step_norm_cap) {
-  auto params = flat_.params();
-  {
+void KalmanTrainer::update(std::span<const EnvPtr> batch,
+                           const Measure& measure,
+                           std::optional<f64> step_norm_cap) {
+  // Opened before any measurement graph exists, so every graph dies before
+  // the scope rewinds the arena (workspace.hpp aliasing rules).
+  ArenaScope arena;
+  const auto gradient = [&](std::span<const EnvPtr> b, std::span<f64> grad) {
+    Measurement m;
+    {
+      obs::ScopedSpan span("forward", "train");
+      m = measure(b);
+    }
     obs::ScopedSpan span("gradient", "train");
-    auto g = ag::grad(measurement.m, params);
-    flat_.gather_grads(g, grad_flat_);
-  }
+    flat_.gather_grads(ag::grad(m.m, flat_.params()), grad);
+    return m.abe;
+  };
+  const f64 abe = reducer_ != nullptr
+                      ? reducer_->reduce(batch, gradient, grad_flat_)
+                      : gradient(batch, grad_flat_);
   if (FaultInjector::instance().fire(faults::kNanGrad, current_step_)) {
     grad_flat_[0] = std::numeric_limits<f64>::quiet_NaN();
   }
+  Stopwatch kf_watch;
   {
     obs::ScopedSpan span("kf_update", "train");
-    step_loss_ += std::abs(measurement.abe);
+    step_loss_ += std::abs(abe);
     step_grad_norm2_ += squared_norm(grad_flat_);
     const f64 factor = options_.qlr_factor >= 0.0
                            ? options_.qlr_factor
-                           : std::sqrt(static_cast<f64>(batch_size));
-    kalman_.update(grad_flat_, factor * measurement.abe, weights_,
-                   step_norm_cap, measurement.abe);
+                           : std::sqrt(static_cast<f64>(batch.size()));
+    kalman_.update(grad_flat_, factor * abe, weights_, step_norm_cap, abe);
     flat_.scatter(weights_);
   }
+  if (reducer_ != nullptr) reducer_->after_update(kf_watch.seconds());
 }
 
 void KalmanTrainer::energy_update(std::span<const EnvPtr> batch) {
-  // Declared before the measurement so the whole forward/backward graph
-  // dies before the scope rewinds the arena (workspace.hpp aliasing rules).
-  ArenaScope arena;
-  Measurement m;
-  {
-    obs::ScopedSpan span("forward", "train");
-    m = energy_measurement(model_, batch);
-  }
   // Energy updates are well-posed scalar Newton steps — run uncapped so
   // large transient energy errors close in one or two updates.
-  apply_fekf(m, static_cast<i64>(batch.size()), /*step_norm_cap=*/0.0);
+  update(
+      batch,
+      [&](std::span<const EnvPtr> b) { return energy_measurement(model_, b); },
+      /*step_norm_cap=*/0.0);
 }
 
 void KalmanTrainer::force_update(std::span<const EnvPtr> batch,
                                  std::span<const i64> group) {
-  ArenaScope arena;
-  Measurement m;
-  {
-    obs::ScopedSpan span("forward", "train");
-    m = force_measurement(model_, batch, group, options_.force_prefactor);
-  }
-  apply_fekf(m, static_cast<i64>(batch.size()),
-             /*step_norm_cap=*/std::nullopt);
+  update(
+      batch,
+      [&](std::span<const EnvPtr> b) {
+        return force_measurement(model_, b, group, options_.force_prefactor);
+      },
+      /*step_norm_cap=*/std::nullopt);
 }
 
 void KalmanTrainer::snapshot_state() {
@@ -502,6 +498,7 @@ void KalmanTrainer::capture(TrainingCheckpoint& ckpt) {
   ckpt.optimizer.kalman = kalman_.state();
   ckpt.has_group_rng = true;
   ckpt.group_rng = group_rng_.state();
+  if (reducer_ != nullptr) reducer_->capture(ckpt);
 }
 
 void KalmanTrainer::restore(const TrainingCheckpoint& ckpt) {
@@ -511,6 +508,7 @@ void KalmanTrainer::restore(const TrainingCheckpoint& ckpt) {
   FEKF_CHECK(ckpt.has_group_rng,
              "checkpoint is missing the force-group RNG stream");
   group_rng_.set_state(ckpt.group_rng);
+  if (reducer_ != nullptr) reducer_->restore(ckpt);
 }
 
 TrainResult KalmanTrainer::train(std::span<const EnvPtr> train_envs,
@@ -523,13 +521,13 @@ TrainResult KalmanTrainer::train(std::span<const EnvPtr> train_envs,
   const i64 natoms = train_envs.front()->natoms;
   ResilienceHooks hooks;
   hooks.run_step = [&](std::span<const EnvPtr> batch, i64 step_index,
-                       FaultLog&) -> StepSignals {
+                       FaultLog& log) -> StepSignals {
     current_step_ = step_index;
     step_loss_ = 0.0;
     step_grad_norm2_ = 0.0;
+    if (reducer_ != nullptr) reducer_->begin_step(step_index, log);
     energy_update(batch);
-    auto groups = make_force_groups(natoms, options_.force_updates_per_step,
-                                    group_rng_);
+    auto groups = make_force_groups(natoms, kForceGroupsPerStep, group_rng_);
     for (const auto& group : groups) {
       force_update(batch, group);
     }

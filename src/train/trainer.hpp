@@ -7,7 +7,9 @@
 //    (paper §4), each in the funnel dataflow: gradients/errors reduced
 //    across the batch FIRST, one shared P, sqrt(bs) step (Algorithm 1).
 //    batch_size 1 reproduces RLEKF. The fusiform Naive-EKF of §3.3 is not
-//    implemented; bench_comm_memory costs it analytically.
+//    implemented; bench_comm_memory costs it analytically. The
+//    data-parallel FEKF of dist/cluster.hpp is this same trainer: through
+//    a GradientReducer it only changes how each update forms (g, ABE).
 //
 // Iteration time is split into the three Figure 7(c) phases by the "train"
 // spans around them: forward (prediction + measurement assembly),
@@ -20,9 +22,11 @@
 // around the whole step, so a worker exception or a numerically diverging
 // update rolls the trainer back to the last good in-memory snapshot,
 // reconditions the covariance, records a FaultLog event, and skips the
-// batch — training continues. The loop also writes full-state checkpoints
-// (train/checkpoint.hpp) every `checkpoint_every` steps and can resume
-// from one bit-exactly via `resume_from`.
+// batch — training continues. A snapshot is taken after every healthy step
+// (the Kalman P snapshot is a buffer flip, so it costs no copy). The loop
+// also writes full-state checkpoints (train/checkpoint.hpp) every
+// `checkpoint_every` steps and can resume from one bit-exactly via
+// `resume_from`.
 #pragma once
 
 #include <functional>
@@ -38,13 +42,21 @@ namespace fekf::train {
 
 class TrainObserver;
 
+/// Force updates per KalmanTrainer step, one random atom group each: the
+/// paper's fixed four (§4).
+inline constexpr i64 kForceGroupsPerStep = 4;
+/// The explosion sentinel: a step whose loss exceeds this factor times the
+/// running loss EMA is treated as diverging and rolled back...
+inline constexpr f64 kLossExplodeFactor = 1e6;
+/// ...once this many healthy steps have been observed.
+inline constexpr i64 kLossSentinelWarmupSteps = 8;
+
 struct TrainOptions {
   i64 batch_size = 1;
   i64 max_epochs = 20;
   /// Converged when train-subset (energy + force) RMSE <= target; < 0
   /// disables the check and runs max_epochs.
   f64 target_total_rmse = -1.0;
-  i64 force_updates_per_step = 4;
   /// EKF force-measurement prefactor. The RLEKF paper uses 2 at its scale
   /// (tens of thousands of update steps); at this repo's bench scale
   /// (hundreds of steps) a hotter prefactor is needed for the force fit to
@@ -65,14 +77,6 @@ struct TrainOptions {
   /// to the last good snapshot. Disabled, a bad step propagates (worker
   /// exceptions rethrow, non-finite values poison the run).
   bool sentinels = true;
-  /// Healthy steps between in-memory snapshots (1 = snapshot every step;
-  /// larger trades rollback distance for snapshot overhead).
-  i64 snapshot_every = 1;
-  /// A step whose loss exceeds this factor times the running loss EMA is
-  /// treated as diverging and rolled back.
-  f64 sentinel_explode_factor = 1e6;
-  /// Healthy steps observed before the explosion sentinel arms.
-  i64 sentinel_warmup_steps = 8;
   /// Write a full training checkpoint every N optimizer steps (0 = off;
   /// requires checkpoint_path).
   i64 checkpoint_every = 0;
@@ -183,10 +187,38 @@ class AdamTrainer {
   optim::AdamState snap_adam_;
 };
 
+/// How KalmanTrainer's updates turn a batch into the reduced (g, ABE), for a
+/// trainer that forms them elsewhere. Only the data-parallel FEKF of
+/// dist/cluster.hpp implements it: it shards each update's batch over the
+/// live ranks, sums the weighted shard gradients and charges its simulated
+/// clock, around the one Kalman step every trainer shares. The trainer
+/// calls begin_step at each step boundary, reduce then after_update once
+/// per update, and capture/restore next to its own checkpoint state.
+class GradientReducer {
+ public:
+  /// Forward ("forward" span) and backward ("gradient" span) of the
+  /// update's measurement on a batch: writes dm/dw into the span and
+  /// returns the measurement's ABE.
+  using Gradient =
+      std::function<f64(std::span<const EnvPtr>, std::span<f64>)>;
+
+  virtual ~GradientReducer() = default;
+  virtual void begin_step(i64 step, FaultLog& log) = 0;
+  /// Write the batch's reduced gradient into `grad` and return its ABE.
+  virtual f64 reduce(std::span<const EnvPtr> batch, const Gradient& gradient,
+                     std::span<f64> grad) = 0;
+  /// The update's Kalman step (and weight scatter) took `kf_seconds`.
+  virtual void after_update(f64 kf_seconds) = 0;
+  virtual void capture(TrainingCheckpoint& ckpt) = 0;
+  virtual void restore(const TrainingCheckpoint& ckpt) = 0;
+};
+
 class KalmanTrainer {
  public:
+  /// With a `reducer` (non-owning; must outlive train()), every update
+  /// reduces its batch through it.
   KalmanTrainer(deepmd::DeepmdModel& model, optim::KalmanConfig kalman_config,
-                TrainOptions options);
+                TrainOptions options, GradientReducer* reducer = nullptr);
 
   TrainResult train(std::span<const EnvPtr> train_envs,
                     std::span<const EnvPtr> test_envs);
@@ -200,8 +232,10 @@ class KalmanTrainer {
   const optim::KalmanOptimizer* kalman() const { return &kalman_; }
 
  private:
-  void apply_fekf(const Measurement& measurement, i64 batch_size,
-                  std::optional<f64> step_norm_cap);
+  using Measure = std::function<Measurement(std::span<const EnvPtr>)>;
+  /// Reduce `batch` to (g, ABE) and apply one FEKF step.
+  void update(std::span<const EnvPtr> batch, const Measure& measure,
+              std::optional<f64> step_norm_cap);
   void snapshot_state();
   void rollback_state();
   void capture(TrainingCheckpoint& ckpt);
@@ -211,6 +245,7 @@ class KalmanTrainer {
   optim::FlatParams flat_;
   optim::KalmanOptimizer kalman_;
   TrainOptions options_;
+  GradientReducer* reducer_;
   std::vector<f64> weights_;
   std::vector<f64> grad_flat_;
   Rng group_rng_;

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/fault.hpp"
 #include "data/dataset.hpp"
 #include "dist/cluster.hpp"
+#include "tensor/workspace.hpp"
+#include "train/observer.hpp"
 
 namespace fekf::dist {
 namespace {
@@ -184,6 +187,42 @@ TEST(Distributed, SingleRankMatchesKalmanTrainerBitExactly) {
                 expected.history[e].train.force_rmse);
     }
   }
+}
+
+/// Arena allocations between the first and the last step of a one-epoch
+/// run, so the epoch evaluation's own scope is not counted.
+struct StepArenaAllocs : train::TrainObserver {
+  void on_step(const train::StepEvent&) override {
+    last = Workspace::stats().allocs;
+    if (first < 0) first = last;
+  }
+  i64 first = -1, last = -1;
+};
+
+TEST(Distributed, ArenaDoesNotChangeTrajectory) {
+  // Every update of a distributed run opens KalmanTrainer's arena scope,
+  // which changes where the shard graphs live and never what they hold.
+  InjectorGuard guard;
+  const bool was_enabled = Workspace::enabled();
+  std::vector<f64> weights[2];
+  i64 step_allocs[2] = {-1, -1};
+  for (const bool arena : {false, true}) {
+    Workspace::set_enabled(arena);
+    Fixture f = make_fixture(4);
+    StepArenaAllocs counter;
+    DistributedConfig cfg = base_config(2, 4);
+    cfg.options.observers = {&counter};
+    train_fekf_distributed(*f.model, f.train_envs, {}, cfg);
+    step_allocs[arena] = counter.last - counter.first;
+    weights[arena] = gather_weights(*f.model);
+  }
+  Workspace::set_enabled(was_enabled);
+  EXPECT_EQ(step_allocs[0], 0);
+  EXPECT_GT(step_allocs[1], 0);
+  ASSERT_EQ(weights[0].size(), weights[1].size());
+  EXPECT_EQ(std::memcmp(weights[0].data(), weights[1].data(),
+                        weights[0].size() * sizeof(f64)),
+            0);
 }
 
 TEST(Distributed, NanGradientRollsBackAndTrainingContinues) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 #include <unistd.h>
 
 #include "core/textio.hpp"
@@ -208,9 +209,10 @@ TEST(Serialize, InvalidConfigLineNamesFileAndLine) {
 }
 
 TEST(Serialize, HostileCountNamesFileAndLine) {
-  // A list count the rest of the file cannot hold fails at load with one
-  // line naming the file and the count's line, before anything is
-  // allocated for it (not as std::length_error or std::bad_alloc).
+  // A list count, or network widths, the rest of the file cannot hold fail
+  // at load with one line naming the file and the line, before anything is
+  // allocated for them (not as std::length_error or std::bad_alloc); so
+  // does a sel list whose length is not num_types.
   data::Dataset ds = small_dataset();
   DeepmdModel model(small_config(), 2);
   model.fit_stats(ds.train);
@@ -218,32 +220,42 @@ TEST(Serialize, HostileCountNamesFileAndLine) {
   save_model(model, file.path);
   const std::string text = read_file(file.path);
 
-  // {line key, hostile count}: 2^62, 2^40, 2^40.
-  const std::pair<const char*, const char*> rows[] = {
-      {"sel", "4611686018427387904"},
-      {"sel", "1099511627776"},
-      {"davg", "1099511627776"},
+  // {line key, which token after it (1-based), value, in the diagnostic}.
+  // The config line is: config <num_types> <rcut> <rcut_smth> <embed_width>
+  // <axis_neurons> <fitting_width> <fusion>.
+  const std::string two62 = "4611686018427387904";
+  const std::tuple<std::string, int, std::string, std::string> rows[] = {
+      {"sel", 1, two62, "count " + two62},
+      {"sel", 1, "1099511627776", "count 1099511627776"},
+      {"davg", 1, "1099511627776", "count 1099511627776"},
+      {"config", 6, "1000000", "fitting_width 1000000"},
+      {"config", 4, "200000", "embed_width 200000"},
+      {"config", 6, two62, "overflows"},
+      {"config", 4, two62, "overflows"},
+      {"sel", 1, "1", "sel has 1 entries, num_types is 2"},
   };
-  for (const auto& [key, count] : rows) {
-    SCOPED_TRACE(std::string(key) + " " + count);
-    const std::size_t begin = text.find("\n" + std::string(key) + " ") + 1;
+  for (const auto& [key, token, value, expect] : rows) {
+    SCOPED_TRACE(key + " #" + std::to_string(token) + " " + value);
+    const std::size_t begin = text.find("\n" + key + " ") + 1;
     ASSERT_NE(begin, 0u);
-    const std::size_t count_begin = begin + std::string(key).size() + 1;
-    const std::size_t count_end = text.find_first_of(" \n", count_begin);
+    std::size_t token_begin = begin + key.size() + 1;
+    for (int t = 1; t < token; ++t) {
+      token_begin = text.find(' ', token_begin) + 1;
+    }
+    const std::size_t token_end = text.find_first_of(" \n", token_begin);
     const i64 line = 1 + static_cast<i64>(std::count(
                              text.begin(), text.begin() + begin, '\n'));
-    write_text(file.path, text.substr(0, count_begin) + count +
-                              text.substr(count_end));
+    write_text(file.path, text.substr(0, token_begin) + value +
+                              text.substr(token_end));
     try {
       load_model(file.path);
-      ADD_FAILURE() << "loaded a " << key << " count of " << count;
+      ADD_FAILURE() << "loaded it";
     } catch (const Error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(file.path + ":" + std::to_string(line) + ":"),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find(std::string("count ") + count), std::string::npos)
-          << what;
+      EXPECT_NE(what.find(expect), std::string::npos) << what;
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
     }
   }
