@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
     batched.occupancy_mean = occ_count > 0.0 ? occ_sum / occ_count : 0.0;
 
     // Request-level SLOs from the metrics histograms themselves (the same
-    // quantiles a live FEKF_TELEMETRY sampler would report), not from the
+    // quantiles the FEKF_METRICS dump reports), not from the
     // bench's private latency vector: this is the export surface the
     // "obs" budgets gate, so the gate exercises the production path.
     const obs::Histogram& lat =

@@ -35,8 +35,8 @@ constexpr Knob kKnobs[] = {
      "Path for a Chrome trace_event JSON; setting it enables span "
      "recording (default off)"},
     {"FEKF_TRACE_KERNELS",
-     "Also record per-kernel-launch spans in the trace; 0 disables "
-     "(default off; needs FEKF_TRACE)"},
+     "Also record per-kernel-launch spans while FEKF_TRACE or FEKF_FLIGHT "
+     "captures; 0 disables (default off)"},
     {"FEKF_METRICS",
      "Path for a metrics-registry JSON dump at exit; setting it enables "
      "counters/histograms (default off)"},
@@ -44,10 +44,6 @@ constexpr Knob kKnobs[] = {
      "Arm the flight recorder: <path>[,events=<n>] — bounded per-thread "
      "ring (n <= 1048576) dumped as a Chrome trace on faults/crashes "
      "(default off)"},
-    {"FEKF_TELEMETRY",
-     "Live metrics sampler: <path>[,interval=<ms>] appends one JSONL "
-     "snapshot per interval (default off; interval 250ms, at most "
-     "86400000ms)"},
     {"FEKF_FAULT_SPEC",
      "Fault-injection DSL, e.g. 'nan_grad@step=40 rank_fail@step=60' "
      "(default: no faults)"},

@@ -10,6 +10,11 @@ namespace {
 
 constexpr const char* kMagic = "fekf-deepmd-model-v1";
 
+/// Largest accepted per-type neighbor budget `sel[t]`. sel sizes the env
+/// tensors (natoms * sel[t] rows per type) at prepare(); fit_stats
+/// suggests ~1.125x the densest neighbor count, tens for Cu at rcut 6 Å.
+constexpr i64 kMaxSel = 4096;
+
 void write_vector(TextWriter& w, const char* name,
                   const std::vector<f64>& v) {
   w.key(name);
@@ -151,19 +156,34 @@ DeepmdModel read_model_text(TextReader& r) {
   r.require_fits(*nvalues, "parameter count " + std::to_string(*nvalues) +
                                " of " + widths);
 
+  // Every per-type list holds one entry per type; checked on its own line
+  // so the diagnostic names it.
+  const auto per_type = [&](const char* name, std::size_t n) {
+    if (static_cast<i64>(n) != num_types) {
+      r.malformed(std::string(name) + " has " + std::to_string(n) +
+                  " entries, num_types is " + std::to_string(num_types));
+    }
+  };
   EnvStats env;
   std::vector<i64> sel = read_ivector(r, "sel");
-  if (static_cast<i64>(sel.size()) != num_types) {
-    r.malformed("sel has " + std::to_string(sel.size()) +
-                " entries, num_types is " + std::to_string(num_types));
+  per_type("sel", sel.size());
+  for (const i64 s : sel) {
+    if (s < 1 || s > kMaxSel) {
+      r.malformed("sel entry " + std::to_string(s) + " outside [1, " +
+                  std::to_string(kMaxSel) + "]");
+    }
   }
   env.davg = read_vector(r, "davg");
+  per_type("davg", env.davg.size());
   env.dstd_r = read_vector(r, "dstd_r");
+  per_type("dstd_r", env.dstd_r.size());
   env.dstd_a = read_vector(r, "dstd_a");
+  per_type("dstd_a", env.dstd_a.size());
   env.suggested_sel = sel;
   cfg.sel = sel;
   EnergyStats es;
   es.bias_per_type = read_vector(r, "bias");
+  per_type("bias", es.bias_per_type.size());
   r.expect("residual_std");
   es.residual_std = r.read_f64();
 

@@ -28,25 +28,12 @@ void InterconnectModel::validate() const {
                  std::to_string(latency_s) + ")");
 }
 
-void FailureDetectorConfig::validate() const {
-  FEKF_CHECK(miss_limit >= 1,
-             "FailureDetectorConfig.miss_limit must be >= 1 (got " +
-                 std::to_string(miss_limit) + ")");
-  FEKF_CHECK(std::isfinite(heartbeat_period_s) && heartbeat_period_s >= 0.0,
-             "FailureDetectorConfig.heartbeat_period_s must be finite and "
-             ">= 0 (got " + std::to_string(heartbeat_period_s) + ")");
-  FEKF_CHECK(heartbeat_bytes >= 0,
-             "FailureDetectorConfig.heartbeat_bytes must be >= 0 (got " +
-                 std::to_string(heartbeat_bytes) + ")");
-}
-
 void DistributedConfig::validate() const {
   FEKF_CHECK(ranks >= 1, "DistributedConfig.ranks must be >= 1 (got " +
                              std::to_string(ranks) + ")");
   options.validate();
   kalman.validate();
   interconnect.validate();
-  detector.validate();
 }
 
 VirtualCluster::VirtualCluster(const DistributedConfig& config,
@@ -207,14 +194,14 @@ f64 VirtualCluster::poll_faults(i64 step, FaultLog& log) {
 
   // 4. Heartbeat failure detector: one evaluation per step boundary; a
   // silent rank accrues one miss per evaluation and is evicted at
-  // miss_limit. Eviction branches ONLY on the miss count — the simulated
+  // kMissLimit. Eviction branches ONLY on the miss count — the simulated
   // detection latency is reported, never consulted.
   for (Rank& r : members_) {
     if (!r.alive || !r.silent) continue;
     ++r.missed;
-    if (r.missed >= config_.detector.miss_limit) {
-      ledger_.detection_seconds += static_cast<f64>(r.missed) *
-                                   config_.detector.heartbeat_period_s;
+    if (r.missed >= kMissLimit) {
+      ledger_.detection_seconds +=
+          static_cast<f64>(r.missed) * kHeartbeatPeriodS;
       evict(r, step, log);
     }
   }
@@ -224,9 +211,8 @@ f64 VirtualCluster::poll_faults(i64 step, FaultLog& log) {
   const i64 live = live_ranks();
   if (live > 1) {
     ledger_.heartbeats += live;
-    ledger_.heartbeat_bytes += live * config_.detector.heartbeat_bytes;
-    const f64 hb_s =
-        config_.interconnect.message_seconds(config_.detector.heartbeat_bytes);
+    ledger_.heartbeat_bytes += live * kHeartbeatBytes;
+    const f64 hb_s = config_.interconnect.message_seconds(kHeartbeatBytes);
     ledger_.heartbeat_seconds += hb_s;
   }
 
@@ -334,9 +320,8 @@ struct ShardedReducer final : train::GradientReducer {
       metrics.counter("dist.allreduce_bytes").inc(grad_bytes + error_bytes);
       metrics.counter("dist.allreduces").inc();
       metrics.gauge("dist.sim_comm_seconds").set(ledger.comm_seconds);
-      // CommLedger mirror, so the telemetry sampler's time-series carries
-      // the membership accounting live instead of only in the end-of-run
-      // result.
+      // CommLedger mirror, so the metrics dump and flight snapshots carry
+      // the membership accounting, not only the end-of-run result.
       metrics.gauge("dist.reshard_seconds").set(ledger.reshard_seconds);
       metrics.gauge("dist.join_seconds").set(ledger.join_seconds);
       metrics.gauge("dist.detection_seconds").set(ledger.detection_seconds);

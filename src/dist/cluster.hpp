@@ -25,7 +25,7 @@
 // at most kStragglerWaitFactor times the nominal compute max). The links
 // are reliable, as the paper's RoCE fabric is: every allreduce costs its
 // closed-form alpha-beta time. A heartbeat failure detector evicts silent
-// ranks after `miss_limit` missed heartbeats; heartbeats are evaluated once
+// ranks after `kMissLimit` missed heartbeats; heartbeats are evaluated once
 // per training step at the step boundary, so eviction decisions depend only
 // on deterministic step counts — never on measured wall-clock — and a spec
 // replays identically run to run.
@@ -83,18 +83,13 @@ struct InterconnectModel {
 
 /// Heartbeat failure detection. Every live rank heartbeats once per
 /// training step; a silent rank accrues one miss per step boundary and is
-/// evicted when missed >= miss_limit. miss_limit = 1 reproduces the
-/// pre-elastic behavior (silenced at step N, evicted and resharded at step
-/// N before any compute). Detection latency is REPORTED in simulated
-/// seconds (missed * heartbeat_period_s) but never branched on, which is
-/// what keeps eviction deterministic.
-struct FailureDetectorConfig {
-  i64 miss_limit = 1;          ///< consecutive misses before eviction
-  f64 heartbeat_period_s = 1e-3;  ///< simulated heartbeat interval
-  i64 heartbeat_bytes = 64;    ///< per-heartbeat wire size
-
-  void validate() const;
-};
+/// evicted when missed >= kMissLimit: silenced at step N, evicted and
+/// resharded at step N before any compute. Detection latency is REPORTED
+/// in simulated seconds (missed * kHeartbeatPeriodS) but never branched
+/// on, which is what keeps eviction deterministic.
+inline constexpr i64 kMissLimit = 1;            ///< misses before eviction
+inline constexpr f64 kHeartbeatPeriodS = 1e-3;  ///< simulated interval
+inline constexpr i64 kHeartbeatBytes = 64;      ///< per-heartbeat wire size
 
 /// Bounded wait: a step waits for stragglers at most this multiple of the
 /// nominal (un-slowed) compute max.
@@ -135,9 +130,8 @@ struct DistributedConfig {
   train::TrainOptions options;       ///< batch_size = GLOBAL batch
   optim::KalmanConfig kalman;
   InterconnectModel interconnect;
-  FailureDetectorConfig detector;
 
-  /// Validates ranks, options, kalman, interconnect and detector together.
+  /// Validates ranks, options, kalman and interconnect together.
   void validate() const;
 };
 
@@ -155,9 +149,8 @@ struct DistributedResult {
 /// table (stable ids, never reused) and the CommLedger;
 /// train_fekf_distributed drives it once per step (poll_faults) and once
 /// per collective (allreduce / compute_seconds). The constructor validates
-/// the FULL config — including the interconnect and detector knobs — so a
-/// bad bandwidth or miss limit is rejected at construction, not at first
-/// use.
+/// the FULL config — including the interconnect knobs — so a bad
+/// bandwidth is rejected at construction, not at first use.
 class VirtualCluster {
  public:
   using Rank = train::MembershipCheckpoint::Rank;

@@ -1,11 +1,9 @@
 #include "obs/flight.hpp"
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 
 #include "core/fault.hpp"
@@ -47,27 +45,12 @@ void failure_hook(const char* what) {
 }  // namespace
 
 struct FlightRecorder::Impl {
-  struct Ring {
-    std::mutex mutex;
-    std::vector<TraceEvent> slots;  ///< sized lazily to `capacity`
-    i64 capacity = FlightRecorder::kDefaultCapacity;
-    u64 count = 0;  ///< total appended; slots hold the newest min(count, cap)
-  };
-
-  mutable std::mutex registry_mutex;
-  std::vector<std::unique_ptr<Ring>> rings;
+  mutable std::mutex mutex;
   std::string path;
-  i64 capacity = FlightRecorder::kDefaultCapacity;
+  std::atomic<i64> capacity{FlightRecorder::kDefaultCapacity};
   std::atomic<i64> last_dump_ns{-1};
   bool handlers_installed = false;
   std::terminate_handler previous_terminate = nullptr;
-
-  Ring& register_ring() {
-    std::lock_guard<std::mutex> lock(registry_mutex);
-    rings.push_back(std::make_unique<Ring>());
-    rings.back()->capacity = capacity;
-    return *rings.back();
-  }
 };
 
 namespace {
@@ -161,18 +144,9 @@ void FlightRecorder::arm_path(const std::string& path, i64 capacity) {
     throw Error(events_range_error(std::to_string(capacity)));
   }
   {
-    std::lock_guard<std::mutex> lock(impl_->registry_mutex);
+    std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->path = path;
     impl_->capacity = capacity;
-    // Re-arming starts a fresh black box: rings adopt the new capacity on
-    // their next append, and drop/dump counters restart from zero.
-    for (auto& ring : impl_->rings) {
-      std::lock_guard<std::mutex> ring_lock(ring->mutex);
-      ring->slots.clear();
-      ring->slots.shrink_to_fit();
-      ring->capacity = capacity;
-      ring->count = 0;
-    }
     if (!impl_->handlers_installed) {
       impl_->handlers_installed = true;
       for (PreviousSignal& p : g_previous_signals) {
@@ -182,82 +156,39 @@ void FlightRecorder::arm_path(const std::string& path, i64 capacity) {
       impl_->previous_terminate = std::set_terminate(&terminate_with_dump);
     }
   }
-  dump_count_.store(0, std::memory_order_relaxed);
-  impl_->last_dump_ns.store(-1, std::memory_order_relaxed);
+  // Re-arming starts a fresh black box: unless the trace sink keeps them,
+  // the held events and their storage go (each thread allocates the new
+  // ring at its next event), and the dump counters restart from zero.
+  clear();
   set_fault_hook(&fault_hook);
   set_failure_hook(&failure_hook);
   armed_.store(true, std::memory_order_relaxed);
-  TraceRecorder::instance().set_flight_capture(true);
+  TraceRecorder::instance().set_flight_capture(capacity);
 }
 
 void FlightRecorder::disarm() {
-  TraceRecorder::instance().set_flight_capture(false);
+  TraceRecorder::instance().set_flight_capture(0);
   armed_.store(false, std::memory_order_relaxed);
   set_fault_hook(nullptr);
   set_failure_hook(nullptr);
 }
 
-void FlightRecorder::append(const TraceEvent& event) {
-  // The calling thread's ring. The thread_local only caches the pointer —
-  // the (leaked) recorder owns the ring, so events recorded by a thread
-  // that has since exited survive until the dump.
-  thread_local Impl::Ring* local_ring = &impl_->register_ring();
-  Impl::Ring& ring = *local_ring;
-  std::lock_guard<std::mutex> lock(ring.mutex);
-  const std::size_t capacity = static_cast<std::size_t>(ring.capacity);
-  if (ring.slots.size() != capacity) {
-    // One allocation at the thread's first post-arm event; every later
-    // append overwrites in place (the zero-alloc steady state the
-    // counting-allocator test pins down).
-    ring.slots.assign(capacity, TraceEvent{});
-  }
-  ring.slots[static_cast<std::size_t>(ring.count % ring.slots.size())] = event;
-  ++ring.count;
+u64 FlightRecorder::capacity() const {
+  return static_cast<u64>(impl_->capacity.load(std::memory_order_relaxed));
 }
 
 std::vector<TraceEvent> FlightRecorder::ring_snapshot() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  std::vector<TraceEvent> out;
-  for (const auto& ring : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mutex);
-    if (ring->slots.empty()) continue;
-    const u64 capacity = static_cast<u64>(ring->slots.size());
-    const u64 held = std::min(ring->count, capacity);
-    // Oldest-first within the ring: the slot after the newest write.
-    const u64 start = ring->count >= capacity ? ring->count % capacity : 0;
-    for (u64 i = 0; i < held; ++i) {
-      out.push_back(ring->slots[static_cast<std::size_t>(
-          (start + i) % capacity)]);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_ns < b.ts_ns;
-                   });
-  return out;
+  return TraceRecorder::instance().snapshot(capacity());
 }
 
 u64 FlightRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  u64 total = 0;
-  for (const auto& ring : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mutex);
-    const u64 capacity = static_cast<u64>(ring->slots.size());
-    if (capacity > 0 && ring->count > capacity) {
-      total += ring->count - capacity;
-    }
-  }
-  return total;
+  u64 left_out = 0;
+  TraceRecorder::instance().snapshot(capacity(), &left_out);
+  return left_out;
 }
 
 u64 FlightRecorder::appended() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  u64 total = 0;
-  for (const auto& ring : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mutex);
-    total += ring->count;
-  }
-  return total;
+  return TraceRecorder::instance().appended();
 }
 
 bool FlightRecorder::dump(const std::string& reason, bool force) {
@@ -269,17 +200,15 @@ bool FlightRecorder::dump(const std::string& reason, bool force) {
   if (!force && last >= 0 && now - last < kMinDumpGapNs) return false;
   impl_->last_dump_ns.store(now, std::memory_order_relaxed);
 
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-    path = impl_->path;
-  }
+  const std::string path = this->path();
   if (path.empty()) return false;
 
-  const std::vector<TraceEvent> events = ring_snapshot();
+  u64 dropped = 0;
+  const std::vector<TraceEvent> events =
+      TraceRecorder::instance().snapshot(capacity(), &dropped);
   std::string extra = "\"dumpReason\":";
   detail::append_json_escaped(extra, reason.c_str());
-  extra += ",\"flightDropped\":" + std::to_string(dropped());
+  extra += ",\"flightDropped\":" + std::to_string(dropped);
   std::string metrics = MetricsRegistry::instance().json();
   while (!metrics.empty() && metrics.back() == '\n') metrics.pop_back();
   extra += ",\"metrics\":" + metrics;
@@ -303,17 +232,14 @@ bool FlightRecorder::dump(const std::string& reason, bool force) {
 }
 
 void FlightRecorder::clear() {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  for (auto& ring : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mutex);
-    ring->count = 0;
-  }
+  // The trace sink's events are never the flight recorder's to drop.
+  if (!TraceRecorder::enabled()) TraceRecorder::instance().clear();
   dump_count_.store(0, std::memory_order_relaxed);
   impl_->last_dump_ns.store(-1, std::memory_order_relaxed);
 }
 
 std::string FlightRecorder::path() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
+  std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->path;
 }
 

@@ -16,18 +16,19 @@
 // Arming: FEKF_FLIGHT=<path>[,events=<n>] (default 8192 events/thread),
 // or programmatically via arm()/arm_path(). Arming sets the kFlight bit
 // in TraceRecorder's capture mask, so every existing instrumentation site
-// feeds the rings with no new code; the disabled-path contract (one
-// relaxed load, zero allocation) is unchanged because the sites gate on
-// the same single atomic.
+// feeds the recorder's per-thread buffers with no new code; the
+// disabled-path contract (one relaxed load, zero allocation) is unchanged
+// because the sites gate on the same single atomic.
 //
-// Ring semantics: each thread's ring is sized once (one allocation at the
-// thread's first event) and then overwrites oldest-first; the number of
-// overwritten events is counted exactly and reported as "flightDropped"
-// in the dump. Rings are owned by the (leaked) recorder, not the
-// thread_local, so spans recorded by an exited pool worker or std::thread
-// survive until the dump. Dumps are throttled (min ~50 ms apart) except
-// on crash paths, and re-entrant dumps (an FEKF_CHECK failing inside a
-// dump) are latched out.
+// Ring semantics: while the trace sink is off, each thread's buffer is a
+// ring sized once (one allocation at the thread's first event) that then
+// overwrites oldest-first; while it is on, the buffer keeps everything. A
+// dump writes the newest `events` of each thread and reports the exact
+// number of appended events it left out as "flightDropped". The (leaked)
+// TraceRecorder owns the buffers, so spans recorded by an exited pool
+// worker or std::thread survive until the dump. Dumps are throttled (min
+// ~50 ms apart) except on crash paths, and re-entrant dumps (an
+// FEKF_CHECK failing inside a dump) are latched out.
 #pragma once
 
 #include <atomic>
@@ -42,11 +43,11 @@ class FlightRecorder {
  public:
   static constexpr i64 kDefaultCapacity = 8192;  ///< events per thread
   /// Largest accepted ring (events per thread, ~88 MiB of TraceEvent).
-  /// The ring is allocated on a thread's first append, inside span
+  /// The ring is allocated on a thread's first event, inside span
   /// destructors, so an oversized one must be refused at arm time.
   static constexpr i64 kMaxCapacity = i64{1} << 20;
 
-  /// Process-wide recorder (leaked: rings outlive static destruction).
+  /// Process-wide recorder (leaked: outlives static destruction).
   static FlightRecorder& instance();
 
   /// Arm from an FEKF_FLIGHT spec: "<path>[,events=<n>]". Throws Error on
@@ -60,34 +61,32 @@ class FlightRecorder {
   void disarm();
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
-  /// Append one event to the calling thread's ring (called by
-  /// TraceRecorder::record while the kFlight capture bit is set).
-  void append(const TraceEvent& event);
-
-  /// Flush the rings + a metrics snapshot to the armed path as a Chrome
-  /// trace. Returns false when disarmed, throttled, or re-entered.
-  /// `force` skips the throttle (crash paths).
+  /// Flush the newest `events` per thread + a metrics snapshot to the
+  /// armed path as a Chrome trace. Returns false when disarmed, throttled,
+  /// or re-entered. `force` skips the throttle (crash paths).
   bool dump(const std::string& reason, bool force = false);
 
-  /// All ring contents, oldest-first across threads (merged by
-  /// timestamp) — what a dump would write.
+  /// What a dump would write: the newest `events` of each thread, merged
+  /// oldest-first by timestamp.
   std::vector<TraceEvent> ring_snapshot() const;
 
-  /// Exact number of ring events overwritten so far, over all threads.
+  /// Exact number of appended events a dump would leave out.
   u64 dropped() const;
-  /// Total events appended so far (dropped + retained).
+  /// Total events appended since the last clear (dropped + retained).
   u64 appended() const;
   /// Completed dumps since arming (tests assert fault paths flushed).
   i64 dump_count() const { return dump_count_.load(std::memory_order_relaxed); }
 
-  /// Drop all ring contents and reset drop/dump counters (rings keep
-  /// their capacity; arming state is unchanged).
+  /// Reset the dump counters, and drop the held events unless the trace
+  /// sink keeps them (arming state is unchanged).
   void clear();
 
   /// The armed dump path (empty while disarmed).
   std::string path() const;
 
  private:
+  u64 capacity() const;
+
   FlightRecorder();
 
   std::atomic<bool> armed_{false};

@@ -258,47 +258,6 @@ std::string MetricsRegistry::json() const {
   return out;
 }
 
-std::string MetricsRegistry::compact_json(f64 t_s) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::string out = "{\"t_s\": ";
-  append_number(out, t_s);
-  out += ", \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : impl_->counters) {
-    if (!first) out += ", ";
-    first = false;
-    append_escaped(out, name);
-    out += ": " + std::to_string(counter->value());
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : impl_->gauges) {
-    if (!first) out += ", ";
-    first = false;
-    append_escaped(out, name);
-    out += ": ";
-    append_number(out, gauge->value());
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : impl_->histograms) {
-    if (!first) out += ", ";
-    first = false;
-    append_escaped(out, name);
-    out += ": {\"count\": " + std::to_string(hist->count()) + ", \"sum\": ";
-    append_number(out, hist->sum());
-    out += ", \"p50\": ";
-    append_number(out, hist->percentile(0.50));
-    out += ", \"p90\": ";
-    append_number(out, hist->percentile(0.90));
-    out += ", \"p99\": ";
-    append_number(out, hist->percentile(0.99));
-    out += "}";
-  }
-  out += "}}";
-  return out;
-}
-
 void MetricsRegistry::write_json(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   FEKF_CHECK(f != nullptr, "cannot open metrics file '" + path + "'");

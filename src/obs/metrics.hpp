@@ -157,11 +157,6 @@ class MetricsRegistry {
   std::string json() const;
   void write_json(const std::string& path) const;
 
-  /// One-line JSON snapshot for the telemetry sampler's JSONL stream:
-  /// histograms carry count/sum/p50/p90/p99 instead of raw buckets, and a
-  /// leading "t_s" stamps the sample time.
-  std::string compact_json(f64 t_s) const;
-
   /// Zero every instrument (registrations survive).
   void reset();
 

@@ -12,7 +12,6 @@
 #include "core/log.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 
 namespace fekf::obs {
 
@@ -127,17 +126,60 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events,
   return out;
 }
 
+/// One thread's events: a circular buffer of `held` events from `head`.
+/// While the trace sink is on it grows like a vector to keep every event;
+/// while only the flight sink is on it grows once to the ring size and
+/// then overwrites its oldest event.
 struct TraceRecorder::ThreadBuffer {
   std::mutex mutex;
-  std::vector<TraceEvent> events;
+  std::vector<TraceEvent> slots;
+  std::size_t head = 0;
+  std::size_t held = 0;
+  u64 appended = 0;  ///< since the last clear(); exceeds held once overwritten
   i32 tid = 0;
+
+  void append(const TraceEvent& event, bool keep_all, std::size_t ring) {
+    ++appended;
+    if (held == slots.size()) {
+      if (!keep_all && held >= ring) {
+        slots[head] = event;
+        head = head + 1 == slots.size() ? 0 : head + 1;
+        return;
+      }
+      // Full and growing: put the oldest event first, then extend.
+      std::rotate(slots.begin(),
+                  slots.begin() + static_cast<std::ptrdiff_t>(head),
+                  slots.end());
+      head = 0;
+      if (keep_all) {
+        slots.push_back(event);
+        ++held;
+        return;
+      }
+      slots.resize(ring);
+    }
+    std::size_t at = head + held;
+    if (at >= slots.size()) at -= slots.size();
+    slots[at] = event;
+    ++held;
+  }
+
+  /// Calls fn on the newest min(n, held) events, oldest first.
+  template <typename Fn>
+  void for_newest(u64 n, Fn&& fn) const {
+    const std::size_t count =
+        static_cast<std::size_t>(std::min<u64>(n, held));
+    std::size_t at = head + (held - count);
+    for (std::size_t i = 0; i < count; ++i, ++at) {
+      if (at >= slots.size()) at -= slots.size();
+      fn(slots[at]);
+    }
+  }
 };
 
 struct TraceRecorder::Impl {
   mutable std::mutex registry_mutex;
-  std::vector<std::unique_ptr<ThreadBuffer>> live;
-  std::vector<TraceEvent> retired;
-  i32 next_tid = 0;
+  std::vector<std::unique_ptr<ThreadBuffer>> buffers;
 };
 
 TraceRecorder::TraceRecorder() : impl_(new Impl) {
@@ -145,9 +187,9 @@ TraceRecorder::TraceRecorder() : impl_(new Impl) {
 }
 
 TraceRecorder& TraceRecorder::instance() {
-  // Leaked singleton: pool workers retire their buffers during static
-  // destruction, after which the env-driven exporter still reads them —
-  // a destructed recorder would turn both into use-after-free.
+  // Leaked singleton: it owns every thread's buffer, and the env-driven
+  // exporter and crash-path dumps read them during and after static
+  // destruction.
   static TraceRecorder* recorder = new TraceRecorder();
   return *recorder;
 }
@@ -160,8 +202,10 @@ void TraceRecorder::set_enabled(bool on) {
   }
 }
 
-void TraceRecorder::set_flight_capture(bool on) {
-  if (on) {
+void TraceRecorder::set_flight_capture(i64 ring_events) {
+  if (ring_events > 0) {
+    ring_events_.store(static_cast<u64>(ring_events),
+                       std::memory_order_relaxed);
     capture_.fetch_or(kFlight, std::memory_order_relaxed);
   } else {
     capture_.fetch_and(~kFlight, std::memory_order_relaxed);
@@ -178,40 +222,25 @@ i64 TraceRecorder::now_ns() {
       .count();
 }
 
-namespace {
-
-/// Owns the calling thread's buffer registration; retires the buffer's
-/// events into the recorder when the thread exits.
-struct ThreadBufferOwner {
-  TraceRecorder::ThreadBuffer* buffer;
-  ThreadBufferOwner() : buffer(&TraceRecorder::instance().register_thread()) {}
-  ~ThreadBufferOwner() { TraceRecorder::instance().retire_thread(*buffer); }
-};
-
-TraceRecorder::ThreadBuffer& local_buffer() {
-  thread_local ThreadBufferOwner owner;
-  return *owner.buffer;
+TraceRecorder::ThreadBuffer& TraceRecorder::local_buffer() {
+  // The thread_local caches the pointer only: the recorder owns the
+  // buffer, so the events of a thread that has exited survive.
+  thread_local ThreadBuffer* buffer = [this] {
+    std::lock_guard<std::mutex> lock(impl_->registry_mutex);
+    impl_->buffers.push_back(std::make_unique<ThreadBuffer>());
+    impl_->buffers.back()->tid = static_cast<i32>(impl_->buffers.size() - 1);
+    return impl_->buffers.back().get();
+  }();
+  return *buffer;
 }
 
-}  // namespace
-
-TraceRecorder::ThreadBuffer& TraceRecorder::register_thread() {
+template <typename Fn>
+void TraceRecorder::for_each_buffer(Fn&& fn) const {
   std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  impl_->live.push_back(std::make_unique<ThreadBuffer>());
-  impl_->live.back()->tid = impl_->next_tid++;
-  return *impl_->live.back();
-}
-
-void TraceRecorder::retire_thread(ThreadBuffer& buffer) {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  {
-    std::lock_guard<std::mutex> buf_lock(buffer.mutex);
-    impl_->retired.insert(impl_->retired.end(), buffer.events.begin(),
-                          buffer.events.end());
-    buffer.events.clear();
+  for (const auto& buffer : impl_->buffers) {
+    std::lock_guard<std::mutex> buf_lock(buffer->mutex);
+    fn(*buffer);
   }
-  // The ThreadBuffer itself stays in `live` (it keeps its tid); only its
-  // events move, so a re-registered id is never reused.
 }
 
 void TraceRecorder::record(const TraceEvent& event) {
@@ -220,13 +249,10 @@ void TraceRecorder::record(const TraceEvent& event) {
   ThreadBuffer& buffer = local_buffer();
   TraceEvent copy = event;
   copy.tid = buffer.tid;
-  if ((capture & kTrace) != 0) {
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.events.push_back(copy);
-  }
-  if ((capture & kFlight) != 0) {
-    FlightRecorder::instance().append(copy);
-  }
+  std::lock_guard<std::mutex> lock(buffer.mutex);
+  buffer.append(copy, (capture & kTrace) != 0,
+                static_cast<std::size_t>(
+                    ring_events_.load(std::memory_order_relaxed)));
 }
 
 void TraceRecorder::instant(const char* name, const char* cat) {
@@ -279,13 +305,16 @@ void TraceRecorder::flow(const char* name, const char* cat, u64 id,
   record(e);
 }
 
-std::vector<TraceEvent> TraceRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  std::vector<TraceEvent> out = impl_->retired;
-  for (const auto& buffer : impl_->live) {
-    std::lock_guard<std::mutex> buf_lock(buffer->mutex);
-    out.insert(out.end(), buffer->events.begin(), buffer->events.end());
-  }
+std::vector<TraceEvent> TraceRecorder::snapshot(u64 newest_per_thread,
+                                                u64* left_out) const {
+  std::vector<TraceEvent> out;
+  u64 appended = 0;
+  for_each_buffer([&](const ThreadBuffer& buffer) {
+    appended += buffer.appended;
+    buffer.for_newest(newest_per_thread,
+                      [&](const TraceEvent& e) { out.push_back(e); });
+  });
+  if (left_out != nullptr) *left_out = appended - out.size();
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;
@@ -294,30 +323,40 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
 }
 
 i64 TraceRecorder::event_count() const {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  i64 n = static_cast<i64>(impl_->retired.size());
-  for (const auto& buffer : impl_->live) {
-    std::lock_guard<std::mutex> buf_lock(buffer->mutex);
-    n += static_cast<i64>(buffer->events.size());
-  }
+  i64 n = 0;
+  for_each_buffer(
+      [&](const ThreadBuffer& buffer) { n += static_cast<i64>(buffer.held); });
+  return n;
+}
+
+u64 TraceRecorder::appended() const {
+  u64 n = 0;
+  for_each_buffer([&](const ThreadBuffer& buffer) { n += buffer.appended; });
   return n;
 }
 
 void TraceRecorder::clear() {
-  std::lock_guard<std::mutex> lock(impl_->registry_mutex);
-  impl_->retired.clear();
-  for (const auto& buffer : impl_->live) {
-    std::lock_guard<std::mutex> buf_lock(buffer->mutex);
-    buffer->events.clear();
-  }
+  for_each_buffer([](ThreadBuffer& buffer) {
+    std::vector<TraceEvent>().swap(buffer.slots);
+    buffer.head = buffer.held = 0;
+    buffer.appended = 0;
+  });
 }
 
 std::map<std::string, f64> TraceRecorder::span_seconds_by_name() const {
+  // Summed in place under the buffer locks: integer nanoseconds keyed by
+  // the name literal, with no copy, no sort and no per-event allocation.
+  std::map<const char*, i64> by_literal;
+  for_each_buffer([&](const ThreadBuffer& buffer) {
+    buffer.for_newest(buffer.held, [&](const TraceEvent& e) {
+      if (e.dur_ns >= 0) by_literal[e.name] += e.dur_ns;
+    });
+  });
+  std::map<std::string, i64> ns;  // equal names may sit at two addresses
+  for (const auto& [name, total] : by_literal) ns[name] += total;
   std::map<std::string, f64> totals;
-  for (const TraceEvent& e : snapshot()) {
-    if (e.dur_ns >= 0) {
-      totals[e.name] += static_cast<f64>(e.dur_ns) * 1e-9;
-    }
+  for (const auto& [name, total] : ns) {
+    totals.emplace(name, static_cast<f64>(total) * 1e-9);
   }
   return totals;
 }
@@ -349,17 +388,15 @@ void TraceRecorder::write_chrome_trace(const std::string& path) const {
 // Environment activation: FEKF_TRACE=<path> enables tracing at startup and
 // writes the Chrome trace at process exit; FEKF_METRICS=<path> does the
 // same for the metrics registry dump; FEKF_TRACE_KERNELS=1 adds per-kernel
-// spans on top of capturing; FEKF_FLIGHT arms the flight recorder and
-// FEKF_TELEMETRY starts the JSONL sampler (obs/flight.hpp,
-// obs/telemetry.hpp). Construction order is safe because activation
-// touches instance() (leaked) before anything records.
+// spans on top of capturing; FEKF_FLIGHT arms the flight recorder
+// (obs/flight.hpp). Construction order is safe because activation touches
+// instance() (leaked) before anything records.
 //
 // The exporter runs from std::atexit over intentionally-leaked state — an
 // idempotent latch, never a static destructor — so late pool-worker
-// teardown (whose thread_local retirement runs after function-local
-// statics are destroyed) and crash-path flight dumps can never race a
-// destructed path string. PR 4's workspace registry adopted the same
-// immortal pattern for the same reason.
+// teardown and crash-path flight dumps can never race a destructed path
+// string. The workspace registry uses the same immortal pattern for the
+// same reason.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -380,7 +417,6 @@ void fekf_obs_export_at_exit() {
   if (state->exported.exchange(true, std::memory_order_acq_rel)) return;
   // Best-effort export: a failing write must not escape process teardown.
   try {
-    TelemetrySampler::instance().stop();  // final sample + join
     if (!state->trace_path.empty()) {
       TraceRecorder::instance().write_chrome_trace(state->trace_path);
     }
@@ -419,12 +455,6 @@ struct EnvActivation {
     if (const char* spec = env::get("FEKF_FLIGHT")) {
       if (spec[0] != '\0') {
         FlightRecorder::instance().arm(spec);
-      }
-    }
-    if (const char* spec = env::get("FEKF_TELEMETRY")) {
-      if (spec[0] != '\0') {
-        TelemetrySampler::instance().start_from_spec(spec);
-        want_export = true;  // stop() flushes the final sample
       }
     }
     if (want_export) {

@@ -8,18 +8,20 @@
 // `trace_event` JSON format, loadable in chrome://tracing or Perfetto.
 //
 // Two sinks share the instrumentation sites, selected by a single capture
-// bitmask so the disabled-path cost never grows with the sink count:
-//  * the trace sink (FEKF_TRACE): unbounded thread-local buffers, full
-//    trace written at process exit — PR 3's original behavior;
-//  * the flight sink (FEKF_FLIGHT, obs/flight.hpp): bounded per-thread
-//    rings holding the last N events, flushed post-mortem by fault and
-//    crash handlers.
+// bitmask so the disabled-path cost never grows with the sink count, and
+// one per-thread event buffer holds what either captures:
+//  * the trace sink (FEKF_TRACE): while it is on, every buffer keeps every
+//    event, and the full trace is written at process exit;
+//  * the flight sink (FEKF_FLIGHT, obs/flight.hpp): while only it is on,
+//    each buffer is a ring of the newest N events, allocated once and then
+//    overwritten oldest-first; fault and crash handlers dump the newest N
+//    events of every thread.
 //
 // Cost model (the contract every instrumentation site relies on):
 //  * disabled (the default): constructing a ScopedSpan is ONE relaxed
 //    atomic load and no allocation — the step hot path stays allocation-
 //    free, verified by a counting-operator-new test in tests/test_obs.cpp.
-//  * enabled: two steady_clock reads plus one append to a thread-local
+//  * enabled: two steady_clock reads plus one append to the thread's
 //    buffer under an uncontended per-thread mutex (~100 ns/span). Kernel-
 //    level spans (one per primitive kernel launch) are an additional
 //    opt-in (FEKF_TRACE_KERNELS) on top of capturing because they run at
@@ -35,8 +37,8 @@
 // Thread ids are stable: each OS thread is assigned a small dense id the
 // first time it records, and keeps it for the life of the process (pool
 // workers persist, so phase spans land on the same tracks step after
-// step). Buffers of exited threads are retired into the recorder, so no
-// event is lost.
+// step). The leaked recorder owns every buffer and the thread_local only
+// points at it, so an exited thread's events survive to the export.
 #pragma once
 
 #include <map>
@@ -79,8 +81,8 @@ void append_json_escaped(std::string& out, const char* s);
 
 class TraceRecorder {
  public:
-  /// Capture-bitmask bits. kTrace routes events to the unbounded trace
-  /// buffers; kFlight routes them to the flight recorder's rings.
+  /// Capture-bitmask bits. kTrace keeps every event; kFlight alone keeps
+  /// a ring of the newest `ring_events` per thread.
   static constexpr u32 kTrace = 1u;
   static constexpr u32 kFlight = 2u;
 
@@ -93,17 +95,16 @@ class TraceRecorder {
     return capture_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// True when the trace sink (unbounded buffers / exit export) is on.
+  /// True when the trace sink (keep every event / exit export) is on.
   static bool enabled() {
     return (capture_.load(std::memory_order_relaxed) & kTrace) != 0;
   }
   void set_enabled(bool on);
 
-  /// Flight-sink routing (driven by FlightRecorder::arm/disarm).
-  static bool flight_enabled() {
-    return (capture_.load(std::memory_order_relaxed) & kFlight) != 0;
-  }
-  void set_flight_capture(bool on);
+  /// Flight-sink routing (driven by FlightRecorder::arm/disarm): a
+  /// positive `ring_events` sets the kFlight bit with rings of that many
+  /// events per thread; 0 clears it.
+  void set_flight_capture(i64 ring_events);
 
   /// Kernel-launch spans: only honored while some sink captures.
   static bool kernel_spans_enabled() {
@@ -114,7 +115,7 @@ class TraceRecorder {
   /// Steady-clock nanoseconds since the recorder epoch.
   static i64 now_ns();
 
-  /// Append a finished event to the capturing sinks (no-op while
+  /// Append a finished event to the calling thread's buffer (no-op while
   /// disabled, so late ~ScopedSpan around a set_enabled(false) is safe).
   void record(const TraceEvent& event);
 
@@ -129,13 +130,17 @@ class TraceRecorder {
   /// request's enqueue span to the batch span that executed it.
   void flow(const char* name, const char* cat, u64 id, bool start);
 
-  /// Copy of every trace-sink event recorded so far (live buffers +
-  /// retired threads). Flight-ring contents are NOT included — see
-  /// FlightRecorder::ring_snapshot().
-  std::vector<TraceEvent> snapshot() const;
+  /// The held events, merged oldest-first by timestamp across threads.
+  /// `newest_per_thread` keeps only that many of each thread's newest;
+  /// `left_out`, when given, receives how many events appended since the
+  /// last clear() were not returned (overwritten or beyond the limit).
+  std::vector<TraceEvent> snapshot(u64 newest_per_thread = ~u64{0},
+                                   u64* left_out = nullptr) const;
+  /// Events held / appended since the last clear(), over all threads.
   i64 event_count() const;
+  u64 appended() const;
 
-  /// Drop all trace-sink events (thread ids are kept).
+  /// Drop every held event and its storage (thread ids are kept).
   void clear();
 
   /// Total seconds of complete spans, grouped by event name (SpanClock
@@ -146,16 +151,18 @@ class TraceRecorder {
   std::string chrome_trace_json() const;
   void write_chrome_trace(const std::string& path) const;
 
-  // Internal: thread-buffer registry (used by the thread_local owner).
-  struct ThreadBuffer;
-  ThreadBuffer& register_thread();
-  void retire_thread(ThreadBuffer& buffer);
-
  private:
   TraceRecorder();
 
+  struct ThreadBuffer;
+  ThreadBuffer& local_buffer();
+  /// Visit every thread's buffer under the registry lock and its own.
+  template <typename Fn>
+  void for_each_buffer(Fn&& fn) const;
+
   static std::atomic<u32> capture_;
   static std::atomic<bool> kernel_spans_;
+  std::atomic<u64> ring_events_{1};  ///< flight ring size; never 0
 
   struct Impl;
   Impl* impl_;  // never freed: outlives static destruction races

@@ -52,9 +52,9 @@ class KernelCounter {
 
 /// RAII kernel-launch marker placed at the top of every primitive kernel:
 /// records one KernelCounter launch AND — when FEKF_TRACE_KERNELS is on
-/// top of tracing — opens a "kernel"-category span covering the kernel
-/// body, so every counted launch in Figure 7(b) is attributable on the
-/// trace timeline. `name` must be a string literal. Disabled cost: the
+/// while a span sink captures — opens a "kernel"-category span covering
+/// the kernel body, so every counted launch in Figure 7(b) is attributable
+/// on the trace timeline. `name` must be a string literal. Disabled cost: the
 /// counter's relaxed load plus one relaxed load for the span gate.
 class KernelLaunch {
  public:

@@ -178,8 +178,8 @@ TrainResult run_resilient_epochs(deepmd::DeepmdModel& model,
         if (!reason.empty()) metrics.counter("train.rollbacks").inc();
         metrics.gauge("train.loss_ema").set(loss_ema);
         metrics.gauge("train.loss").set(sig.loss);
-        // Arena occupancy, so the telemetry sampler's time-series shows
-        // whether steady-state steps stay allocation-free.
+        // Arena occupancy, so the metrics dump shows whether steady-state
+        // steps stay allocation-free.
         const WorkspaceStats arena = Workspace::stats();
         metrics.gauge("arena.reserved_bytes")
             .set(static_cast<f64>(arena.reserved_bytes));

@@ -1,6 +1,6 @@
 // Minimal recursive-descent JSON validator shared by the test binaries —
 // enough to certify the observability exports (Chrome traces, metrics
-// snapshots, JSONL telemetry, flight dumps) are well-formed without
+// snapshots, flight dumps) are well-formed without
 // taking a JSON dependency. Not named test_*.cpp on purpose: the tests/
 // CMake glob must not build it as a standalone binary.
 #pragma once

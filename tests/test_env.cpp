@@ -21,7 +21,7 @@ TEST(Env, EveryHistoricalKnobIsRegistered) {
   for (const char* name :
        {"FEKF_NUM_THREADS", "FEKF_KERNEL_BACKEND", "FEKF_ARENA",
         "FEKF_LOG_LEVEL", "FEKF_TRACE", "FEKF_TRACE_KERNELS", "FEKF_METRICS",
-        "FEKF_FLIGHT", "FEKF_TELEMETRY", "FEKF_FAULT_SPEC",
+        "FEKF_FLIGHT", "FEKF_FAULT_SPEC",
         "FEKF_SERVE_MAX_BATCH", "FEKF_SERVE_MAX_WAIT_US",
         "FEKF_SERVE_WORKERS"}) {
     bool found = false;

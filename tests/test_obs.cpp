@@ -2,8 +2,8 @@
 // span nesting and thread-id stability, metrics exactness under the thread
 // pool, histogram bucketing and percentile interpolation, the
 // disabled-path zero-allocation contract, the KernelLaunch count/span
-// bridge, the flight recorder's ring/dump semantics, the telemetry
-// sampler's JSONL stream, and the trainer observer hooks.
+// bridge, the flight recorder's ring/dump semantics on the shared event
+// store (alone and beside the trace sink), and the trainer observer hooks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,6 @@
 #include "json_validator.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernel_counter.hpp"
@@ -432,6 +431,70 @@ TEST(Flight, SpecParserRejectsHostileInput) {
   recorder.clear();
 }
 
+TEST(Flight, BothSinksShareOneStoreAndEachSeesItsShare) {
+  // With the trace sink on, every buffer keeps every event, so the Chrome
+  // export holds all of them; the flight dump still writes only the newest
+  // `events` of each thread and counts the rest as dropped.
+  TraceScope scope(/*enabled=*/true);
+  const std::string path = ::testing::TempDir() + "/flight_both.json";
+  constexpr i64 kCapacity = 16;
+  constexpr int kMainEvents = 40;
+  constexpr int kWorkerEvents = 25;
+  FlightScope flight(path, kCapacity);
+  auto& recorder = obs::FlightRecorder::instance();
+
+  const auto emit = [](const char* name, int n) {
+    for (int i = 0; i < n; ++i) {
+      TraceRecorder::instance().instant(name, "test", "i",
+                                        static_cast<f64>(i));
+    }
+  };
+  std::thread worker([&] { emit("both_worker", kWorkerEvents); });
+  worker.join();
+  emit("both_main", kMainEvents);
+
+  const auto count_args = [](const std::vector<TraceEvent>& events,
+                             const char* name, f64* min_arg) {
+    i64 n = 0;
+    *min_arg = 1e300;
+    for (const TraceEvent& e : events) {
+      if (std::string(e.name) != name) continue;
+      ++n;
+      *min_arg = std::min(*min_arg, e.arg_vals[0]);
+    }
+    return n;
+  };
+  f64 min_arg = 0.0;
+  const auto all = TraceRecorder::instance().snapshot();
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kMainEvents + kWorkerEvents));
+  EXPECT_EQ(count_args(all, "both_main", &min_arg), kMainEvents);
+  EXPECT_EQ(min_arg, 0.0);
+  EXPECT_EQ(count_args(all, "both_worker", &min_arg), kWorkerEvents);
+  EXPECT_EQ(min_arg, 0.0);
+  const std::string chrome = TraceRecorder::instance().chrome_trace_json();
+  EXPECT_TRUE(JsonValidator(chrome).valid());
+
+  const auto ring = recorder.ring_snapshot();
+  ASSERT_EQ(ring.size(), static_cast<std::size_t>(2 * kCapacity));
+  EXPECT_EQ(count_args(ring, "both_main", &min_arg), kCapacity);
+  EXPECT_EQ(min_arg, static_cast<f64>(kMainEvents - kCapacity));
+  EXPECT_EQ(count_args(ring, "both_worker", &min_arg), kCapacity);
+  EXPECT_EQ(min_arg, static_cast<f64>(kWorkerEvents - kCapacity));
+  const u64 remainder = kMainEvents + kWorkerEvents - 2 * kCapacity;
+  EXPECT_EQ(recorder.dropped(), remainder);
+
+  ASSERT_TRUE(recorder.dump("both sinks", /*force=*/true));
+  const std::string json = read_file(path);
+  EXPECT_TRUE(JsonValidator(json).valid()) << json;
+  EXPECT_NE(json.find("\"flightDropped\":" + std::to_string(remainder)),
+            std::string::npos);
+  // Disarming the flight sink leaves the trace sink's events in place.
+  recorder.disarm();
+  recorder.clear();
+  EXPECT_EQ(TraceRecorder::instance().event_count(),
+            kMainEvents + kWorkerEvents);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------
@@ -546,78 +609,6 @@ TEST(Metrics, StableReferencesAcrossLookups) {
   auto& a = registry.counter("test.stable");
   auto& b = registry.counter("test.stable");
   EXPECT_EQ(&a, &b);
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry sampler
-// ---------------------------------------------------------------------------
-
-TEST(Telemetry, SamplerWritesValidJsonlWithPercentiles) {
-  auto& registry = MetricsRegistry::instance();
-  registry.histogram("test.telemetry_hist").reset();
-  registry.histogram("test.telemetry_hist").record(0.01);
-
-  const std::string path = ::testing::TempDir() + "/telemetry.jsonl";
-  auto& sampler = obs::TelemetrySampler::instance();
-  sampler.start(path, /*interval_s=*/0.005);
-  // Poll instead of a fixed sleep: the 1-core CI host schedules the
-  // sampler thread erratically.
-  for (int i = 0; i < 2000 && sampler.samples() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  EXPECT_GE(sampler.samples(), 2);
-
-  std::ifstream in(path);
-  std::string line, last;
-  i64 lines = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(JsonValidator(line).valid()) << line;
-    EXPECT_NE(line.find("\"t_s\":"), std::string::npos);
-    last = line;
-    ++lines;
-  }
-  EXPECT_GE(lines, 2);
-  // The histogram section carries interpolated quantiles, not just sums.
-  EXPECT_NE(last.find("test.telemetry_hist"), std::string::npos);
-  EXPECT_NE(last.find("\"p99\":"), std::string::npos);
-  registry.histogram("test.telemetry_hist").reset();
-}
-
-TEST(Telemetry, SpecParserRejectsHostileInput) {
-  auto& sampler = obs::TelemetrySampler::instance();
-  const std::string path = ::testing::TempDir() + "/telemetry_spec.jsonl";
-  const std::vector<std::string> specs = {
-      path + ",interval",                  // missing '='
-      path + ",period=5",                  // unknown qualifier
-      ",interval=5",                       // empty path
-      "",                                  // empty spec
-      path + ",interval=0",
-      path + ",interval=-5",
-      path + ",interval=5ms",
-      path + ",interval=inf",
-      path + ",interval=nan",
-      path + ",interval=86400001",         // one past the one-day cap
-      path + ",interval=1e13",             // past the wait_for tick range
-  };
-  for (const std::string& spec : specs) {
-    expect_spec_rejected(spec, "FEKF_TELEMETRY", [&](const std::string& s) {
-      sampler.start_from_spec(s);
-    });
-    EXPECT_FALSE(sampler.running()) << spec;
-    sampler.stop();  // no-op unless a case was wrongly accepted
-  }
-  for (const f64 interval_s : {0.0, std::numeric_limits<f64>::infinity(),
-                               std::numeric_limits<f64>::quiet_NaN(),
-                               obs::TelemetrySampler::kMaxIntervalS * 2}) {
-    expect_spec_rejected(std::to_string(interval_s), "FEKF_TELEMETRY",
-                         [&](const std::string&) {
-                           sampler.start(path, interval_s);
-                         });
-    EXPECT_FALSE(sampler.running());
-    sampler.stop();
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -596,8 +596,8 @@ TEST(Sentinel, RankFailureReshardsAndCompletes) {
   EXPECT_EQ(result.comm.reshard_events, 1);
   EXPECT_GT(result.comm.reshard_bytes, 0);
   EXPECT_GT(result.comm.reshard_seconds, 0.0);
-  // The injection silences the rank; the heartbeat detector (default
-  // miss_limit = 1) evicts it at the same step boundary.
+  // The injection silences the rank; the heartbeat detector
+  // (dist::kMissLimit = 1) evicts it at the same step boundary.
   EXPECT_EQ(result.train.faults.count("rank_fail"), 1);
   EXPECT_EQ(result.train.faults.count("rank_evict"), 1);
   EXPECT_EQ(result.comm.evictions, 1);

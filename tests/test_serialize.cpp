@@ -212,13 +212,41 @@ TEST(Serialize, HostileCountNamesFileAndLine) {
   // A list count, or network widths, the rest of the file cannot hold fail
   // at load with one line naming the file and the line, before anything is
   // allocated for them (not as std::length_error or std::bad_alloc); so
-  // does a sel list whose length is not num_types.
+  // does a per-type list whose length is not num_types, and a sel entry
+  // outside [1, 4096].
   data::Dataset ds = small_dataset();
   DeepmdModel model(small_config(), 2);
   model.fit_stats(ds.train);
   TempFile file("fekf_count.model");
   save_model(model, file.path);
   const std::string text = read_file(file.path);
+
+  // Loads `text` with [from, to) replaced by `value`; expects one line
+  // naming the file, the line of the `key` that starts at `begin`, and
+  // `expect`.
+  const auto expect_rejected = [&](std::size_t begin, std::size_t from,
+                                   std::size_t to, const std::string& value,
+                                   const std::string& expect) {
+    const i64 line = 1 + static_cast<i64>(std::count(
+                             text.begin(), text.begin() + begin, '\n'));
+    write_text(file.path, text.substr(0, from) + value + text.substr(to));
+    try {
+      load_model(file.path);
+      ADD_FAILURE() << "loaded it";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file.path + ":" + std::to_string(line) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(expect), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  };
+  const auto line_of = [&](const std::string& key) {
+    const std::size_t begin = text.find("\n" + key + " ") + 1;
+    EXPECT_NE(begin, 0u) << key;
+    return begin;
+  };
 
   // {line key, which token after it (1-based), value, in the diagnostic}.
   // The config line is: config <num_types> <rcut> <rcut_smth> <embed_width>
@@ -233,31 +261,34 @@ TEST(Serialize, HostileCountNamesFileAndLine) {
       {"config", 6, two62, "overflows"},
       {"config", 4, two62, "overflows"},
       {"sel", 1, "1", "sel has 1 entries, num_types is 2"},
+      {"sel", 2, "0", "sel entry 0 outside [1, 4096]"},
+      {"sel", 3, "-7", "sel entry -7 outside [1, 4096]"},
+      {"sel", 2, "1099511627776", "sel entry 1099511627776 outside"},
   };
   for (const auto& [key, token, value, expect] : rows) {
     SCOPED_TRACE(key + " #" + std::to_string(token) + " " + value);
-    const std::size_t begin = text.find("\n" + key + " ") + 1;
-    ASSERT_NE(begin, 0u);
+    const std::size_t begin = line_of(key);
     std::size_t token_begin = begin + key.size() + 1;
     for (int t = 1; t < token; ++t) {
       token_begin = text.find(' ', token_begin) + 1;
     }
     const std::size_t token_end = text.find_first_of(" \n", token_begin);
-    const i64 line = 1 + static_cast<i64>(std::count(
-                             text.begin(), text.begin() + begin, '\n'));
-    write_text(file.path, text.substr(0, token_begin) + value +
-                              text.substr(token_end));
-    try {
-      load_model(file.path);
-      ADD_FAILURE() << "loaded it";
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(file.path + ":" + std::to_string(line) + ":"),
-                std::string::npos)
-          << what;
-      EXPECT_NE(what.find(expect), std::string::npos) << what;
-      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
-    }
+    expect_rejected(begin, token_begin, token_end, value, expect);
+  }
+
+  // {line key, the whole line after the key, in the diagnostic}: per-type
+  // lists one entry short, each named on its own line.
+  const std::tuple<std::string, std::string, std::string> lines[] = {
+      {"davg", "1 0x1p-1", "davg has 1 entries, num_types is 2"},
+      {"dstd_r", "1 0x1p-1", "dstd_r has 1 entries, num_types is 2"},
+      {"dstd_a", "1 0x1p-1", "dstd_a has 1 entries, num_types is 2"},
+      {"bias", "0", "bias has 0 entries, num_types is 2"},
+  };
+  for (const auto& [key, tail, expect] : lines) {
+    SCOPED_TRACE(key + " " + tail);
+    const std::size_t begin = line_of(key);
+    expect_rejected(begin, begin + key.size() + 1, text.find('\n', begin),
+                    tail, expect);
   }
 }
 
